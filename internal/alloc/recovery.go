@@ -68,54 +68,85 @@ func (al *Allocator) chunkIndexBounded(off int64) (int, bool) {
 	return i, true
 }
 
+// headerClassOwner resolves a persisted class-chunk header word to its
+// class index (-1 when the size payload is invalid) and owning core. An
+// owner this allocator has no context for — the arena was reopened with
+// fewer cores, or the owner bits rotted — is folded onto a core that
+// exists: whichever core owns the chunk, frees from the others are handed
+// over, so the choice only has to be deterministic.
+func (al *Allocator) headerClassOwner(magic uint64) (class, owner int) {
+	owner = int(magic>>ownerShift&ownerMask) % len(al.cores)
+	return headerClass(int(magic &^ (magicMask | ownerMask<<ownerShift))), owner
+}
+
 // BeginRecovery prepares the allocator for post-crash reconstruction: it
-// reads the persisted chunk headers (class cuts and huge spans survive a
-// crash because they are flushed when written), zeroes every bitmap, and
-// empties the free pool. The caller then invokes RecoverMark for each
-// valid pointer discovered in the OpLog and finally FinishRecovery.
+// reads the persisted chunk headers (class cuts, their owners and huge
+// spans survive a crash because they are flushed when written), zeroes
+// every bitmap, and empties the free pool. The caller then invokes
+// RecoverMark for each valid pointer discovered in the OpLog and finally
+// FinishRecovery.
 func (al *Allocator) BeginRecovery() {
 	al.mu.Lock()
 	defer al.mu.Unlock()
+	al.loadHeaders(false)
+}
+
+// loadHeaders rebuilds the per-chunk DRAM state from the persisted chunk
+// headers. With trustBitmaps (clean shutdown) the flushed bitmaps give
+// each class chunk's block count, huge spans are live, and the raw chunks
+// re-marked beforehand are kept; without it every bitmap is zeroed for
+// RecoverMark to fill in. Unreadable headers are counted and their chunks
+// treated as free. Caller holds al.mu.
+func (al *Allocator) loadHeaders(trustBitmaps bool) {
 	al.free = al.free[:0]
 	al.recStats = RecoveryStats{}
+	for i := range al.classUsed {
+		al.classUsed[i].Store(0)
+	}
 	mem := al.arena.Mem()
 	for i := 0; i < al.n; i++ {
+		if trustBitmaps && al.chunks[i].owner == ownerRaw {
+			continue // raw log chunk re-marked by RecoverMarkRawChunk
+		}
+		al.chunks[i] = chunkState{class: -1, owner: ownerNone}
 		off := al.chunkOff(i)
 		magic := al.arena.ReadUint64(off)
 		switch magic & magicMask {
 		case magicClass & magicMask:
-			cs := int(magic &^ magicMask)
-			class := headerClass(cs)
+			class, owner := al.headerClassOwner(magic)
 			if class < 0 {
 				// Corrupt or torn header: treated as free, but COUNTED —
 				// every pointer into this chunk will surface as dangling
 				// and its key will be quarantined, so reuse is safe.
 				al.recStats.CorruptHeaders++
-				al.chunks[i] = chunkState{class: -1, owner: -1}
 				continue
 			}
-			capacity := (pmem.ChunkSize - headerReserve) / cs
-			al.chunks[i] = chunkState{class: class, owner: -1, capacity: capacity}
-			bm := (capacity + 7) / 8
-			for j := off + 64; j < off+64+bm; j++ {
-				mem[j] = 0
+			st := &al.chunks[i]
+			*st = chunkState{class: class, owner: owner, capacity: (pmem.ChunkSize - headerReserve) / ClassSize(class)}
+			bm := mem[off+64 : off+64+bitmapWords(st.capacity)*8]
+			if !trustBitmaps {
+				clear(bm)
+				continue
 			}
+			st.used = countMarked(bm, st.capacity)
+			al.classUsed[class].Add(int64(st.used))
 		case magicHuge & magicMask:
 			// A huge span: remember its extent and skip the member
 			// chunks, whose leading bytes are payload, not headers.
 			n := int(magic &^ magicMask)
 			if n <= 0 || i+n > al.n {
 				al.recStats.CorruptHeaders++
-				al.chunks[i] = chunkState{class: -1, owner: -1}
 				continue
 			}
-			al.chunks[i] = chunkState{class: -1, owner: -1, hugeLen: n}
-			for j := i + 1; j < i+n; j++ {
-				al.chunks[j] = chunkState{class: -1, owner: -1}
+			used := 0
+			if trustBitmaps {
+				used = 1
 			}
+			for j := i; j < i+n; j++ {
+				al.chunks[j] = chunkState{class: -1, owner: ownerNone, used: used}
+			}
+			al.chunks[i].hugeLen = n
 			i += n - 1
-		default:
-			al.chunks[i] = chunkState{class: -1, owner: -1}
 		}
 	}
 }
@@ -220,7 +251,7 @@ func (al *Allocator) RecoverMarkRawChunk(off int64) bool {
 	if !ok {
 		return false
 	}
-	al.chunks[i] = chunkState{class: -1, owner: -2, used: 1}
+	al.chunks[i] = chunkState{class: -1, owner: ownerRaw, used: 1}
 	return true
 }
 
@@ -233,7 +264,7 @@ func (al *Allocator) RecoverUnmarkRawChunk(off int64) {
 	al.mu.Lock()
 	defer al.mu.Unlock()
 	if i, ok := al.chunkIndexBounded(off); ok {
-		al.chunks[i] = chunkState{class: -1, owner: -1}
+		al.chunks[i] = chunkState{class: -1, owner: ownerNone}
 	}
 }
 
@@ -257,15 +288,27 @@ func (al *Allocator) recoverMarkHuge(off int64) MarkResult {
 	return MarkLive
 }
 
-// FinishRecovery rebuilds the free pool and redistributes partially-filled
-// chunks to cores. Chunks that were cut but hold no live blocks are
-// released (their persisted class is cleared).
+// FinishRecovery rebuilds the free pool and every core's availability
+// sets: each partly filled class chunk is listed with the core its header
+// names, so the cores resume exactly the chunks they were filling and a
+// chunk is never allocated from by one core while another frees into it.
+// Chunks that were cut but hold no live blocks are released (their
+// persisted class is cleared).
 func (al *Allocator) FinishRecovery() {
 	al.mu.Lock()
 	defer al.mu.Unlock()
+	al.finishRecovery()
+}
+
+func (al *Allocator) finishRecovery() {
 	f := al.arena.NewFlusher()
 	defer f.FlushEvents()
-	next := 0 // round-robin core assignment for partial chunks
+	for _, c := range al.cores {
+		for class := range c.cur {
+			c.cur[class] = -1
+			c.avail[class] = c.avail[class][:0]
+		}
+	}
 	for i := 0; i < al.n; i++ {
 		st := &al.chunks[i]
 		switch {
@@ -274,31 +317,23 @@ func (al *Allocator) FinishRecovery() {
 			f.PersistUint64(al.chunkOff(i), magicFree)
 			n := st.hugeLen
 			for j := i; j < i+n; j++ {
-				al.chunks[j] = chunkState{class: -1, owner: -1}
+				al.chunks[j] = chunkState{class: -1, owner: ownerNone}
 				al.free = append(al.free, j)
 			}
 			i += n - 1
 		case st.hugeLen > 0:
-			// Live huge span: keep, assign an owner, skip members.
-			core := next % len(al.cores)
-			next++
-			for j := i; j < i+st.hugeLen; j++ {
-				al.chunks[j].owner = core
-			}
-			i += st.hugeLen - 1
+			i += st.hugeLen - 1 // live huge span: keep, skip members
 		case st.class >= 0 && st.used == 0:
 			f.PersistUint64(al.chunkOff(i), magicFree)
-			*st = chunkState{class: -1, owner: -1}
+			*st = chunkState{class: -1, owner: ownerNone}
 			al.free = append(al.free, i)
 		case st.class >= 0:
-			core := next % len(al.cores)
-			next++
-			st.owner = core
-			ca := al.cores[core]
-			if ca.partial[st.class] < 0 && st.used < st.capacity {
-				ca.partial[st.class] = i
+			// No current chunk is chosen here: the owner's first Alloc of
+			// the class takes the fullest listed chunk.
+			if st.used < st.capacity {
+				al.cores[st.owner].list(st.class, i)
 			}
-		case st.owner == -1 && st.used == 0:
+		case st.owner == ownerNone && st.used == 0:
 			al.free = append(al.free, i)
 		}
 	}
@@ -322,67 +357,11 @@ func (al *Allocator) FlushBitmaps(f *pmem.Flusher) {
 }
 
 // RecoverFromCleanShutdown rebuilds DRAM state by trusting the persisted
-// bitmaps (valid only after FlushBitmaps + a clean shutdown flag).
+// bitmaps (valid only after FlushBitmaps + a clean shutdown flag), then
+// pools and lists the chunks exactly as FinishRecovery does.
 func (al *Allocator) RecoverFromCleanShutdown() {
 	al.mu.Lock()
 	defer al.mu.Unlock()
-	f := al.arena.NewFlusher()
-	defer f.FlushEvents()
-	al.free = al.free[:0]
-	mem := al.arena.Mem()
-	next := 0
-	for i := 0; i < al.n; i++ {
-		if al.chunks[i].owner == -2 {
-			continue // raw log chunk re-marked by RecoverMarkRawChunk
-		}
-		off := al.chunkOff(i)
-		magic := al.arena.ReadUint64(off)
-		switch magic & magicMask {
-		case magicClass & magicMask:
-			cs := int(magic &^ magicMask)
-			class := headerClass(cs)
-			if class < 0 {
-				al.chunks[i] = chunkState{class: -1, owner: -1}
-				al.free = append(al.free, i)
-				continue
-			}
-			capacity := (pmem.ChunkSize - headerReserve) / cs
-			used := 0
-			for s := 0; s < capacity; s++ {
-				if mem[off+64+s/8]&(1<<(s%8)) != 0 {
-					used++
-				}
-			}
-			if used == 0 {
-				f.PersistUint64(off, magicFree)
-				al.chunks[i] = chunkState{class: -1, owner: -1}
-				al.free = append(al.free, i)
-				continue
-			}
-			core := next % len(al.cores)
-			next++
-			al.chunks[i] = chunkState{class: class, owner: core, used: used, capacity: capacity}
-			al.classUsed[class].Add(int64(used))
-			if used < capacity && al.cores[core].partial[class] < 0 {
-				al.cores[core].partial[class] = i
-			}
-		case magicHuge & magicMask:
-			n := int(magic &^ magicMask)
-			if n <= 0 || i+n > al.n {
-				al.chunks[i] = chunkState{class: -1, owner: -1}
-				al.free = append(al.free, i)
-				continue
-			}
-			core := next % len(al.cores)
-			next++
-			al.chunks[i] = chunkState{class: -1, owner: core, used: 1, hugeLen: n}
-			for j := i + 1; j < i+n; j++ {
-				al.chunks[j] = chunkState{class: -1, owner: core, used: 1}
-			}
-			i += n - 1
-		default:
-			al.chunks[i] = chunkState{class: -1, owner: -1}
-			al.free = append(al.free, i)
-		}
-	}
+	al.loadHeaders(true)
+	al.finishRecovery()
 }

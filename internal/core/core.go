@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"flatstore/internal/alloc"
 	"flatstore/internal/batch"
@@ -74,46 +73,6 @@ type Core struct {
 	leadOffs    []int64
 
 	reads uint64 // PM reads (for the simulator's cost model)
-
-	// Deferred frees. CoreAlloc is single-owner (only this core's
-	// goroutine may call Alloc/Free), but GC demotion — which runs on
-	// the group cleaner — releases the PM record blocks of demoted
-	// values. The cleaner enqueues those frees here and the owning core
-	// drains them in DrainCompletedLimit; freeN is the cheap hot-path
-	// "anything queued?" check.
-	freeMu sync.Mutex
-	freeQ  []recFree
-	freeN  atomic.Int32
-}
-
-// recFree is one deferred record-block free (a demoted value's PM copy).
-type recFree struct {
-	ptr  int64
-	size int
-}
-
-// enqueueFree queues a record-block free for the owning core (called by
-// the group cleaner after a successful demotion repoint).
-func (c *Core) enqueueFree(ptr int64, size int) {
-	c.freeMu.Lock()
-	c.freeQ = append(c.freeQ, recFree{ptr, size})
-	c.freeMu.Unlock()
-	c.freeN.Add(1)
-}
-
-// drainFrees releases queued record blocks on the owning core.
-func (c *Core) drainFrees() {
-	c.freeMu.Lock()
-	q := c.freeQ
-	c.freeQ = nil
-	c.freeMu.Unlock()
-	if len(q) == 0 {
-		return
-	}
-	c.freeN.Add(int32(-len(q)))
-	for _, fr := range q {
-		c.ca.Free(fr.ptr, fr.size, c.f)
-	}
 }
 
 // pendingSlot bundles the per-write allocations — the PendingOp, its log
@@ -878,9 +837,10 @@ func (c *Core) DrainCompleted() int {
 // queue advances by head index so the backing array is reused instead of
 // re-grown once drained.
 func (c *Core) DrainCompletedLimit(max int) int {
-	if c.freeN.Load() > 0 {
-		c.drainFrees()
-	}
+	// Record blocks released by goroutines that may not touch this core's
+	// chunks (the cleaner's demotions, the checkpointer) wait in the
+	// allocator for their owner.
+	c.ca.Drain(c.f)
 	n := 0
 	for n < max && c.pendHead < len(c.pending) && c.pending[c.pendHead].Done() {
 		op := c.pending[c.pendHead]

@@ -294,9 +294,9 @@ func (cl *Cleaner) CleanOnce() int {
 			m.stale++
 			if !s.e.Inline {
 				// The out-of-place record is only reachable through
-				// the victim entry now; free it via the owner's
-				// deferred queue (CoreAlloc is single-owner).
-				oc.enqueueFree(s.e.Ptr, record.Size(len(demoteRecs[j].Val)))
+				// the victim entry now; hand the free to the core that
+				// owns its chunk (class chunks are single-writer).
+				st.al.FreeRemote(s.e.Ptr, record.Size(len(demoteRecs[j].Val)), cl.f)
 			}
 		} else {
 			st.tier.MarkDead(tref)

@@ -823,7 +823,7 @@ func (st *Store) Close() error {
 		}
 		// Release any record blocks still queued by demotions, so the
 		// flushed bitmaps don't carry them as allocated across restart.
-		c.drainFrees()
+		c.ca.Drain(c.f)
 		c.flushOutbox()
 		c.f.FlushEvents()
 	}

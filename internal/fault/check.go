@@ -20,7 +20,10 @@ import (
 //     its new state but nothing else (atomic durability per op);
 //  3. the allocator bitmaps rebuilt from log pointers exactly equal the
 //     out-of-place records reachable from the index, plus the persisted
-//     checkpoint blob (the lazy-persist allocator's central claim);
+//     checkpoint blob (the lazy-persist allocator's central claim); no
+//     block backs two live keys, and the allocator's own books balance
+//     (alloc.Audit: one place per chunk, counts equal bitmaps, every
+//     partly free chunk listed with the core its header names);
 //  4. the log chains are duplicate-free, disjoint from the free pool,
 //     and account for every raw chunk (the GC link/unlink protocol never
 //     double-links or leaks a chunk);
@@ -107,6 +110,9 @@ func Check(st *core.Store, model map[uint64][]byte, pending *Op) (map[uint64][]b
 			return nil, fmt.Errorf("fault: key %#x: index points at undecodable entry %#x", k, ref)
 		}
 		if !e.Inline {
+			if expected[e.Ptr] {
+				return nil, fmt.Errorf("fault: key %#x: record block %#x also backs another live key (handed out twice)", k, e.Ptr)
+			}
 			expected[e.Ptr] = true
 		}
 	}
@@ -124,6 +130,9 @@ func Check(st *core.Store, model map[uint64][]byte, pending *Op) (map[uint64][]b
 		if !expected[off] {
 			return nil, fmt.Errorf("fault: allocator bitmap marks block %#x that no live entry references", off)
 		}
+	}
+	if err := st.Allocator().Audit(); err != nil {
+		return nil, fmt.Errorf("fault: %w", err)
 	}
 
 	// (4) Log chain integrity.

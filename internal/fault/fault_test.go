@@ -245,3 +245,78 @@ func FuzzCrashPoint(f *testing.F) {
 		}
 	})
 }
+
+// TestSweepChunkReuse crashes at every persist point of a script that
+// makes each of two cores (a) allocate from a chunk it got back through
+// clean recovery's availability set, (b) re-list a retired full chunk by
+// freeing into it and allocate from it once the current chunk fills, and
+// (c) empty a listed chunk so it retires to the pool. Values take the
+// 1 MiB class (3 blocks a chunk), so a handful of puts fills a chunk.
+// After every crash the usual invariants hold — no live pointer into a
+// free chunk, no block marked or referenced twice, the allocator's audit
+// clean — and again after the second crash.
+func TestSweepChunkReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chunk-reuse sweep writes 600 KB records in every trial")
+	}
+	const cores, big = 2, 600_000
+	// keys[c][i] is the i-th key that routes to core c.
+	var keys [cores][]uint64
+	for k := uint64(1); len(keys[0]) < 12 || len(keys[1]) < 12; k++ {
+		c := core.RouteKey(k, cores)
+		keys[c] = append(keys[c], k)
+	}
+	both := func(f func(c int) fault.Op) []fault.Op {
+		return []fault.Op{f(0), f(1)}
+	}
+	put := func(i, step int) []fault.Op {
+		return both(func(c int) fault.Op { return fault.Put(keys[c][i], val(keys[c][i], step, big)) })
+	}
+	del := func(i int) []fault.Op {
+		return both(func(c int) fault.Op { return fault.Delete(keys[c][i]) })
+	}
+	cat := func(parts ...[]fault.Op) (out []fault.Op) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	// Per core: chunk X = {0,1,2} full; 3 cuts Y; overwriting 0 frees into
+	// X (listed, 2/3) and fills Y with 3, 0', 4. Closed cleanly.
+	prelude := cat(put(0, 0), put(1, 0), put(2, 0), put(3, 0), put(0, 1), put(4, 0))
+	script := cat(
+		put(5, 0),            // ops 0-1: lands in recovered X — no cut
+		put(6, 0),            // ops 2-3: X full, nothing listed — cuts Z
+		del(3),               // ops 4-5: frees into full, retired Y — listed
+		put(7, 0), put(8, 0), // ops 6-9: Z full
+		put(9, 0),              // ops 10-11: Z full — reuses Y, no cut
+		del(1), del(2), del(5), // ops 12-17: X listed, then empty — retires
+		[]fault.Op{fault.Checkpoint()},
+		put(10, 0), // cuts again from the pool X returned to
+	)
+	cfg := core.Config{Cores: cores, Mode: batch.ModePipelinedHB, ArenaChunks: 13}
+	h := fault.NewHarness(cfg, prelude, script)
+
+	// The script must do what the comments say, or the sweep proves nothing.
+	pool := map[int]int{}
+	if err := h.Observe(func(i int, st *core.Store) { pool[i] = st.Allocator().FreeChunks() }); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		op, delta int
+		what      string
+	}{
+		{1, 0, "first puts after the clean reopen reuse the recovered chunks"},
+		{3, -2, "the next puts cut one fresh chunk per core"},
+		{11, -2, "puts after the current chunk filled reuse the re-listed chunks"},
+		{17, 0, "emptying the listed chunks returns both to the pool"},
+	} {
+		if got := pool[want.op] - pool[-1]; got != want.delta {
+			t.Fatalf("after op %d the free pool moved by %d, want %d: %s", want.op, got, want.delta, want.what)
+		}
+	}
+	stats := sweep(t, h, false)
+	if stats.Points < 60 {
+		t.Fatalf("chunk-reuse script generated only %d persist points", stats.Points)
+	}
+}

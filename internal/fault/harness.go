@@ -337,6 +337,30 @@ func (h *Harness) CountPoints() (uint64, []PointInfo, error) {
 	return in.Points(), in.Recorded(), nil
 }
 
+// Observe runs the script once on a trial store with no fault injected
+// and calls fn after every op, so a test can assert that its script
+// really reaches the states it means to crash in.
+func (h *Harness) Observe(fn func(i int, st *core.Store)) error {
+	if err := h.init(); err != nil {
+		return err
+	}
+	tr, _, _, err := h.newTrial()
+	if err != nil {
+		return err
+	}
+	fn(-1, tr.st)
+	for i, op := range h.script {
+		if err := tr.exec(op); err != nil {
+			return fmt.Errorf("script op %d: %w", i, err)
+		}
+		fn(i, tr.st)
+	}
+	if t := tr.st.Tier(); t != nil {
+		t.Close()
+	}
+	return nil
+}
+
 // probeKey is written to every recovered store to prove it still accepts
 // work; workload scripts must not use it.
 const probeKey = 0xFA17_0000_0000_0001
