@@ -378,6 +378,9 @@ func runFsck(path, tierDir string) int {
 	}
 	defer st.Stop()
 	fmt.Printf("%s: recovered %d keys in %v\n", path, st.Len(), time.Since(start).Round(time.Millisecond))
+	for _, lt := range st.LogTails() {
+		fmt.Println(" ", lt)
+	}
 
 	dirty := false
 	if rep := st.SalvageReport(); rep != nil && !rep.Clean() {

@@ -180,6 +180,9 @@ func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scru
 			}
 			fmt.Printf("recovered %d keys from %s in %v\n",
 				st.Len(), data, time.Since(start).Round(time.Millisecond))
+			for _, lt := range st.LogTails() {
+				fmt.Println(" ", lt)
+			}
 			if rep := st.SalvageReport(); rep != nil && !rep.Clean() {
 				fmt.Printf("salvage repaired media damage:\n%s\n", rep)
 			}

@@ -177,7 +177,22 @@ func TestClusterFailoverZeroLoss(t *testing.T) {
 		}(i)
 	}
 
-	time.Sleep(800 * time.Millisecond)
+	// Every group must be carrying load before the kill, and again after
+	// the promotion: the phases end on sealed batches, not on a timer.
+	waitSealed := func(what string, n *repl.Node, want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for n.Pos() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s stuck at position %d, want %d", what, n.Pos(), want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	const phase = 300 // batches per group per phase
+	for i, g := range groups {
+		waitSealed(fmt.Sprintf("group %d primary", i), g.primary.n, phase)
+	}
 	victim := groups[1]
 	// Semi-sync must be intact on the victim before the kill — that is
 	// what makes zero loss a guarantee rather than luck.
@@ -185,12 +200,22 @@ func TestClusterFailoverZeroLoss(t *testing.T) {
 		t.Fatalf("semi-sync degraded pre-kill (%d timeouts): audit premise broken", got)
 	}
 	victim.primary.kill()
+	// This sleep IS the scenario: the shard runs headless for as long as an
+	// orchestrator takes to notice the dead primary.
 	time.Sleep(200 * time.Millisecond)
 	if err := victim.follower.n.Promote(); err != nil {
 		t.Fatal(err)
 	}
-
-	time.Sleep(800 * time.Millisecond)
+	// The promoted node has no follower of its own, so each of its acks
+	// waits out the semi-sync timeout: one batch sealed there is the proof
+	// that the shard's worker found the new primary; the other shards must
+	// have kept their pace meanwhile.
+	waitSealed("promoted follower", victim.follower.n, victim.follower.n.Pos()+1)
+	for i, g := range groups {
+		if g != victim {
+			waitSealed(fmt.Sprintf("group %d primary", i), g.primary.n, 2*phase)
+		}
+	}
 	close(stop)
 	wg.Wait()
 

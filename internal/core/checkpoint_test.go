@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +54,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 		cl0.Put(i, []byte("base"))
 	}
 	var wg sync.WaitGroup
+	var written atomic.Uint64
 	stop := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -64,10 +67,18 @@ func TestCheckpointUnderLoad(t *testing.T) {
 			default:
 			}
 			cl.Put(i%3000, []byte(fmt.Sprintf("g%d", i)))
+			written.Add(1)
 		}
 	}()
 	for c := 0; c < 5; c++ {
-		time.Sleep(2 * time.Millisecond) // let the writer interleave
+		// Every checkpoint must see writes the one before did not.
+		deadline := time.Now().Add(10 * time.Second)
+		for from := written.Load(); written.Load() < from+50; {
+			if time.Now().After(deadline) {
+				t.Fatal("writer made no progress between checkpoints")
+			}
+			runtime.Gosched()
+		}
 		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -175,9 +186,9 @@ func TestMidFlightCrashAtomicity(t *testing.T) {
 			val  byte
 			size int
 		}
-		sent := map[uint64]meta{}  // reqID → payload identity
+		sent := map[uint64]meta{}    // reqID → payload identity
 		keyOf := map[uint64]uint64{} // reqID → key
-		acked := map[uint64]meta{} // key → last acked payload
+		acked := map[uint64]meta{}   // key → last acked payload
 
 		// Pump a few thousand async puts; stop mid-stream.
 		target := 2000 + round*500

@@ -170,14 +170,18 @@ func (c *Config) validate() error {
 // Superblock layout (chunk 0 of the arena). Every field sits on its own
 // cacheline so persisting one never stalls on another (§2.3).
 const (
-	superMagic = 0xF1A7_5708_2020_0001
+	// superMagic's low 16 bits are the persistent-format version. Version 2
+	// made OpLog batches self-certifying (generation and start offset in
+	// the trailer, generation in the chunk header, a 32-byte log slot whose
+	// tail is a witness); version 1 images are not readable.
+	superMagic = 0xF1A7_5708_2020_0002
 
 	offMagic    = 0
 	offFlag     = 64   // shutdown flag: flagClean = clean, else dirty
 	offCkpt     = 128  // checkpoint descriptor: ptr, len
 	offCores    = 192  // number of server cores the arena was formatted for
 	offRepl     = 256  // replication state: epoch, position, crc (repl.go)
-	offCoreMeta = 4096 // + core*64: per-core log metadata (head, tail, crc)
+	offCoreMeta = 4096 // + core*64: per-core log metadata (head, tail witness, generation, crc)
 	offJournal  = 8192 // + group*64: cleaner journal slot (survivor chunk)
 
 	// flagClean is a high-Hamming-weight magic rather than 1: a clean flag

@@ -175,7 +175,7 @@ func TestGCUnderSpacePressure(t *testing.T) {
 			// A transient out-of-space is acceptable when the cleaner
 			// goroutine is starved (e.g. under the race detector); only a
 			// cleaner that never catches up is a failure.
-			for tries := 0; err != nil && tries < 200; tries++ {
+			for deadline := time.Now().Add(10 * time.Second); err != nil && time.Now().Before(deadline); {
 				time.Sleep(time.Millisecond)
 				err = cl.Put(uint64(k), val)
 			}

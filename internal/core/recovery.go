@@ -28,7 +28,11 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("core: Open requires cfg.Arena")
 	}
 	arena := cfg.Arena
-	if arena.ReadUint64(offMagic) != superMagic {
+	if magic := arena.ReadUint64(offMagic); magic != superMagic {
+		if magic>>16 == superMagic>>16 {
+			return nil, fmt.Errorf("%w: image is version %d, this build reads version %d",
+				ErrFormatVersion, magic&0xffff, uint64(superMagic)&0xffff)
+		}
 		return nil, fmt.Errorf("core: arena has no FlatStore superblock")
 	}
 	stored := int(arena.ReadUint64(offCores))
@@ -82,6 +86,12 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Everything replayed is now the store's state: witness it, so rot in
+	// a batch that was the unwitnessed tail of this recovery is loud at
+	// the next one.
+	for _, c := range st.cores {
+		c.log.PersistWitness(st.super)
+	}
 	// Reset the flag: any future abrupt stop must trigger log replay
 	// ("firstly checks and reset the state of this flag", §3.5).
 	st.super.PersistUint64(offFlag, flagDirty)
@@ -114,6 +124,11 @@ func (st *Store) resetVolatile() error {
 	}
 	return nil
 }
+
+// ErrFormatVersion reports an arena image written in another version of
+// the persistent format. There is no converter: the image has to be read
+// by a build of its own version.
+var ErrFormatVersion = errors.New("core: unsupported persistent-format version")
 
 // ErrCorruptMedia reports that non-salvage recovery met at-rest media
 // corruption it will not repair. Opening the same arena again with
@@ -308,12 +323,6 @@ func (st *Store) openCrash() error {
 					}
 					return
 				}
-				if damage[i].TailRebuilt && k == len(chunks)-1 {
-					// The tail pointer was rebuilt by scanning the whole
-					// chunk: re-establish a real tail at the end of the
-					// verified data.
-					fix.truncateAt = sv.ValidEnd
-				}
 			}
 		}(i)
 	}
@@ -493,11 +502,18 @@ func (st *Store) openCrash() error {
 					delete(inChain, dch)
 					st.usage.drop(dch)
 				}
-			} else if c.log != nil && damage[i].MetaSuspect {
-				// Structure was fine, only the meta slot's checksum failed
-				// (e.g. rot inside the crc word itself): rewrite the slot.
-				c.log.RepairMeta(st.super)
+			} else if c.log != nil && damage[i].ChainTruncated {
+				// The chain walk stopped at a bad link and the last kept
+				// chunk still holds it. The chunk it names goes back to the
+				// allocator and may return as another log's chunk, so the
+				// cut has to be durable: truncating at the tail found
+				// drops nothing and clears that link.
+				if _, err := c.log.Truncate(st.super, c.log.Tail()); err != nil {
+					return fmt.Errorf("core %d: salvage chain cut: %w", i, err)
+				}
 			}
+			// A slot whose checksum alone failed needs no repair here:
+			// Open rewrites every log's slot once recovery has succeeded.
 			if cs.Damage.Any() || cs.TruncatedAt >= 0 || cs.SuspectEntries > 0 {
 				rep.Cores = append(rep.Cores, cs)
 			}
@@ -757,8 +773,8 @@ func (st *Store) openCrash() error {
 	var dropped, crcErrs uint64
 	for _, cs := range rep.Cores {
 		dropped += uint64(cs.ChunksDropped)
-		if cs.TruncatedAt >= 0 && !(cs.Damage.TailRebuilt && cs.ChunksDropped == 0 && cs.SuspectEntries == 0) {
-			crcErrs++ // a real invalid batch, not just a rebuilt tail
+		if cs.TruncatedAt >= 0 {
+			crcErrs++
 		}
 	}
 	st.integMu.Lock()
@@ -825,6 +841,8 @@ func (st *Store) Close() error {
 		// flushed bitmaps don't carry them as allocated across restart.
 		c.ca.Drain(c.f)
 		c.flushOutbox()
+		// After a clean shutdown the witness is the tail.
+		c.log.PersistWitness(c.f)
 		c.f.FlushEvents()
 	}
 	blob := st.buildCheckpoint()

@@ -96,9 +96,6 @@ func (r *SalvageReport) String() string {
 		case d.ChainTruncated:
 			b.WriteString(" chain truncated")
 		}
-		if d.TailRebuilt {
-			b.WriteString(" tail rebuilt")
-		}
 		if d.MetaSuspect {
 			b.WriteString(" meta checksum repaired")
 		}
@@ -113,4 +110,31 @@ func (r *SalvageReport) String() string {
 		}
 	}
 	return b.String()
+}
+
+// LogTail is how recovery found one core's log: the witness the metadata
+// slot held, the tail the batch checksums led to, and the generation of the
+// chunk that tail lies in. Tail - Witness is how far past its witness the
+// log was replayed — zero after a clean shutdown, the batches appended
+// since the last roll, Stop or scrub pass after a crash.
+type LogTail struct {
+	Core int
+	oplog.Recovered
+}
+
+func (t LogTail) String() string {
+	return fmt.Sprintf("core %d log: witness %#x, tail %#x (%d B past the witness), tail chunk generation %d of log %#x",
+		t.Core, t.Witness, t.Tail, t.Tail-t.Witness, uint32(t.Gen), t.Gen>>32)
+}
+
+// LogTails reports what Open found for every log it recovered: none for a
+// store made by New, and none for a log salvage had to create afresh.
+func (st *Store) LogTails() []LogTail {
+	var out []LogTail
+	for i, c := range st.cores {
+		if r := c.log.Recovered(); r != (oplog.Recovered{}) {
+			out = append(out, LogTail{Core: i, Recovered: r})
+		}
+	}
+	return out
 }

@@ -49,6 +49,7 @@ type scrubRegion struct {
 func (st *Store) ScrubOnce() ScrubResult {
 	var res ScrubResult
 	var regions []scrubRegion
+	f := st.arena.NewFlusher()
 
 	// Pass 1: batch-verify every chunk of every log. Holding reclaimMu.R
 	// across a core's scan pins its chunk snapshot: unlinking can still
@@ -72,8 +73,13 @@ func (st *Store) ScrubOnce() ScrubResult {
 			}
 			regions = append(regions, scrubRegion{log: c.log, chunk: chunk, lo: sv.CorruptAt, hi: end})
 		}
+		// Witness the log: the scrub interval then bounds how long its
+		// newest batch can be one whose rot a crash recovery would take
+		// for a torn tail.
+		c.log.PersistWitness(f)
 		st.reclaimMu.RUnlock()
 	}
+	f.FlushEvents()
 
 	// Pass 2: attribute corrupt regions. A key is damaged exactly when its
 	// index reference (always the latest acknowledged write) points into

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +23,7 @@ func TestStatsAndLifecycleRace(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var puts atomic.Uint64
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -37,6 +40,7 @@ func TestStatsAndLifecycleRace(t *testing.T) {
 				// Best-effort traffic: a Put submitted during a Stop window
 				// simply completes when Run resumes.
 				_ = cl.Put(uint64(w*1000+i%200), val)
+				puts.Add(1)
 			}
 		}(w)
 	}
@@ -54,12 +58,24 @@ func TestStatsAndLifecycleRace(t *testing.T) {
 		}
 	}()
 
+	// Each Stop/Run cycle, and the end of the test, waits for traffic to
+	// have flowed through the running store — not for a timer.
+	flow := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for from := puts.Load(); puts.Load() < from+n; {
+			if time.Now().After(deadline) {
+				t.Fatal("no traffic completed while the store was running")
+			}
+			runtime.Gosched()
+		}
+	}
 	for i := 0; i < 5; i++ {
 		st.Stop()
 		st.Run()
-		time.Sleep(5 * time.Millisecond)
+		flow(50)
 	}
-	time.Sleep(25 * time.Millisecond)
+	flow(250)
 	close(stop)
 	wg.Wait()
 

@@ -390,6 +390,13 @@ func (st *Store) Stop() {
 	close(st.stop)
 	st.stopped.Wait()
 	st.rpc.SetDraining(false)
+	// The cores are parked: witness everything they appended, so an image
+	// taken from here on reports rot in any batch instead of reading the
+	// last one as a torn tail.
+	for _, c := range st.cores {
+		c.log.PersistWitness(c.f)
+		c.f.FlushEvents()
+	}
 	st.running = false
 	st.stop = make(chan struct{})
 }

@@ -104,7 +104,7 @@ func TestScanUnderDemotionRace(t *testing.T) {
 				return
 			}
 			demotions.Add(1)
-			time.Sleep(2 * time.Millisecond)
+			time.Sleep(2 * time.Millisecond) // the cleaner's pace is the scenario, not a wait
 		}
 	}()
 

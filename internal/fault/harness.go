@@ -456,6 +456,20 @@ type SweepStats struct {
 	Torn      int    // additional torn-flush trials
 }
 
+// tornKeeps lists the prefixes an n-byte flush is torn to: every 8-byte
+// prefix of a flush of up to 1 KiB (log batches, headers and slots — where
+// one word more or less on the media decides what recovery reads), the
+// first word and the half of anything larger.
+func tornKeeps(n int) (keeps []int) {
+	if n > 1024 {
+		return []int{8, (n / 2) &^ 7}
+	}
+	for k := 8; k < n; k += 8 {
+		keeps = append(keeps, k)
+	}
+	return keeps
+}
+
 // Sweep runs the workload once per crash point, checking every recovery
 // invariant each time. With tear set, every multi-word flush point is
 // additionally swept with torn (partial) flushes.
@@ -484,11 +498,7 @@ func (h *Harness) Sweep(tear bool) (SweepStats, error) {
 				continue
 			}
 			n := uint64(i + 1)
-			keeps := []int{8, (pi.N / 2) &^ 7}
-			if keeps[1] <= keeps[0] || keeps[1] >= pi.N {
-				keeps = keeps[:1]
-			}
-			for _, keep := range keeps {
+			for _, keep := range tornKeeps(pi.N) {
 				if _, err := h.RunPoint(n, keep); err != nil {
 					return stats, fmt.Errorf("torn flush at point %d (keep %d/%d): %w", n, keep, pi.N, err)
 				}

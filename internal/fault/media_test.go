@@ -60,8 +60,20 @@ func mediaWorkload() []Op {
 
 // mediaImage runs the workload once and captures a crashed image (media
 // view, no clean shutdown), a cleanly-closed image, the final
-// acknowledged model, and the full value history oracle.
+// acknowledged model, and the full value history oracle. The crashed image
+// is taken with every log witnessed: the sweeps model corruption at rest,
+// in a store that ran long enough for a Stop or a scrub pass to have
+// persisted the witnesses. (Rot in a batch nothing witnesses yet is
+// TestSalvageLogTailFlip's business.)
 func mediaImage(t *testing.T) (crashed, clean []byte, model map[uint64][]byte, hist History) {
+	t.Helper()
+	_, crashed, clean, model, hist = mediaImages(t)
+	return crashed, clean, model, hist
+}
+
+// mediaImages is mediaImage that also returns the image as the power cut
+// found it under load, before anything witnessed the logs' newest batches.
+func mediaImages(t *testing.T) (underLoad, crashed, clean []byte, model map[uint64][]byte, hist History) {
 	t.Helper()
 	cfg := mediaCfg()
 	arena := pmem.New(cfg.ArenaChunks * pmem.ChunkSize)
@@ -83,19 +95,23 @@ func mediaImage(t *testing.T) (crashed, clean []byte, model map[uint64][]byte, h
 			hist.RecordDelete(op.Key)
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := arena.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	image := func() []byte {
+		var buf bytes.Buffer
+		if _, err := arena.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	crashed = append([]byte(nil), buf.Bytes()...)
+	underLoad = image()
+	f := arena.NewFlusher()
+	for i := 0; i < st.Cores(); i++ {
+		st.Core(i).Log().PersistWitness(f)
+	}
+	crashed = image()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if _, err := arena.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return crashed, buf.Bytes(), tr.model, hist
+	return underLoad, crashed, image(), tr.model, hist
 }
 
 // flipTrial reopens img with bit (off%8) of byte off flipped at rest.
@@ -220,44 +236,130 @@ func mediaOpen(t *testing.T, img []byte, prepare func(*pmem.Arena)) *core.Store 
 	return st
 }
 
-// TestSalvageLogTailFlip deterministically rots the last byte of a log's
-// live region: salvage must truncate or quarantine — and say so in the
-// report — while every surviving key still reads an acknowledged value.
-func TestSalvageLogTailFlip(t *testing.T) {
-	crashed, _, model, hist := mediaImage(t)
-	mf := NewMediaFault(1)
-	var damagedTail bool
-	st := mediaOpen(t, crashed, func(a *pmem.Arena) {
-		// Locate a log tail via an undamaged open of the same image.
-		probe, err := pmem.ReadArena(bytes.NewReader(crashed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := mediaCfg()
-		cfg.Arena = probe
-		ps, err := core.Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail := ps.Core(0).Log().Tail()
-		if tail <= 0 {
-			t.Fatal("core 0 log is empty")
-		}
-		mf.FlipBit(a, int(tail-10), 3)
-		damagedTail = true
-	})
-	if !damagedTail {
-		t.Fatal("no damage injected")
-	}
-	rep := st.SalvageReport()
-	quar := st.Integrity().Quarantined
-	if rep.Clean() && quar == 0 {
-		t.Fatalf("tail flip went unnoticed: report %q, %d quarantined", rep, quar)
-	}
-	t.Logf("report: %s", rep)
-	if err := CheckSalvage(st, model, hist); err != nil {
+// lastBatches returns the start offsets of the last two batches of core
+// 0's log in img and that log's tail. The harness drives one op at a time,
+// so every batch holds one entry and entry offsets are batch starts.
+func lastBatches(t *testing.T, img []byte) (secondToLast, last, tail int64, lastEntry oplog.Entry) {
+	t.Helper()
+	probe, err := pmem.ReadArena(bytes.NewReader(img))
+	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := mediaCfg()
+	cfg.Arena = probe
+	ps, err := core.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := ps.Core(0).Log()
+	if err := log.Scan(func(off int64, e oplog.Entry) bool {
+		secondToLast, last, lastEntry = last, off, e
+		lastEntry.Value = append([]byte(nil), e.Value...)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if secondToLast == 0 {
+		t.Fatal("core 0's log holds fewer than two batches")
+	}
+	return secondToLast, last, log.Tail(), lastEntry
+}
+
+// logDamaged reports whether salvage recovery said anything about a log:
+// a cut, a dropped chunk, suspects, or a quarantined key. (The report as a
+// whole is never clean on these images: salvage always drops their runtime
+// checkpoint.)
+func logDamaged(st *core.Store) bool {
+	return len(st.SalvageReport().Cores) > 0 || st.Integrity().Quarantined > 0
+}
+
+// TestSalvageLogTailFlip rots the newest end of a log at rest, in the
+// three positions the witness tells apart. A batch is witnessed by the
+// batch after it or by the log's metadata slot; the LAST batch of a log
+// that crashed under load has neither, so rot there reads as a torn tail.
+// That is the one guarantee the single persist point weakens, and what
+// bounds it is how often Stop, Close and the scrubber persist the witness.
+func TestSalvageLogTailFlip(t *testing.T) {
+	underLoad, witnessed, _, model, hist := mediaImages(t)
+	mf := NewMediaFault(1)
+
+	// (i) After Stop or a scrub pass the witness covers the whole log: a
+	// flipped bit in its last bytes is loud, as it always was.
+	t.Run("witnessed", func(t *testing.T) {
+		_, last, tail, e := lastBatches(t, witnessed)
+		batchEnd := last + int64(e.EncodedSize()+oplog.TrailerSize)
+		for _, off := range []int64{tail - 10, last + 3} {
+			st := mediaOpen(t, witnessed, func(a *pmem.Arena) { mf.FlipBit(a, int(off), 3) })
+			t.Logf("flip at %#x: %s", off, st.SalvageReport())
+			if off >= batchEnd {
+				// tail-10 fell into the cacheline padding behind the
+				// trailer, which carries nothing: the exact state, with
+				// nothing to report, is the right answer.
+				if logDamaged(st) {
+					t.Fatalf("flip in padding at %#x reported as log damage", off)
+				}
+				if err := checkHistory(st, model, hist, true); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if !logDamaged(st) {
+				t.Fatalf("flip at %#x under the witness went unnoticed", off)
+			}
+			if err := CheckSalvage(st, model, hist); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+
+	// (ii) No witness, but a valid batch follows: the look-ahead finds it,
+	// so the rotted batch is in the middle of the log, not at its end.
+	t.Run("second-to-last", func(t *testing.T) {
+		secondToLast, _, _, _ := lastBatches(t, underLoad)
+		st := mediaOpen(t, underLoad, func(a *pmem.Arena) { mf.FlipBit(a, int(secondToLast)+3, 3) })
+		t.Logf("report: %s", st.SalvageReport())
+		if !logDamaged(st) {
+			t.Fatal("flip in the second-to-last batch went unnoticed")
+		}
+		if err := CheckSalvage(st, model, hist); err != nil {
+			t.Fatal(err)
+		}
+		// Without salvage the same image must refuse to open.
+		arena, err := pmem.ReadArena(bytes.NewReader(underLoad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena.Corrupt(int(secondToLast)+3, 1, func(b []byte) { b[0] ^= 8 })
+		cfg := mediaCfg()
+		cfg.Arena = arena
+		if _, err := core.Open(cfg); err == nil {
+			t.Fatal("strict open accepted rot in the middle of the log")
+		}
+	})
+
+	// (iii) No witness and nothing after it: the rotted last batch is
+	// indistinguishable from a batch the power cut tore. The report may be
+	// clean; the state must be the acknowledged history minus exactly that
+	// batch — the previous acknowledged state, never garbage.
+	t.Run("unwitnessed-last", func(t *testing.T) {
+		_, last, _, e := lastBatches(t, underLoad)
+		st := mediaOpen(t, underLoad, func(a *pmem.Arena) { mf.FlipBit(a, int(last)+3, 3) })
+		t.Logf("lost the last batch (%v of key %d); report: %s", e.Op, e.Key, st.SalvageReport())
+		rolledBack := map[uint64][]byte{}
+		for k, v := range model {
+			rolledBack[k] = v
+		}
+		delete(rolledBack, e.Key)
+		if past := hist[e.Key]; len(past) >= 2 && past[len(past)-2] != nil {
+			rolledBack[e.Key] = past[len(past)-2]
+		}
+		if err := checkHistory(st, rolledBack, hist, true); err != nil {
+			t.Fatalf("state is not the acknowledged history minus the last batch: %v", err)
+		}
+		if err := checkHistory(st, model, hist, false); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSalvageZeroedCachelineAndStuckRange exercises the coarser media
@@ -512,5 +614,92 @@ func TestSalvageThenReopen(t *testing.T) {
 	}
 	if err := CheckSalvage(re, tr.model, hist); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSalvageBrokenLinkThenStrictReopen breaks a chain at a link, with no
+// rotted batch anywhere: salvage keeps the prefix and reports the chain
+// truncated, and must leave the prefix a chain of its own. The chunk the
+// last kept link named goes back to the allocator, so a link left in place
+// would make the next strict Open fail on it — or, once the chunk is some
+// other log's, walk into that log.
+func TestSalvageBrokenLinkThenStrictReopen(t *testing.T) {
+	cfg := core.Config{Cores: 2, Mode: batch.ModeNone, ArenaChunks: 8}
+	r := newRecorder(t, cfg)
+	log0 := r.tr.st.Core(0).Log()
+	keys := keysFor(0, 100, 1000)
+	hist := History{}
+	put := func(i int) {
+		k := keys[i%len(keys)]
+		v := mval(k, i, 250)
+		r.do(Put(k, v))
+		hist.RecordPut(k, v)
+	}
+	n := 0
+	for ; len(log0.Chunks()) < 3; n++ {
+		put(n)
+	}
+	for end := n + 10; n < end; n++ {
+		put(n)
+	}
+	chain := log0.Chunks()
+	kept, bad := chain[1], chain[2]
+
+	open := func(a *pmem.Arena, salvage bool) (*core.Store, error) {
+		c := cfg
+		c.Arena, c.Salvage = a.Crash(), salvage
+		return core.Open(c)
+	}
+	media := r.tr.st.Arena().Crash()
+	NewMediaFault(1).FlipBit(media, int(bad), 0) // the tail chunk's magic
+	if _, err := open(media, false); err == nil {
+		t.Fatal("strict open accepted a chain with a bad chunk in it")
+	}
+	st, err := open(media, true)
+	if err != nil {
+		t.Fatalf("salvage open: %v", err)
+	}
+	rep := st.SalvageReport()
+	if len(rep.Cores) != 1 || !rep.Cores[0].Damage.ChainTruncated || rep.Cores[0].TruncatedAt >= 0 {
+		t.Fatalf("report %q: want core 0's chain truncated and no batch cut", rep)
+	}
+	if err := CheckSalvage(st, r.tr.model, hist); err != nil {
+		t.Fatal(err)
+	}
+	if next := st.Arena().ReadUint64(int(kept) + 8); next != 0 {
+		t.Fatalf("last kept chunk %#x still links to %#x after salvage", kept, next)
+	}
+
+	// Write on, so the freed chunk can come back, then power-cut and open
+	// WITHOUT salvage: the repaired image is an ordinary one.
+	model := map[uint64][]byte{}
+	for k, v := range r.tr.model {
+		model[k] = v
+	}
+	tr := newTrialOn(st, model)
+	for i := 0; i < 20; i++ {
+		k := keys[i%len(keys)]
+		v := mval(k, 1<<20+i, 250)
+		if err := tr.exec(Put(k, v)); err != nil {
+			t.Fatalf("put after salvage: %v", err)
+		}
+		hist.RecordPut(k, v)
+	}
+	re, err := open(st.Arena(), false)
+	if err != nil {
+		t.Fatalf("strict reopen after salvage: %v", err)
+	}
+	if err := checkHistory(re, nil, hist, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		k := keys[i%len(keys)]
+		ref, _, ok := re.Core(0).Index().Get(k)
+		if !ok {
+			t.Fatalf("key %#x written after salvage is gone", k)
+		}
+		if got, gok, err := lookupVerified(re, k, ref); err != nil || !gok || !bytes.Equal(got, tr.model[k]) {
+			t.Fatalf("key %#x written after salvage reads wrong: ok=%v err=%v", k, gok, err)
+		}
 	}
 }

@@ -62,16 +62,25 @@ var ErrChecksum = errors.New("oplog: batch checksum mismatch")
 
 // Batch trailer. Every persisted batch is followed by a 16-byte trailer
 // that shares the entry word grid, so the 16-byte entry format itself is
-// untouched while corruption becomes detectable at batch granularity:
+// untouched. The trailer is the batch's commit record: a batch is part of
+// the log exactly when its trailer verifies, so an append needs no second
+// persist of a tail pointer (DESIGN.md §3.2).
 //
 //	word0 bits 0..1   OpEnd (3)
 //	      bit  2      1 (distinguishes a trailer from the chunk end marker,
 //	                  which is written with word0 == OpEnd exactly)
+//	      bits 3..23  low 21 bits of the chunk generation
 //	      bits 24..63 batch length in bytes (batch start → trailer start)
-//	word1 bits 0..31  CRC32C over the batch bytes followed by word0's
-//	                  8 encoded bytes (so a flipped length bit is caught
-//	                  directly, not only by the shifted checksum window)
-//	      bits 32..63 zero
+//	word1 bits 0..31  CRC32C over the batch bytes, word0's 8 encoded bytes,
+//	                  the 4 start-offset bytes, and the 8 bytes of the
+//	                  chunk header's generation word
+//	      bits 32..63 chunk-relative byte offset of the batch start
+//
+// The generation names one life of one physical chunk (log identity and a
+// per-log counter, written to the chunk header when the chunk is
+// initialised), so bytes left from an earlier life never verify; the start
+// offset pins a batch to the position it was written at, so the remnant of
+// a torn batch read from its middle never verifies either.
 const TrailerSize = HeaderSize
 
 // castagnoli is the CRC32C table shared with the wire format and the
@@ -83,34 +92,38 @@ func IsTrailerWord(w0 uint64) bool {
 	return Op(w0&3) == OpEnd && w0>>2&1 == 1
 }
 
-// PutTrailer writes the trailer for batch (the encoded batch bytes that
-// precede it) into buf, which must have room for TrailerSize bytes.
-func PutTrailer(buf, batch []byte) {
-	w0 := uint64(OpEnd) | 1<<2 | uint64(len(batch))<<24
-	putUint64(buf, w0)
-	sum := crc32.Checksum(batch, castagnoli)
-	sum = crc32.Update(sum, castagnoli, buf[:8])
-	putUint64(buf[8:], uint64(sum))
+// trailerSum is the trailer checksum of the batch mem[start:t] in the chunk
+// at chunk, whose trailer words 0 and 1 (high half) are already in place
+// at t. Every input is a slice of mem, so nothing escapes to the heap.
+func trailerSum(mem []byte, chunk, start, t int) uint32 {
+	sum := crc32.Checksum(mem[start:t], castagnoli)
+	sum = crc32.Update(sum, castagnoli, mem[t:t+8])
+	sum = crc32.Update(sum, castagnoli, mem[t+12:t+16])
+	return crc32.Update(sum, castagnoli, mem[chunk+genOff:chunk+genOff+8])
 }
 
-// CheckTrailer verifies the trailer at buf against batch. It returns
-// false on any mismatch: wrong marker, wrong recorded length, nonzero
-// reserved bits, or checksum failure.
-func CheckTrailer(buf, batch []byte) bool {
-	if len(buf) < TrailerSize {
+// putTrailer writes the trailer of the batch mem[start:t] at t. The
+// chunk's header (its generation word) must already be in mem.
+func putTrailer(mem []byte, chunk, start, t int) {
+	gen := getUint64(mem[chunk+genOff:])
+	w1 := uint64(start-chunk) << 32
+	putUint64(mem[t:], uint64(OpEnd)|1<<2|gen&VersionMask<<3|uint64(t-start)<<24)
+	putUint64(mem[t+8:], w1) // the sum reads the start offset from here
+	putUint64(mem[t+8:], w1|uint64(trailerSum(mem, chunk, start, t)))
+}
+
+// checkTrailer reports whether the 16 bytes at t are the trailer of a
+// batch that starts at start in the chunk at chunk: right marker, this
+// chunk's generation, this start offset, this length, and a matching
+// checksum. t+TrailerSize must not exceed len(mem).
+func checkTrailer(mem []byte, chunk, start, t int) bool {
+	w0 := getUint64(mem[t:])
+	gen := getUint64(mem[chunk+genOff:])
+	if !IsTrailerWord(w0) || w0>>3&VersionMask != gen&VersionMask || int(w0>>24) != t-start {
 		return false
 	}
-	w0 := getUint64(buf)
-	if !IsTrailerWord(w0) || w0>>3&VersionMask != 0 || int(w0>>24) != len(batch) {
-		return false
-	}
-	w1 := getUint64(buf[8:])
-	if w1>>32 != 0 {
-		return false
-	}
-	sum := crc32.Checksum(batch, castagnoli)
-	sum = crc32.Update(sum, castagnoli, buf[:8])
-	return uint32(w1) == sum
+	w1 := getUint64(mem[t+8:])
+	return int(w1>>32) == start-chunk && uint32(w1) == trailerSum(mem, chunk, start, t)
 }
 
 // Entry is one decoded operation-log record.

@@ -17,8 +17,12 @@ const (
 	chunkMagic = 0x0C1B_0000_0000_0001
 
 	// chunkHeader is the reserved space at the start of every log chunk:
-	// word0 = magic, word1 = next chunk (absolute offset, 0 = none).
+	// word0 = magic, word1 = next chunk (absolute offset, 0 = none),
+	// word2 = generation, word3 = ^generation. The complement makes rot in
+	// the generation a bad header (loud) instead of a chunk whose batches
+	// all quietly stop verifying.
 	chunkHeader = 64
+	genOff      = 16
 
 	// endMarkerReserve keeps room for the OpEnd marker so a chunk can
 	// always be terminated.
@@ -31,13 +35,21 @@ var ErrBatchTooLarge = errors.New("oplog: batch exceeds chunk capacity")
 // ErrUnlinkTail reports an attempt to unlink the active tail chunk.
 var ErrUnlinkTail = errors.New("oplog: cannot unlink the tail chunk")
 
-// Log is one core's operation log: a chain of 4 MB chunks with a persisted
-// head pointer and tail pointer (in a checksummed 24-byte metadata slot).
+// Log is one core's operation log: a chain of 4 MB chunks whose batches
+// certify themselves (entry.go), plus a checksummed 32-byte metadata slot
+// holding the head pointer, a tail witness and the generation counter.
+//
+// The slot is NOT on the append path. It is persisted where persists are
+// rare anyway — New, roll, LinkAtHead, Unlink, WriteSurvivorChunk,
+// Truncate, PersistWitness — and its tail word is a witness: every batch
+// before it was fenced, so recovery treats a batch that fails to verify
+// there as rot, not as a torn tail. Batches after it are found by
+// verifying forward (findTail).
 //
 // Concurrency: the owning core appends; a background cleaner may link
-// survivor chunks at the head and unlink victims. The chunk chain is
-// protected by mu; AppendBatch itself is single-writer (only the owner
-// core appends).
+// survivor chunks at the head and unlink victims. The chunk chain, the
+// generation counter and the slot are protected by mu; AppendBatch itself
+// is single-writer (only the owner core appends).
 type Log struct {
 	arena   *pmem.Arena
 	al      *alloc.Allocator
@@ -46,7 +58,8 @@ type Log struct {
 	mu        sync.Mutex
 	chunks    []int64 // chain order; chunks[len-1] is the tail chunk
 	tailChunk int64
-	tailPos   int // next write offset within the tail chunk
+	tailPos   int    // next write offset within the tail chunk
+	gen       uint32 // generation counter: the last one handed to a chunk
 
 	// Append's batch-of-one scratch. Owned by the appending core (Append
 	// and AppendBatch are single-writer), so reuse needs no lock.
@@ -57,65 +70,82 @@ type Log struct {
 	// metrics. Owned by the appender, like the scratch above.
 	lastBatch int
 	// metaSum scratch, guarded by mu like the meta slot itself.
-	sumBuf [16]byte
+	sumBuf [24]byte
+
+	// found is what Recover read and discovered, kept for reports.
+	found Recovered
 }
 
-// MetaSize is the persistent footprint of a log's metadata slot:
-// word0 head pointer, word1 tail pointer, word2 CRC32C over the first
-// two words. The checksum lets recovery tell a rotted head/tail apart
-// from a healthy one; all three words share one cacheline, so keeping it
-// current costs no extra persist point.
-const MetaSize = 24
+// MetaSize is the persistent footprint of a log's metadata slot: word0
+// head pointer, word1 tail witness, word2 generation counter, word3 CRC32C
+// over the first three. The checksum lets recovery tell a rotted slot
+// apart from a healthy one; all four words share one cacheline, so the
+// slot is always one flush.
+const MetaSize = 32
 
 // metaSum computes the metadata slot checksum. The scratch is caller
-// provided because a local array escapes into crc32.Checksum and would
-// cost a heap allocation on every meta persist — i.e. on every batch.
-func metaSum(b *[16]byte, head, tail uint64) uint64 {
+// provided because a local array escapes into crc32.Checksum.
+func metaSum(b *[24]byte, head, tail, gen uint64) uint64 {
 	putUint64(b[:8], head)
-	putUint64(b[8:], tail)
+	putUint64(b[8:16], tail)
+	putUint64(b[16:], gen)
 	return uint64(crc32.Checksum(b[:], castagnoli))
 }
 
 // MetaOK reports whether the metadata slot at metaOff passes its
 // checksum. A mismatch means the slot is torn (a crash mid-flush) or
-// rotted; the head/tail values may still be structurally usable.
+// rotted; the values may still be structurally usable.
 func MetaOK(arena *pmem.Arena, metaOff int) bool {
-	head := arena.ReadUint64(metaOff)
-	tail := arena.ReadUint64(metaOff + 8)
-	var b [16]byte
-	return arena.ReadUint64(metaOff+16) == metaSum(&b, head, tail)
+	var b [24]byte
+	return arena.ReadUint64(metaOff+24) == metaSum(&b,
+		arena.ReadUint64(metaOff), arena.ReadUint64(metaOff+8), arena.ReadUint64(metaOff+16))
 }
 
-// persistMetaLocked writes head, tail and their checksum and persists the
-// slot with one flush. Callers hold l.mu (or own the log exclusively).
+// persistMetaLocked writes head, tail witness, generation counter and
+// their checksum and persists the slot with one flush. Callers hold l.mu
+// (or own the log exclusively). tailPos only ever moves past a batch after
+// that batch's fence, so the tail written here is a true witness.
 func (l *Log) persistMetaLocked(f *pmem.Flusher) {
 	head := uint64(l.chunks[0])
 	tail := uint64(l.tailChunk) + uint64(l.tailPos)
 	l.arena.WriteUint64(l.metaOff, head)
 	l.arena.WriteUint64(l.metaOff+8, tail)
-	l.arena.WriteUint64(l.metaOff+16, metaSum(&l.sumBuf, head, tail))
+	l.arena.WriteUint64(l.metaOff+16, uint64(l.gen))
+	l.arena.WriteUint64(l.metaOff+24, metaSum(&l.sumBuf, head, tail, uint64(l.gen)))
 	f.Flush(l.metaOff, MetaSize)
 	f.Fence()
 }
 
-// RepairMeta rewrites the metadata slot from the in-memory chain state —
-// salvage uses it to heal a slot whose checksum failed but whose pointers
-// validated structurally.
-func (l *Log) RepairMeta(f *pmem.Flusher) {
+// PersistWitness persists the metadata slot with the current tail: every
+// batch appended so far becomes witnessed, so rot in any of them is
+// reported by the next recovery instead of reading as a torn tail. Called
+// where the engine is quiescent or a persist is cheap (Stop, Close, the
+// scrubber, the end of recovery). Safe to call while the owner appends.
+func (l *Log) PersistWitness(f *pmem.Flusher) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.persistMetaLocked(f)
 }
 
+// nextGen hands out the next chunk generation.
+func (l *Log) nextGen() uint32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.gen++
+	return l.gen
+}
+
 // New creates an empty log whose metadata lives at metaOff, allocating the
-// first chunk and persisting the chain.
+// first chunk and persisting the chain. The generation counter continues
+// from whatever the slot holds (zero on a fresh arena), so a log rebuilt
+// after salvage lost its chain does not reuse generations.
 func New(arena *pmem.Arena, al *alloc.Allocator, metaOff int, f *pmem.Flusher) (*Log, error) {
-	l := &Log{arena: arena, al: al, metaOff: metaOff}
+	l := &Log{arena: arena, al: al, metaOff: metaOff, gen: uint32(arena.ReadUint64(metaOff + 16))}
 	c, err := al.AllocRawChunk()
 	if err != nil {
 		return nil, err
 	}
-	l.initChunk(c, 0, f)
+	l.initChunk(c, l.nextGen(), f)
 	l.chunks = []int64{c}
 	l.tailChunk = c
 	l.tailPos = chunkHeader
@@ -123,12 +153,23 @@ func New(arena *pmem.Arena, al *alloc.Allocator, metaOff int, f *pmem.Flusher) (
 	return l, nil
 }
 
-// initChunk writes and persists a chunk header.
-func (l *Log) initChunk(off, next int64, f *pmem.Flusher) {
-	l.arena.WriteUint64(int(off), chunkMagic)
-	l.arena.WriteUint64(int(off)+8, uint64(next))
-	f.Flush(int(off), 16)
+// initChunk writes and persists the header of an unlinked, empty chunk.
+func (l *Log) initChunk(off int64, gen uint32, f *pmem.Flusher) {
+	l.writeHeader(off, gen)
+	f.Flush(int(off), 32)
 	f.Fence()
+}
+
+// writeHeader stores a chunk header with no next link. The 64-bit
+// generation is the log's identity (its metadata offset) above the log's
+// counter, so two logs that reach the same count never give one physical
+// chunk the same generation.
+func (l *Log) writeHeader(off int64, gen uint32) {
+	g := uint64(uint32(l.metaOff))<<32 | uint64(gen)
+	l.arena.WriteUint64(int(off), chunkMagic)
+	l.arena.WriteUint64(int(off)+8, 0)
+	l.arena.WriteUint64(int(off)+genOff, g)
+	l.arena.WriteUint64(int(off)+genOff+8, ^g)
 }
 
 // Head returns the first chunk of the chain.
@@ -176,13 +217,14 @@ func (l *Log) Contains(c int64) bool {
 }
 
 // roll terminates the tail chunk with an OpEnd marker and starts a new
-// one. The order of persists keeps every crash window recoverable: the
-// marker and the new chunk's link become durable before the tail pointer
-// ever advances into the new chunk.
+// one. Every crash window is recoverable without a tail pointer: recovery
+// walks the chain to the chunk with no next link, so an unlinked new chunk
+// is simply freed and a linked, still-empty one is simply the tail. The
+// slot persist at the end makes the new chunk's generation durable before
+// the chunk can be closed, cleaned and its generation met again, and
+// witnesses everything in the chunk just closed.
 func (l *Log) roll(f *pmem.Flusher) error {
-	// 1. End marker in the old chunk. A salvage-rebuilt tail can sit at
-	// the exact chunk end, where no marker fits (or is needed — the
-	// scanner stops at the chunk boundary).
+	// 1. End marker in the old chunk.
 	if l.tailPos+HeaderSize <= pmem.ChunkSize {
 		pos := int(l.tailChunk) + l.tailPos
 		l.arena.WriteUint64(pos, uint64(OpEnd))
@@ -190,33 +232,48 @@ func (l *Log) roll(f *pmem.Flusher) error {
 		f.Flush(pos, HeaderSize)
 		f.Fence()
 	}
-	// 2. Fresh chunk, linked from the old tail.
+	// 2. Fresh chunk of a new generation, linked from the old tail.
 	c, err := l.al.AllocRawChunk()
 	if err != nil {
 		return err
 	}
-	l.initChunk(c, 0, f)
+	l.initChunk(c, l.nextGen(), f)
 	f.PersistUint64(int(l.tailChunk)+8, uint64(c))
+	// 3. Generation counter and witness.
 	l.mu.Lock()
 	l.chunks = append(l.chunks, c)
 	l.tailChunk = c
 	l.tailPos = chunkHeader
+	l.persistMetaLocked(f)
 	l.mu.Unlock()
 	return nil
 }
 
+// padEnd is where a batch whose trailer ends at chunk-relative pos stops:
+// the next cacheline boundary (§3.2 "Padding": adjacent batches must not
+// share a line or the second flush stalls), unless that leaves no room for
+// the chunk's end marker. The scanner steps over the padding by the same
+// rule, never by its content: a torn flush can leave a complete batch
+// whose padding bytes are stale.
+func padEnd(pos int) int {
+	padded := (pos + pmem.CachelineSize - 1) &^ (pmem.CachelineSize - 1)
+	if padded > pmem.ChunkSize-endMarkerReserve {
+		return pos // end of chunk: roll will terminate it anyway
+	}
+	return padded
+}
+
 // AppendBatch encodes the entries contiguously at the tail, appends the
-// batch's CRC32C trailer, pads to a cacheline boundary (§3.2 "Padding":
-// adjacent batches must not share a line or the second flush stalls),
-// persists the whole batch with a single flush+fence, and finally
-// persists the tail pointer. It returns the absolute offset of each
+// batch's trailer, pads to a cacheline boundary, and persists the whole
+// batch with a single flush+fence. It returns the absolute offset of each
 // entry.
 //
-// Per batch this costs exactly two persist points — the batch lines and
-// the tail pointer — regardless of how many entries the batch carries,
-// which is the core of FlatStore's write-amortization argument. The
-// 16-byte trailer rides inside the batch flush, so integrity coverage
-// adds bytes but no persist points.
+// Per batch this costs exactly ONE persist point, regardless of how many
+// entries the batch carries: the trailer (generation, start offset,
+// CRC32C) rides inside the batch flush and is the commit record, so no
+// tail pointer is persisted. A crash leaves the batch either verifiable —
+// then every earlier batch was fenced before it was written — or not, and
+// then it is the torn tail.
 func (l *Log) AppendBatch(f *pmem.Flusher, entries []*Entry) ([]int64, error) {
 	return l.AppendBatchOffs(f, entries, nil)
 }
@@ -235,39 +292,33 @@ func (l *Log) AppendBatchOffs(f *pmem.Flusher, entries []*Entry, offs []int64) (
 	if total+TrailerSize > pmem.ChunkSize-chunkHeader-endMarkerReserve {
 		return offs, ErrBatchTooLarge
 	}
-	if l.tailPos+total+TrailerSize > pmem.ChunkSize-endMarkerReserve {
+	// A tail off the cacheline grid is padEnd's end-of-chunk case: nothing
+	// more goes into this chunk, so that every batch starts on the grid
+	// (findTail looks for batches only there).
+	if l.tailPos+total+TrailerSize > pmem.ChunkSize-endMarkerReserve || l.tailPos%pmem.CachelineSize != 0 {
 		if err := l.roll(f); err != nil {
 			return offs, err
 		}
 	}
 	mem := l.arena.Mem()
+	base := int(l.tailChunk)
 	start := l.tailPos
 	pos := start
 	for _, e := range entries {
 		offs = append(offs, l.tailChunk+int64(pos))
-		pos += e.EncodeTo(mem[int(l.tailChunk)+pos:])
+		pos += e.EncodeTo(mem[base+pos:])
 	}
-	PutTrailer(mem[int(l.tailChunk)+pos:], mem[int(l.tailChunk)+start:int(l.tailChunk)+pos])
+	putTrailer(mem, base, base+start, base+pos)
 	pos += TrailerSize
-	// Pad to the next cacheline so the following batch starts on a fresh
-	// line (avoids the repeated-flush-same-line stall).
-	padded := (pos + pmem.CachelineSize - 1) &^ (pmem.CachelineSize - 1)
-	if padded > pmem.ChunkSize-endMarkerReserve {
-		padded = pos // end of chunk: roll will terminate it anyway
-	}
-	for i := int(l.tailChunk) + pos; i < int(l.tailChunk)+padded; i++ {
-		mem[i] = 0
-	}
-	f.Flush(int(l.tailChunk)+start, padded-start)
+	padded := padEnd(pos)
+	clear(mem[base+pos : base+padded])
+	f.Flush(base+start, padded-start)
 	f.Fence()
 	l.lastBatch = padded - start
+	// The tail moves only after the fence, and under mu: the cleaner and
+	// the scrubber persist it as the witness from other goroutines.
 	l.mu.Lock()
 	l.tailPos = padded
-	// Persist the tail pointer (with the slot checksum) under mu: the head
-	// pointer shares the metadata cacheline, and the cleaner persists that
-	// word (LinkAtHead/Unlink) under mu — an unserialized flush would copy
-	// the line while the other word is mid-store.
-	l.persistMetaLocked(f)
 	l.mu.Unlock()
 	return offs, nil
 }
@@ -290,15 +341,17 @@ func (l *Log) Append(f *pmem.Flusher, e *Entry) (int64, error) {
 	return offs[0], nil
 }
 
-// ValidChunkHeader reports whether off holds a log-chunk header. Crash
-// recovery uses it to reject journal slots pointing at chunks that are
-// not (or no longer) log chunks. Out-of-arena offsets are simply invalid,
-// never a panic — the offset may come from corrupt media.
+// ValidChunkHeader reports whether off holds a log-chunk header: the
+// magic, and a generation word that matches its complement. Crash recovery
+// uses it to reject journal slots pointing at chunks that are not (or no
+// longer) log chunks. Out-of-arena offsets are simply invalid, never a
+// panic — the offset may come from corrupt media.
 func ValidChunkHeader(arena *pmem.Arena, off int64) bool {
-	if off < 0 || off%pmem.ChunkSize != 0 || off+8 > int64(arena.Size()) {
+	if off < 0 || off%pmem.ChunkSize != 0 || off+chunkHeader > int64(arena.Size()) {
 		return false
 	}
-	return arena.ReadUint64(int(off)) == chunkMagic
+	return arena.ReadUint64(int(off)) == chunkMagic &&
+		arena.ReadUint64(int(off)+genOff) == ^arena.ReadUint64(int(off)+genOff+8)
 }
 
 // batchEntry is one decoded entry buffered until its batch verifies.
@@ -309,32 +362,27 @@ type batchEntry struct {
 
 // scanChunk is the batch-verifying walk shared by ScanChunk and
 // SalvageChunk. Entries are buffered per batch and delivered to fn only
-// after the batch's trailer checksum verifies; the first invalid batch
-// (bad structure, undecodable entry, missing trailer, or checksum
-// mismatch) stops the walk. It returns the absolute offset at which the
-// walk stopped cleanly (the truncation-safe point), the error describing
-// the invalidity (nil when the chunk scanned clean), and whether fn asked
-// to stop early.
+// after the batch's trailer verifies (this chunk's generation, this start
+// offset, matching checksum); the first position that holds neither a
+// valid batch nor the end marker stops the walk with an error. It returns
+// the absolute offset at which the walk stopped (the truncation-safe
+// point), the error describing the invalidity (nil when the chunk scanned
+// clean), and whether fn asked to stop early.
 func scanChunk(arena *pmem.Arena, chunkOff, tail int64, fn func(off int64, e Entry) bool) (validEnd int64, batches int, err error, stopped bool) {
 	mem := arena.Mem()
-	end := int(chunkOff) + pmem.ChunkSize
+	base := int(chunkOff)
+	end := base + pmem.ChunkSize
 	if tail >= chunkOff && tail < chunkOff+pmem.ChunkSize {
 		end = int(tail)
 	}
-	pos := int(chunkOff) + chunkHeader
+	pos := base + chunkHeader
 	corrupt := func(at int, cause error) (int64, int, error, bool) {
-		return int64(at), batches, fmt.Errorf("oplog: chunk %#x offset %d: %w", chunkOff, at-int(chunkOff), cause), false
+		return int64(at), batches, fmt.Errorf("oplog: chunk %#x offset %d: %w", chunkOff, at-base, cause), false
 	}
 	var batch []batchEntry
-	for pos < end {
-		if pos+8 > end {
-			return corrupt(pos, ErrCorrupt)
-		}
+	// A full chunk has no room for a marker after its last batch.
+	for pos+HeaderSize <= end {
 		w0 := getUint64(mem[pos:])
-		if w0 == 0 {
-			pos += 8 // inter-batch cacheline padding
-			continue
-		}
 		if Op(w0&3) == OpEnd && !IsTrailerWord(w0) {
 			// Chunk end marker; Decode validates its exact form.
 			if _, _, derr := Decode(mem[pos:end]); derr != nil {
@@ -349,12 +397,11 @@ func scanChunk(arena *pmem.Arena, chunkOff, tail int64, fn func(off int64, e Ent
 			if pos+8 > end {
 				return corrupt(start, ErrCorrupt)
 			}
-			w0 = getUint64(mem[pos:])
-			if IsTrailerWord(w0) {
-				if pos+TrailerSize > end || !CheckTrailer(mem[pos:pos+TrailerSize], mem[start:pos]) {
+			if IsTrailerWord(getUint64(mem[pos:])) {
+				if pos == start || pos+TrailerSize > end || !checkTrailer(mem, base, start, pos) {
 					return corrupt(start, ErrChecksum)
 				}
-				pos += TrailerSize
+				pos = base + padEnd(pos+TrailerSize-base)
 				break
 			}
 			e, n, derr := Decode(mem[pos:end])
@@ -362,8 +409,8 @@ func scanChunk(arena *pmem.Arena, chunkOff, tail int64, fn func(off int64, e Ent
 				return corrupt(start, derr)
 			}
 			if e.Op == OpPad || e.Op == OpEnd {
-				// Padding or an end marker inside an unterminated batch:
-				// the trailer never made it — treat the batch as invalid.
+				// A zero word or an end marker inside an unterminated
+				// batch: the trailer never made it.
 				return corrupt(start, ErrCorrupt)
 			}
 			batch = append(batch, batchEntry{off: int64(pos), e: e})
@@ -379,13 +426,69 @@ func scanChunk(arena *pmem.Arena, chunkOff, tail int64, fn func(off int64, e Ent
 	return int64(pos), batches, nil, false
 }
 
+// batchTrailer walks the entries of a batch from start and returns where
+// its trailer sits: the first trailer-shaped word on an entry boundary
+// before end, or -1 when the bytes stop decoding as Put/Delete entries
+// first. It is the walk scanChunk makes, so a trailer-shaped word inside an
+// inline value, which no scan ever lands on, is never taken for one.
+func batchTrailer(mem []byte, start, end int) int {
+	for pos := start; pos+8 <= end; {
+		if IsTrailerWord(getUint64(mem[pos:])) {
+			return pos
+		}
+		e, n, err := Decode(mem[pos:end])
+		if err != nil || e.Op == OpPad || e.Op == OpEnd {
+			return -1
+		}
+		pos += n
+	}
+	return -1
+}
+
+// findTail returns where the log ends in its last chunk: the end of the
+// last batch at or after from that verifies against the chunk's generation
+// at its own start offset, or from when there is none. It looks for
+// trailers, not entries, so it steps over anything that does not verify —
+// a torn tail has nothing valid after it (batch N+1 is only written after
+// batch N's fence), so a valid batch beyond an invalid one is rot in the
+// middle of the log, and the replay scan up to the tail returned here
+// reports it. Bytes beyond the tail are whatever the chunk held in an
+// earlier life: they carry another generation, or another offset, or fail
+// the checksum.
+//
+// A trailer counts only if its batch starts on the cacheline grid, where
+// AppendBatchOffs puts every batch, and if walking the batch's entries from
+// that start ends on it. So findTail accepts exactly what a scan delivers:
+// a client value that holds a forged trailer for its own batch cannot move
+// the tail into the middle of that batch.
+func findTail(arena *pmem.Arena, chunk int64, from int) int {
+	mem := arena.Mem()
+	base := int(chunk)
+	gen := getUint64(mem[base+genOff:]) & VersionMask
+	tail := from
+	for t := from + HeaderSize; t+TrailerSize <= base+pmem.ChunkSize; t += 8 {
+		w0 := getUint64(mem[t:])
+		if !IsTrailerWord(w0) || w0>>3&VersionMask != gen {
+			continue
+		}
+		start := base + int(getUint64(mem[t+8:])>>32)
+		if start < tail || start >= t || start%pmem.CachelineSize != 0 ||
+			!checkTrailer(mem, base, start, t) || batchTrailer(mem, start, t+8) != t {
+			continue
+		}
+		tail = base + padEnd(t+TrailerSize-base)
+		t = tail + HeaderSize - 8
+	}
+	return tail
+}
+
 // ScanChunk iterates the entries of one chunk, verifying each batch's
-// CRC32C trailer before delivering its entries. tail is the log's
-// absolute tail: iteration stops there if the chunk contains it,
-// otherwise at the OpEnd marker (or chunk end). fn returning false stops
-// the scan early. Any structural corruption or checksum mismatch returns
-// a typed error (wrapping ErrCorrupt or ErrChecksum); entries of an
-// invalid batch are never delivered.
+// trailer before delivering its entries. tail is the log's absolute tail:
+// iteration stops there if the chunk contains it, otherwise at the OpEnd
+// marker (or chunk end). fn returning false stops the scan early. Any
+// structural corruption or checksum mismatch returns a typed error
+// (wrapping ErrCorrupt or ErrChecksum); entries of an invalid batch are
+// never delivered.
 func ScanChunk(arena *pmem.Arena, chunkOff, tail int64, fn func(off int64, e Entry) bool) error {
 	_, _, err, _ := scanChunk(arena, chunkOff, tail, fn)
 	return err
@@ -494,6 +597,12 @@ func (l *Log) Scan(fn func(off int64, e Entry) bool) error {
 // entries (the log cleaner's output). The chunk is NOT linked into the
 // chain yet — the caller journals it first and then calls LinkAtHead.
 // Returns the chunk offset and each entry's absolute offset.
+//
+// Unlike a rolled chunk, a survivor carries a batch before it is linked,
+// and a crash can strand it outside every chain where recovery cannot see
+// its generation. So the bumped counter is persisted BEFORE the chunk: no
+// later chunk of this log can then repeat the generation and wake the
+// stranded batch up.
 func (l *Log) WriteSurvivorChunk(f *pmem.Flusher, entries []*Entry) (int64, []int64, error) {
 	total := 0
 	for _, e := range entries {
@@ -506,30 +615,43 @@ func (l *Log) WriteSurvivorChunk(f *pmem.Flusher, entries []*Entry) (int64, []in
 	if err != nil {
 		return 0, nil, err
 	}
+	l.mu.Lock()
+	l.gen++
+	gen := l.gen
+	l.persistMetaLocked(f)
+	l.mu.Unlock()
+
 	mem := l.arena.Mem()
-	l.arena.WriteUint64(int(c), chunkMagic)
-	l.arena.WriteUint64(int(c)+8, 0)
+	base := int(c)
+	l.writeHeader(c, gen)
 	pos := chunkHeader
 	offs := make([]int64, len(entries))
 	for i, e := range entries {
 		offs[i] = c + int64(pos)
-		pos += e.EncodeTo(mem[int(c)+pos:])
+		pos += e.EncodeTo(mem[base+pos:])
 	}
-	PutTrailer(mem[int(c)+pos:], mem[int(c)+chunkHeader:int(c)+pos])
+	putTrailer(mem, base, base+chunkHeader, base+pos)
 	pos += TrailerSize
-	l.arena.WriteUint64(int(c)+pos, uint64(OpEnd))
-	l.arena.WriteUint64(int(c)+pos+8, 0)
-	f.Flush(int(c), pos+HeaderSize)
+	padded := padEnd(pos)
+	clear(mem[base+pos : base+padded])
+	l.arena.WriteUint64(base+padded, uint64(OpEnd))
+	l.arena.WriteUint64(base+padded+8, 0)
+	f.Flush(base, padded+HeaderSize)
 	f.Fence()
 	return c, offs, nil
 }
 
 // Truncate cuts the log at absolute offset at — the truncation-safe point
 // a salvage scan reported — dropping every chunk linked after the one
-// containing at and re-terminating that chunk as the new tail. The
-// dropped chunks are returned so the caller can release them; they are
-// NOT freed here. Used only during salvage recovery, before the store
-// goes live.
+// containing at and making that chunk the tail. The dropped chunks are
+// returned so the caller can release them; they are NOT freed here. Used
+// only during salvage recovery, before the store goes live.
+//
+// The batches it abandons in the new tail chunk are of the chunk's current
+// generation and sit at their own offsets: left alone, they would verify
+// again once later appends reach them. So the abandoned range is zeroed
+// and flushed. The witness moves back first; a crash before the zeroing
+// completes leaves the rot findable, and salvage truncates again.
 func (l *Log) Truncate(f *pmem.Flusher, at int64) ([]int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -549,18 +671,13 @@ func (l *Log) Truncate(f *pmem.Flusher, at int64) ([]int64, error) {
 	l.chunks = l.chunks[:idx+1]
 	l.tailChunk = c
 	l.tailPos = int(at - c)
-	// Re-terminate the new tail chunk: an end marker over the start of the
-	// invalid region (when there is room) and a cleared next link, so the
-	// persisted chain no longer reaches the dropped chunks.
-	if l.tailPos <= pmem.ChunkSize-endMarkerReserve {
-		pos := int(c) + l.tailPos
-		l.arena.WriteUint64(pos, uint64(OpEnd))
-		l.arena.WriteUint64(pos+8, 0)
-		f.Flush(pos, HeaderSize)
+	l.persistMetaLocked(f)
+	if n := int(c) + pmem.ChunkSize - int(at); n > 0 {
+		clear(l.arena.Mem()[at : at+int64(n)])
+		f.Flush(int(at), n)
 		f.Fence()
 	}
 	f.PersistUint64(int(c)+8, 0)
-	l.persistMetaLocked(f)
 	return dropped, nil
 }
 
@@ -610,67 +727,76 @@ func (l *Log) Unlink(f *pmem.Flusher, victim int64) error {
 // ChainDamage records what salvage recovery had to repair (or could not)
 // while rebuilding one log's chain.
 type ChainDamage struct {
-	// MetaSuspect: the metadata slot's checksum failed. Head and tail
+	// MetaSuspect: the metadata slot's checksum failed. Head and witness
 	// still validated structurally and were used; a crash can tear the
-	// slot legitimately, but rot in the tail word can silently hide the
-	// newest batches, so salvage reports the suspicion.
+	// slot legitimately, but rot in the witness can hide rot in the newest
+	// batches, so salvage reports the suspicion.
 	MetaSuspect bool
 	// ChainTruncated: the chain walk hit a bad link (cycle or invalid
-	// chunk header) and kept only the prefix.
+	// chunk header) and kept only the prefix, or ended before the chunk
+	// the witness points into.
 	ChainTruncated bool
 	// ChainLost: not even the first chunk was recoverable; the log is
 	// gone and the caller must create a fresh one.
 	ChainLost bool
-	// TailRebuilt: the tail pointer was unusable (rot, or the chain broke
-	// before the tail chunk); the whole last chunk is scanned and the
-	// batch checksums decide where valid data ends.
-	TailRebuilt bool
 }
 
 // Any reports whether any damage was observed.
 func (d ChainDamage) Any() bool {
-	return d.MetaSuspect || d.ChainTruncated || d.ChainLost || d.TailRebuilt
+	return d.MetaSuspect || d.ChainTruncated || d.ChainLost
 }
 
-// Recover rebuilds a Log from its persisted metadata after a restart.
-// extra lists journaled survivor chunks that may not be linked yet; any of
-// them not already in the chain are prepended (their entries carry
-// versions, so order is immaterial). Every chunk is re-marked as in use
-// with the allocator.
+// Recovered is what recovery read from a log's metadata slot and what it
+// then found by verifying forward: Tail - Witness is how far past its
+// witness the log was replayed.
+type Recovered struct {
+	// Witness is the persisted tail witness (an absolute offset).
+	Witness int64
+	// Tail is the discovered end of the log.
+	Tail int64
+	// Gen is the generation word of the tail chunk's header.
+	Gen uint64
+}
+
+// Recovered reports what Recover found (zero for a log made by New).
+func (l *Log) Recovered() Recovered { return l.found }
+
+// Recover rebuilds a Log from its persisted state after a restart: it
+// walks the chunk chain from the head pointer to the chunk with no next
+// link, re-marks every chunk with the allocator, and finds the tail in
+// that last chunk by verifying batches forward from the witness. extra
+// lists journaled survivor chunks that may not be linked yet; any of them
+// not already in the chain are prepended (their entries carry versions, so
+// order is immaterial).
 //
 // A metadata-slot checksum mismatch alone is NOT an error here: a crash
-// between the tail-word store and the checksum store tears the slot
-// legitimately, and head/tail are still validated structurally exactly as
-// before the checksum existed. Only salvage mode acts on the suspicion.
+// can tear the slot's flush legitimately, and head and witness are still
+// validated structurally. Only salvage mode reports the suspicion.
 func Recover(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int64) (*Log, error) {
 	l, _, err := recoverLog(arena, al, metaOff, extra, false)
 	return l, err
 }
 
-// RecoverSalvage is Recover that never fails: structural damage is
-// repaired (prefix kept, tail rebuilt from batch checksums) and reported
-// instead of returned as an error. A nil Log (with ChainLost set) means
-// nothing was recoverable; the caller creates a fresh log after allocator
-// recovery finishes.
+// RecoverSalvage is Recover that never fails on chain damage: the intact
+// prefix is kept and the damage reported instead of returned as an error.
+// A nil Log (with ChainLost set) means nothing was recoverable; the caller
+// creates a fresh log after allocator recovery finishes.
 func RecoverSalvage(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int64) (*Log, ChainDamage) {
 	l, d, _ := recoverLog(arena, al, metaOff, extra, true)
 	return l, d
 }
 
 func recoverLog(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int64, salvage bool) (*Log, ChainDamage, error) {
-	var d ChainDamage
+	d := ChainDamage{MetaSuspect: !MetaOK(arena, metaOff)}
 	head := int64(arena.ReadUint64(metaOff))
-	tail := int64(arena.ReadUint64(metaOff + 8))
-	if !MetaOK(arena, metaOff) {
-		d.MetaSuspect = true
-	}
-	l := &Log{arena: arena, al: al, metaOff: metaOff}
+	witness := int64(arena.ReadUint64(metaOff + 8))
+	l := &Log{arena: arena, al: al, metaOff: metaOff, gen: uint32(arena.ReadUint64(metaOff + 16))}
 
 	seen := map[int64]bool{}
-	tailInChain := false
-	for c := head; c != 0; {
+	for c := head; c != 0; c = int64(arena.ReadUint64(int(c) + 8)) {
 		// The chain pointers come straight off (possibly corrupt) media:
-		// bounds- and alignment-check before dereferencing.
+		// ValidChunkHeader bounds- and alignment-checks before anything
+		// is dereferenced.
 		if seen[c] || !ValidChunkHeader(arena, c) {
 			if !salvage {
 				if seen[c] {
@@ -683,14 +809,11 @@ func recoverLog(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int
 		}
 		seen[c] = true
 		l.chunks = append(l.chunks, c)
-		if tail >= c && tail < c+pmem.ChunkSize {
-			// The tail chunk is by construction the last chunk
-			// holding acknowledged data; ignore any chunk linked
-			// beyond it (an unacknowledged roll).
-			tailInChain = true
-			break
+		// A crash inside roll can leave a linked chunk whose generation
+		// the slot does not hold yet.
+		if g := arena.ReadUint64(int(c) + genOff); g>>32 == uint64(uint32(metaOff)) && uint32(g) > l.gen {
+			l.gen = uint32(g)
 		}
-		c = int64(arena.ReadUint64(int(c) + 8))
 	}
 	if len(l.chunks) == 0 {
 		if !salvage {
@@ -700,19 +823,6 @@ func recoverLog(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int
 		return nil, d, nil
 	}
 	last := l.chunks[len(l.chunks)-1]
-	switch {
-	case tailInChain && tail >= last+chunkHeader:
-		// Normal: the tail points into the last chain chunk.
-	case !salvage:
-		return nil, d, fmt.Errorf("oplog: tail %#x outside tail chunk %#x", tail, last)
-	default:
-		// The tail pointer is unusable (rot, or the chain broke before the
-		// true tail chunk). Scan the whole last chunk; the batch trailers
-		// decide where valid data ends, and the caller re-truncates there.
-		d.TailRebuilt = true
-		tailInChain = false
-		tail = last + pmem.ChunkSize
-	}
 	for _, c := range extra {
 		if !seen[c] && ValidChunkHeader(arena, c) {
 			l.chunks = append([]int64{c}, l.chunks...)
@@ -724,21 +834,22 @@ func recoverLog(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int
 			return nil, d, fmt.Errorf("oplog: chunk %#x outside allocator range", c)
 		}
 	}
-	if tailInChain {
-		// Chunks linked beyond the tail (an unacknowledged roll) are about
-		// to be freed by FinishRecovery; clear their headers so a stale log
-		// magic cannot make a freed chunk look like a salvageable orphan to
-		// a future recovery.
-		f := arena.NewFlusher()
-		for c := int64(arena.ReadUint64(int(last) + 8)); c != 0 && !seen[c] && ValidChunkHeader(arena, c); {
-			next := int64(arena.ReadUint64(int(c) + 8))
-			f.PersistUint64(int(c), 0)
-			seen[c] = true // cycle guard
-			c = next
+
+	// The tail. The witness is persisted at every roll, so it points into
+	// the last chunk, or — after a crash inside roll — into the one before
+	// it. Anywhere else means the chain ends short of acknowledged data.
+	from := last + chunkHeader
+	switch {
+	case witness >= from && witness <= last+pmem.ChunkSize && witness%8 == 0:
+		from = witness
+	case !seen[witness&^(pmem.ChunkSize-1)]:
+		if !salvage {
+			return nil, d, fmt.Errorf("oplog: tail witness %#x outside the chain ending at chunk %#x", witness, last)
 		}
-		f.FlushEvents()
+		d.ChainTruncated = true
 	}
 	l.tailChunk = last
-	l.tailPos = int(tail - last)
+	l.tailPos = findTail(arena, last, int(from)) - int(last)
+	l.found = Recovered{Witness: witness, Tail: last + int64(l.tailPos), Gen: arena.ReadUint64(int(last) + genOff)}
 	return l, d, nil
 }

@@ -221,15 +221,14 @@ func TestBatchFlushCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := f.TakeEvents()
-	// 16 entries × 16 B + 16 B trailer = 272 B = 5 lines, one flush call;
-	// plus the tail pointer persist: 2 flush calls, 2 fences, 6 lines.
-	// The integrity trailer costs one line of bandwidth but no extra
-	// persist point.
-	if ev.Flushes != 2 || ev.Fences != 2 {
-		t.Errorf("batch cost: %+v (want 2 flushes, 2 fences)", ev)
+	// 16 entries × 16 B + 16 B trailer = 272 B = 5 lines, one flush call,
+	// one fence — and nothing else: the trailer is the commit record, so
+	// no tail pointer is persisted.
+	if ev.Flushes != 1 || ev.Fences != 1 {
+		t.Errorf("batch cost: %+v (want 1 flush, 1 fence)", ev)
 	}
-	if ev.Lines != 6 {
-		t.Errorf("lines = %d, want 6 (5 batch+trailer + 1 tail)", ev.Lines)
+	if ev.Lines != 5 {
+		t.Errorf("lines = %d, want 5 (batch + trailer)", ev.Lines)
 	}
 }
 

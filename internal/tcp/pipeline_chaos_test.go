@@ -75,7 +75,7 @@ func TestPipelinedChaosExactlyOnce(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				time.Sleep(100 * time.Microsecond)
+				time.Sleep(100 * time.Microsecond) // the background poller's pace, not a wait
 			}
 		}
 	}()

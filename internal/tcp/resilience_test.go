@@ -331,6 +331,8 @@ func TestHandshakeCRCIsChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
+	dialed := make(chan struct{}) // closed once the client has given its verdict
+	defer close(dialed)
 	go func() {
 		c, err := lis.Accept()
 		if err != nil {
@@ -346,7 +348,9 @@ func TestHandshakeCRCIsChecked(t *testing.T) {
 		sum := crc32.Checksum(payload, castagnoli)
 		frame = binary.LittleEndian.AppendUint32(frame, sum^1) // corrupt the checksum
 		c.Write(frame)
-		time.Sleep(time.Second)
+		// Hold the connection open until the client has judged the frame:
+		// closing early could hand it an EOF instead of the bad checksum.
+		<-dialed
 	}()
 	_, err = DialOptions(lis.Addr().String(), Options{MaxAttempts: 1, DialTimeout: 2 * time.Second})
 	if err == nil {

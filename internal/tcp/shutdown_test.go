@@ -2,7 +2,9 @@ package tcp
 
 import (
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,6 +39,7 @@ func TestShutdownRaceUnderDialFlood(t *testing.T) {
 
 		stop := make(chan struct{})
 		var dialers sync.WaitGroup
+		var dials atomic.Int64
 		for g := 0; g < 6; g++ {
 			dialers.Add(1)
 			go func() {
@@ -51,11 +54,25 @@ func TestShutdownRaceUnderDialFlood(t *testing.T) {
 					if err != nil {
 						return // listener gone: shutdown won the race
 					}
+					dials.Add(1)
 					c.Close()
 				}
 			}()
 		}
-		time.Sleep(2 * time.Millisecond) // let dials straddle the close
+		// Close must race a server that IS serving a flood: wait until
+		// Serve has taken the listener (a Close that wins that race makes
+		// Serve return "server closed", which is not the case under test)
+		// and every dialer is dialing.
+		deadline := time.Now().Add(10 * time.Second)
+		for serving := false; !serving || dials.Load() < 12; {
+			if time.Now().After(deadline) {
+				t.Fatalf("iter %d: flood never started (%d dials, serving=%v)", iter, dials.Load(), serving)
+			}
+			runtime.Gosched()
+			s.mu.Lock()
+			serving = s.lis != nil
+			s.mu.Unlock()
+		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
