@@ -82,3 +82,36 @@ func TestAllocBudgetCoreGet(t *testing.T) {
 		t.Fatalf("Get: %v allocs/op, want ~0", n)
 	}
 }
+
+// The follower's write path shares the steps of the primary's (apply.go),
+// so it shares the budget: a replicated inline Put over an existing key —
+// version gate, log append, index update, stale accounting — allocates
+// nothing once the key's registry entry exists.
+func TestAllocBudgetReplApply(t *testing.T) {
+	st := newAllocStore(t)
+	f := st.ReplFlusher()
+	val := make([]byte, 64)
+	ver := uint32(0)
+	for pass := 0; pass < 2; pass++ {
+		ver++
+		for k := uint64(0); k < 2_048; k++ {
+			if err := st.ReplApply(f, rpc.OpPut, k, ver, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ver++
+	i := uint64(0)
+	n := testing.AllocsPerRun(2_000, func() {
+		if err := st.ReplApply(f, rpc.OpPut, i%2_048, ver, val); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if _, got, _ := st.Core(st.CoreOf(0)).Index().Get(0); got != ver {
+		t.Fatalf("key 0 is at version %d, want %d: the measured ops were gated away, not applied", got, ver)
+	}
+	if n > 0.5 {
+		t.Fatalf("replicated inline Put: %v allocs/op, want ~0", n)
+	}
+}

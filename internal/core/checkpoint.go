@@ -19,8 +19,10 @@ import (
 // Safe to call while the store is serving: each core's index is snapshot
 // under its idxMu.
 func (st *Store) Checkpoint() error {
-	blob := st.buildCheckpointLocked()
-	ptr, err := st.ckptAlloc(len(blob))
+	blob := st.buildCheckpoint()
+	// The reserved checkpoint allocation context, which no server core
+	// touches.
+	ptr, err := st.ckptCa.Alloc(len(blob), st.super)
 	if err != nil {
 		return fmt.Errorf("core: checkpoint allocation: %w", err)
 	}
@@ -34,34 +36,10 @@ func (st *Store) Checkpoint() error {
 	st.super.PersistUint64(offCkpt+8, uint64(len(blob)))
 	st.super.PersistUint64(offCkpt, uint64(ptr))
 	if oldPtr != 0 && oldLen != 0 {
-		st.ckptFree(oldPtr, oldLen)
+		st.ckptCa.Free(oldPtr, oldLen, st.super)
 	}
 	st.super.FlushEvents()
 	return nil
-}
-
-// ckptAlloc allocates from the reserved checkpoint allocation context,
-// which no server core touches.
-func (st *Store) ckptAlloc(size int) (int64, error) {
-	return st.ckptCa.Alloc(size, st.super)
-}
-
-func (st *Store) ckptFree(ptr int64, size int) {
-	st.ckptCa.Free(ptr, size, st.super)
-}
-
-// buildCheckpointLocked is buildCheckpoint with per-core locking, safe
-// under concurrent service.
-func (st *Store) buildCheckpointLocked() []byte {
-	for _, c := range st.cores {
-		c.idxMu.Lock()
-	}
-	defer func() {
-		for _, c := range st.cores {
-			c.idxMu.Unlock()
-		}
-	}()
-	return st.buildCheckpoint()
 }
 
 // HasCheckpoint reports whether a persisted checkpoint descriptor exists.

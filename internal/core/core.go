@@ -11,7 +11,6 @@ import (
 	"flatstore/internal/obs"
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
-	"flatstore/internal/record"
 	"flatstore/internal/rpc"
 )
 
@@ -362,64 +361,35 @@ func (c *Core) noteDone(kind int, key uint64, status uint8, t0, seal, flush, idx
 	}
 }
 
-// readEntry materializes the value behind ref: a PM log entry, or —
-// when ref carries the tier bit — a cold-tier record. key is the key
-// the caller resolved ref from; the cold path cross-checks it against
-// the record's stored key. corrupt reports bytes that failed their CRC
-// (either tier): the caller must not treat the key as merely absent.
+// readEntry copies out the value behind ref, which the caller resolved
+// from key. corrupt reports bytes that failed their CRC (either tier): the
+// caller must not treat the key as merely absent.
 func (c *Core) readEntry(key uint64, ref int64) (val []byte, ok, corrupt bool) {
-	if index.Cold(ref) {
-		return c.readCold(key, ref)
+	pm := !index.Cold(ref)
+	if pm {
+		c.st.reclaimMu.RLock()
 	}
-	c.st.reclaimMu.RLock()
-	defer c.st.reclaimMu.RUnlock()
-	mem := c.st.arena.Mem()
-	e, _, err := oplog.Decode(mem[ref:])
-	if err != nil || e.Op != oplog.OpPut {
-		return nil, false, false
+	d := c.st.deref(key, ref)
+	if d.state == refOK {
+		// A PM view is stable only under the lock: copy before releasing.
+		val = bufpool.Get(len(d.val))
+		copy(val, d.val)
 	}
-	c.reads++
-	if c.st.tier != nil {
-		// Access tracking for demotion: a chunk whose entries are being
-		// read is hot and should be relocated, not demoted.
-		c.st.usage.noteRead(chunkOf(ref))
+	if pm {
+		c.st.reclaimMu.RUnlock()
 	}
-	if e.Inline {
-		out := bufpool.Get(len(e.Value))
-		copy(out, e.Value)
-		return out, true, false
+	if pm && d.state != refGone {
+		c.reads++
+		if !d.inline {
+			c.reads++
+		}
+		if c.st.tier != nil {
+			// Access tracking for demotion: a chunk whose entries are being
+			// read is hot and should be relocated, not demoted.
+			c.st.usage.noteRead(chunkOf(ref))
+		}
 	}
-	c.reads++
-	if record.Verify(c.st.arena, e.Ptr) != nil {
-		return nil, false, true
-	}
-	v := record.View(c.st.arena, e.Ptr)
-	out := bufpool.Get(len(v))
-	copy(out, v)
-	return out, true, false
-}
-
-// readCold reads a tier-resident record. The segment bloom is consulted
-// first so a stale ref (segment compacted away underneath a scan) costs
-// no disk read; the record's CRC and stored key must both check out or
-// the read fails closed as corrupt.
-func (c *Core) readCold(key uint64, ref int64) (val []byte, ok, corrupt bool) {
-	t := c.st.tier
-	if t == nil {
-		// A cold ref with no tier configured is unresolvable: fail
-		// closed rather than invent a miss.
-		return nil, false, true
-	}
-	if !t.SegmentMayContain(ref, key) {
-		return nil, false, false
-	}
-	k, _, v, err := t.Get(ref)
-	if err != nil || k != key {
-		return nil, false, true
-	}
-	out := bufpool.Get(len(v))
-	copy(out, v)
-	return out, true, false
+	return val, d.state == refOK, d.state == refRotted
 }
 
 // quarantine removes key from the index and records it as corrupt, with
@@ -444,20 +414,11 @@ func (c *Core) Quarantined(key uint64) bool {
 // quarantineLocked is quarantine for callers already holding idxMu (the
 // scrubber quarantines while iterating the index under the lock).
 func (c *Core) quarantineLocked(key uint64, ver uint32) {
-	qv := ver
-	if _, v, ok := c.idx.Get(key); ok {
-		if v > qv {
-			qv = v
-		}
-		c.idx.Delete(key)
+	if hi, _ := c.lastVersion(key); hi > ver {
+		ver = hi
 	}
-	if m := c.reg[key]; m != nil && m.lastVer > qv {
-		qv = m.lastVer
-	}
-	if prev, ok := c.quar[key]; ok && prev >= qv {
-		return
-	}
-	c.quar[key] = qv
+	c.idx.Delete(key)
+	c.quar[key] = ver
 }
 
 func (c *Core) respondGet(req rpc.Request, client int, t0 int64) {
@@ -520,28 +481,13 @@ func (c *Core) refMoved(key uint64, ref int64) bool {
 // correct whichever copy it picks.
 func (c *Core) promote(key uint64, coldRef int64, ver uint32, val []byte) {
 	e := oplog.Entry{Op: oplog.OpPut, Version: ver, Key: key}
-	var blk int64 = -1
-	if len(val) == 0 || len(val) > c.st.cfg.InlineMax {
-		b, err := c.ca.Alloc(record.Size(len(val)), c.f)
-		if err != nil {
-			return
-		}
-		record.Persist(c.f, b, val)
-		blk = b
-		e.Ptr = b
-	} else {
-		e.Inline = true
-		e.Value = val
-	}
-	off, err := c.log.Append(c.f, &e)
-	if err != nil {
-		if blk >= 0 {
-			c.ca.Free(blk, record.Size(len(val)), c.f)
-		}
+	if c.materialize(c.f, &e, val) != nil {
 		return
 	}
-	size := e.EncodedSize()
-	c.accountAppend(off, size)
+	off, err := c.appendOne(c.f, &e)
+	if err != nil {
+		return
+	}
 	promoted := false
 	c.idxMu.Lock()
 	if c.idx.CompareAndSwapRef(key, coldRef, off) {
@@ -563,7 +509,7 @@ func (c *Core) promote(key uint64, coldRef int64, ver uint32, val []byte) {
 		c.st.tier.MarkDead(coldRef)
 		c.st.tier.NotePromoted(1)
 	} else {
-		c.st.usage.markDead(chunkOf(off), size)
+		c.st.usage.markDead(chunkOf(off), e.EncodedSize())
 	}
 }
 
@@ -628,24 +574,12 @@ func (c *Core) startModify(req rpc.Request, client int, t0 int64) {
 		version = fl.lastVer + 1
 	} else {
 		c.idxMu.Lock()
-		_, oldVer, exists := c.idx.Get(req.Key)
-		qver, quarantined := c.quar[req.Key]
-		switch {
-		case exists:
-			version = oldVer + 1
-		case quarantined:
-			// Continue past the highest version the lost value may have
-			// carried, so this write durably supersedes it everywhere.
-			version = qver + 1
-		case c.reg[req.Key] != nil:
-			version = c.reg[req.Key].lastVer + 1
-		default:
-			version = 1
-		}
+		last, present := c.lastVersion(req.Key)
 		c.idxMu.Unlock()
+		version = last + 1
 		// Deleting a quarantined key proceeds: it writes the tombstone the
 		// client asked for and clears the quarantine.
-		if req.Op == rpc.OpDelete && !exists && !quarantined {
+		if req.Op == rpc.OpDelete && !present {
 			c.noteDone(obs.KindDelete, req.Key, rpc.StatusNotFound, t0, 0, 0, 0)
 			c.outbox = append(c.outbox, Outgoing{client, rpc.Response{ID: req.ID, Status: rpc.StatusNotFound}})
 			return
@@ -660,39 +594,33 @@ func (c *Core) startModify(req rpc.Request, client int, t0 int64) {
 		entry.Op = oplog.OpDelete
 	} else {
 		entry.Op = oplog.OpPut
-		if len(req.Value) == 0 || len(req.Value) > c.st.cfg.InlineMax {
-			// l-persist: the record becomes durable before its log
-			// entry (step 1 of §3.2's Put sequence).
-			blk, err := c.ca.Alloc(record.Size(len(req.Value)), c.f)
-			if err != nil {
-				c.putSlot(s)
-				bufpool.Put(req.Buf)
-				c.noteDone(obs.KindPut, req.Key, rpc.StatusError, t0, 0, 0, 0)
-				c.outbox = append(c.outbox, Outgoing{client, rpc.Response{ID: req.ID, Status: rpc.StatusError}})
-				return
-			}
-			record.Persist(c.f, blk, req.Value)
-			entry.Ptr = blk
+		// l-persist: an out-of-place record becomes durable before its
+		// log entry (step 1 of §3.2's Put sequence).
+		if err := c.materialize(c.f, entry, req.Value); err != nil {
+			c.putSlot(s)
+			bufpool.Put(req.Buf)
+			c.noteDone(obs.KindPut, req.Key, rpc.StatusError, t0, 0, 0, 0)
+			c.outbox = append(c.outbox, Outgoing{client, rpc.Response{ID: req.ID, Status: rpc.StatusError}})
+			return
+		}
+		switch {
+		case !entry.Inline:
 			// The value now lives in its durable record; a pooled request
 			// buffer is dead.
 			bufpool.Put(req.Buf)
-		} else {
-			entry.Inline = true
-			if req.Buf != nil {
-				// Ownership transfer (zero copy): the entry aliases the
-				// pooled request buffer until the leader encodes it into
-				// the log; complete releases it.
-				entry.Value = req.Value
-				s.ctx.buf = req.Buf
-			} else {
-				// The sender keeps its value buffer (and may reuse it as
-				// soon as we return): copy into a pooled scratch that
-				// complete releases once the entry is durable.
-				v := bufpool.Get(len(req.Value))
-				copy(v, req.Value)
-				entry.Value = v
-				s.ctx.buf = v
-			}
+		case req.Buf != nil:
+			// Ownership transfer (zero copy): the entry aliases the
+			// pooled request buffer until the leader encodes it into
+			// the log; complete releases it.
+			s.ctx.buf = req.Buf
+		default:
+			// The sender keeps its value buffer (and may reuse it as
+			// soon as we return): copy into a pooled scratch that
+			// complete releases once the entry is durable.
+			v := bufpool.Get(len(req.Value))
+			copy(v, req.Value)
+			entry.Value = v
+			s.ctx.buf = v
 		}
 	}
 
@@ -867,25 +795,23 @@ func (c *Core) HasPublished() bool { return c.group.HasPending(c.member) }
 // leader (idle cores volunteer to lead on this signal).
 func (c *Core) GroupPending() bool { return c.group.AnyPending() }
 
-// complete is the volatile phase: update the index, release the storage
-// this write supersedes, unblock the conflict queue, queue the response.
-// It also retires the op's storage: the slot returns to the freelist and
-// the pooled value buffer (if any) goes back to bufpool — both are dead
-// once the leader published Done, since the entry was already encoded
-// into the log.
+// complete finishes a write once its leader has signalled the outcome: a
+// durable one runs the volatile phase (supersede), a failed one gives its
+// record back; either way the conflict queue is unblocked and the response
+// queued. It also retires the op's storage: the slot returns to the
+// freelist and the pooled value buffer (if any) goes back to bufpool —
+// both are dead once the leader published Done, since the entry was
+// already encoded into the log.
 func (c *Core) complete(op *batch.PendingOp) {
 	ctx := *(op.Ctx.(*opCtx))
 	off := op.Off
 	leader := op.Leader
 	tSeal, tPersist := op.TSeal, op.TPersist
-	if ctx.slot != nil {
-		c.putSlot(ctx.slot) // op and entry are invalid from here on
-	}
-	bufpool.Put(ctx.buf)
 	status := rpc.StatusOK
 	var tIdx int64
 	if off < 0 {
 		status = rpc.StatusError
+		c.unmaterialize(c.f, op.Entry)
 	} else {
 		if c.st.repl.hook != nil {
 			// This op passed the seal hook (every successfully appended op
@@ -896,97 +822,13 @@ func (c *Core) complete(op *batch.PendingOp) {
 		if ctx.ackErr {
 			status = rpc.StatusError
 		}
-		// Identify what this op supersedes at apply time: with writes
-		// pipelining per key, the superseded entry is whatever the
-		// index points at just before this update (completions apply
-		// in version order on the owning core).
-		var oldRef, oldPtr int64 = -1, -1
-		var oldSize, oldLen int
-		rotted, oldCold := false, false
-		c.idxMu.Lock()
-		if ref, _, ok := c.idx.Get(ctx.key); ok {
-			oldRef = ref
-			if index.Cold(ref) {
-				// The superseded copy lives in the cold tier: nothing in
-				// the arena to decode or free — mark the segment record
-				// dead after the index update instead.
-				oldCold = true
-			} else {
-				c.st.reclaimMu.RLock()
-				if e, n, err := oplog.Decode(c.st.arena.Mem()[oldRef:]); err == nil && e.Op == oplog.OpPut {
-					oldSize = n
-					if !e.Inline {
-						// Verify before freeing: a rotted length would derive
-						// the wrong size class and corrupt the allocator. A
-						// block whose record rotted is leaked instead (salvage
-						// recovery reclaims it as unreferenced).
-						if record.Verify(c.st.arena, e.Ptr) == nil {
-							oldPtr = e.Ptr
-							oldLen = record.Size(record.Len(c.st.arena, e.Ptr))
-						} else {
-							rotted = true
-						}
-					}
-				}
-				c.st.reclaimMu.RUnlock()
-			}
-		}
-		switch ctx.op {
-		case rpc.OpPut:
-			c.idx.Put(ctx.key, off, ctx.version)
-			m := c.reg[ctx.key]
-			if oldRef >= 0 && !oldCold {
-				if m == nil {
-					m = &keyMeta{}
-					c.reg[ctx.key] = m
-				}
-				m.stale++
-			}
-			if m != nil {
-				m.lastVer = ctx.version
-				m.deleted = false
-			}
-		case rpc.OpDelete:
-			c.idx.Delete(ctx.key)
-			m := c.reg[ctx.key]
-			if m == nil {
-				m = &keyMeta{}
-				c.reg[ctx.key] = m
-			}
-			if oldRef >= 0 && !oldCold {
-				m.stale++
-			}
-			m.lastVer = ctx.version
-			m.deleted = true
-		}
-		cleared := false
-		if _, ok := c.quar[ctx.key]; ok {
-			// The acknowledged overwrite (or tombstone) supersedes whatever
-			// the corruption destroyed: the quarantine has served its
-			// purpose.
-			delete(c.quar, ctx.key)
-			cleared = true
-		}
-		c.idxMu.Unlock()
+		c.supersede(c.f, ctx.key, off, ctx.version, ctx.op == rpc.OpDelete)
 		tIdx = c.st.obs.Now()
-		if cleared {
-			c.st.noteQuarantineClears(1)
-		}
-		if rotted {
-			c.st.noteChecksumErrors(1)
-		}
-		if oldCold {
-			c.st.tier.MarkDead(oldRef)
-		} else if oldRef >= 0 {
-			c.st.usage.markDead(chunkOf(oldRef), oldSize)
-		}
-		if oldPtr >= 0 {
-			// Freed blocks are immediately reusable: parked readers of
-			// this key are released only after the whole in-flight
-			// window drains ("read-after-delete" cannot occur, §3.2).
-			c.ca.Free(oldPtr, oldLen, c.f)
-		}
 	}
+	if ctx.slot != nil {
+		c.putSlot(ctx.slot) // op and entry are invalid from here on
+	}
+	bufpool.Put(ctx.buf)
 	kind := obs.KindPut
 	if ctx.op == rpc.OpDelete {
 		kind = obs.KindDelete

@@ -194,14 +194,9 @@ func (cl *Cleaner) CleanOnce() int {
 			if !s.live || s.e.Op != oplog.OpPut {
 				continue
 			}
-			var v []byte
-			if s.e.Inline {
-				v = s.e.Value
-			} else {
-				if record.Verify(st.arena, s.e.Ptr) != nil {
-					continue
-				}
-				v = record.View(st.arena, s.e.Ptr)
+			v, err := st.EntryValue(&s.e)
+			if err != nil {
+				continue
 			}
 			demoteIdx = append(demoteIdx, i)
 			demoteRecs = append(demoteRecs, tier.Rec{Key: s.e.Key, Ver: s.e.Version, Val: v})

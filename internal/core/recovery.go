@@ -45,19 +45,8 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{cfg: cfg, arena: arena, super: arena.NewFlusher(), stop: make(chan struct{})}
-	st.al = alloc.New(arena, 1, arena.Chunks()-1, cfg.Cores+1)
-	st.ckptCa = st.al.Core(cfg.Cores)
-	st.usage.m = map[int64]*chunkUsage{}
-	if cfg.Index == IndexMasstree {
-		st.tree = masstree.New()
-	}
-	st.buildGroups()
-	for i := 0; i < cfg.Cores; i++ {
-		c, err := st.newCore(i)
-		if err != nil {
-			return nil, err
-		}
-		st.cores = append(st.cores, c)
+	if err := st.resetVolatile(); err != nil {
+		return nil, err
 	}
 	// The cold tier opens before either recovery path: crash replay
 	// rebuilds tier-resident index entries from segment footers, and the
@@ -100,15 +89,17 @@ func Open(cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// resetVolatile rebuilds every volatile structure (allocator, cores,
-// indexes, usage table) so a failed openClean can be retried as a crash
-// recovery without inheriting half-loaded state.
+// resetVolatile builds every volatile structure (allocator, groups, cores,
+// indexes, usage table) empty: the skeleton New and Open start from, and
+// what a failed openClean is reset to so it can be retried as a crash
+// recovery without inheriting half-loaded state. The cores get their logs
+// from the caller.
 func (st *Store) resetVolatile() error {
+	// One allocation context per core plus a reserved one for checkpoint
+	// blocks (runtime checkpointing must not race a core's own allocator).
 	st.al = alloc.New(st.arena, 1, st.arena.Chunks()-1, st.cfg.Cores+1)
 	st.ckptCa = st.al.Core(st.cfg.Cores)
-	st.usage.mu.Lock()
-	st.usage.m = map[int64]*chunkUsage{}
-	st.usage.mu.Unlock()
+	st.usage.reset()
 	if st.cfg.Index == IndexMasstree {
 		st.tree = masstree.New()
 	}
@@ -155,9 +146,9 @@ func (st *Store) openCrash() error {
 	inChain := map[int64]bool{}
 	for i, c := range st.cores {
 		if salvage {
-			c.log, damage[i] = oplog.RecoverSalvage(arena, al, coreMetaOff(i), nil)
+			c.log, damage[i] = oplog.RecoverSalvage(arena, al, coreMetaOff(i))
 		} else {
-			log, err := oplog.Recover(arena, al, coreMetaOff(i), nil)
+			log, err := oplog.Recover(arena, al, coreMetaOff(i))
 			if err != nil {
 				return fmt.Errorf("core %d: %w", i, err)
 			}
@@ -215,9 +206,7 @@ func (st *Store) openCrash() error {
 				}
 				// Chunk usage is rebuilt from the scan, not trusted
 				// from the snapshot.
-				st.usage.mu.Lock()
-				st.usage.m = map[int64]*chunkUsage{}
-				st.usage.mu.Unlock()
+				st.usage.reset()
 			}
 		}
 		if !seeded {
@@ -229,12 +218,6 @@ func (st *Store) openCrash() error {
 		}
 	}
 
-	// putCounts tracks Put entries per key to derive stale counts.
-	putCounts := make([]map[uint64]int32, st.cfg.Cores)
-	for i := range putCounts {
-		putCounts[i] = map[uint64]int32{}
-	}
-
 	// The replay parallelizes the way the paper's 40 s / 10⁹-item figure
 	// requires ("the server cores need to rebuild the in-memory index …
 	// by scanning their OpLogs", §3.5):
@@ -243,37 +226,32 @@ func (st *Store) openCrash() error {
 	//   chunk usage, and shards the entries by the core that owns each
 	//   key (horizontal batching puts entries for any key into any log);
 	//
-	//   phase B — one goroutine per owner core applies its shards to its
+	//   phase B — one goroutine per owner core replays its shards into its
 	//   own index and registry. Version comparison makes the cross-
 	//   scanner interleaving irrelevant (equal-version duplicates are GC
 	//   relocation copies with identical content).
-	type recEntry struct {
-		off int64
-		key uint64
-		ver uint32
-		del bool
-	}
-	// cand is a quarantine candidate harvested from data salvage drops.
-	// Trusted candidates decoded from verified batches in dropped chunks;
-	// untrusted ones are best-effort decodes of corrupt regions whose
-	// every field is suspect.
-	type cand struct {
-		key uint64
-		ver uint32
-	}
-	// coreFix is the per-log repair plan phase A's scan produces.
+	//
+	// coreFix is the per-log repair plan phase A's scan produces. Its
+	// quarantine candidates come from data salvage drops: trusted ones were
+	// decoded from verified batches in dropped chunks; suspects are
+	// best-effort decodes of corrupt regions whose every field is suspect.
 	type coreFix struct {
-		truncateAt int64  // cut the log here (-1: no cut)
-		trusted    []cand // verified entries from chunks past the cut
-		suspects   []cand // decodes from corrupt regions
+		truncateAt int64         // cut the log here (-1: no cut)
+		trusted    []oplog.Entry // verified entries from chunks past the cut
+		suspects   []oplog.Entry // decodes from corrupt regions
 	}
 	ncores := st.cfg.Cores
-	shards := make([][][]recEntry, ncores) // [scanner][owner]
+	// shardTo files a log entry under the core that owns its key.
+	shardTo := func(byOwner [][]keyRef, off int64, e oplog.Entry) {
+		owner := st.CoreOf(e.Key)
+		byOwner[owner] = append(byOwner[owner], keyRef{key: e.Key, ref: off, ver: e.Version, del: e.Op == oplog.OpDelete})
+	}
+	shards := make([][][]keyRef, ncores) // [scanner][owner]
 	errs := make([]error, ncores)
 	fixes := make([]coreFix, ncores)
 	var wg sync.WaitGroup
 	for i := range st.cores {
-		shards[i] = make([][]recEntry, ncores)
+		shards[i] = make([][]keyRef, ncores)
 		fixes[i].truncateAt = -1
 		wg.Add(1)
 		go func(i int) {
@@ -289,9 +267,7 @@ func (st *Store) openCrash() error {
 				chunk := ch
 				deliver := func(off int64, e oplog.Entry) bool {
 					st.usage.account(chunk, c.log, i, e.EncodedSize())
-					owner := st.CoreOf(e.Key)
-					shards[i][owner] = append(shards[i][owner],
-						recEntry{off: off, key: e.Key, ver: e.Version, del: e.Op == oplog.OpDelete})
+					shardTo(shards[i], off, e)
 					return true
 				}
 				if !salvage {
@@ -309,17 +285,13 @@ func (st *Store) openCrash() error {
 					// harvest them, so writes that only lived there can be
 					// quarantined instead of silently rolled back.
 					fix.truncateAt = sv.CorruptAt
-					for _, s := range sv.Suspects {
-						fix.suspects = append(fix.suspects, cand{s.Key, s.Version})
-					}
+					fix.suspects = append(fix.suspects, sv.Suspects...)
 					for _, dch := range chunks[k+1:] {
 						dsv := oplog.SalvageChunk(arena, dch, tail, func(_ int64, e oplog.Entry) bool {
-							fix.trusted = append(fix.trusted, cand{e.Key, e.Version})
+							fix.trusted = append(fix.trusted, e)
 							return true
 						})
-						for _, s := range dsv.Suspects {
-							fix.suspects = append(fix.suspects, cand{s.Key, s.Version})
-						}
+						fix.suspects = append(fix.suspects, dsv.Suspects...)
 					}
 					return
 				}
@@ -337,8 +309,8 @@ func (st *Store) openCrash() error {
 	// (they stay unmarked, so FinishRecovery frees them). Scan every
 	// possible journal slot: the group layout may differ from the run
 	// that crashed.
-	jshard := make([][]recEntry, ncores)
-	var extraSuspects []cand // journal + orphan-chunk quarantine candidates
+	jshard := make([][]keyRef, ncores)
+	var extraSuspects []oplog.Entry // journal + orphan-chunk quarantine candidates
 	for g := 0; g < MaxCores; g++ {
 		ch := int64(arena.ReadUint64(journalOff(g)))
 		if ch == 0 {
@@ -356,9 +328,7 @@ func (st *Store) openCrash() error {
 			continue
 		}
 		jsv := oplog.SalvageChunk(arena, ch, -1, func(off int64, e oplog.Entry) bool {
-			owner := st.CoreOf(e.Key)
-			jshard[owner] = append(jshard[owner],
-				recEntry{off: off, key: e.Key, ver: e.Version, del: e.Op == oplog.OpDelete})
+			shardTo(jshard, off, e)
 			return true
 		})
 		if salvage {
@@ -366,9 +336,7 @@ func (st *Store) openCrash() error {
 			// elsewhere, so a corrupt region here normally lost nothing —
 			// but the keys are still suspect if their primary copy was
 			// also damaged, so harvest them like any corrupt region.
-			for _, s := range jsv.Suspects {
-				extraSuspects = append(extraSuspects, cand{s.Key, s.Version})
-			}
+			extraSuspects = append(extraSuspects, jsv.Suspects...)
 		}
 		// The chunk stays unmarked and FinishRecovery will free it; clear
 		// its log magic now so a stale header cannot make the freed chunk
@@ -376,23 +344,14 @@ func (st *Store) openCrash() error {
 		st.super.PersistUint64(int(ch), 0)
 	}
 
-	// Cold-tier records replay from segment footers through the same
-	// version-gated path as PM entries. Range walks segments in
-	// ascending ID (= write order), so among equal-version duplicates
-	// left by a crashed compaction the first written wins
-	// deterministically. Tier records never count into putCounts: they
-	// are not PM log entries and must not inflate the stale counts the
-	// tombstone guard relies on.
-	type tierRec struct {
-		ref int64
-		key uint64
-		ver uint32
-	}
-	tshard := make([][]tierRec, ncores)
+	// Cold-tier records replay from segment footers through the same rule
+	// as PM entries. Range walks segments in ascending ID (= write order),
+	// which is the order replay's first-written-cold-copy-wins relies on.
+	tshard := make([][]keyRef, ncores)
 	if st.tier != nil {
 		st.tier.Range(func(ref int64, key uint64, ver uint32) bool {
 			owner := st.CoreOf(key)
-			tshard[owner] = append(tshard[owner], tierRec{ref: ref, key: key, ver: ver})
+			tshard[owner] = append(tshard[owner], keyRef{key: key, ref: ref, ver: ver})
 			return true
 		})
 	}
@@ -402,75 +361,18 @@ func (st *Store) openCrash() error {
 		go func(owner int) {
 			defer wg.Done()
 			oc := st.cores[owner]
-			counts := putCounts[owner]
-			// Tier records apply first: a demoted key whose PM copies
-			// were all reclaimed exists only in a segment footer. An
-			// equal-version tier record is accepted only when nothing
-			// else claims the key — either version ordering or the PM
-			// apply below (which beats a cold ref at equal version)
-			// settles every crash interleaving of a demotion.
-			for _, t := range tshard[owner] {
-				m := oc.reg[t.key]
-				if m == nil {
-					m = &keyMeta{}
-					oc.reg[t.key] = m
-				}
-				newer := t.ver > m.lastVer
-				if !newer && t.ver == m.lastVer && !m.deleted {
-					if _, _, ok := oc.idx.Get(t.key); !ok {
-						newer = true
-					}
-				}
-				if newer {
-					m.lastVer = t.ver
-					m.deleted = false
-					oc.idx.Put(t.key, t.ref, t.ver)
-				}
+			// Tier records go first: a demoted key whose PM copies were
+			// all reclaimed exists only in a segment footer.
+			for _, r := range tshard[owner] {
+				oc.replay(r, seeded)
 			}
-			apply := func(r recEntry) {
-				m := oc.reg[r.key]
-				if m == nil {
-					m = &keyMeta{}
-					oc.reg[r.key] = m
-				}
-				if r.del {
-					if r.ver > m.lastVer || (seeded && r.ver == m.lastVer && m.deleted) {
-						m.lastVer = r.ver
-						m.deleted = true
-						oc.idx.Delete(r.key)
-					}
-					return
-				}
-				counts[r.key]++
-				newer := r.ver > m.lastVer
-				if seeded && !m.deleted {
-					// Same-version copies (GC relocations) refresh the
-					// reference a checkpoint may hold stale.
-					newer = newer || r.ver == m.lastVer
-				}
-				if !newer && r.ver == m.lastVer && !m.deleted {
-					// Equal version against a cold ref: the PM copy wins.
-					// A crash between a demotion's segment write and the
-					// victim unlink leaves both copies; preferring PM
-					// keeps the hot path on the arena and makes the
-					// stranded cold copy plain dead-segment garbage.
-					if ref, _, ok := oc.idx.Get(r.key); ok && index.Cold(ref) {
-						newer = true
-					}
-				}
-				if newer {
-					m.lastVer = r.ver
-					m.deleted = false
-					oc.idx.Put(r.key, r.off, r.ver)
-				}
-			}
-			for scanner := 0; scanner < ncores; scanner++ {
+			for scanner := range shards {
 				for _, r := range shards[scanner][owner] {
-					apply(r)
+					oc.replay(r, seeded)
 				}
 			}
 			for _, r := range jshard[owner] {
-				apply(r)
+				oc.replay(r, seeded)
 			}
 		}(owner)
 	}
@@ -530,9 +432,7 @@ func (st *Store) openCrash() error {
 					continue
 				}
 				rep.OrphanChunks++
-				for _, s := range oplog.OrphanSuspects(arena, off) {
-					extraSuspects = append(extraSuspects, cand{s.Key, s.Version})
-				}
+				extraSuspects = append(extraSuspects, oplog.OrphanSuspects(arena, off)...)
 				st.super.PersistUint64(int(off), 0)
 			}
 		}
@@ -556,14 +456,14 @@ func (st *Store) openCrash() error {
 		}
 		for i := range fixes {
 			for _, t := range fixes[i].trusted {
-				quarCand(t.key, t.ver, true)
+				quarCand(t.Key, t.Version, true)
 			}
 			for _, s := range fixes[i].suspects {
-				quarCand(s.key, s.ver, false)
+				quarCand(s.Key, s.Version, false)
 			}
 		}
 		for _, s := range extraSuspects {
-			quarCand(s.key, s.ver, false)
+			quarCand(s.Key, s.Version, false)
 		}
 
 		// Quarantined tier segments (footer rot condemned the whole file)
@@ -596,84 +496,53 @@ func (st *Store) openCrash() error {
 	// rot on the value path: salvage quarantines the key, plain recovery
 	// refuses to open.
 	liveBytes := map[int64]int64{}
-	type badRef struct {
-		key uint64
-		ver uint32
-	}
-	// tierAlt maps key → the best cold copy (highest version; first
-	// written wins a tie), used to rescue keys whose seeded PM ref
-	// rotted or dangles but whose value was demoted intact.
-	type tierAlt struct {
-		ref int64
-		ver uint32
-	}
-	var tierByKey map[uint64]tierAlt
-	if st.tier != nil {
-		tierByKey = map[uint64]tierAlt{}
-		st.tier.Range(func(ref int64, key uint64, ver uint32) bool {
-			if a, ok := tierByKey[key]; !ok || ver > a.ver {
-				tierByKey[key] = tierAlt{ref: ref, ver: ver}
-			}
-			return true
-		})
-	}
-	type rescue struct {
-		key uint64
-		ref int64
-		ver uint32
-	}
-	var badRefs []badRef
-	var rescues []rescue
+	// coldBest maps key → the best cold copy (highest version; first
+	// written wins a tie), used to rescue keys whose seeded PM ref rotted
+	// or dangles but whose value was demoted intact. Built from the footer
+	// rows collected above, the first time a key needs rescuing.
+	var coldBest map[uint64]keyRef
+	var badRefs, rescues []keyRef
 	condemn := func(key uint64, ver uint32) {
+		if coldBest == nil {
+			coldBest = map[uint64]keyRef{}
+			for _, rows := range tshard {
+				for _, t := range rows {
+					if a, ok := coldBest[t.key]; !ok || t.ver > a.ver {
+						coldBest[t.key] = t
+					}
+				}
+			}
+		}
 		// Before quarantining, try the cold tier: an exact-version
 		// record that verifies end to end can stand in for the lost PM
 		// copy. The index repoint is deferred — mutating during Range
 		// is not safe.
-		if a, ok := tierByKey[key]; ok && a.ver == ver {
-			if k, v, _, err := st.tier.Get(a.ref); err == nil && k == key && v == ver {
-				rescues = append(rescues, rescue{key: key, ref: a.ref, ver: ver})
+		if a, ok := coldBest[key]; ok && a.ver == ver {
+			if d := st.deref(key, a.ref); d.state == refOK && d.ver == ver {
+				rescues = append(rescues, a)
 				return
 			}
 		}
-		badRefs = append(badRefs, badRef{key, ver})
+		badRefs = append(badRefs, keyRef{key: key, ver: ver})
 	}
-	markLive := func(key uint64, ref int64, ver uint32) bool {
-		if index.Cold(ref) {
+	st.rangeIndex(func(key uint64, ref int64, ver uint32) {
+		d := st.deref(key, ref)
+		switch {
+		case index.Cold(ref):
 			// Tier-resident entries verify through the tier's own
 			// CRC-checked read path; they reference no arena blocks and
 			// contribute no log bytes.
-			k, v, _, err := st.tier.Get(ref)
-			if err != nil || k != key || v != ver {
-				badRefs = append(badRefs, badRef{key, ver})
+			if d.state != refOK || d.ver != ver {
+				badRefs = append(badRefs, keyRef{key: key, ver: ver})
 			}
-			return true
-		}
-		e, n, err := oplog.Decode(arena.Mem()[ref:])
-		if err != nil || e.Op != oplog.OpPut || e.Key != key {
+		case d.state != refOK:
 			condemn(key, ver)
-			return true
+		case !d.inline && al.RecoverMark(d.ptr, record.Size(len(d.val))) == alloc.MarkDangling:
+			condemn(key, ver)
+		default:
+			liveBytes[chunkOf(ref)] += int64(d.size)
 		}
-		if !e.Inline {
-			vlen, ok := record.LenBounded(arena, e.Ptr)
-			if !ok || record.Verify(arena, e.Ptr) != nil {
-				condemn(key, ver)
-				return true
-			}
-			if al.RecoverMark(e.Ptr, record.Size(vlen)) == alloc.MarkDangling {
-				condemn(key, ver)
-				return true
-			}
-		}
-		liveBytes[chunkOf(ref)] += int64(n)
-		return true
-	}
-	if st.tree != nil {
-		st.tree.Range(markLive) // shared index: one pass covers all cores
-	} else {
-		for _, c := range st.cores {
-			c.idx.Range(markLive)
-		}
-	}
+	})
 	for _, r := range rescues {
 		st.cores[st.CoreOf(r.key)].idx.Put(r.key, r.ref, r.ver)
 	}
@@ -686,15 +555,14 @@ func (st *Store) openCrash() error {
 			st.cores[st.CoreOf(b.key)].quarantineLocked(b.key, b.ver)
 		}
 	}
-	for i, c := range st.cores {
+	for _, c := range st.cores {
 		for key, m := range c.reg {
-			// A key whose index target is a cold ref has no live PM
-			// entry: every surviving PM Put for it is stale.
-			live := 0
+			// replay counted every PM Put of the key; the one the index
+			// names is live, the rest are stale. A key whose index target
+			// is a cold ref has no live PM entry.
 			if ref, _, ok := c.idx.Get(key); ok && !m.deleted && !index.Cold(ref) {
-				live = 1
+				m.stale--
 			}
-			m.stale = putCounts[i][key] - int32(live)
 			if m.stale <= 0 && !m.deleted {
 				delete(c.reg, key)
 			}
@@ -796,7 +664,7 @@ func (st *Store) openClean() error {
 	// Recover the log chains first so their chunks are re-marked before
 	// the allocator trusts the flushed bitmaps.
 	for i, c := range st.cores {
-		log, err := oplog.Recover(arena, al, coreMetaOff(i), nil)
+		log, err := oplog.Recover(arena, al, coreMetaOff(i))
 		if err != nil {
 			return fmt.Errorf("core %d: %w", i, err)
 		}
@@ -845,16 +713,9 @@ func (st *Store) Close() error {
 		c.log.PersistWitness(c.f)
 		c.f.FlushEvents()
 	}
-	blob := st.buildCheckpoint()
-	ptr, err := st.ckptCa.Alloc(len(blob), st.super)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint allocation: %w", err)
+	if err := st.Checkpoint(); err != nil {
+		return err
 	}
-	st.arena.Write(int(ptr), blob)
-	st.super.Flush(int(ptr), len(blob))
-	st.super.Fence()
-	st.super.PersistUint64(offCkpt, uint64(ptr))
-	st.super.PersistUint64(offCkpt+8, uint64(len(blob)))
 	st.al.FlushBitmaps(st.super)
 	st.super.PersistUint64(offFlag, flagClean)
 	st.super.FlushEvents()
@@ -887,24 +748,20 @@ func ckptChecksum(b []byte) uint64 {
 	return uint64(crc32.Checksum(b, ckptCastagnoli))
 }
 
+// buildCheckpoint snapshots the index, registry and usage table under
+// every core's index lock, so it is safe under concurrent service.
 func (st *Store) buildCheckpoint() []byte {
+	st.lockAllIdx()
+	defer st.unlockAllIdx()
 	var buf []byte
 	w := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	w(ckptMagic)
 	w(uint64(st.cfg.Cores))
 
 	var triples [][3]uint64
-	collect := func(key uint64, ref int64, ver uint32) bool {
+	st.rangeIndex(func(key uint64, ref int64, ver uint32) {
 		triples = append(triples, [3]uint64{key, uint64(ref), uint64(ver)})
-		return true
-	}
-	if st.tree != nil {
-		st.tree.Range(collect)
-	} else {
-		for _, c := range st.cores {
-			c.idx.Range(collect)
-		}
-	}
+	})
 	w(uint64(len(triples)))
 	for _, t := range triples {
 		w(t[0])
@@ -939,7 +796,12 @@ func (st *Store) buildCheckpoint() []byte {
 	return buf
 }
 
-func (st *Store) loadCheckpoint(blob []byte, dropCold bool) error {
+// loadCheckpoint decodes blob into the (empty) volatile structures. With
+// seed set the blob only seeds a crash replay, which re-derives two things
+// itself: cold index triples are dropped (the footer replay re-establishes
+// every live cold ref), and stale counts start at zero (replay counts the
+// log's Put entries).
+func (st *Store) loadCheckpoint(blob []byte, seed bool) error {
 	pos := 0
 	r := func() (uint64, bool) {
 		if pos+8 > len(blob) {
@@ -975,7 +837,7 @@ func (st *Store) loadCheckpoint(blob []byte, dropCold bool) error {
 		if !ok {
 			return bad
 		}
-		if dropCold && index.Cold(int64(ref)) {
+		if seed && index.Cold(int64(ref)) {
 			continue
 		}
 		st.cores[st.CoreOf(key)].idx.Put(key, int64(ref), uint32(ver))
@@ -992,11 +854,11 @@ func (st *Store) loadCheckpoint(blob []byte, dropCold bool) error {
 			if !ok {
 				return bad
 			}
-			c.reg[key] = &keyMeta{
-				lastVer: uint32(v),
-				deleted: v>>32&1 == 1,
-				stale:   int32(uint32(stale)),
+			m := &keyMeta{lastVer: uint32(v), deleted: v>>32&1 == 1}
+			if !seed {
+				m.stale = int32(uint32(stale))
 			}
+			c.reg[key] = m
 		}
 	}
 	nusage, ok := r()

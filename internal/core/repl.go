@@ -17,8 +17,8 @@ import (
 // Replication support: the hooks a replication controller (internal/repl)
 // needs from the engine. The store itself stays replication-agnostic — it
 // exposes a seal hook (every durable batch, before its ops are
-// acknowledged), an apply path that mirrors recovery's version-gated
-// replay, a consistent live-key capture for follower bootstrap, and a
+// acknowledged), a version-gated apply over the write path's own steps
+// (apply.go), a consistent live-key capture for follower bootstrap, and a
 // durable (epoch, position) slot in the superblock.
 
 // SealHook observes every sealed-and-durable oplog batch before any of
@@ -101,12 +101,11 @@ func (st *Store) ReplQuiesce(timeout time.Duration) error {
 // needs no locking.
 func (st *Store) ReplFlusher() *pmem.Flusher { return st.arena.NewFlusher() }
 
-// ReplApply applies one replicated operation through the same
-// version-gated path recovery replay uses: the op is appended to the
-// owning core's log (so a promoted follower recovers like any primary),
-// the index/registry/quarantine bookkeeping mirrors the volatile phase
-// of a local write, and stale deliveries (snapshot overlap, refetches)
-// are dropped by the version gate.
+// ReplApply applies one replicated operation the way a local write is
+// applied, minus the batching: a version gate (stale deliveries — snapshot
+// overlap, refetches — are duplicates and dropped), then the write path's
+// own steps. The op is appended to the owning core's log, so a promoted
+// follower recovers like any primary.
 //
 // Only a single goroutine may call ReplApply, and never concurrently
 // with local writes: the follower's cores serve reads only, so the repl
@@ -114,192 +113,70 @@ func (st *Store) ReplFlusher() *pmem.Flusher { return st.arena.NewFlusher() }
 // of each core's allocation context. op is rpc.OpPut or rpc.OpDelete.
 func (st *Store) ReplApply(f *pmem.Flusher, op uint8, key uint64, ver uint32, val []byte) error {
 	c := st.cores[st.CoreOf(key)]
-
-	// Version gate: apply only strictly newer state, mirroring replay.
 	c.idxMu.Lock()
-	var cur uint32
-	if _, v, ok := c.idx.Get(key); ok {
-		cur = v
-	}
-	if m := c.reg[key]; m != nil && m.lastVer > cur {
-		cur = m.lastVer
-	}
-	if qv, ok := c.quar[key]; ok && qv > cur {
-		cur = qv
-	}
+	cur, _ := c.lastVersion(key)
 	c.idxMu.Unlock()
 	if ver <= cur {
 		return nil
 	}
-
-	var e oplog.Entry
-	e.Key = key
-	e.Version = ver
+	e := oplog.Entry{Op: oplog.OpDelete, Version: ver, Key: key}
 	if op == rpc.OpPut {
 		e.Op = oplog.OpPut
-		if len(val) > 0 && len(val) <= st.cfg.InlineMax {
-			e.Inline = true
-			e.Value = val
-		} else {
-			blk, err := c.ca.Alloc(record.Size(len(val)), f)
-			if err != nil {
-				return fmt.Errorf("core: repl alloc: %w", err)
-			}
-			record.Persist(f, blk, val)
-			e.Ptr = blk
+		if err := c.materialize(f, &e, val); err != nil {
+			return fmt.Errorf("core: repl alloc: %w", err)
 		}
-	} else {
-		e.Op = oplog.OpDelete
 	}
-
-	off, err := c.log.Append(f, &e)
+	off, err := c.appendOne(f, &e)
 	if err != nil {
-		if !e.Inline && e.Op == oplog.OpPut {
-			c.ca.Free(e.Ptr, record.Size(len(val)), f)
-		}
 		return fmt.Errorf("core: repl append: %w", err)
 	}
-	c.accountAppend(off, e.EncodedSize())
-
-	// Volatile phase, mirroring Core.complete.
-	var oldRef, oldPtr int64 = -1, -1
-	var oldSize, oldLen int
-	rotted := false
-	c.idxMu.Lock()
-	if ref, _, ok := c.idx.Get(key); ok {
-		oldRef = ref
-		st.reclaimMu.RLock()
-		if oe, n, derr := oplog.Decode(st.arena.Mem()[oldRef:]); derr == nil && oe.Op == oplog.OpPut {
-			oldSize = n
-			if !oe.Inline {
-				if record.Verify(st.arena, oe.Ptr) == nil {
-					oldPtr = oe.Ptr
-					oldLen = record.Size(record.Len(st.arena, oe.Ptr))
-				} else {
-					rotted = true
-				}
-			}
-		}
-		st.reclaimMu.RUnlock()
-	}
-	m := c.reg[key]
-	if op == rpc.OpPut {
-		c.idx.Put(key, off, ver)
-		if oldRef >= 0 && m == nil {
-			m = &keyMeta{}
-			c.reg[key] = m
-		}
-		if m != nil {
-			if oldRef >= 0 {
-				m.stale++
-			}
-			m.lastVer = ver
-			m.deleted = false
-		}
-	} else {
-		c.idx.Delete(key)
-		if m == nil {
-			m = &keyMeta{}
-			c.reg[key] = m
-		}
-		if oldRef >= 0 {
-			m.stale++
-		}
-		m.lastVer = ver
-		m.deleted = true
-	}
-	cleared := false
-	if _, ok := c.quar[key]; ok {
-		delete(c.quar, key)
-		cleared = true
-	}
-	c.idxMu.Unlock()
-	if cleared {
-		st.noteQuarantineClears(1)
-	}
-	if rotted {
-		st.noteChecksumErrors(1)
-	}
-	if oldRef >= 0 {
-		st.usage.markDead(chunkOf(oldRef), oldSize)
-	}
-	if oldPtr >= 0 {
-		c.ca.Free(oldPtr, oldLen, f)
-	}
+	c.supersede(f, key, off, ver, op == rpc.OpDelete)
 	return nil
 }
 
-// CaptureReplSnapshot walks every live key and emits (key, version,
-// value) for follower bootstrap. The caller should ReplQuiesce first so
-// the capture covers everything up to its chosen stream position;
-// batches sealed during the capture overlap it harmlessly (the
-// follower's version gate drops duplicates). The emitted value aliases
-// the arena or a scratch buffer — emit must copy what it keeps. Keys
-// whose record rotted at rest are skipped (the follower simply lacks
+// CaptureReplSnapshot walks every live key, in either tier, and emits
+// (key, version, value) for follower bootstrap. The caller should
+// ReplQuiesce first so the capture covers everything up to its chosen
+// stream position; batches sealed during the capture overlap it harmlessly
+// (the follower's version gate drops duplicates). The emitted value
+// aliases the arena or a scratch buffer — emit must copy what it keeps.
+// Keys whose record rotted at rest are skipped (the follower simply lacks
 // them, as if quarantined).
 func (st *Store) CaptureReplSnapshot(emit func(key uint64, ver uint32, val []byte) error) error {
-	type kv struct {
-		key uint64
-		ref int64
-		ver uint32
-	}
-	var pending []kv
-	collect := func(c *Core) {
-		c.idxMu.Lock()
-		c.idx.Range(func(key uint64, ref int64, ver uint32) bool {
-			pending = append(pending, kv{key, ref, ver})
-			return true
-		})
-		c.idxMu.Unlock()
-	}
-	if st.tree != nil {
-		// Shared ordered index: every core's idx is the same tree.
-		collect(st.cores[0])
-	} else {
-		for _, c := range st.cores {
-			collect(c)
-		}
-	}
+	var pending []keyRef
+	st.lockAllIdx()
+	st.rangeIndex(func(key uint64, ref int64, ver uint32) {
+		pending = append(pending, keyRef{key: key, ref: ref, ver: ver})
+	})
+	st.unlockAllIdx()
 
 	for _, k := range pending {
 		c := st.cores[st.CoreOf(k.key)]
-		emitted := false
-		for attempt := 0; attempt < 3 && !emitted; attempt++ {
-			if attempt > 0 {
-				// The ref went stale (cleaner relocation): re-resolve.
-				c.idxMu.Lock()
-				ref, ver, ok := c.idx.Get(k.key)
-				c.idxMu.Unlock()
-				if !ok {
-					// Deleted during capture; the tombstone's batch is
-					// past the snapshot position and will be refetched.
-					emitted = true
-					break
-				}
-				k.ref, k.ver = ref, ver
-			}
+		for attempt := 0; attempt < 3; attempt++ {
 			st.reclaimMu.RLock()
-			e, _, err := oplog.Decode(st.arena.Mem()[k.ref:])
-			if err != nil || e.Op != oplog.OpPut {
-				st.reclaimMu.RUnlock()
-				continue
+			d := st.deref(k.key, k.ref)
+			var err error
+			if d.state == refOK {
+				err = emit(k.key, k.ver, d.val)
 			}
-			var val []byte
-			if e.Inline {
-				val = e.Value
-			} else {
-				if record.Verify(st.arena, e.Ptr) != nil {
-					st.reclaimMu.RUnlock()
-					continue
-				}
-				val = record.View(st.arena, e.Ptr)
-			}
-			err = emit(k.key, k.ver, val)
 			st.reclaimMu.RUnlock()
 			if err != nil {
 				return err
 			}
-			emitted = true
+			if d.state == refOK {
+				break
+			}
+			// The ref went stale (cleaner relocation, demotion, promotion):
+			// re-resolve. A key deleted during the capture needs nothing —
+			// the tombstone's batch is past the snapshot position and will
+			// be refetched.
+			var ok bool
+			c.idxMu.Lock()
+			k.ref, k.ver, ok = c.idx.Get(k.key)
+			c.idxMu.Unlock()
+			if !ok {
+				break
+			}
 		}
 	}
 	return nil

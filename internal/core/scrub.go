@@ -4,7 +4,6 @@ import (
 	"flatstore/internal/index"
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
-	"flatstore/internal/record"
 )
 
 // ScrubResult summarizes one scrubber pass.
@@ -83,25 +82,17 @@ func (st *Store) ScrubOnce() ScrubResult {
 
 	// Pass 2: attribute corrupt regions. A key is damaged exactly when its
 	// index reference (always the latest acknowledged write) points into
-	// the region. Lock order matches complete(): idx locks, then reclaim R.
+	// the region. Lock order matches supersede: idx locks, then reclaim R.
 	for _, r := range regions {
 		st.lockAllIdx()
 		st.reclaimMu.RLock()
 		var bad []uint64
 		if r.log.Contains(r.chunk) { // freed+reused since the scan? then stale verdict — skip
-			rangeIdx := func(key uint64, ref int64, _ uint32) bool {
+			st.rangeIndex(func(key uint64, ref int64, _ uint32) {
 				if ref >= r.lo && ref < r.hi {
 					bad = append(bad, key)
 				}
-				return true
-			}
-			if st.tree != nil {
-				st.tree.Range(rangeIdx)
-			} else {
-				for _, c := range st.cores {
-					c.idx.Range(rangeIdx)
-				}
-			}
+			})
 		}
 		st.reclaimMu.RUnlock()
 		for _, key := range bad {
@@ -114,33 +105,25 @@ func (st *Store) ScrubOnce() ScrubResult {
 	// Pass 3: re-verify live out-of-place records. Snapshot (key, ref,
 	// version) triples first, then verify in bounded lock holds, skipping
 	// any key whose reference moved in the meantime.
-	type liveRef struct {
-		key uint64
-		ref int64
-		ver uint32
-	}
-	var refs []liveRef
-	var coldRefs []liveRef
+	var refs, coldRefs []keyRef
 	st.lockAllIdx()
-	collect := func(key uint64, ref int64, ver uint32) bool {
+	st.rangeIndex(func(key uint64, ref int64, ver uint32) {
 		// Cold refs name segment records, not arena bytes: they verify
-		// in pass 4 through the tier's read path, never against mem.
+		// in pass 4, with no lock held across the disk read.
 		if index.Cold(ref) {
-			coldRefs = append(coldRefs, liveRef{key, ref, ver})
+			coldRefs = append(coldRefs, keyRef{key: key, ref: ref, ver: ver})
 		} else {
-			refs = append(refs, liveRef{key, ref, ver})
+			refs = append(refs, keyRef{key: key, ref: ref, ver: ver})
 		}
-		return true
-	}
-	if st.tree != nil {
-		st.tree.Range(collect)
-	} else {
-		for _, c := range st.cores {
-			c.idx.Range(collect)
-		}
-	}
+	})
 	st.unlockAllIdx()
 
+	// current reports whether the index still holds exactly lr (the key
+	// was not overwritten, deleted or moved since the snapshot).
+	current := func(lr keyRef) bool {
+		cur, ver, ok := st.cores[st.CoreOf(lr.key)].idx.Get(lr.key)
+		return ok && cur == lr.ref && ver == lr.ver
+	}
 	const scrubStride = 512
 	for lo := 0; lo < len(refs); lo += scrubStride {
 		hi := lo + scrubStride
@@ -149,25 +132,22 @@ func (st *Store) ScrubOnce() ScrubResult {
 		}
 		st.lockAllIdx()
 		st.reclaimMu.RLock()
-		mem := st.arena.Mem()
-		var bad []liveRef
+		var bad []keyRef
 		for _, lr := range refs[lo:hi] {
-			oc := st.cores[st.CoreOf(lr.key)]
-			cur, ver, ok := oc.idx.Get(lr.key)
-			if !ok || cur != lr.ref || ver != lr.ver {
-				continue // overwritten or deleted since the snapshot
+			if !current(lr) {
+				continue
 			}
-			e, _, err := oplog.Decode(mem[lr.ref:])
+			d := st.deref(lr.key, lr.ref)
 			switch {
-			case err != nil || e.Op != oplog.OpPut:
+			case d.state == refGone:
 				bad = append(bad, lr) // the entry itself no longer decodes
-			case e.Inline:
+			case d.inline:
 				// Inline values are covered by the batch trailer (pass 1).
-			case record.Verify(st.arena, e.Ptr) != nil:
-				res.Records++
-				bad = append(bad, lr)
 			default:
 				res.Records++
+				if d.state == refRotted {
+					bad = append(bad, lr)
+				}
 			}
 		}
 		st.reclaimMu.RUnlock()
@@ -183,14 +163,14 @@ func (st *Store) ScrubOnce() ScrubResult {
 	// read path. No index lock is held across the disk pread; the verdict
 	// only sticks if the ref is still current when re-checked.
 	for _, lr := range coldRefs {
-		k, v, _, err := st.tier.Get(lr.ref)
+		d := st.deref(lr.key, lr.ref)
 		res.TierRecords++
-		if err == nil && k == lr.key && v == lr.ver {
+		if d.state == refOK && d.ver == lr.ver {
 			continue
 		}
 		oc := st.cores[st.CoreOf(lr.key)]
 		oc.idxMu.Lock()
-		if cur, ver, ok := oc.idx.Get(lr.key); ok && cur == lr.ref && ver == lr.ver {
+		if current(lr) {
 			res.CorruptTierRecords++
 			oc.quarantineLocked(lr.key, lr.ver)
 			res.KeysQuarantined++
@@ -205,19 +185,4 @@ func (st *Store) ScrubOnce() ScrubResult {
 	st.integ.ChecksumErrors += uint64(res.CorruptRegions + res.CorruptRecords + res.CorruptTierRecords)
 	st.integMu.Unlock()
 	return res
-}
-
-// lockAllIdx acquires every core's index lock in core order — quiescing
-// both index layouts (per-core hash tables and the shared masstree, which
-// is only mutated by cores holding their own lock).
-func (st *Store) lockAllIdx() {
-	for _, c := range st.cores {
-		c.idxMu.Lock()
-	}
-}
-
-func (st *Store) unlockAllIdx() {
-	for _, c := range st.cores {
-		c.idxMu.Unlock()
-	}
 }

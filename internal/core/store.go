@@ -84,32 +84,18 @@ func New(cfg Config) (*Store, error) {
 		arena = pmem.New(cfg.ArenaChunks * pmem.ChunkSize)
 	}
 	st := &Store{cfg: cfg, arena: arena, super: arena.NewFlusher(), stop: make(chan struct{})}
-	// One allocation context per core plus a reserved one for
-	// checkpoint blocks (runtime checkpointing must not race a core's
-	// own allocator).
-	st.al = alloc.New(arena, 1, arena.Chunks()-1, cfg.Cores+1)
-	st.ckptCa = st.al.Core(cfg.Cores)
-	st.usage.m = map[int64]*chunkUsage{}
-
 	st.super.PersistUint64(offMagic, superMagic)
 	st.super.PersistUint64(offFlag, flagDirty)
 	st.super.PersistUint64(offCores, uint64(cfg.Cores))
-
-	if cfg.Index == IndexMasstree {
-		st.tree = masstree.New()
+	if err := st.resetVolatile(); err != nil {
+		return nil, err
 	}
-	st.buildGroups()
-	for i := 0; i < cfg.Cores; i++ {
-		c, err := st.newCore(i)
-		if err != nil {
-			return nil, err
-		}
+	for i, c := range st.cores {
 		log, err := oplog.New(arena, st.al, coreMetaOff(i), c.f)
 		if err != nil {
 			return nil, err
 		}
 		c.log = log
-		st.cores = append(st.cores, c)
 	}
 	if err := st.openTier(false); err != nil {
 		return nil, err
@@ -524,17 +510,8 @@ func (st *Store) noteQuarantineClears(n uint64) {
 // Len returns the number of live keys. Safe to call live; exact while
 // quiescent.
 func (st *Store) Len() int {
-	// Lock every core's index lock: per-core hash indexes are guarded by
-	// their own core's idxMu, and the shared masstree is only mutated by
-	// cores holding theirs, so holding all of them quiesces both layouts.
-	for _, c := range st.cores {
-		c.idxMu.Lock()
-	}
-	defer func() {
-		for _, c := range st.cores {
-			c.idxMu.Unlock()
-		}
-	}()
+	st.lockAllIdx()
+	defer st.unlockAllIdx()
 	if st.tree != nil {
 		return st.tree.Len()
 	}
@@ -543,6 +520,39 @@ func (st *Store) Len() int {
 		n += c.idx.Len()
 	}
 	return n
+}
+
+// lockAllIdx acquires every core's index lock in core order — quiescing
+// both index layouts: a per-core hash table is guarded by its own core's
+// idxMu, and the shared masstree is only mutated by cores holding theirs.
+func (st *Store) lockAllIdx() {
+	for _, c := range st.cores {
+		c.idxMu.Lock()
+	}
+}
+
+func (st *Store) unlockAllIdx() {
+	for _, c := range st.cores {
+		c.idxMu.Unlock()
+	}
+}
+
+// rangeIndex visits every index entry once, in unspecified order: one walk
+// of the shared tree (every core's idx is the same tree), or one of each
+// core's table. The caller quiesces the index (lockAllIdx) or is alone
+// with it (recovery).
+func (st *Store) rangeIndex(fn func(key uint64, ref int64, ver uint32)) {
+	visit := func(key uint64, ref int64, ver uint32) bool {
+		fn(key, ref, ver)
+		return true
+	}
+	if st.tree != nil {
+		st.tree.Range(visit)
+		return
+	}
+	for _, c := range st.cores {
+		c.idx.Range(visit)
+	}
 }
 
 // JournalSlot reads group g's persisted cleaner-journal slot (zero when
@@ -603,6 +613,13 @@ func (u *usageTable) noteRead(chunk int64) {
 	if cu != nil {
 		cu.reads.Add(1)
 	}
+}
+
+// reset empties the table (recovery rebuilds it from its scan).
+func (u *usageTable) reset() {
+	u.mu.Lock()
+	u.m = map[int64]*chunkUsage{}
+	u.mu.Unlock()
 }
 
 func (u *usageTable) drop(chunk int64) {

@@ -190,7 +190,7 @@ func FuzzScanTail(f *testing.F) {
 		// would be most of the cost of an execution).
 		al := alloc.New(a, 1, 1, 1)
 		al.BeginRecovery()
-		l, err := Recover(a, al, 0, nil)
+		l, err := Recover(a, al, 0)
 		if err != nil {
 			t.Fatalf("recover: %v", err)
 		}

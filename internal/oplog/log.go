@@ -62,7 +62,9 @@ type Log struct {
 	gen       uint32 // generation counter: the last one handed to a chunk
 
 	// Append's batch-of-one scratch. Owned by the appending core (Append
-	// and AppendBatch are single-writer), so reuse needs no lock.
+	// and AppendBatch are single-writer), so reuse needs no lock. Append
+	// copies its entry into one, so a caller's stack entry stays there.
+	one    Entry
 	oneEnt [1]*Entry
 	oneOff [1]int64
 	// lastBatch is the persisted size of the most recent batch (entries +
@@ -332,9 +334,10 @@ func (l *Log) LastBatchBytes() int { return l.lastBatch }
 // may only be called by the owning core, which lets it reuse the log's
 // scratch arrays instead of allocating per call.
 func (l *Log) Append(f *pmem.Flusher, e *Entry) (int64, error) {
-	l.oneEnt[0] = e
+	l.one = *e
+	l.oneEnt[0] = &l.one
 	offs, err := l.AppendBatchOffs(f, l.oneEnt[:], l.oneOff[:0])
-	l.oneEnt[0] = nil
+	l.one.Value = nil // the caller's value buffer is the caller's again
 	if err != nil {
 		return 0, err
 	}
@@ -764,16 +767,15 @@ func (l *Log) Recovered() Recovered { return l.found }
 // Recover rebuilds a Log from its persisted state after a restart: it
 // walks the chunk chain from the head pointer to the chunk with no next
 // link, re-marks every chunk with the allocator, and finds the tail in
-// that last chunk by verifying batches forward from the witness. extra
-// lists journaled survivor chunks that may not be linked yet; any of them
-// not already in the chain are prepended (their entries carry versions, so
-// order is immaterial).
+// that last chunk by verifying batches forward from the witness. A
+// journaled survivor chunk that was never linked is not part of the chain:
+// the engine replays it from its journal slot.
 //
 // A metadata-slot checksum mismatch alone is NOT an error here: a crash
 // can tear the slot's flush legitimately, and head and witness are still
 // validated structurally. Only salvage mode reports the suspicion.
-func Recover(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int64) (*Log, error) {
-	l, _, err := recoverLog(arena, al, metaOff, extra, false)
+func Recover(arena *pmem.Arena, al *alloc.Allocator, metaOff int) (*Log, error) {
+	l, _, err := recoverLog(arena, al, metaOff, false)
 	return l, err
 }
 
@@ -781,12 +783,12 @@ func Recover(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int64)
 // prefix is kept and the damage reported instead of returned as an error.
 // A nil Log (with ChainLost set) means nothing was recoverable; the caller
 // creates a fresh log after allocator recovery finishes.
-func RecoverSalvage(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int64) (*Log, ChainDamage) {
-	l, d, _ := recoverLog(arena, al, metaOff, extra, true)
+func RecoverSalvage(arena *pmem.Arena, al *alloc.Allocator, metaOff int) (*Log, ChainDamage) {
+	l, d, _ := recoverLog(arena, al, metaOff, true)
 	return l, d
 }
 
-func recoverLog(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int64, salvage bool) (*Log, ChainDamage, error) {
+func recoverLog(arena *pmem.Arena, al *alloc.Allocator, metaOff int, salvage bool) (*Log, ChainDamage, error) {
 	d := ChainDamage{MetaSuspect: !MetaOK(arena, metaOff)}
 	head := int64(arena.ReadUint64(metaOff))
 	witness := int64(arena.ReadUint64(metaOff + 8))
@@ -823,12 +825,6 @@ func recoverLog(arena *pmem.Arena, al *alloc.Allocator, metaOff int, extra []int
 		return nil, d, nil
 	}
 	last := l.chunks[len(l.chunks)-1]
-	for _, c := range extra {
-		if !seen[c] && ValidChunkHeader(arena, c) {
-			l.chunks = append([]int64{c}, l.chunks...)
-			seen[c] = true
-		}
-	}
 	for c := range seen {
 		if !al.RecoverMarkRawChunk(c) {
 			return nil, d, fmt.Errorf("oplog: chunk %#x outside allocator range", c)

@@ -282,7 +282,7 @@ func TestRecoverAfterCrash(t *testing.T) {
 	crashed := a.Crash()
 	al2 := alloc.New(crashed, 1, 4, 1)
 	al2.BeginRecovery()
-	l2, err := Recover(crashed, al2, 0, nil)
+	l2, err := Recover(crashed, al2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestRecoverMultiChunk(t *testing.T) {
 	crashed := a.Crash()
 	al2 := alloc.New(crashed, 1, 6, 1)
 	al2.BeginRecovery()
-	l2, err := Recover(crashed, al2, 0, nil)
+	l2, err := Recover(crashed, al2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestSurvivorChunkAndLink(t *testing.T) {
 	crashed := a.Crash()
 	al2 := alloc.New(crashed, 1, 6, 1)
 	al2.BeginRecovery()
-	l2, err := Recover(crashed, al2, 0, nil)
+	l2, err := Recover(crashed, al2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,39 +385,12 @@ func TestUnlinkChunk(t *testing.T) {
 	crashed := a.Crash()
 	al2 := alloc.New(crashed, 1, 6, 1)
 	al2.BeginRecovery()
-	l2, err := Recover(crashed, al2, 0, nil)
+	l2, err := Recover(crashed, al2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(l2.Chunks()) != len(chunks)-1 {
 		t.Errorf("recovered %d chunks, want %d", len(l2.Chunks()), len(chunks)-1)
-	}
-}
-
-func TestRecoverWithJournaledExtra(t *testing.T) {
-	l, a, _, f := newTestLog(t, 6)
-	l.Append(f, &Entry{Op: OpPut, Key: 1, Ptr: 256})
-	// Survivor chunk persisted and journaled but crash before LinkAtHead.
-	c, _, err := l.WriteSurvivorChunk(f, []*Entry{{Op: OpPut, Version: 5, Key: 42, Ptr: 512}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashed := a.Crash()
-	al2 := alloc.New(crashed, 1, 6, 1)
-	al2.BeginRecovery()
-	l2, err := Recover(crashed, al2, 0, []int64{c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	l2.Scan(func(off int64, e Entry) bool {
-		if e.Key == 42 && e.Version == 5 {
-			found = true
-		}
-		return true
-	})
-	if !found {
-		t.Error("journaled survivor chunk not scanned at recovery")
 	}
 }
 
@@ -473,7 +446,7 @@ func TestQuickLogDurability(t *testing.T) {
 		crashed := a.Crash()
 		al2 := alloc.New(crashed, 1, 4, 1)
 		al2.BeginRecovery()
-		l2, err := Recover(crashed, al2, 0, nil)
+		l2, err := Recover(crashed, al2, 0)
 		if err != nil {
 			return false
 		}

@@ -93,7 +93,7 @@ func sweepCrashes(t *testing.T, build func() (*pmem.Arena, func()), check func(t
 // scan delivers, in order.
 func keysOf(t *testing.T, media *pmem.Arena, al *alloc.Allocator, metaOff int, what string) (*Log, []uint64) {
 	t.Helper()
-	l, err := Recover(media, al, metaOff, nil)
+	l, err := Recover(media, al, metaOff)
 	if err != nil {
 		t.Fatalf("%s: recover: %v", what, err)
 	}
@@ -458,7 +458,7 @@ func TestStrandedSurvivorGeneration(t *testing.T) {
 	media := a.Crash()
 	al2 := alloc.New(media, 1, 4, 1)
 	al2.BeginRecovery()
-	l2, err := Recover(media, al2, 0, nil)
+	l2, err := Recover(media, al2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestWitnessMakesTailRotLoud(t *testing.T) {
 		media := a.Crash()
 		al2 := alloc.New(media, 1, 4, 1)
 		al2.BeginRecovery()
-		l2, err := Recover(media, al2, 0, nil)
+		l2, err := Recover(media, al2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
