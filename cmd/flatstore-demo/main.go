@@ -246,7 +246,7 @@ func main() {
 				}
 				r := rsnap.Repl
 				fmt.Printf("cluster: role=%s epoch=%d tail=%d applied=%d followers=%d lag=%d batches (%d bytes) primary=%q\n",
-					obs.ReplRoleName(r.Role), r.Epoch, r.TailPos, r.AppliedPos,
+					r.Role, r.Epoch, r.TailPos, r.AppliedPos,
 					r.Followers, r.LagBatches, r.LagBytes, r.PrimaryAddr)
 				obs.WritePrometheus(os.Stdout, rsnap)
 				continue

@@ -324,7 +324,8 @@ func (c *Client) DeleteCtx(ctx context.Context, key uint64) (bool, error) {
 // forever). Replaying a write against the new owner is safe — each
 // group's tcp.Client keeps its own dedup sessions, so the replay is a
 // fresh (session, id) there and the rejected attempt applied nothing on
-// the wrong server.
+// the wrong server. The fan-out calls ask it per op, the round being the
+// attempt.
 func (c *Client) shouldReroute(err error, attempt int) bool {
 	var ws *tcp.WrongShardError
 	if !errors.As(err, &ws) || attempt >= c.opts.MaxReroutes {
@@ -430,7 +431,7 @@ func (c *Client) MultiGetCtx(ctx context.Context, keys []uint64) ([]tcp.MultiRes
 			}
 			var redo []int
 			for j, i := range b.idx {
-				if c.redoOp(res[j].Err, round) {
+				if c.shouldReroute(res[j].Err, round) {
 					redo = append(redo, i)
 					continue
 				}
@@ -487,7 +488,7 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []tcp.BatchOp) ([]tcp.Ba
 			}
 			var redo []int
 			for j, i := range b.idx {
-				if c.redoOp(res[j].Err, round) {
+				if c.shouldReroute(res[j].Err, round) {
 					redo = append(redo, i)
 					continue
 				}
@@ -506,22 +507,6 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []tcp.BatchOp) ([]tcp.Ba
 		pending = next
 	}
 	return out, nil
-}
-
-// redoOp reports whether a per-op WrongShard outcome should be replayed
-// in the next fan-out round (adopting the hint's map when it is newer;
-// a same-version hint still earns a replay, because a sibling sub-batch
-// may have adopted that map while this one was in flight).
-func (c *Client) redoOp(err error, round int) bool {
-	var ws *tcp.WrongShardError
-	if !errors.As(err, &ws) || round >= c.opts.MaxReroutes {
-		return false
-	}
-	if !c.adoptHint(ws.Hint) {
-		return false
-	}
-	c.reroutes.Add(1)
-	return true
 }
 
 // MultiPut stores many pairs across the cluster, failing if any put

@@ -294,9 +294,15 @@ func (st *Store) Run() {
 				}
 				if idle++; idle < idleSpins {
 					runtime.Gosched()
-				} else {
-					time.Sleep(idleNap)
+					continue
 				}
+				// Going idle: fold the PM events of the work just done into
+				// the arena totals, where a metrics scrape reads them
+				// (Snapshot.PM). A core that never idles folds at Stop.
+				if c.f.PendingEvents() != (pmem.Events{}) {
+					c.f.FlushEvents()
+				}
+				time.Sleep(idleNap)
 			}
 		}(c)
 	}
@@ -417,7 +423,7 @@ func (st *Store) Observability() *obs.Registry { return st.obs }
 // Metrics assembles the full observability snapshot: the per-core
 // single-writer blocks merged by the registry, plus the store-level
 // gauges (index size, allocator occupancy, HB group counters, integrity,
-// transport stats) that live outside the registry. Safe to call while
+// tier, PM device and transport stats) that live outside the registry. Safe to call while
 // serving; counts are exact only while quiescent.
 func (st *Store) Metrics() obs.Snapshot {
 	s := st.obs.Snapshot()
@@ -443,23 +449,11 @@ func (st *Store) Metrics() obs.Snapshot {
 	}
 	s.Integrity = st.Integrity()
 	if st.tier != nil {
-		ts := st.tier.Stats()
-		s.Tier = obs.TierSnap{
-			Enabled:         true,
-			Segments:        uint64(ts.Segments),
-			Records:         uint64(ts.Records),
-			DeadRecords:     uint64(ts.DeadRecords),
-			Bytes:           uint64(ts.Bytes),
-			Reads:           ts.Reads,
-			BloomFiltered:   ts.BloomFiltered,
-			SegmentsWritten: ts.SegmentsWritten,
-			Compactions:     ts.Compactions,
-			Demoted:         ts.Demoted,
-			Promoted:        ts.Promoted,
-			CorruptReads:    ts.CorruptReads,
-			Quarantined:     ts.Quarantined,
-		}
+		s.Tier = st.tier.Stats()
 	}
+	pm := st.arena.Stats()
+	s.PM = obs.PMSnap{Flushes: pm.Flushes, Fences: pm.Fences, Lines: pm.Lines,
+		MediaBytes: pm.MediaBytes, SeqBlocks: pm.SeqBlocks, RndBlocks: pm.RndBlocks}
 	if st.rpc != nil {
 		rs := st.rpc.Stats()
 		s.Net.QueuePairs = uint64(rs.QueuePairs)

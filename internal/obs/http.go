@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"strings"
 
 	"flatstore/internal/stats"
 )
@@ -23,378 +25,159 @@ func Handler(snap func() Snapshot) http.Handler {
 	})
 }
 
-// JSONHandler serves snapshots as JSON.
+// JSONHandler serves snapshots as JSON: encoding/json over the Snapshot
+// itself (histograms digest, the role renders by name).
 func JSONHandler(snap func() Snapshot) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		s := snap()
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(s.View())
+		enc.Encode(snap())
 	})
+}
+
+// family is one declared Prometheus metric family: where its samples
+// live in a Snapshot and how they are labelled.
+type family struct {
+	name, kind string
+	scale      float64 // sample values are divided by it (1e9: ns held, seconds shown)
+	gate       []int   // index path of the block's bool switch; nil: always rendered
+	list       []int   // index path of the slice or array the samples are elements of; nil: one sample
+	field      []int   // index path of the value, from the list element (from the Snapshot without a list)
+	label      string  // label key of each sample, "" for none
+	labelAt    []int   // index path (like field) of the label's value; nil: the element index
+}
+
+// families is every series the tags of Snapshot declare, in declaration
+// order. Built once; a malformed declaration panics at start-up.
+var families = declare(reflect.TypeOf(Snapshot{}), family{})
+
+// child extends an index path without sharing its backing array.
+func child(path []int, i int) []int { return append(path[:len(path):len(path)], i) }
+
+// declare collects the families of struct type t, in one pass over its
+// fields. in carries what the declarations so far decided (gate, list,
+// element label) and, in in.field, the path walked to t.
+func declare(t reflect.Type, in family) []family {
+	var out []family
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		fam := in
+		fam.field = child(in.field, i)
+		elem := f.Type
+		if k := elem.Kind(); k == reflect.Slice || k == reflect.Array {
+			elem = elem.Elem()
+		}
+		tag, ok := f.Tag.Lookup("prom")
+		key, labels := f.Tag.Lookup("label")
+		switch {
+		case ok:
+			part := append(strings.Split(tag, ","), "", "") // name,kind[,label], padded so that all three index
+			fam.name, fam.kind, fam.scale = part[0], part[1], 1
+			if strings.HasSuffix(fam.name, "_seconds") {
+				fam.scale = 1e9
+			}
+			if part[2] != "" {
+				fam.label, fam.labelAt = part[2], fam.field
+			}
+			summary := elem.Kind() == reflect.Pointer
+			if len(part) > 5 || fam.name == "" || (fam.kind == "summary") != summary ||
+				!summary && fam.kind != "counter" && fam.kind != "gauge" {
+				panic(fmt.Sprintf("obs: %s.%s: malformed prom tag %q", t, f.Name, tag))
+			}
+			out = append(out, fam)
+		case elem.Kind() == reflect.Bool && in.list == nil:
+			in.gate = fam.field // the switch of the block's fields from here on
+		case labels && elem == f.Type:
+			in.label, in.labelAt = key, fam.field // labels the element's series from here on
+		case elem.Kind() != reflect.Struct:
+			// No series: the field is on the wire and in the JSON only.
+		case elem == f.Type:
+			out = append(out, declare(elem, fam)...)
+		case in.list != nil:
+			panic(fmt.Sprintf("obs: %s.%s: a list inside a list", t, f.Name))
+		default:
+			out = append(out, declare(elem, family{gate: in.gate, list: fam.field, label: key})...)
+		}
+	}
+	return out
 }
 
 // quantiles rendered for every summary metric.
 var summaryQs = []float64{50, 90, 99, 99.9}
 
-// writeSummary renders one histogram as a Prometheus summary: quantile
-// series plus exact _sum and _count. scale divides sample values (1e9
-// turns nanoseconds into seconds, 1 leaves plain units).
-func writeSummary(w io.Writer, name, labels string, h *stats.Histogram, scale float64) {
-	lb := func(extra string) string {
-		switch {
-		case labels == "" && extra == "":
-			return ""
-		case labels == "":
-			return "{" + extra + "}"
-		case extra == "":
-			return "{" + labels + "}"
+// series renders a sample's name and label block; the empty labels are
+// skipped, and with none there are no braces (name{} is invalid).
+func series(name string, labels ...string) string {
+	var set []string
+	for _, l := range labels {
+		if l != "" {
+			set = append(set, l)
 		}
-		return "{" + labels + "," + extra + "}"
 	}
-	fmt.Fprintf(w, "# TYPE %s summary\n", name)
-	for _, q := range summaryQs {
-		fmt.Fprintf(w, "%s%s %g\n",
-			name, lb(fmt.Sprintf("quantile=\"%g\"", q/100)), float64(h.Percentile(q))/scale)
+	if len(set) == 0 {
+		return name
 	}
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, lb(""), float64(stats.Sum(h))/scale)
-	fmt.Fprintf(w, "%s_count%s %d\n", name, lb(""), h.Count())
+	return name + "{" + strings.Join(set, ",") + "}"
 }
 
-// WritePrometheus renders the snapshot in Prometheus text format. On a
-// sharded server every series carries a shard="<id>" label, so the
-// scrapes of a whole cluster aggregate side by side in one Prometheus
-// without per-target relabeling.
+// WritePrometheus renders the snapshot in Prometheus text format, one
+// TYPE line per family. On a sharded server every series carries a
+// shard="<id>" label, so the scrapes of a whole cluster aggregate side by
+// side in one Prometheus without per-target relabeling.
 func WritePrometheus(w io.Writer, s *Snapshot) {
+	root := reflect.ValueOf(s).Elem()
 	base := ""
 	if s.Shard.Configured {
 		base = fmt.Sprintf("shard=\"%d\"", s.Shard.ID)
 	}
-	// lb merges the shard base label with a series' own labels into a
-	// rendered {...} block ("" when both are empty).
-	lb := func(extra string) string {
-		switch {
-		case base == "" && extra == "":
-			return ""
-		case base == "":
-			return "{" + extra + "}"
-		case extra == "":
-			return "{" + base + "}"
+	for _, f := range families {
+		if f.gate != nil && !root.FieldByIndex(f.gate).Bool() {
+			continue
 		}
-		return "{" + base + "," + extra + "}"
-	}
-	merge := func(extra string) string {
-		if base == "" {
-			return extra
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
+		if f.list == nil {
+			f.sample(w, base, root, 0)
+			continue
 		}
-		if extra == "" {
-			return base
+		list := root.FieldByIndex(f.list)
+		for i := 0; i < list.Len(); i++ {
+			f.sample(w, base, list.Index(i), i)
 		}
-		return base + "," + extra
-	}
-	fmt.Fprintf(w, "# TYPE flatstore_uptime_seconds gauge\nflatstore_uptime_seconds%s %g\n",
-		lb(""), float64(s.UptimeNs)/1e9)
-	fmt.Fprintf(w, "# TYPE flatstore_cores gauge\nflatstore_cores%s %d\n", lb(""), s.Cores)
-
-	fmt.Fprintf(w, "# TYPE flatstore_ops_total counter\n")
-	for k := 0; k < NumOps; k++ {
-		fmt.Fprintf(w, "flatstore_ops_total%s %d\n",
-			lb(fmt.Sprintf("op=%q", KindName(k))), s.Ops[k].Count)
-	}
-	fmt.Fprintf(w, "# TYPE flatstore_op_errors_total counter\n")
-	for k := 0; k < NumOps; k++ {
-		fmt.Fprintf(w, "flatstore_op_errors_total%s %d\n",
-			lb(fmt.Sprintf("op=%q", KindName(k))), s.Ops[k].Errors)
-	}
-	for k := 0; k < NumOps; k++ {
-		writeSummary(w, "flatstore_op_latency_seconds",
-			merge(fmt.Sprintf("op=%q", KindName(k))), s.Ops[k].Latency, 1e9)
-	}
-	writeSummary(w, "flatstore_batch_size", merge(""), s.BatchSize, 1)
-	writeSummary(w, "flatstore_batch_bytes", merge(""), s.BatchBytes, 1)
-
-	counters := []struct {
-		name string
-		v    uint64
-	}{
-		{"flatstore_lead_batches_total", s.LeadBatches},
-		{"flatstore_batch_entries_own_total", s.OwnOps},
-		{"flatstore_batch_entries_stolen_total", s.StolenOps},
-		{"flatstore_batch_entries_followed_total", s.FollowedOps},
-		{"flatstore_oplog_bytes_total", s.LogBytes},
-		{"flatstore_flush_units_total", s.FlushUnits},
-		{"flatstore_gc_chunks_cleaned_total", s.GCCleaned},
-		{"flatstore_gc_entries_relocated_total", s.GCRelocated},
-		{"flatstore_gc_entries_dropped_total", s.GCDropped},
-		{"flatstore_net_requests_total", s.Net.Requests},
-		{"flatstore_net_responses_total", s.Net.Responses},
-		{"flatstore_net_responses_dropped_total", s.Net.Dropped},
-		{"flatstore_net_delegations_total", s.Net.Delegations},
-		{"flatstore_net_mmios_total", s.Net.MMIOs},
-		{"flatstore_tcp_shed_total", s.Net.Shed},
-		{"flatstore_tcp_dedup_hits_total", s.Net.DedupHits},
-		{"flatstore_tcp_bad_frames_total", s.Net.BadFrames},
-		{"flatstore_tcp_batch_frames_total", s.Net.BatchFrames},
-		{"flatstore_tcp_batch_ops_total", s.Net.BatchOps},
-		{"flatstore_tcp_frames_coalesced_total", s.Net.FramesCoalesced},
-		{"flatstore_tcp_resp_flushes_total", s.Net.RespFlushes},
-		{"flatstore_tcp_resp_written_total", s.Net.RespWritten},
-		{"flatstore_tcp_wrong_shard_total", s.Shard.WrongShard},
-		{"flatstore_repl_batches_shipped_total", s.Repl.BatchesShipped},
-		{"flatstore_repl_bytes_shipped_total", s.Repl.BytesShipped},
-		{"flatstore_repl_batches_applied_total", s.Repl.BatchesApplied},
-		{"flatstore_repl_entries_applied_total", s.Repl.EntriesApplied},
-		{"flatstore_repl_snapshots_served_total", s.Repl.SnapshotsServed},
-		{"flatstore_repl_snapshots_loaded_total", s.Repl.SnapshotsLoaded},
-		{"flatstore_repl_sync_timeouts_total", s.Repl.SyncTimeouts},
-		{"flatstore_repl_demotions_total", s.Repl.Demotions},
-		{"flatstore_tier_reads_total", s.Tier.Reads},
-		{"flatstore_tier_bloom_filtered_total", s.Tier.BloomFiltered},
-		{"flatstore_tier_segments_written_total", s.Tier.SegmentsWritten},
-		{"flatstore_tier_compactions_total", s.Tier.Compactions},
-		{"flatstore_tier_demoted_total", s.Tier.Demoted},
-		{"flatstore_tier_promoted_total", s.Tier.Promoted},
-		{"flatstore_tier_corrupt_reads_total", s.Tier.CorruptReads},
-		{"flatstore_tier_segments_quarantined_total", s.Tier.Quarantined},
-		{"flatstore_scrub_runs_total", s.Integrity.ScrubRuns},
-		{"flatstore_scrub_batches_total", s.Integrity.ScrubBatches},
-		{"flatstore_scrub_records_total", s.Integrity.ScrubRecords},
-		{"flatstore_checksum_errors_total", s.Integrity.ChecksumErrors},
-		{"flatstore_quarantine_clears_total", s.Integrity.QuarantineClears},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", c.name, c.name, lb(""), c.v)
-	}
-	gauges := []struct {
-		name string
-		v    int64
-	}{
-		{"flatstore_keys", int64(s.Keys)},
-		{"flatstore_free_chunks", int64(s.FreeChunks)},
-		{"flatstore_raw_chunks", int64(s.RawChunks)},
-		{"flatstore_huge_chunks", int64(s.HugeChunks)},
-		{"flatstore_quarantined_keys", int64(s.Integrity.Quarantined)},
-		{"flatstore_net_queue_pairs", int64(s.Net.QueuePairs)},
-		{"flatstore_net_inflight", s.Net.InFlight},
-		{"flatstore_net_inflight_peak", s.Net.InFlightPeak},
-		{"flatstore_slow_ops_traced", int64(len(s.SlowOps))},
-		{"flatstore_repl_epoch", int64(s.Repl.Epoch)},
-		{"flatstore_repl_tail_pos", int64(s.Repl.TailPos)},
-		{"flatstore_repl_applied_pos", int64(s.Repl.AppliedPos)},
-		{"flatstore_repl_followers", int64(s.Repl.Followers)},
-		{"flatstore_repl_lag_batches", int64(s.Repl.LagBatches)},
-		{"flatstore_repl_lag_bytes", int64(s.Repl.LagBytes)},
-	}
-	if s.Tier.Enabled {
-		gauges = append(gauges,
-			struct {
-				name string
-				v    int64
-			}{"flatstore_tier_segments", int64(s.Tier.Segments)},
-			struct {
-				name string
-				v    int64
-			}{"flatstore_tier_records", int64(s.Tier.Records)},
-			struct {
-				name string
-				v    int64
-			}{"flatstore_tier_dead_records", int64(s.Tier.DeadRecords)},
-			struct {
-				name string
-				v    int64
-			}{"flatstore_tier_bytes", int64(s.Tier.Bytes)},
-		)
-	}
-	if s.Shard.Configured {
-		gauges = append(gauges,
-			struct {
-				name string
-				v    int64
-			}{"flatstore_shard_id", s.Shard.ID},
-			struct {
-				name string
-				v    int64
-			}{"flatstore_shard_count", int64(s.Shard.Count)},
-			struct {
-				name string
-				v    int64
-			}{"flatstore_shard_map_version", int64(s.Shard.MapVersion)},
-		)
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %d\n", g.name, g.name, lb(""), g.v)
-	}
-	fmt.Fprintf(w, "# TYPE flatstore_repl_role gauge\nflatstore_repl_role%s %d\n",
-		lb(fmt.Sprintf("role=%q", ReplRoleName(s.Repl.Role))), s.Repl.Role)
-
-	fmt.Fprintf(w, "# TYPE flatstore_alloc_class_chunks gauge\n")
-	for _, c := range s.Classes {
-		fmt.Fprintf(w, "flatstore_alloc_class_chunks%s %d\n",
-			lb(fmt.Sprintf("class=\"%d\"", c.Class)), c.Chunks)
-	}
-	fmt.Fprintf(w, "# TYPE flatstore_alloc_class_used_blocks gauge\n")
-	for _, c := range s.Classes {
-		fmt.Fprintf(w, "flatstore_alloc_class_used_blocks%s %d\n",
-			lb(fmt.Sprintf("class=\"%d\"", c.Class)), c.UsedBlocks)
-	}
-	fmt.Fprintf(w, "# TYPE flatstore_alloc_class_cap_blocks gauge\n")
-	for _, c := range s.Classes {
-		fmt.Fprintf(w, "flatstore_alloc_class_cap_blocks%s %d\n",
-			lb(fmt.Sprintf("class=\"%d\"", c.Class)), c.CapBlocks)
-	}
-
-	fmt.Fprintf(w, "# TYPE flatstore_hb_group_batches_total counter\n")
-	for i, g := range s.Groups {
-		fmt.Fprintf(w, "flatstore_hb_group_batches_total%s %d\n",
-			lb(fmt.Sprintf("group=\"%d\"", i)), g.Batches)
-	}
-	fmt.Fprintf(w, "# TYPE flatstore_hb_group_stolen_total counter\n")
-	for i, g := range s.Groups {
-		fmt.Fprintf(w, "flatstore_hb_group_stolen_total%s %d\n",
-			lb(fmt.Sprintf("group=\"%d\"", i)), g.Stolen)
-	}
-	fmt.Fprintf(w, "# TYPE flatstore_hb_group_leads_total counter\n")
-	for i, g := range s.Groups {
-		fmt.Fprintf(w, "flatstore_hb_group_leads_total%s %d\n",
-			lb(fmt.Sprintf("group=\"%d\"", i)), g.Leads)
 	}
 }
 
-// HistView is the JSON-friendly digest of a histogram.
-type HistView struct {
-	Count uint64  `json:"count"`
-	Sum   int64   `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Min   int64   `json:"min"`
-	Max   int64   `json:"max"`
-	P50   int64   `json:"p50"`
-	P90   int64   `json:"p90"`
-	P99   int64   `json:"p99"`
-	P999  int64   `json:"p999"`
-}
-
-// NewHistView digests a histogram.
-func NewHistView(h *stats.Histogram) HistView {
-	return HistView{
-		Count: h.Count(), Sum: stats.Sum(h), Mean: h.Mean(),
-		Min: h.Min(), Max: h.Max(),
-		P50: h.Percentile(50), P90: h.Percentile(90),
-		P99: h.Percentile(99), P999: h.Percentile(99.9),
+// sample renders the family's sample found in from (the Snapshot, or
+// element i of the family's list) under the scrape-wide base label.
+func (f family) sample(w io.Writer, base string, from reflect.Value, i int) {
+	own := ""
+	if f.label != "" {
+		var v any = i
+		if f.labelAt != nil {
+			v = from.FieldByIndex(f.labelAt).Interface()
+		}
+		own = fmt.Sprintf("%s=%q", f.label, fmt.Sprint(v))
 	}
-}
-
-// OpView is one op kind in the JSON view.
-type OpView struct {
-	Op        string   `json:"op"`
-	Count     uint64   `json:"count"`
-	Errors    uint64   `json:"errors"`
-	LatencyNs HistView `json:"latency_ns"`
-}
-
-// SnapshotView is the JSON shape of a Snapshot (histograms digested).
-type SnapshotView struct {
-	UptimeNs        int64           `json:"uptime_ns"`
-	Cores           int             `json:"cores"`
-	Ops             []OpView        `json:"ops"`
-	BatchSize       HistView        `json:"batch_size"`
-	BatchBytes      HistView        `json:"batch_bytes"`
-	LeadBatches     uint64          `json:"lead_batches"`
-	OwnOps          uint64          `json:"batch_entries_own"`
-	StolenOps       uint64          `json:"batch_entries_stolen"`
-	FollowedOps     uint64          `json:"batch_entries_followed"`
-	LogBytes        uint64          `json:"oplog_bytes"`
-	FlushUnits      uint64          `json:"flush_units"`
-	GCCleaned       uint64          `json:"gc_chunks_cleaned"`
-	GCRelocated     uint64          `json:"gc_entries_relocated"`
-	GCDropped       uint64          `json:"gc_entries_dropped"`
-	Keys            uint64          `json:"keys"`
-	FreeChunks      uint64          `json:"free_chunks"`
-	RawChunks       uint64          `json:"raw_chunks"`
-	HugeChunks      uint64          `json:"huge_chunks"`
-	Classes         []ClassOcc      `json:"alloc_classes"`
-	Groups          []GroupSnap     `json:"hb_groups"`
-	Integrity       stats.Integrity `json:"integrity"`
-	Net             NetSnap         `json:"net"`
-	Repl            ReplView        `json:"repl"`
-	Shard           ShardView       `json:"shard"`
-	Tier            TierSnap        `json:"tier"`
-	SlowThresholdNs int64           `json:"slow_threshold_ns"`
-	SlowOps         []SlowOp        `json:"slow_ops"`
-}
-
-// ShardView is the JSON shape of the shard block.
-type ShardView struct {
-	Configured bool   `json:"configured"`
-	ID         int64  `json:"id"`
-	Count      uint64 `json:"count"`
-	MapVersion uint64 `json:"map_version"`
-	WrongShard uint64 `json:"wrong_shard"`
-}
-
-// ReplView is the JSON shape of the replication block (role named).
-type ReplView struct {
-	Role            string `json:"role"`
-	Epoch           uint64 `json:"epoch"`
-	TailPos         uint64 `json:"tail_pos"`
-	AppliedPos      uint64 `json:"applied_pos"`
-	Followers       uint64 `json:"followers"`
-	LagBatches      uint64 `json:"lag_batches"`
-	LagBytes        uint64 `json:"lag_bytes"`
-	BatchesShipped  uint64 `json:"batches_shipped"`
-	BytesShipped    uint64 `json:"bytes_shipped"`
-	BatchesApplied  uint64 `json:"batches_applied"`
-	EntriesApplied  uint64 `json:"entries_applied"`
-	SnapshotsServed uint64 `json:"snapshots_served"`
-	SnapshotsLoaded uint64 `json:"snapshots_loaded"`
-	SyncTimeouts    uint64 `json:"sync_timeouts"`
-	Demotions       uint64 `json:"demotions"`
-	PrimaryAddr     string `json:"primary_addr,omitempty"`
-}
-
-// View builds the JSON-friendly form of the snapshot.
-func (s *Snapshot) View() SnapshotView {
-	v := SnapshotView{
-		UptimeNs: s.UptimeNs, Cores: s.Cores,
-		BatchSize: NewHistView(s.BatchSize), BatchBytes: NewHistView(s.BatchBytes),
-		LeadBatches: s.LeadBatches, OwnOps: s.OwnOps, StolenOps: s.StolenOps,
-		FollowedOps: s.FollowedOps, LogBytes: s.LogBytes, FlushUnits: s.FlushUnits,
-		GCCleaned: s.GCCleaned, GCRelocated: s.GCRelocated, GCDropped: s.GCDropped,
-		Keys: s.Keys, FreeChunks: s.FreeChunks, RawChunks: s.RawChunks,
-		HugeChunks: s.HugeChunks, Classes: s.Classes, Groups: s.Groups,
-		Integrity: s.Integrity, Net: s.Net,
-		SlowThresholdNs: s.SlowThresholdNs, SlowOps: s.SlowOps,
-		Repl: ReplView{
-			Role:            ReplRoleName(s.Repl.Role),
-			Epoch:           s.Repl.Epoch,
-			TailPos:         s.Repl.TailPos,
-			AppliedPos:      s.Repl.AppliedPos,
-			Followers:       s.Repl.Followers,
-			LagBatches:      s.Repl.LagBatches,
-			LagBytes:        s.Repl.LagBytes,
-			BatchesShipped:  s.Repl.BatchesShipped,
-			BytesShipped:    s.Repl.BytesShipped,
-			BatchesApplied:  s.Repl.BatchesApplied,
-			EntriesApplied:  s.Repl.EntriesApplied,
-			SnapshotsServed: s.Repl.SnapshotsServed,
-			SnapshotsLoaded: s.Repl.SnapshotsLoaded,
-			SyncTimeouts:    s.Repl.SyncTimeouts,
-			Demotions:       s.Repl.Demotions,
-			PrimaryAddr:     s.Repl.PrimaryAddr,
-		},
-		Shard: ShardView{
-			Configured: s.Shard.Configured,
-			ID:         s.Shard.ID,
-			Count:      s.Shard.Count,
-			MapVersion: s.Shard.MapVersion,
-			WrongShard: s.Shard.WrongShard,
-		},
-		Tier: s.Tier,
+	var n any
+	switch v := from.FieldByIndex(f.field); {
+	case v.Kind() == reflect.Pointer:
+		// A summary: quantile series plus exact _sum and _count.
+		h := v.Interface().(*stats.Histogram)
+		for _, q := range summaryQs {
+			fmt.Fprintf(w, "%s %g\n", series(f.name, base, own, fmt.Sprintf("quantile=\"%g\"", q/100)),
+				float64(h.Percentile(q))/f.scale)
+		}
+		fmt.Fprintf(w, "%s %g\n", series(f.name+"_sum", base, own), float64(stats.Sum(h))/f.scale)
+		fmt.Fprintf(w, "%s %d\n", series(f.name+"_count", base, own), h.Count())
+		return
+	case v.Kind() == reflect.Slice:
+		n = v.Len()
+	case v.CanInt() && f.scale != 1:
+		n = float64(v.Int()) / f.scale
+	case v.CanInt():
+		n = v.Int()
+	default:
+		n = v.Uint()
 	}
-	for k := 0; k < NumOps; k++ {
-		v.Ops = append(v.Ops, OpView{
-			Op: KindName(k), Count: s.Ops[k].Count, Errors: s.Ops[k].Errors,
-			LatencyNs: NewHistView(s.Ops[k].Latency),
-		})
-	}
-	return v
+	fmt.Fprintf(w, "%s %v\n", series(f.name, base, own), n)
 }

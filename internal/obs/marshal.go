@@ -2,253 +2,151 @@ package obs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"reflect"
 
 	"flatstore/internal/stats"
 )
 
-// Wire format of a Snapshot (little-endian, fixed field order, versioned
-// by the magic): the payload of the tcp stats op. Histograms use the
-// sparse stats.AppendBinary encoding, so an idle store's snapshot is a
-// few hundred bytes.
-// OBS2 appended the pipelined-protocol Net counters; OBS3 appended the
-// replication block; OBS4 appended the shard block; OBS5 appended the
-// cold-tier block. An older peer is rejected rather than mis-decoded
-// (fixed field order, no tags).
-const snapMagic uint32 = 0x4F425335 // "OBS5"
+// Wire format of a Snapshot, the payload of the tcp stats op: the magic,
+// then every field in declaration order, walked by type (little-endian):
+//
+//	bool, integer   one u64 word
+//	string          u32 length, bytes
+//	*Histogram      the sparse stats.AppendBinary form (36 B when idle)
+//	array, struct   the elements or fields, in order
+//	slice           u32 count, the elements
+//
+// The field order is the format and the magic names it: a peer built from
+// other declarations is rejected rather than mis-decoded, and a change to
+// the declared fields moves the magic. OBS6 is the first walked format;
+// DESIGN.md §7 says why there is no compatibility shim.
+const snapMagic uint32 = 0x4F425336 // "OBS6"
+
+var le = binary.LittleEndian
 
 // Marshal encodes the snapshot for the stats wire op.
 func (s *Snapshot) Marshal() []byte {
-	b := make([]byte, 0, 1024)
-	b = binary.LittleEndian.AppendUint32(b, snapMagic)
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.UptimeNs))
-	b = binary.LittleEndian.AppendUint32(b, uint32(s.Cores))
-	for k := 0; k < NumOps; k++ {
-		b = binary.LittleEndian.AppendUint64(b, s.Ops[k].Count)
-		b = binary.LittleEndian.AppendUint64(b, s.Ops[k].Errors)
-		b = s.Ops[k].Latency.AppendBinary(b)
-	}
-	b = s.BatchSize.AppendBinary(b)
-	b = s.BatchBytes.AppendBinary(b)
-	for _, w := range []uint64{
-		s.LeadBatches, s.OwnOps, s.StolenOps, s.FollowedOps, s.LogBytes,
-		s.FlushUnits, s.GCCleaned, s.GCRelocated, s.GCDropped, s.Keys,
-		s.FreeChunks, s.RawChunks, s.HugeChunks,
-	} {
-		b = binary.LittleEndian.AppendUint64(b, w)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Classes)))
-	for _, c := range s.Classes {
-		b = binary.LittleEndian.AppendUint32(b, uint32(c.Class))
-		b = binary.LittleEndian.AppendUint64(b, c.Chunks)
-		b = binary.LittleEndian.AppendUint64(b, c.UsedBlocks)
-		b = binary.LittleEndian.AppendUint64(b, c.CapBlocks)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Groups)))
-	for _, g := range s.Groups {
-		b = binary.LittleEndian.AppendUint64(b, g.Batches)
-		b = binary.LittleEndian.AppendUint64(b, g.Stolen)
-		b = binary.LittleEndian.AppendUint64(b, g.Leads)
-	}
-	b = append(b, s.Integrity.Marshal()...)
-	for _, w := range []uint64{
-		s.Net.QueuePairs, s.Net.MMIOs, s.Net.Delegations, s.Net.Requests,
-		s.Net.Responses, s.Net.Dropped, s.Net.Shed, s.Net.DedupHits,
-		s.Net.BadFrames, uint64(s.Net.InFlight),
-		s.Net.BatchFrames, s.Net.BatchOps, s.Net.FramesCoalesced,
-		s.Net.RespFlushes, s.Net.RespWritten, uint64(s.Net.InFlightPeak),
-	} {
-		b = binary.LittleEndian.AppendUint64(b, w)
-	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(s.SlowThresholdNs))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.SlowOps)))
-	for _, so := range s.SlowOps {
-		b = binary.LittleEndian.AppendUint32(b, uint32(so.Core))
-		b = binary.LittleEndian.AppendUint32(b, uint32(so.Op))
-		b = binary.LittleEndian.AppendUint64(b, so.Key)
-		for _, t := range []int64{so.Start, so.Seal, so.Flush, so.Index, so.Total} {
-			b = binary.LittleEndian.AppendUint64(b, uint64(t))
-		}
-	}
-	for _, w := range []uint64{
-		uint64(s.Repl.Role), s.Repl.Epoch, s.Repl.TailPos, s.Repl.AppliedPos,
-		s.Repl.Followers, s.Repl.LagBatches, s.Repl.LagBytes,
-		s.Repl.BatchesShipped, s.Repl.BytesShipped, s.Repl.BatchesApplied,
-		s.Repl.EntriesApplied, s.Repl.SnapshotsServed, s.Repl.SnapshotsLoaded,
-		s.Repl.SyncTimeouts, s.Repl.Demotions,
-	} {
-		b = binary.LittleEndian.AppendUint64(b, w)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Repl.PrimaryAddr)))
-	b = append(b, s.Repl.PrimaryAddr...)
-	var configured uint64
-	if s.Shard.Configured {
-		configured = 1
-	}
-	for _, w := range []uint64{
-		configured, uint64(s.Shard.ID), s.Shard.Count, s.Shard.MapVersion,
-		s.Shard.WrongShard,
-	} {
-		b = binary.LittleEndian.AppendUint64(b, w)
-	}
-	var tierEnabled uint64
-	if s.Tier.Enabled {
-		tierEnabled = 1
-	}
-	for _, w := range []uint64{
-		tierEnabled, s.Tier.Segments, s.Tier.Records, s.Tier.DeadRecords,
-		s.Tier.Bytes, s.Tier.Reads, s.Tier.BloomFiltered,
-		s.Tier.SegmentsWritten, s.Tier.Compactions, s.Tier.Demoted,
-		s.Tier.Promoted, s.Tier.CorruptReads, s.Tier.Quarantined,
-	} {
-		b = binary.LittleEndian.AppendUint64(b, w)
-	}
-	return b
+	b := le.AppendUint32(make([]byte, 0, 1024), snapMagic)
+	return appendWire(b, reflect.ValueOf(s).Elem())
 }
 
-// errShort is the shared truncation error of UnmarshalSnapshot.
-var errShort = fmt.Errorf("obs: truncated snapshot payload")
+func appendWire(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return le.AppendUint64(b, 1)
+		}
+		return le.AppendUint64(b, 0)
+	case reflect.String:
+		b = le.AppendUint32(b, uint32(v.Len()))
+		return append(b, v.String()...)
+	case reflect.Pointer:
+		return v.Interface().(*stats.Histogram).AppendBinary(b)
+	case reflect.Slice:
+		b = le.AppendUint32(b, uint32(v.Len()))
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			b = appendWire(b, v.Index(i))
+		}
+		return b
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			b = appendWire(b, v.Field(i))
+		}
+		return b
+	}
+	if v.CanInt() {
+		return le.AppendUint64(b, uint64(v.Int()))
+	}
+	return le.AppendUint64(b, v.Uint())
+}
 
-// UnmarshalSnapshot decodes what Marshal produced.
+var (
+	errShort = errors.New("obs: truncated snapshot payload")
+	errRange = errors.New("obs: snapshot field out of range")
+)
+
+// UnmarshalSnapshot decodes what Marshal produced, and only that: a
+// payload it accepts re-marshals to the same bytes.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
-	pos := 0
-	need := func(n int) bool { return len(b)-pos >= n }
-	u32 := func() uint32 { v := binary.LittleEndian.Uint32(b[pos:]); pos += 4; return v }
-	u64 := func() uint64 { v := binary.LittleEndian.Uint64(b[pos:]); pos += 8; return v }
-	if !need(16) || u32() != snapMagic {
-		return nil, fmt.Errorf("obs: not a snapshot payload")
+	if len(b) < 4 || le.Uint32(b) != snapMagic {
+		return nil, errors.New("obs: not a snapshot payload")
 	}
 	s := &Snapshot{}
-	s.UptimeNs = int64(u64())
-	s.Cores = int(u32())
-	hist := func() (*stats.Histogram, error) {
-		h, n, err := stats.DecodeHistogram(b[pos:])
-		pos += n
-		return h, err
-	}
-	var err error
-	for k := 0; k < NumOps; k++ {
-		if !need(16) {
-			return nil, errShort
-		}
-		s.Ops[k].Count = u64()
-		s.Ops[k].Errors = u64()
-		if s.Ops[k].Latency, err = hist(); err != nil {
-			return nil, err
-		}
-	}
-	if s.BatchSize, err = hist(); err != nil {
+	rest, err := readWire(b[4:], reflect.ValueOf(s).Elem())
+	if err != nil {
 		return nil, err
 	}
-	if s.BatchBytes, err = hist(); err != nil {
-		return nil, err
-	}
-	if !need(13 * 8) {
-		return nil, errShort
-	}
-	for _, p := range []*uint64{
-		&s.LeadBatches, &s.OwnOps, &s.StolenOps, &s.FollowedOps, &s.LogBytes,
-		&s.FlushUnits, &s.GCCleaned, &s.GCRelocated, &s.GCDropped, &s.Keys,
-		&s.FreeChunks, &s.RawChunks, &s.HugeChunks,
-	} {
-		*p = u64()
-	}
-	if !need(4) {
-		return nil, errShort
-	}
-	n := int(u32())
-	if n < 0 || !need(n*28) {
-		return nil, errShort
-	}
-	for i := 0; i < n; i++ {
-		c := ClassOcc{Class: int(u32())}
-		c.Chunks, c.UsedBlocks, c.CapBlocks = u64(), u64(), u64()
-		s.Classes = append(s.Classes, c)
-	}
-	if !need(4) {
-		return nil, errShort
-	}
-	n = int(u32())
-	if n < 0 || !need(n*24) {
-		return nil, errShort
-	}
-	for i := 0; i < n; i++ {
-		s.Groups = append(s.Groups, GroupSnap{Batches: u64(), Stolen: u64(), Leads: u64()})
-	}
-	if !need(stats.IntegritySize) {
-		return nil, errShort
-	}
-	if s.Integrity, err = stats.UnmarshalIntegrity(b[pos : pos+stats.IntegritySize]); err != nil {
-		return nil, err
-	}
-	pos += stats.IntegritySize
-	if !need(16*8 + 8 + 4) {
-		return nil, errShort
-	}
-	for _, p := range []*uint64{
-		&s.Net.QueuePairs, &s.Net.MMIOs, &s.Net.Delegations, &s.Net.Requests,
-		&s.Net.Responses, &s.Net.Dropped, &s.Net.Shed, &s.Net.DedupHits,
-		&s.Net.BadFrames,
-	} {
-		*p = u64()
-	}
-	s.Net.InFlight = int64(u64())
-	for _, p := range []*uint64{
-		&s.Net.BatchFrames, &s.Net.BatchOps, &s.Net.FramesCoalesced,
-		&s.Net.RespFlushes, &s.Net.RespWritten,
-	} {
-		*p = u64()
-	}
-	s.Net.InFlightPeak = int64(u64())
-	s.SlowThresholdNs = int64(u64())
-	n = int(u32())
-	if n < 0 || !need(n*56) {
-		return nil, errShort
-	}
-	for i := 0; i < n; i++ {
-		so := SlowOp{Core: int32(u32()), Op: int32(u32()), Key: u64()}
-		so.Start, so.Seal, so.Flush, so.Index, so.Total =
-			int64(u64()), int64(u64()), int64(u64()), int64(u64()), int64(u64())
-		s.SlowOps = append(s.SlowOps, so)
-	}
-	if !need(15*8 + 4) {
-		return nil, errShort
-	}
-	s.Repl.Role = uint8(u64())
-	for _, p := range []*uint64{
-		&s.Repl.Epoch, &s.Repl.TailPos, &s.Repl.AppliedPos,
-		&s.Repl.Followers, &s.Repl.LagBatches, &s.Repl.LagBytes,
-		&s.Repl.BatchesShipped, &s.Repl.BytesShipped, &s.Repl.BatchesApplied,
-		&s.Repl.EntriesApplied, &s.Repl.SnapshotsServed, &s.Repl.SnapshotsLoaded,
-		&s.Repl.SyncTimeouts, &s.Repl.Demotions,
-	} {
-		*p = u64()
-	}
-	n = int(u32())
-	if n < 0 || !need(n) {
-		return nil, errShort
-	}
-	s.Repl.PrimaryAddr = string(b[pos : pos+n])
-	pos += n
-	if !need(5 * 8) {
-		return nil, errShort
-	}
-	s.Shard.Configured = u64() != 0
-	s.Shard.ID = int64(u64())
-	s.Shard.Count = u64()
-	s.Shard.MapVersion = u64()
-	s.Shard.WrongShard = u64()
-	if !need(13 * 8) {
-		return nil, errShort
-	}
-	s.Tier.Enabled = u64() != 0
-	for _, p := range []*uint64{
-		&s.Tier.Segments, &s.Tier.Records, &s.Tier.DeadRecords,
-		&s.Tier.Bytes, &s.Tier.Reads, &s.Tier.BloomFiltered,
-		&s.Tier.SegmentsWritten, &s.Tier.Compactions, &s.Tier.Demoted,
-		&s.Tier.Promoted, &s.Tier.CorruptReads, &s.Tier.Quarantined,
-	} {
-		*p = u64()
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("obs: %d bytes after the snapshot payload", len(rest))
 	}
 	return s, nil
+}
+
+// readWire decodes v from the front of b and returns the rest.
+func readWire(b []byte, v reflect.Value) (rest []byte, err error) {
+	switch v.Kind() {
+	case reflect.String, reflect.Slice:
+		if len(b) < 4 {
+			return nil, errShort
+		}
+		n := uint64(le.Uint32(b))
+		b = b[4:]
+		if v.Kind() == reflect.String {
+			if n > uint64(len(b)) {
+				return nil, errShort
+			}
+			v.SetString(string(b[:n]))
+			return b[n:], nil
+		}
+		// Grown one element at a time, so a corrupt count allocates no
+		// more than the payload can fill.
+		for i := 0; uint64(i) < n && err == nil; i++ {
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+			b, err = readWire(b, v.Index(i))
+		}
+		return b, err
+	case reflect.Pointer:
+		h, n, err := stats.DecodeHistogram(b)
+		if err != nil {
+			return nil, err
+		}
+		v.Set(reflect.ValueOf(h))
+		return b[n:], nil
+	case reflect.Array:
+		for i := 0; i < v.Len() && err == nil; i++ {
+			b, err = readWire(b, v.Index(i))
+		}
+		return b, err
+	case reflect.Struct:
+		for i := 0; i < v.NumField() && err == nil; i++ {
+			b, err = readWire(b, v.Field(i))
+		}
+		return b, err
+	}
+	if len(b) < 8 {
+		return nil, errShort
+	}
+	w := le.Uint64(b)
+	switch {
+	case v.Kind() == reflect.Bool:
+		if w > 1 {
+			return nil, errRange
+		}
+		v.SetBool(w == 1)
+	case v.CanInt():
+		if v.OverflowInt(int64(w)) {
+			return nil, errRange
+		}
+		v.SetInt(int64(w))
+	default:
+		if v.OverflowUint(w) {
+			return nil, errRange
+		}
+		v.SetUint(w)
+	}
+	return b[8:], nil
 }

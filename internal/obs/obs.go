@@ -17,6 +17,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -277,106 +278,138 @@ func (r *Registry) NoteGC(cleaned, relocated, dropped uint64) {
 	r.gcDropped.Add(dropped)
 }
 
+// The types below are the one declaration of every exposed metric: a
+// field's tags say how it is exposed, and the three expositions are
+// walked from them (DESIGN.md §7).
+//
+//	json:"key"             the /metrics.json key (the Go name when absent)
+//	prom:"name,kind"       a Prometheus counter, gauge or summary; a
+//	                       *_seconds series holds nanoseconds here; on a
+//	                       slice the series is its length
+//	prom:"name,kind,label" the same, the field's own rendering being that
+//	                       label on its series (role="primary")
+//	label:"key"            in a list element: the field's value labels the
+//	                       element's series (class="256"); on a list: the
+//	                       element index does (group="0")
+//
+// A bool field is its block's switch: while false, the block renders no
+// Prometheus series. Label and switch fields come first in their struct
+// (they apply to the fields after them). The stats wire op carries every
+// field, tagged or not, in declaration order.
+
 // OpSnap is one op kind's merged view.
 type OpSnap struct {
-	Count   uint64
-	Errors  uint64
-	Latency *stats.Histogram // ns
+	Op      string           `json:"op" label:"op"` // KindName of the array slot
+	Count   uint64           `json:"count" prom:"flatstore_ops_total,counter"`
+	Errors  uint64           `json:"errors" prom:"flatstore_op_errors_total,counter"`
+	Latency *stats.Histogram `json:"latency_ns" prom:"flatstore_op_latency_seconds,summary"`
 }
 
 // ClassOcc is one allocator size class's occupancy.
 type ClassOcc struct {
-	Class      int // block size in bytes
-	Chunks     uint64
-	UsedBlocks uint64
-	CapBlocks  uint64
+	Class      int    `label:"class"` // block size in bytes
+	Chunks     uint64 `prom:"flatstore_alloc_class_chunks,gauge"`
+	UsedBlocks uint64 `prom:"flatstore_alloc_class_used_blocks,gauge"`
+	CapBlocks  uint64 `prom:"flatstore_alloc_class_cap_blocks,gauge"`
 }
 
 // GroupSnap mirrors batch.GroupStats for the wire.
 type GroupSnap struct {
-	Batches uint64
-	Stolen  uint64
-	Leads   uint64
+	Batches uint64 `prom:"flatstore_hb_group_batches_total,counter"`
+	Stolen  uint64 `prom:"flatstore_hb_group_stolen_total,counter"`
+	Leads   uint64 `prom:"flatstore_hb_group_leads_total,counter"`
 }
 
 // NetSnap merges the transport counters: the FlatRPC layer's and (when
 // serving TCP) the TCP front end's.
 type NetSnap struct {
-	QueuePairs  uint64
-	MMIOs       uint64
-	Delegations uint64
-	Requests    uint64
-	Responses   uint64
-	Dropped     uint64
-	Shed        uint64
-	DedupHits   uint64
-	BadFrames   uint64
-	InFlight    int64
+	QueuePairs  uint64 `prom:"flatstore_net_queue_pairs,gauge"`
+	MMIOs       uint64 `prom:"flatstore_net_mmios_total,counter"`
+	Delegations uint64 `prom:"flatstore_net_delegations_total,counter"`
+	Requests    uint64 `prom:"flatstore_net_requests_total,counter"`
+	Responses   uint64 `prom:"flatstore_net_responses_total,counter"`
+	Dropped     uint64 `prom:"flatstore_net_responses_dropped_total,counter"`
+	Shed        uint64 `prom:"flatstore_tcp_shed_total,counter"`       // StatusBusy responses (capacity or replay-in-flight)
+	DedupHits   uint64 `prom:"flatstore_tcp_dedup_hits_total,counter"` // write replays answered from the dedup table
+	BadFrames   uint64 `prom:"flatstore_tcp_bad_frames_total,counter"` // frames rejected by the CRC check
+	InFlight    int64  `prom:"flatstore_net_inflight,gauge"`           // currently queued requests across all connections
 
-	// Pipelined-protocol counters (TCP front end): multi-op frames, read
-	// coalescing, response-flush amortization, and the in-flight
-	// high-water mark (the pipelining depth actually reached).
-	BatchFrames     uint64
-	BatchOps        uint64
-	FramesCoalesced uint64
-	RespFlushes     uint64
-	RespWritten     uint64
-	InFlightPeak    int64
+	BatchFrames     uint64 `prom:"flatstore_tcp_batch_frames_total,counter"`     // multi-op (opBatch) frames decoded
+	BatchOps        uint64 `prom:"flatstore_tcp_batch_ops_total,counter"`        // sub-ops carried by those frames
+	FramesCoalesced uint64 `prom:"flatstore_tcp_frames_coalesced_total,counter"` // extra already-buffered frames drained per reader wakeup
+	RespFlushes     uint64 `prom:"flatstore_tcp_resp_flushes_total,counter"`     // response socket flushes
+	RespWritten     uint64 `prom:"flatstore_tcp_resp_written_total,counter"`     // RespWritten/RespFlushes = coalescing depth
+	InFlightPeak    int64  `prom:"flatstore_net_inflight_peak,gauge"`            // high-water mark of InFlight (the pipelining depth reached)
 }
 
-// Replication roles as rendered in snapshots.
+// ReplRole is a node's replication role. It renders by name in JSON and
+// as the role label.
+type ReplRole uint8
+
 const (
-	ReplRoleNone     = 0 // replication not configured
-	ReplRolePrimary  = 1
-	ReplRoleFollower = 2
+	ReplRoleNone ReplRole = iota // replication not configured
+	ReplRolePrimary
+	ReplRoleFollower
 )
 
-// ReplRoleName names a replication role for rendering.
-func ReplRoleName(r uint8) string {
-	switch r {
-	case ReplRolePrimary:
-		return "primary"
-	case ReplRoleFollower:
-		return "follower"
+var replRoleNames = [...]string{"none", "primary", "follower"}
+
+func (r ReplRole) String() string {
+	if int(r) < len(replRoleNames) {
+		return replRoleNames[r]
 	}
-	return "none"
+	return replRoleNames[ReplRoleNone]
+}
+
+// MarshalText renders the role by name.
+func (r ReplRole) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
+// UnmarshalText parses what MarshalText rendered.
+func (r *ReplRole) UnmarshalText(b []byte) error {
+	for i, name := range replRoleNames {
+		if name == string(b) {
+			*r = ReplRole(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("obs: unknown replication role %q", b)
 }
 
 // ReplSnap is the replication controller's view: role, epoch, stream
 // positions, and the ship/apply counters. Filled by the repl node when
 // one is attached; zero otherwise.
 type ReplSnap struct {
-	Role       uint8  // ReplRole*
-	Epoch      uint64 // current fencing epoch
-	TailPos    uint64 // newest sealed batch position (primary) / highest seen
-	AppliedPos uint64 // newest batch applied locally (follower) or acked tail
-	Followers  uint64 // connected followers (primary)
-	LagBatches uint64 // tail - slowest connected follower ack (primary), or
-	// tail - applied (follower)
-	LagBytes uint64 // same lag measured in stream bytes (history window)
+	Role       ReplRole `json:"role" prom:"flatstore_repl_role,gauge,role"`
+	Epoch      uint64   `json:"epoch" prom:"flatstore_repl_epoch,gauge"`             // current fencing epoch
+	TailPos    uint64   `json:"tail_pos" prom:"flatstore_repl_tail_pos,gauge"`       // newest sealed batch position (primary) / highest seen
+	AppliedPos uint64   `json:"applied_pos" prom:"flatstore_repl_applied_pos,gauge"` // newest batch applied locally (follower) or acked tail
+	Followers  uint64   `json:"followers" prom:"flatstore_repl_followers,gauge"`     // connected followers (primary)
+	LagBatches uint64   `json:"lag_batches" prom:"flatstore_repl_lag_batches,gauge"` // tail - slowest connected follower ack (primary), or tail - applied (follower)
+	LagBytes   uint64   `json:"lag_bytes" prom:"flatstore_repl_lag_bytes,gauge"`     // the same lag in stream bytes (history window)
 
-	BatchesShipped  uint64 // batches entered into the stream (primary)
-	BytesShipped    uint64 // encoded stream bytes entered (primary)
-	BatchesApplied  uint64 // batches applied from the stream (follower)
-	EntriesApplied  uint64 // entries applied from the stream (follower)
-	SnapshotsServed uint64 // bootstrap snapshots served (primary)
-	SnapshotsLoaded uint64 // bootstrap snapshots applied (follower)
-	SyncTimeouts    uint64 // acks released by timeout instead of follower ack
-	Demotions       uint64 // times this node fenced itself (saw a higher epoch)
+	BatchesShipped  uint64 `json:"batches_shipped" prom:"flatstore_repl_batches_shipped_total,counter"`   // batches entered into the stream (primary)
+	BytesShipped    uint64 `json:"bytes_shipped" prom:"flatstore_repl_bytes_shipped_total,counter"`       // encoded stream bytes entered (primary)
+	BatchesApplied  uint64 `json:"batches_applied" prom:"flatstore_repl_batches_applied_total,counter"`   // batches applied from the stream (follower)
+	EntriesApplied  uint64 `json:"entries_applied" prom:"flatstore_repl_entries_applied_total,counter"`   // entries applied from the stream (follower)
+	SnapshotsServed uint64 `json:"snapshots_served" prom:"flatstore_repl_snapshots_served_total,counter"` // bootstrap snapshots served (primary)
+	SnapshotsLoaded uint64 `json:"snapshots_loaded" prom:"flatstore_repl_snapshots_loaded_total,counter"` // bootstrap snapshots applied (follower)
+	SyncTimeouts    uint64 `json:"sync_timeouts" prom:"flatstore_repl_sync_timeouts_total,counter"`       // acks released by timeout instead of follower ack
+	Demotions       uint64 `json:"demotions" prom:"flatstore_repl_demotions_total,counter"`               // times this node fenced itself (saw a higher epoch)
 
-	PrimaryAddr string // serve address of the known primary ("" if unknown)
+	PrimaryAddr string `json:"primary_addr,omitempty"` // serve address of the known primary ("" if unknown)
 }
 
 // ShardSnap describes this node's place in a sharded cluster: which
 // shard it owns, how many shards the map has, the map version routing
 // is keyed on, and how many misrouted ops it bounced. Zero (Configured
-// false) when the server runs unsharded.
+// false) when the server runs unsharded. While Configured, ID is also
+// the shard label on every series of the scrape.
 type ShardSnap struct {
-	Configured bool
-	ID         int64  // this node's shard ID
-	Count      uint64 // shards in the map
-	MapVersion uint64 // membership version routing is a pure function of
-	WrongShard uint64 // StatusWrongShard redirects sent (map drift observed)
+	Configured bool   `json:"configured"`
+	ID         int64  `json:"id" prom:"flatstore_shard_id,gauge"`                         // this node's shard ID
+	Count      uint64 `json:"count" prom:"flatstore_shard_count,gauge"`                   // shards in the map
+	MapVersion uint64 `json:"map_version" prom:"flatstore_shard_map_version,gauge"`       // membership version routing is a pure function of
+	WrongShard uint64 `json:"wrong_shard" prom:"flatstore_tcp_wrong_shard_total,counter"` // StatusWrongShard redirects sent (map drift observed)
 }
 
 // TierSnap is the cold-tier view: segment/record occupancy plus the
@@ -384,18 +417,31 @@ type ShardSnap struct {
 // when the store runs without a tier directory.
 type TierSnap struct {
 	Enabled         bool
-	Segments        uint64 // live segment files
-	Records         uint64 // records across live segments
-	DeadRecords     uint64 // records marked dead (compaction fuel)
-	Bytes           uint64 // bytes across live segment files
-	Reads           uint64 // record preads served
-	BloomFiltered   uint64 // lookups answered "absent" without touching disk
-	SegmentsWritten uint64 // segments ever written (demotion + compaction)
-	Compactions     uint64 // compaction passes completed
-	Demoted         uint64 // records demoted PM → tier
-	Promoted        uint64 // records promoted tier → PM on access
-	CorruptReads    uint64 // cold reads that failed closed (CRC/decode)
-	Quarantined     uint64 // segments quarantined at open
+	Segments        uint64 `prom:"flatstore_tier_segments,gauge"`                     // live segment files
+	Records         uint64 `prom:"flatstore_tier_records,gauge"`                      // records across live segments
+	DeadRecords     uint64 `prom:"flatstore_tier_dead_records,gauge"`                 // records marked dead (compaction fuel)
+	Bytes           uint64 `prom:"flatstore_tier_bytes,gauge"`                        // bytes across live segment files
+	Reads           uint64 `prom:"flatstore_tier_reads_total,counter"`                // record preads served
+	BloomFiltered   uint64 `prom:"flatstore_tier_bloom_filtered_total,counter"`       // lookups answered "absent" without touching disk
+	SegmentsWritten uint64 `prom:"flatstore_tier_segments_written_total,counter"`     // segments ever written (demotion + compaction)
+	Compactions     uint64 `prom:"flatstore_tier_compactions_total,counter"`          // compaction passes completed
+	Demoted         uint64 `prom:"flatstore_tier_demoted_total,counter"`              // records demoted PM → tier
+	Promoted        uint64 `prom:"flatstore_tier_promoted_total,counter"`             // records promoted tier → PM on access
+	CorruptReads    uint64 `prom:"flatstore_tier_corrupt_reads_total,counter"`        // cold reads that failed closed (CRC/decode)
+	Quarantined     uint64 `prom:"flatstore_tier_segments_quarantined_total,counter"` // segments quarantined at open
+}
+
+// PMSnap is the arena's device counters, the currency the paper argues in
+// (§2.3) and the scoreboard's pm_write_amp is made of. Exact while the
+// store is quiescent; a serving core folds its events into the arena
+// totals when it goes idle, so a live scrape trails a busy core.
+type PMSnap struct {
+	Flushes    uint64 `json:"flushes" prom:"flatstore_pm_flushes_total,counter"`         // flush calls (each covers ≥ 1 line)
+	Fences     uint64 `json:"fences" prom:"flatstore_pm_fences_total,counter"`           // ordering fences
+	Lines      uint64 `json:"lines" prom:"flatstore_pm_lines_total,counter"`             // 64 B cachelines written to media
+	MediaBytes uint64 `json:"media_bytes" prom:"flatstore_pm_media_bytes_total,counter"` // bytes charged against device bandwidth
+	SeqBlocks  uint64 `json:"seq_blocks" prom:"flatstore_pm_seq_blocks_total,counter"`   // 256 B block activations adjacent to the previous one
+	RndBlocks  uint64 `json:"rnd_blocks" prom:"flatstore_pm_rnd_blocks_total,counter"`   // random (non-adjacent) 256 B block activations
 }
 
 // Snapshot is a merged moment-in-time view of the whole registry, plus
@@ -403,34 +449,35 @@ type TierSnap struct {
 // the store fills in. It is plain data and travels over the stats wire
 // op.
 type Snapshot struct {
-	UptimeNs int64
-	Cores    int
+	UptimeNs int64 `json:"uptime_ns" prom:"flatstore_uptime_seconds,gauge"`
+	Cores    int   `json:"cores" prom:"flatstore_cores,gauge"`
 
-	Ops             [NumOps]OpSnap
-	BatchSize       *stats.Histogram
-	BatchBytes      *stats.Histogram
-	LeadBatches     uint64
-	OwnOps          uint64
-	StolenOps       uint64
-	FollowedOps     uint64
-	LogBytes        uint64
-	FlushUnits      uint64
-	GCCleaned       uint64
-	GCRelocated     uint64
-	GCDropped       uint64
-	Keys            uint64
-	FreeChunks      uint64
-	RawChunks       uint64
-	HugeChunks      uint64
-	Classes         []ClassOcc
-	Groups          []GroupSnap
-	Integrity       stats.Integrity
-	Net             NetSnap
-	Repl            ReplSnap
-	Shard           ShardSnap
-	Tier            TierSnap
-	SlowThresholdNs int64
-	SlowOps         []SlowOp // oldest first, merged across cores
+	Ops             [NumOps]OpSnap   `json:"ops"`
+	BatchSize       *stats.Histogram `json:"batch_size" prom:"flatstore_batch_size,summary"`
+	BatchBytes      *stats.Histogram `json:"batch_bytes" prom:"flatstore_batch_bytes,summary"`
+	LeadBatches     uint64           `json:"lead_batches" prom:"flatstore_lead_batches_total,counter"`
+	OwnOps          uint64           `json:"batch_entries_own" prom:"flatstore_batch_entries_own_total,counter"`
+	StolenOps       uint64           `json:"batch_entries_stolen" prom:"flatstore_batch_entries_stolen_total,counter"`
+	FollowedOps     uint64           `json:"batch_entries_followed" prom:"flatstore_batch_entries_followed_total,counter"`
+	LogBytes        uint64           `json:"oplog_bytes" prom:"flatstore_oplog_bytes_total,counter"`
+	FlushUnits      uint64           `json:"flush_units" prom:"flatstore_flush_units_total,counter"`
+	GCCleaned       uint64           `json:"gc_chunks_cleaned" prom:"flatstore_gc_chunks_cleaned_total,counter"`
+	GCRelocated     uint64           `json:"gc_entries_relocated" prom:"flatstore_gc_entries_relocated_total,counter"`
+	GCDropped       uint64           `json:"gc_entries_dropped" prom:"flatstore_gc_entries_dropped_total,counter"`
+	Keys            uint64           `json:"keys" prom:"flatstore_keys,gauge"`
+	FreeChunks      uint64           `json:"free_chunks" prom:"flatstore_free_chunks,gauge"`
+	RawChunks       uint64           `json:"raw_chunks" prom:"flatstore_raw_chunks,gauge"`
+	HugeChunks      uint64           `json:"huge_chunks" prom:"flatstore_huge_chunks,gauge"`
+	Classes         []ClassOcc       `json:"alloc_classes"`
+	Groups          []GroupSnap      `json:"hb_groups" label:"group"`
+	Integrity       stats.Integrity  `json:"integrity"`
+	Net             NetSnap          `json:"net"`
+	Repl            ReplSnap         `json:"repl"`
+	Shard           ShardSnap        `json:"shard"`
+	Tier            TierSnap         `json:"tier"`
+	PM              PMSnap           `json:"pm"`
+	SlowThresholdNs int64            `json:"slow_threshold_ns"`
+	SlowOps         []SlowOp         `json:"slow_ops" prom:"flatstore_slow_ops_traced,gauge"` // oldest first, merged across cores
 }
 
 // Snapshot merges the per-core metric blocks. All allocation happens
@@ -446,6 +493,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for k := 0; k < NumOps; k++ {
 		k := k // capture per-iteration for the closure below
+		s.Ops[k].Op = KindName(k)
 		for _, cm := range r.cores {
 			s.Ops[k].Count += cm.OpCount[k].Load()
 			s.Ops[k].Errors += cm.OpErr[k].Load()

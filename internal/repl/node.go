@@ -87,7 +87,7 @@ type Node struct {
 	cfg Config
 
 	mu    sync.Mutex
-	role  uint8  // obs.ReplRolePrimary / ReplRoleFollower
+	role  obs.ReplRole
 	epoch uint64 // current epoch (increments on every promotion)
 	pos   uint64 // stream tail: last position sealed (primary) or applied (follower)
 	// remoteTail/remoteTailEpoch are the highest position and epoch
@@ -95,12 +95,12 @@ type Node struct {
 	remoteTail      uint64
 	remoteTailEpoch uint64
 	hist            *history
-	primaryRepl  string // follower: where to fetch from
-	primaryServe string // follower: the primary's client address (for redirects)
-	fetchers     map[*fetcher]struct{}
-	notify       chan struct{} // closed+replaced on any state advance (broadcast)
-	needsReset   bool          // sticky: diverged beyond automatic recovery
-	closed       bool
+	primaryRepl     string // follower: where to fetch from
+	primaryServe    string // follower: the primary's client address (for redirects)
+	fetchers        map[*fetcher]struct{}
+	notify          chan struct{} // closed+replaced on any state advance (broadcast)
+	needsReset      bool          // sticky: diverged beyond automatic recovery
+	closed          bool
 
 	lis         net.Listener
 	conns       map[net.Conn]struct{}
@@ -157,7 +157,7 @@ func NewFollower(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-func newNode(cfg Config, role uint8) (*Node, error) {
+func newNode(cfg Config, role obs.ReplRole) (*Node, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("repl: Config.Store is required")
 	}
@@ -478,7 +478,7 @@ func (n *Node) Snap() obs.ReplSnap {
 }
 
 // Role reports the node's current role (obs.ReplRolePrimary/Follower).
-func (n *Node) Role() uint8 {
+func (n *Node) Role() obs.ReplRole {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.role

@@ -1,6 +1,7 @@
 package stats_test
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -259,5 +260,20 @@ func TestHistogramBinaryRoundTrip(t *testing.T) {
 	bad[37] = 0xFF // cell index high byte -> 65535, out of range
 	if _, _, err := stats.DecodeHistogram(bad); err == nil {
 		t.Fatal("out-of-range cell index decoded")
+	}
+	// Only AppendBinary's own bytes decode: a zero-count cell, cells out
+	// of order, or an empty histogram with a minimum would re-encode to
+	// different bytes.
+	two := recordAll([]int64{1, 1000}).AppendBinary(nil)
+	for name, mutate := range map[string]func(b []byte){
+		"zero-count cell":     func(b []byte) { binary.LittleEndian.PutUint64(b[36+2:], 0) },
+		"cells out of order":  func(b []byte) { copy(b[36:46], b[46:56]) },
+		"minimum on an empty": func(b []byte) { copy(b, make([]byte, 8)); binary.LittleEndian.PutUint32(b[32:], 0) },
+	} {
+		bad := append([]byte(nil), two...)
+		mutate(bad)
+		if _, _, err := stats.DecodeHistogram(bad); err == nil {
+			t.Fatalf("%s decoded", name)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 )
 
@@ -79,7 +80,10 @@ func (h *Histogram) AppendBinary(b []byte) []byte {
 }
 
 // DecodeHistogram decodes what AppendBinary produced, returning the
-// histogram and the number of bytes consumed.
+// histogram and the number of bytes consumed. It accepts only the bytes
+// AppendBinary writes — cells non-zero and in ascending order, an empty
+// histogram carrying the empty minimum — so re-encoding what it accepted
+// reproduces the input.
 func DecodeHistogram(b []byte) (*Histogram, int, error) {
 	if len(b) < 36 {
 		return nil, 0, fmt.Errorf("stats: short histogram payload (%d bytes)", len(b))
@@ -89,21 +93,44 @@ func DecodeHistogram(b []byte) (*Histogram, int, error) {
 	h.sum = int64(binary.LittleEndian.Uint64(b[8:]))
 	min := int64(binary.LittleEndian.Uint64(b[16:]))
 	h.max = int64(binary.LittleEndian.Uint64(b[24:]))
-	if h.count > 0 {
-		h.min = min
+	if h.count == 0 && min != h.min {
+		return nil, 0, fmt.Errorf("stats: empty histogram with minimum %d", min)
 	}
+	h.min = min
 	n := int(binary.LittleEndian.Uint32(b[32:]))
 	pos := 36
 	if n > 64*16 || len(b) < pos+n*10 {
 		return nil, 0, fmt.Errorf("stats: corrupt histogram payload (%d cells)", n)
 	}
-	for i := 0; i < n; i++ {
+	for i, prev := 0, -1; i < n; i++ {
 		cell := int(binary.LittleEndian.Uint16(b[pos:]))
-		if cell >= 64*16 {
-			return nil, 0, fmt.Errorf("stats: histogram cell index %d out of range", cell)
+		c := binary.LittleEndian.Uint64(b[pos+2:])
+		if cell >= 64*16 || cell <= prev || c == 0 {
+			return nil, 0, fmt.Errorf("stats: histogram cell %d (count %d) after cell %d", cell, c, prev)
 		}
-		h.buckets[cell/16][cell%16] = binary.LittleEndian.Uint64(b[pos+2:])
+		h.buckets[cell/16][cell%16] = c
+		prev = cell
 		pos += 10
 	}
 	return h, pos, nil
+}
+
+// MarshalJSON digests the histogram for the JSON metrics view: moments
+// and percentiles, not cells. The digest is one-way (a Histogram decoded
+// from it is empty).
+func (h *Histogram) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Count uint64  `json:"count"`
+		Sum   int64   `json:"sum"`
+		Mean  float64 `json:"mean"`
+		Min   int64   `json:"min"`
+		Max   int64   `json:"max"`
+		P50   int64   `json:"p50"`
+		P90   int64   `json:"p90"`
+		P99   int64   `json:"p99"`
+		P999  int64   `json:"p999"`
+	}{
+		h.count, h.sum, h.Mean(), h.Min(), h.max,
+		h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Percentile(99.9),
+	})
 }

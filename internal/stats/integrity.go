@@ -9,24 +9,25 @@ import (
 // Integrity aggregates the storage-integrity counters a node accumulates
 // from salvage recovery and the online scrubber. It is plain data so it
 // can travel over the stats wire op; all fields are cumulative since the
-// store opened, except Quarantined, which is the current count.
+// store opened, except Quarantined, which is the current count. The prom
+// tags are read by internal/obs, which embeds this block in its snapshot.
 type Integrity struct {
 	// ScrubRuns counts completed scrubber passes.
-	ScrubRuns uint64
+	ScrubRuns uint64 `prom:"flatstore_scrub_runs_total,counter"`
 	// ScrubBatches counts OpLog batches whose trailer was verified.
-	ScrubBatches uint64
+	ScrubBatches uint64 `prom:"flatstore_scrub_batches_total,counter"`
 	// ScrubRecords counts out-of-place records whose CRC was verified.
-	ScrubRecords uint64
+	ScrubRecords uint64 `prom:"flatstore_scrub_records_total,counter"`
 	// ChecksumErrors counts batch-trailer and record-CRC verification
 	// failures observed (by the scrubber or salvage recovery).
-	ChecksumErrors uint64
+	ChecksumErrors uint64 `prom:"flatstore_checksum_errors_total,counter"`
 	// Quarantined is the number of keys currently quarantined: their last
 	// acknowledged value was destroyed (or cast into doubt) by media
 	// corruption, and reads return a corruption error instead of data.
-	Quarantined uint64
+	Quarantined uint64 `prom:"flatstore_quarantined_keys,gauge"`
 	// QuarantineClears counts keys whose quarantine was cleared by a
 	// subsequent successful Put or Delete.
-	QuarantineClears uint64
+	QuarantineClears uint64 `prom:"flatstore_quarantine_clears_total,counter"`
 	// SalvageRuns counts recoveries that ran in salvage mode and found
 	// damage.
 	SalvageRuns uint64

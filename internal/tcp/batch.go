@@ -83,8 +83,10 @@ func (cc *clientConn) batchTrip(ctx context.Context, ops []request, d time.Durat
 // frames. Ids are assigned once — they are the dedup keys the server
 // sees on every replay — and each attempt re-frames only the
 // still-unanswered ops: sub-ops answered on a previous attempt keep
-// their recorded result, busy sheds stay pending, and writes applied
-// before a connection died are acked from the server's dedup table.
+// their recorded result, busy sheds and NotPrimary refusals stay pending
+// (the latter re-point the client at the primary first, like call), and
+// writes applied before a connection died are acked from the server's
+// dedup table.
 func (c *Client) multiCall(ctx context.Context, ops []request) ([]response, error) {
 	n := len(ops)
 	if n == 0 {
@@ -132,13 +134,18 @@ func (c *Client) multiCall(ctx context.Context, ops []request) ([]response, erro
 			ops[i].core = c.route(ops[i].key) // re-route per attempt
 			sub = append(sub, ops[i])
 		}
+		notPrimary, primary := false, []byte(nil)
 		err = cc.batchTrip(ctx, sub, c.opts.RequestTimeout, func(rs response) {
 			i, ok := idIdx[rs.id]
 			if !ok || done[i] {
 				return
 			}
-			if rs.status == statusBusy {
+			switch rs.status {
+			case statusBusy:
 				return // shed: stays pending for the next attempt
+			case statusNotPrimary:
+				notPrimary, primary = true, rs.value
+				return // refused by a replica: stays pending for the primary
 			}
 			results[i] = rs
 			done[i] = true
@@ -158,6 +165,10 @@ func (c *Client) multiCall(ctx context.Context, ops []request) ([]response, erro
 			return results, nil
 		}
 		lastErr = ErrBusy
+		if notPrimary {
+			lastErr = ErrNotPrimary
+			c.redirect(cc, primary)
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("tcp: batch: %w (last error: %v)", err, lastErr)
 		}

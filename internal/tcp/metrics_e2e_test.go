@@ -191,7 +191,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jres.Body.Close()
-	var view obs.SnapshotView
+	var view obs.Snapshot
 	if err := json.NewDecoder(jres.Body).Decode(&view); err != nil {
 		t.Fatalf("json endpoint: %v", err)
 	}

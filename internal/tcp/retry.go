@@ -158,15 +158,8 @@ func (c *Client) call(ctx context.Context, q request) (response, error) {
 			continue
 		}
 		if rs.status == statusNotPrimary {
-			// Redirect: this server is a read replica and did NOT apply
-			// the op. Re-point at the primary it named (or the next
-			// candidate if it doesn't know one) and replay there — the
-			// id is stable, but the dedup session is per server
-			// identity, so the replay cannot alias state on the old
-			// node.
 			lastErr = ErrNotPrimary
-			c.retarget(string(rs.value))
-			c.dropConn(cc, ErrNotPrimary)
+			c.redirect(cc, rs.value)
 			if err := ctx.Err(); err != nil {
 				return response{}, fmt.Errorf("tcp: request %d: %w (last error: %v)", q.id, err, lastErr)
 			}
@@ -185,6 +178,17 @@ func (c *Client) call(ctx context.Context, q request) (response, error) {
 	}
 	return response{}, fmt.Errorf("tcp: request %d failed after %d attempts: %w",
 		q.id, c.opts.MaxAttempts, lastErr)
+}
+
+// redirect follows a StatusNotPrimary answer on cc: that server is a read
+// replica and did NOT apply the op. Re-point at the primary it named (or
+// the next candidate if it doesn't know one) and drop the connection, so
+// the next attempt replays there — ids are stable, but the dedup session
+// is per server identity, so the replay cannot alias state on the old
+// node. The single-op and the multi-op retry loops share it.
+func (c *Client) redirect(cc *clientConn, primary []byte) {
+	c.retarget(string(primary))
+	c.dropConn(cc, ErrNotPrimary)
 }
 
 // newRNG seeds the jitter source; the seed mixes the session id so

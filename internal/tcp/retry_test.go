@@ -17,6 +17,7 @@ import (
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
+	"flatstore/internal/obs"
 )
 
 // busyServer speaks just enough of the protocol to shed everything: it
@@ -180,5 +181,49 @@ func TestBusyExhaustionIsErrBusy(t *testing.T) {
 	// The multi-op path shares the contract.
 	if _, err := cl.MultiGet([]uint64{1, 2, 3}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("multiget err = %v, want errors.Is(err, ErrBusy)", err)
+	}
+}
+
+// replicaGate makes a server answer writes as a read replica would,
+// naming primary as the node to go to.
+type replicaGate struct{ primary string }
+
+func (g replicaGate) AllowWrite() bool    { return false }
+func (g replicaGate) PrimaryAddr() string { return g.primary }
+func (g replicaGate) Snap() obs.ReplSnap  { return obs.ReplSnap{Role: obs.ReplRoleFollower} }
+
+// TestWriteBatchFollowsNotPrimary: a multi-op frame sent to a read replica
+// is redirected like a single write. The client's only dial candidate is
+// the replica; every sub-op must be acked, and applied on the primary the
+// replica named — not reported as a per-op failure.
+func TestWriteBatchFollowsNotPrimary(t *testing.T) {
+	cfg := core.Config{Cores: 2, Mode: batch.ModePipelinedHB}
+	primary, _, primaryAddr := startServer(t, cfg)
+	replica, replicaSrv, replicaAddr := startServer(t, cfg)
+	replicaSrv.SetRepl(replicaGate{primary: primaryAddr})
+
+	cl, err := DialOptions(replicaAddr, Options{BackoffBase: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ops := make([]BatchOp, 16)
+	for i := range ops {
+		ops[i] = BatchOp{Key: uint64(i), Value: []byte{byte(i)}}
+	}
+	res, err := cl.WriteBatch(ops)
+	if err != nil {
+		t.Fatalf("WriteBatch through a replica: %v", err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Errorf("op %d: %v", i, r.Err)
+		}
+	}
+	if got := primary.Len(); got != 16 {
+		t.Errorf("primary holds %d keys, want 16", got)
+	}
+	if got := replica.Len(); got != 0 {
+		t.Errorf("replica applied %d keys; it must refuse writes", got)
 	}
 }

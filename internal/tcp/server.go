@@ -84,22 +84,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// ServerStats snapshots the resilience and pipelining counters.
-type ServerStats struct {
-	Shed       uint64 // StatusBusy responses (capacity or replay-in-flight)
-	DedupHits  uint64 // write replays answered from the dedup table
-	BadFrames  uint64 // frames rejected by the CRC check
-	WrongShard uint64 // StatusWrongShard redirects (key outside this shard)
-	InFlight   int64  // currently queued requests across all connections
-
-	BatchFrames     uint64 // multi-op (opBatch) frames decoded
-	BatchOps        uint64 // sub-ops carried by those frames
-	FramesCoalesced uint64 // extra already-buffered frames drained per reader wakeup
-	RespFlushes     uint64 // response socket flushes
-	RespWritten     uint64 // responses written (RespWritten/RespFlushes = coalescing depth)
-	InFlightPeak    int64  // high-water mark of InFlight (observed pipelining depth)
-}
-
 // ShardGate is the sharding hook the server consults on every keyed
 // op. Implemented by cluster.Gate; nil means unsharded (every key
 // accepted). A key outside this node's range is rejected with
@@ -229,21 +213,25 @@ func (s *Server) shardGate() ShardGate {
 	return g
 }
 
-// Stats snapshots the server's resilience counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Shed:            s.shed.Load(),
-		DedupHits:       s.dedupHits.Load(),
-		BadFrames:       s.badFrames.Load(),
-		WrongShard:      s.wrongShard.Load(),
-		InFlight:        s.inflight.Load(),
-		BatchFrames:     s.batchFrames.Load(),
-		BatchOps:        s.batchOps.Load(),
-		FramesCoalesced: s.framesCoalesced.Load(),
-		RespFlushes:     s.respFlushes.Load(),
-		RespWritten:     s.respWritten.Load(),
-		InFlightPeak:    s.inflightPeak.Load(),
-	}
+// Stats snapshots the server's resilience and pipelining counters: the
+// TCP front end's part of the snapshot's Net block.
+func (s *Server) Stats() obs.NetSnap {
+	var n obs.NetSnap
+	s.fillNet(&n)
+	return n
+}
+
+func (s *Server) fillNet(n *obs.NetSnap) {
+	n.Shed = s.shed.Load()
+	n.DedupHits = s.dedupHits.Load()
+	n.BadFrames = s.badFrames.Load()
+	n.InFlight = s.inflight.Load()
+	n.BatchFrames = s.batchFrames.Load()
+	n.BatchOps = s.batchOps.Load()
+	n.FramesCoalesced = s.framesCoalesced.Load()
+	n.RespFlushes = s.respFlushes.Load()
+	n.RespWritten = s.respWritten.Load()
+	n.InFlightPeak = s.inflightPeak.Load()
 }
 
 // noteInflight charges one accepted request against the global in-flight
@@ -264,17 +252,7 @@ func (s *Server) noteInflight() {
 // the opStats wire reply and the HTTP metrics endpoint.
 func (s *Server) Metrics() obs.Snapshot {
 	snap := s.st.Metrics()
-	ts := s.Stats()
-	snap.Net.Shed = ts.Shed
-	snap.Net.DedupHits = ts.DedupHits
-	snap.Net.BadFrames = ts.BadFrames
-	snap.Net.InFlight = ts.InFlight
-	snap.Net.BatchFrames = ts.BatchFrames
-	snap.Net.BatchOps = ts.BatchOps
-	snap.Net.FramesCoalesced = ts.FramesCoalesced
-	snap.Net.RespFlushes = ts.RespFlushes
-	snap.Net.RespWritten = ts.RespWritten
-	snap.Net.InFlightPeak = ts.InFlightPeak
+	s.fillNet(&snap.Net)
 	if g := s.replGate(); g != nil {
 		snap.Repl = g.Snap()
 	}
@@ -284,7 +262,7 @@ func (s *Server) Metrics() obs.Snapshot {
 			ID:         int64(g.ShardID()),
 			Count:      uint64(g.NumShards()),
 			MapVersion: g.MapVersion(),
-			WrongShard: ts.WrongShard,
+			WrongShard: s.wrongShard.Load(),
 		}
 	}
 	return snap

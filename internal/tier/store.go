@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"flatstore/internal/index"
+	"flatstore/internal/obs"
 )
 
 // Rec is one record handed to Write: the durable (key, version, value)
@@ -54,23 +55,6 @@ type Point struct {
 // is then left behind exactly as a real crash would leave it.
 type Hook func(Point) error
 
-// Stats is a point-in-time snapshot of tier counters.
-type Stats struct {
-	Segments        int
-	Records         int
-	DeadRecords     int
-	Bytes           int64
-	Reads           uint64 // record preads served
-	BloomFiltered   uint64 // lookups answered "absent" without touching disk
-	SegmentsWritten uint64
-	Compactions     uint64
-	Demoted         uint64
-	Promoted        uint64
-	CorruptReads    uint64
-	Quarantined     uint64 // segments quarantined at open
-	TmpRemoved      uint64 // orphaned .tmp files removed at open
-}
-
 // OpenReport summarizes what Open had to clean up.
 type OpenReport struct {
 	TmpRemoved  int
@@ -107,7 +91,6 @@ type Store struct {
 	promoted     atomic.Uint64
 	corruptReads atomic.Uint64
 	quarantined  atomic.Uint64
-	tmpRemoved   atomic.Uint64
 }
 
 // Open opens (creating if needed) the cold store rooted at dir. Leftover
@@ -147,7 +130,6 @@ func Open(dir string) (*Store, OpenReport, error) {
 			}
 		}
 	}
-	s.tmpRemoved.Store(uint64(rep.TmpRemoved))
 	s.quarantined.Store(uint64(rep.Quarantined))
 	if err := syncDir(dir); err != nil {
 		s.Close()
@@ -522,9 +504,10 @@ func (s *Store) TmpFiles() ([]string, error) {
 	return filepath.Glob(filepath.Join(s.dir, "*.tmp"))
 }
 
-// Stats snapshots the tier counters.
-func (s *Store) Stats() Stats {
-	st := Stats{
+// Stats snapshots the tier counters as the snapshot's Tier block.
+func (s *Store) Stats() obs.TierSnap {
+	st := obs.TierSnap{
+		Enabled:         true,
 		Reads:           s.reads.Load(),
 		BloomFiltered:   s.bloomNeg.Load(),
 		SegmentsWritten: s.writes.Load(),
@@ -533,14 +516,13 @@ func (s *Store) Stats() Stats {
 		Promoted:        s.promoted.Load(),
 		CorruptReads:    s.corruptReads.Load(),
 		Quarantined:     s.quarantined.Load(),
-		TmpRemoved:      s.tmpRemoved.Load(),
 	}
 	s.mu.RLock()
-	st.Segments = len(s.segs)
+	st.Segments = uint64(len(s.segs))
 	for _, seg := range s.segs {
-		st.Records += len(seg.recs)
-		st.DeadRecords += int(seg.dead.Load())
-		st.Bytes += seg.size
+		st.Records += uint64(len(seg.recs))
+		st.DeadRecords += uint64(seg.dead.Load())
+		st.Bytes += uint64(seg.size)
 	}
 	s.mu.RUnlock()
 	return st
