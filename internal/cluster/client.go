@@ -3,28 +3,29 @@ package cluster
 // The cluster-aware client: one tcp.Client per shard group (each with
 // its own connection, dedup sessions, and pipelined in-flight window),
 // a routing layer that sends every key to the group owning it under the
-// current shard map, and fan-out paths that split multi-op frames by
-// shard and issue the per-shard sub-batches concurrently. NotPrimary
+// current shard map, and a fan-out path that splits multi-op calls by
+// shard and issues the per-shard sub-batches concurrently. NotPrimary
 // redirects are absorbed inside each group's tcp.Client (the group is
 // one replication cluster); WrongShard redirects are absorbed here, by
-// adopting the newer map from the server's hint and re-routing.
+// adopting the newer map from the server's hint and re-routing — in
+// chase for single ops (routed.go) and in fanOut for multi-op calls.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"flatstore/internal/tcp"
 )
 
-// DefaultMaxReroutes bounds how many times one logical call chases
-// WrongShard redirects before giving up: each reroute should deliver a
-// newer map, so more than a few means the cluster's members disagree
-// about ownership faster than the client can follow.
-const DefaultMaxReroutes = 3
+// maxReroutes bounds how many times one logical call chases WrongShard
+// redirects before giving up: each reroute should deliver a newer map,
+// so more than a few means the cluster's members disagree about
+// ownership faster than the client can follow.
+const maxReroutes = 3
 
 // ClientOptions tunes the cluster client.
 type ClientOptions struct {
@@ -34,19 +35,6 @@ type ClientOptions struct {
 	// Vnodes is the per-shard virtual-node count used when parsing the
 	// cluster spec; 0 selects DefaultVnodes. All parties must agree.
 	Vnodes int
-	// MaxReroutes bounds WrongShard-redirect chases per logical call;
-	// 0 selects DefaultMaxReroutes.
-	MaxReroutes int
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.Vnodes <= 0 {
-		o.Vnodes = DefaultVnodes
-	}
-	if o.MaxReroutes <= 0 {
-		o.MaxReroutes = DefaultMaxReroutes
-	}
-	return o
 }
 
 // ClientStats counts the routing layer's work.
@@ -64,14 +52,20 @@ type ClientStats struct {
 // ErrClientClosed reports use of a closed cluster client.
 var ErrClientClosed = errors.New("cluster: client closed")
 
+// group is one shard group as the client holds it: the tcp.Client that
+// owns the group's connection, and the ops routed to it.
+type group struct {
+	cl  *tcp.Client
+	ops atomic.Uint64
+}
+
 // Client routes FlatStore operations across a sharded cluster.
 type Client struct {
 	opts ClientOptions
 
 	mu     sync.RWMutex
 	m      *Map
-	conns  map[int]*tcp.Client // by shard ID, dialled lazily
-	byID   map[int]uint64      // ops routed per shard ID
+	groups map[int]*group // by shard ID, dialled lazily
 	closed bool
 
 	ops, batches, subBatches atomic.Uint64
@@ -79,7 +73,7 @@ type Client struct {
 	reroutes, mapSwaps       atomic.Uint64
 	inflight                 atomic.Int64
 
-	// Pipelined-submission completion set (see Submit*/Poll below).
+	// Pipelined-submission completion set (see routed.go).
 	compMu sync.Mutex
 	comp   map[*Ticket]struct{}
 }
@@ -93,7 +87,6 @@ func Dial(spec string, o ClientOptions) (*Client, error) {
 
 // DialContext is Dial bounded by ctx.
 func DialContext(ctx context.Context, spec string, o ClientOptions) (*Client, error) {
-	o = o.withDefaults()
 	m, err := ParseSpec(spec, 1, o.Vnodes)
 	if err != nil {
 		return nil, err
@@ -104,16 +97,14 @@ func DialContext(ctx context.Context, spec string, o ClientOptions) (*Client, er
 // DialMap builds a cluster client over an existing shard map and
 // eagerly connects to every group. Every shard must carry addresses.
 func DialMap(ctx context.Context, m *Map, o ClientOptions) (*Client, error) {
-	o = o.withDefaults()
 	c := &Client{
-		opts:  o,
-		m:     m,
-		conns: map[int]*tcp.Client{},
-		byID:  map[int]uint64{},
-		comp:  map[*Ticket]struct{}{},
+		opts:   o,
+		m:      m,
+		groups: map[int]*group{},
+		comp:   map[*Ticket]struct{}{},
 	}
 	for _, s := range m.Shards() {
-		if _, err := c.connFor(ctx, s.ID); err != nil {
+		if _, err := c.group(ctx, s.ID); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: shard %d: %w", s.ID, err)
 		}
@@ -129,11 +120,11 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conns := c.conns
-	c.conns = map[int]*tcp.Client{}
+	groups := c.groups
+	c.groups = map[int]*group{}
 	c.mu.Unlock()
-	for _, cl := range conns {
-		cl.Close()
+	for _, g := range groups {
+		g.cl.Close()
 	}
 	return nil
 }
@@ -158,32 +149,25 @@ func (c *Client) Stats() ClientStats {
 		OpsByShard: map[int]uint64{},
 	}
 	c.mu.RLock()
-	for id, n := range c.byID {
-		st.OpsByShard[id] = n
+	for id, g := range c.groups {
+		st.OpsByShard[id] = g.ops.Load()
 	}
 	c.mu.RUnlock()
 	return st
 }
 
-// countShard attributes n ops to a shard in the per-shard counters.
-func (c *Client) countShard(id int, n uint64) {
-	c.mu.Lock()
-	c.byID[id] += n
-	c.mu.Unlock()
-}
-
-// connFor returns (dialling if needed) the tcp.Client of a shard group.
-// The group's whole address list is handed to the tcp client, so
-// NotPrimary redirects and failover re-pointing stay inside the group.
-func (c *Client) connFor(ctx context.Context, shardID int) (*tcp.Client, error) {
+// group returns (dialling if needed) a shard group. The group's whole
+// address list is handed to the tcp client, so NotPrimary redirects and
+// failover re-pointing stay inside the group.
+func (c *Client) group(ctx context.Context, shardID int) (*group, error) {
 	c.mu.RLock()
 	if c.closed {
 		c.mu.RUnlock()
 		return nil, ErrClientClosed
 	}
-	if cl, ok := c.conns[shardID]; ok {
+	if g, ok := c.groups[shardID]; ok {
 		c.mu.RUnlock()
-		return cl, nil
+		return g, nil
 	}
 	s, ok := c.m.ShardByID(shardID)
 	c.mu.RUnlock()
@@ -193,7 +177,7 @@ func (c *Client) connFor(ctx context.Context, shardID int) (*tcp.Client, error) 
 	if len(s.Addrs) == 0 {
 		return nil, fmt.Errorf("cluster: shard %d has no addresses", shardID)
 	}
-	cl, err := tcp.DialContext(ctx, joinAddrs(s.Addrs), c.opts.TCP)
+	cl, err := tcp.DialContext(ctx, strings.Join(s.Addrs, ","), c.opts.TCP)
 	if err != nil {
 		return nil, err
 	}
@@ -203,33 +187,20 @@ func (c *Client) connFor(ctx context.Context, shardID int) (*tcp.Client, error) 
 		cl.Close()
 		return nil, ErrClientClosed
 	}
-	if prior, ok := c.conns[shardID]; ok { // lost a dial race; keep the winner
+	if prior, ok := c.groups[shardID]; ok { // lost a dial race; keep the winner
 		c.mu.Unlock()
 		cl.Close()
 		return prior, nil
 	}
-	c.conns[shardID] = cl
+	g := &group{cl: cl}
+	c.groups[shardID] = g
 	c.mu.Unlock()
-	return cl, nil
+	return g, nil
 }
 
-func joinAddrs(addrs []string) string {
-	out := ""
-	for i, a := range addrs {
-		if i > 0 {
-			out += ","
-		}
-		out += a
-	}
-	return out
-}
-
-// connForKey routes a key under the current map and returns the owning
-// group's client plus the shard ID it routed to.
-func (c *Client) connForKey(ctx context.Context, key uint64) (*tcp.Client, int, error) {
-	id := c.Map().ShardOf(key)
-	cl, err := c.connFor(ctx, id)
-	return cl, id, err
+// groupForKey routes a key under the current map to the owning group.
+func (c *Client) groupForKey(ctx context.Context, key uint64) (*group, error) {
+	return c.group(ctx, c.Map().ShardOf(key))
 }
 
 // adoptHint decodes a WrongShard map hint, swapping it in if it is
@@ -252,71 +223,6 @@ func (c *Client) adoptHint(hint []byte) bool {
 	return true
 }
 
-// --- Routed single ops ---
-
-// Put stores a key-value pair on the owning shard.
-func (c *Client) Put(key uint64, value []byte) error {
-	return c.PutCtx(context.Background(), key, value)
-}
-
-// PutCtx is Put bounded by ctx.
-func (c *Client) PutCtx(ctx context.Context, key uint64, value []byte) error {
-	c.ops.Add(1)
-	for attempt := 0; ; attempt++ {
-		cl, id, err := c.connForKey(ctx, key)
-		if err != nil {
-			return err
-		}
-		c.countShard(id, 1)
-		err = cl.PutCtx(ctx, key, value)
-		if !c.shouldReroute(err, attempt) {
-			return err
-		}
-	}
-}
-
-// Get fetches a value from the owning shard.
-func (c *Client) Get(key uint64) ([]byte, bool, error) {
-	return c.GetCtx(context.Background(), key)
-}
-
-// GetCtx is Get bounded by ctx.
-func (c *Client) GetCtx(ctx context.Context, key uint64) ([]byte, bool, error) {
-	c.ops.Add(1)
-	for attempt := 0; ; attempt++ {
-		cl, id, err := c.connForKey(ctx, key)
-		if err != nil {
-			return nil, false, err
-		}
-		c.countShard(id, 1)
-		v, ok, err := cl.GetCtx(ctx, key)
-		if !c.shouldReroute(err, attempt) {
-			return v, ok, err
-		}
-	}
-}
-
-// Delete removes a key from the owning shard.
-func (c *Client) Delete(key uint64) (bool, error) {
-	return c.DeleteCtx(context.Background(), key)
-}
-
-// DeleteCtx is Delete bounded by ctx.
-func (c *Client) DeleteCtx(ctx context.Context, key uint64) (bool, error) {
-	c.ops.Add(1)
-	for attempt := 0; ; attempt++ {
-		cl, id, err := c.connForKey(ctx, key)
-		if err != nil {
-			return false, err
-		}
-		c.countShard(id, 1)
-		ok, err := cl.DeleteCtx(ctx, key)
-		if !c.shouldReroute(err, attempt) {
-			return ok, err
-		}
-	}
-}
-
 // shouldReroute reports whether err is a WrongShard redirect worth
 // chasing: the hint must decode and the attempt budget must not be
 // spent. The budget bounds the pathological case of cluster members
@@ -324,11 +230,11 @@ func (c *Client) DeleteCtx(ctx context.Context, key uint64) (bool, error) {
 // forever). Replaying a write against the new owner is safe — each
 // group's tcp.Client keeps its own dedup sessions, so the replay is a
 // fresh (session, id) there and the rejected attempt applied nothing on
-// the wrong server. The fan-out calls ask it per op, the round being the
-// attempt.
+// the wrong server. chase asks it per send of a single op; fanOut asks it
+// per op, the round being the attempt.
 func (c *Client) shouldReroute(err error, attempt int) bool {
 	var ws *tcp.WrongShardError
-	if !errors.As(err, &ws) || attempt >= c.opts.MaxReroutes {
+	if !errors.As(err, &ws) || attempt >= maxReroutes {
 		return false
 	}
 	if !c.adoptHint(ws.Hint) {
@@ -340,57 +246,60 @@ func (c *Client) shouldReroute(err error, attempt int) bool {
 
 // --- Fan-out multi-op calls ---
 
-// shardBatch is one shard's slice of a split multi-op call: the op
-// indices (into the caller's slice) this shard owns this round.
-type shardBatch struct {
-	id  int
-	idx []int
-}
-
-// splitByShard groups op indices by owning shard under the current map.
-// Groups come out ID-sorted, so sub-batch issue order is deterministic
-// (completion order is not — the merge is positional).
-func (c *Client) splitByShard(keys func(i int) uint64, idx []int) []shardBatch {
-	m := c.Map()
-	byShard := map[int][]int{}
-	for _, i := range idx {
-		id := m.ShardOf(keys(i))
-		byShard[id] = append(byShard[id], i)
+// fanOut is the one round loop of the multi-op calls over n ops. Each
+// round splits the ops still pending by owning shard under the current
+// map, runs every shard's sub-batch concurrently through run — which
+// sends ops idx to one group and stores their positional results — and
+// collects for the next round the ops whose result (errOf) is a
+// WrongShard redirect worth chasing; by then the hint's map is adopted,
+// so the re-split routes them to the new owner. A transport-level failure
+// of any sub-batch fails the call.
+func (c *Client) fanOut(ctx context.Context, n int, keyOf func(i int) uint64, errOf func(i int) error,
+	run func(ctx context.Context, cl *tcp.Client, idx []int) error) error {
+	c.batches.Add(1)
+	pending := make([]int, n)
+	for i := range pending {
+		pending[i] = i
 	}
-	out := make([]shardBatch, 0, len(byShard))
-	for id, ix := range byShard {
-		out = append(out, shardBatch{id: id, idx: ix})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
-	return out
-}
-
-// fanOut issues one round of per-shard sub-batches concurrently and
-// waits for all of them. run executes one shard's sub-batch and reports
-// a transport-level error (per-op outcomes are its own business); the
-// first transport error fails the round.
-func (c *Client) fanOut(ctx context.Context, batches []shardBatch,
-	run func(ctx context.Context, b shardBatch) error) error {
-	if len(batches) == 1 {
-		c.subBatches.Add(1)
-		c.countShard(batches[0].id, uint64(len(batches[0].idx)))
-		return run(ctx, batches[0])
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(batches))
-	for bi := range batches {
-		c.subBatches.Add(1)
-		c.countShard(batches[bi].id, uint64(len(batches[bi].idx)))
-		wg.Add(1)
-		go func(bi int) {
-			defer wg.Done()
-			errs[bi] = run(ctx, batches[bi])
-		}(bi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for round := 0; len(pending) > 0; round++ {
+		m := c.Map()
+		byShard := map[int][]int{}
+		for _, i := range pending {
+			id := m.ShardOf(keyOf(i))
+			byShard[id] = append(byShard[id], i)
+		}
+		pending = pending[:0]
+		var (
+			wg     sync.WaitGroup
+			mu     sync.Mutex // guards failed and pending
+			failed error
+		)
+		for id, idx := range byShard {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				g, err := c.group(ctx, id)
+				if err == nil {
+					c.subBatches.Add(1)
+					g.ops.Add(uint64(len(idx)))
+					err = run(ctx, g.cl, idx)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if err != nil {
+					failed = err
+					return
+				}
+				for _, i := range idx {
+					if c.shouldReroute(errOf(i), round) {
+						pending = append(pending, i)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if failed != nil {
+			return failed
 		}
 	}
 	return nil
@@ -406,48 +315,23 @@ func (c *Client) MultiGet(keys []uint64) ([]tcp.MultiRes, error) {
 
 // MultiGetCtx is MultiGet bounded by ctx.
 func (c *Client) MultiGetCtx(ctx context.Context, keys []uint64) ([]tcp.MultiRes, error) {
-	c.batches.Add(1)
 	out := make([]tcp.MultiRes, len(keys))
-	pending := make([]int, len(keys))
-	for i := range pending {
-		pending[i] = i
-	}
-	for round := 0; len(pending) > 0; round++ {
-		batches := c.splitByShard(func(i int) uint64 { return keys[i] }, pending)
-		var mu sync.Mutex
-		var next []int
-		err := c.fanOut(ctx, batches, func(ctx context.Context, b shardBatch) error {
-			cl, err := c.connFor(ctx, b.id)
-			if err != nil {
-				return err
-			}
-			sub := make([]uint64, len(b.idx))
-			for j, i := range b.idx {
+	err := c.fanOut(ctx, len(keys),
+		func(i int) uint64 { return keys[i] },
+		func(i int) error { return out[i].Err },
+		func(ctx context.Context, cl *tcp.Client, idx []int) error {
+			sub := make([]uint64, len(idx))
+			for j, i := range idx {
 				sub[j] = keys[i]
 			}
 			res, err := cl.MultiGetCtx(ctx, sub)
-			if err != nil {
-				return err
+			for j := range res {
+				out[idx[j]] = res[j]
 			}
-			var redo []int
-			for j, i := range b.idx {
-				if c.shouldReroute(res[j].Err, round) {
-					redo = append(redo, i)
-					continue
-				}
-				out[i] = res[j]
-			}
-			if len(redo) > 0 {
-				mu.Lock()
-				next = append(next, redo...)
-				mu.Unlock()
-			}
-			return nil
+			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		pending = next
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -463,48 +347,23 @@ func (c *Client) WriteBatch(ops []tcp.BatchOp) ([]tcp.BatchRes, error) {
 
 // WriteBatchCtx is WriteBatch bounded by ctx.
 func (c *Client) WriteBatchCtx(ctx context.Context, ops []tcp.BatchOp) ([]tcp.BatchRes, error) {
-	c.batches.Add(1)
 	out := make([]tcp.BatchRes, len(ops))
-	pending := make([]int, len(ops))
-	for i := range pending {
-		pending[i] = i
-	}
-	for round := 0; len(pending) > 0; round++ {
-		batches := c.splitByShard(func(i int) uint64 { return ops[i].Key }, pending)
-		var mu sync.Mutex
-		var next []int
-		err := c.fanOut(ctx, batches, func(ctx context.Context, b shardBatch) error {
-			cl, err := c.connFor(ctx, b.id)
-			if err != nil {
-				return err
-			}
-			sub := make([]tcp.BatchOp, len(b.idx))
-			for j, i := range b.idx {
+	err := c.fanOut(ctx, len(ops),
+		func(i int) uint64 { return ops[i].Key },
+		func(i int) error { return out[i].Err },
+		func(ctx context.Context, cl *tcp.Client, idx []int) error {
+			sub := make([]tcp.BatchOp, len(idx))
+			for j, i := range idx {
 				sub[j] = ops[i]
 			}
 			res, err := cl.WriteBatchCtx(ctx, sub)
-			if err != nil {
-				return err
+			for j := range res {
+				out[idx[j]] = res[j]
 			}
-			var redo []int
-			for j, i := range b.idx {
-				if c.shouldReroute(res[j].Err, round) {
-					redo = append(redo, i)
-					continue
-				}
-				out[i] = res[j]
-			}
-			if len(redo) > 0 {
-				mu.Lock()
-				next = append(next, redo...)
-				mu.Unlock()
-			}
-			return nil
+			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		pending = next
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -512,49 +371,21 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []tcp.BatchOp) ([]tcp.Ba
 // MultiPut stores many pairs across the cluster, failing if any put
 // failed.
 func (c *Client) MultiPut(pairs []tcp.Pair) error {
-	return c.MultiPutCtx(context.Background(), pairs)
+	return tcp.PutAll(context.Background(), c, pairs)
 }
 
 // MultiPutCtx is MultiPut bounded by ctx.
 func (c *Client) MultiPutCtx(ctx context.Context, pairs []tcp.Pair) error {
-	ops := make([]tcp.BatchOp, len(pairs))
-	for i := range pairs {
-		ops[i] = tcp.BatchOp{Key: pairs[i].Key, Value: pairs[i].Value}
-	}
-	res, err := c.WriteBatchCtx(ctx, ops)
-	if err != nil {
-		return err
-	}
-	for i := range res {
-		if res[i].Err != nil {
-			return fmt.Errorf("cluster: multiput key %d: %w", pairs[i].Key, res[i].Err)
-		}
-	}
-	return nil
+	return tcp.PutAll(ctx, c, pairs)
 }
 
 // MultiDelete removes many keys across the cluster, reporting which
 // existed.
 func (c *Client) MultiDelete(keys []uint64) ([]bool, error) {
-	return c.MultiDeleteCtx(context.Background(), keys)
+	return tcp.DeleteAll(context.Background(), c, keys)
 }
 
 // MultiDeleteCtx is MultiDelete bounded by ctx.
 func (c *Client) MultiDeleteCtx(ctx context.Context, keys []uint64) ([]bool, error) {
-	ops := make([]tcp.BatchOp, len(keys))
-	for i, k := range keys {
-		ops[i] = tcp.BatchOp{Key: k, Delete: true}
-	}
-	res, err := c.WriteBatchCtx(ctx, ops)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(keys))
-	for i := range res {
-		if res[i].Err != nil {
-			return nil, fmt.Errorf("cluster: multidelete key %d: %w", keys[i], res[i].Err)
-		}
-		out[i] = res[i].Existed
-	}
-	return out, nil
+	return tcp.DeleteAll(ctx, c, keys)
 }

@@ -107,12 +107,12 @@ func (c *Client) ScanCtx(ctx context.Context, lo, hi uint64, limit int) ([]tcp.P
 	shards := m.Shards()
 	cursors := make([]*scanCursor, 0, len(shards))
 	for _, s := range shards {
-		cl, err := c.connFor(ctx, s.ID)
+		g, err := c.group(ctx, s.ID)
 		if err != nil {
 			return nil, err
 		}
 		ch := make(chan scanChunk, 1) // one chunk of read-ahead per shard
-		go c.fetchShardRange(ctx, cl, lo, hi, chunk, ch)
+		go c.fetchShardRange(ctx, g.cl, lo, hi, chunk, ch)
 		cursors = append(cursors, &scanCursor{shard: s.ID, buf: nil, pos: -1, ch: ch})
 	}
 

@@ -4,177 +4,35 @@ package tcp
 // generic WriteBatch pack many operations into one wire frame (opBatch),
 // which the server decodes into the per-core pending pools in one shot —
 // one frame can seal into one horizontal-batch oplog write. Each sub-op
-// keeps its own request id, so the server's (session, id) dedup gives
-// replayed multi-op frames the same exactly-once ack semantics as single
-// writes: a retried frame re-sends only the still-unanswered sub-ops,
-// and the ones that were applied are acknowledged from the dedup table.
+// is a ticket of its own with its own request id, so the server's
+// (session, id) dedup gives replayed sub-ops the same exactly-once ack
+// semantics as single writes: after a lost connection only the
+// still-unanswered ones are re-sent, and the ones that were applied are
+// acknowledged from the dedup table.
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 )
 
-// batchTrip sends one multi-op frame carrying ops and delivers responses
-// as they arrive (on the caller's goroutine, via deliver) until every id
-// has answered, the per-attempt deadline d passes, or ctx fires. All
-// sub-responses funnel through one channel sized for the whole batch, so
-// the readLoop's under-lock send can never block.
-func (cc *clientConn) batchTrip(ctx context.Context, ops []request, d time.Duration, deliver func(response)) error {
-	ch := make(chan response, len(ops))
-	cc.mu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.mu.Unlock()
-		return err
+// doAll runs qs to completion as one multi-op frame, beside the window:
+// post a ticket per request, wait for them all. Per-op failures the
+// server answered with stay on their tickets; a request the transport
+// gave up on fails the call.
+func (c *Client) doAll(ctx context.Context, qs []request) ([]*Ticket, error) {
+	ts := make([]*Ticket, len(qs))
+	for i := range qs {
+		ts[i] = c.newTicket(ctx, qs[i])
 	}
-	for i := range ops {
-		cc.pend[ops[i].id] = ch
+	if err := c.post(ts...); err != nil {
+		return nil, err
 	}
-	cc.mu.Unlock()
-
-	cc.wmu.Lock()
-	cc.enc = appendBatchFrame(cc.enc[:0], ops)
-	err := writeFrame(cc.bw, cc.enc)
-	if err == nil {
-		err = cc.bw.Flush()
-	}
-	cc.wmu.Unlock()
-	if err != nil {
-		cc.fail(fmt.Errorf("tcp: write: %w", err))
-		return err
-	}
-
-	var expire <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		expire = t.C
-	}
-	for got := 0; got < len(ops); {
-		select {
-		case rs, ok := <-ch:
-			if !ok {
-				// Closed by fail — buffered responses were drained first,
-				// so everything that arrived has been delivered.
-				cc.mu.Lock()
-				err := cc.err
-				cc.mu.Unlock()
-				if err == nil {
-					err = ErrTimeout
-				}
-				return err
-			}
-			deliver(rs)
-			got++
-		case <-ctx.Done():
-			cc.forgetIDs(ch, ops)
-			return ctx.Err()
-		case <-expire:
-			cc.forgetIDs(ch, ops)
-			return ErrTimeout
+	for _, t := range ts {
+		if err := t.Wait(ctx); err != nil && !t.answered() {
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// multiCall runs a set of logical requests to completion as multi-op
-// frames. Ids are assigned once — they are the dedup keys the server
-// sees on every replay — and each attempt re-frames only the
-// still-unanswered ops: sub-ops answered on a previous attempt keep
-// their recorded result, busy sheds and NotPrimary refusals stay pending
-// (the latter re-point the client at the primary first, like call), and
-// writes applied before a connection died are acked from the server's
-// dedup table.
-func (c *Client) multiCall(ctx context.Context, ops []request) ([]response, error) {
-	n := len(ops)
-	if n == 0 {
-		return nil, nil
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	for i := range ops {
-		c.nextID++
-		ops[i].id = c.nextID
-	}
-	c.mu.Unlock()
-
-	results := make([]response, n)
-	done := make([]bool, n)
-	idIdx := make(map[uint64]int, n)
-	for i := range ops {
-		idIdx[ops[i].id] = i
-	}
-	ndone := 0
-	var lastErr error
-	sub := make([]request, 0, n)
-	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := sleep(ctx, c.backoff(attempt-1)); err != nil {
-				return nil, fmt.Errorf("tcp: batch: %w (last error: %v)", err, lastErr)
-			}
-		}
-		cc, err := c.connection(ctx)
-		if err != nil {
-			if errors.Is(err, ErrClosed) || ctx.Err() != nil {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		sub = sub[:0]
-		for i := range ops {
-			if done[i] {
-				continue
-			}
-			ops[i].core = c.route(ops[i].key) // re-route per attempt
-			sub = append(sub, ops[i])
-		}
-		notPrimary, primary := false, []byte(nil)
-		err = cc.batchTrip(ctx, sub, c.opts.RequestTimeout, func(rs response) {
-			i, ok := idIdx[rs.id]
-			if !ok || done[i] {
-				return
-			}
-			switch rs.status {
-			case statusBusy:
-				return // shed: stays pending for the next attempt
-			case statusNotPrimary:
-				notPrimary, primary = true, rs.value
-				return // refused by a replica: stays pending for the primary
-			}
-			results[i] = rs
-			done[i] = true
-			ndone++
-		})
-		if err != nil {
-			// The connection is suspect; drop it so the next attempt
-			// redials (matching the single-op retry path).
-			c.dropConn(cc, err)
-			if errors.Is(err, ErrClosed) || ctx.Err() != nil {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		if ndone == n {
-			return results, nil
-		}
-		lastErr = ErrBusy
-		if notPrimary {
-			lastErr = ErrNotPrimary
-			c.redirect(cc, primary)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("tcp: batch: %w (last error: %v)", err, lastErr)
-		}
-	}
-	return nil, fmt.Errorf("tcp: batch failed after %d attempts (%d/%d ops answered): %w",
-		c.opts.MaxAttempts, ndone, n, lastErr)
+	return ts, nil
 }
 
 // MultiRes is one MultiGet result.
@@ -191,23 +49,18 @@ func (c *Client) MultiGet(keys []uint64) ([]MultiRes, error) {
 
 // MultiGetCtx is MultiGet bounded by ctx.
 func (c *Client) MultiGetCtx(ctx context.Context, keys []uint64) ([]MultiRes, error) {
-	ops := make([]request, len(keys))
+	qs := make([]request, len(keys))
 	for i, k := range keys {
-		ops[i] = request{op: opGet, key: k}
+		qs[i] = request{op: opGet, key: k}
 	}
-	rss, err := c.multiCall(ctx, ops)
+	ts, err := c.doAll(ctx, qs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]MultiRes, len(keys))
-	for i := range rss {
-		switch rss[i].status {
-		case statusOK:
-			out[i] = MultiRes{Value: rss[i].value, OK: true}
-		case statusNotFound:
-		default:
-			out[i].Err = statusToErr("get", rss[i].status, rss[i].value)
-		}
+	for i, t := range ts {
+		out[i].Value, out[i].OK = t.Value()
+		out[i].Err = t.err
 	}
 	return out, nil
 }
@@ -236,30 +89,68 @@ func (c *Client) WriteBatch(ops []BatchOp) ([]BatchRes, error) {
 
 // WriteBatchCtx is WriteBatch bounded by ctx.
 func (c *Client) WriteBatchCtx(ctx context.Context, ops []BatchOp) ([]BatchRes, error) {
-	wire := make([]request, len(ops))
+	qs := make([]request, len(ops))
 	for i := range ops {
 		if ops[i].Delete {
-			wire[i] = request{op: opDelete, key: ops[i].Key}
+			qs[i] = request{op: opDelete, key: ops[i].Key}
 		} else {
-			wire[i] = request{op: opPut, key: ops[i].Key, value: ops[i].Value}
+			qs[i] = request{op: opPut, key: ops[i].Key, value: ops[i].Value}
 		}
 	}
-	rss, err := c.multiCall(ctx, wire)
+	ts, err := c.doAll(ctx, qs)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]BatchRes, len(ops))
-	for i := range rss {
-		switch {
-		case rss[i].status == statusOK:
-			out[i].Existed = true
-		case rss[i].status == statusNotFound && ops[i].Delete:
-			// Absent key: a normal delete outcome, not an error.
-		case rss[i].status == statusWrongShard:
-			out[i].Err = &WrongShardError{Hint: rss[i].value}
-		default:
-			out[i].Err = fmt.Errorf("tcp: batch op %d failed (status %d)", i, rss[i].status)
+	for i, t := range ts {
+		out[i] = BatchRes{Existed: t.ok, Err: t.err}
+	}
+	return out, nil
+}
+
+// BatchWriter is what MultiPut and MultiDelete are written over: anything
+// that applies a WriteBatch — a Client, or the cluster client, which
+// splits the batch across many.
+type BatchWriter interface {
+	WriteBatchCtx(ctx context.Context, ops []BatchOp) ([]BatchRes, error)
+}
+
+// PutAll stores pairs through w as one write batch, failing if any put
+// failed.
+func PutAll(ctx context.Context, w BatchWriter, pairs []Pair) error {
+	ops := make([]BatchOp, len(pairs))
+	for i := range pairs {
+		ops[i] = BatchOp{Key: pairs[i].Key, Value: pairs[i].Value}
+	}
+	res, err := w.WriteBatchCtx(ctx, ops)
+	if err != nil {
+		return err
+	}
+	for i := range res {
+		if res[i].Err != nil {
+			return fmt.Errorf("multiput key %d: %w", pairs[i].Key, res[i].Err)
 		}
+	}
+	return nil
+}
+
+// DeleteAll removes keys through w as one write batch, reporting which
+// existed.
+func DeleteAll(ctx context.Context, w BatchWriter, keys []uint64) ([]bool, error) {
+	ops := make([]BatchOp, len(keys))
+	for i, k := range keys {
+		ops[i] = BatchOp{Key: k, Delete: true}
+	}
+	res, err := w.WriteBatchCtx(ctx, ops)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(keys))
+	for i := range res {
+		if res[i].Err != nil {
+			return nil, fmt.Errorf("multidelete key %d: %w", keys[i], res[i].Err)
+		}
+		out[i] = res[i].Existed
 	}
 	return out, nil
 }
@@ -267,49 +158,21 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []BatchOp) ([]BatchRes, 
 // MultiPut stores many pairs through one wire frame, failing if any put
 // failed.
 func (c *Client) MultiPut(pairs []Pair) error {
-	return c.MultiPutCtx(context.Background(), pairs)
+	return PutAll(context.Background(), c, pairs)
 }
 
 // MultiPutCtx is MultiPut bounded by ctx.
 func (c *Client) MultiPutCtx(ctx context.Context, pairs []Pair) error {
-	ops := make([]BatchOp, len(pairs))
-	for i := range pairs {
-		ops[i] = BatchOp{Key: pairs[i].Key, Value: pairs[i].Value}
-	}
-	res, err := c.WriteBatchCtx(ctx, ops)
-	if err != nil {
-		return err
-	}
-	for i := range res {
-		if res[i].Err != nil {
-			return fmt.Errorf("tcp: multiput key %d: %w", pairs[i].Key, res[i].Err)
-		}
-	}
-	return nil
+	return PutAll(ctx, c, pairs)
 }
 
 // MultiDelete removes many keys through one wire frame, reporting which
 // existed.
 func (c *Client) MultiDelete(keys []uint64) ([]bool, error) {
-	return c.MultiDeleteCtx(context.Background(), keys)
+	return DeleteAll(context.Background(), c, keys)
 }
 
 // MultiDeleteCtx is MultiDelete bounded by ctx.
 func (c *Client) MultiDeleteCtx(ctx context.Context, keys []uint64) ([]bool, error) {
-	ops := make([]BatchOp, len(keys))
-	for i, k := range keys {
-		ops[i] = BatchOp{Key: k, Delete: true}
-	}
-	res, err := c.WriteBatchCtx(ctx, ops)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(keys))
-	for i := range res {
-		if res[i].Err != nil {
-			return nil, fmt.Errorf("tcp: multidelete key %d: %w", keys[i], res[i].Err)
-		}
-		out[i] = res[i].Existed
-	}
-	return out, nil
+	return DeleteAll(ctx, c, keys)
 }

@@ -13,27 +13,45 @@ import (
 	"sync"
 	"time"
 
-	"flatstore/internal/core"
 	"flatstore/internal/obs"
 	"flatstore/internal/stats"
 )
 
-// Client is a network client for a FlatStore TCP server. It pipelines:
-// concurrent goroutines may issue requests on one connection, and a
-// background reader dispatches responses by id — the TCP analogue of the
-// paper's clients posting async requests and polling completions.
+// Client is a network client for a FlatStore TCP server — the TCP
+// analogue of the paper's clients posting async requests and polling
+// completions. Every call, sync or pipelined, is a Ticket (pipeline.go)
+// on one path: one ordered writer puts requests on the connection, the
+// connection's reader completes them by id, and one retry step (retry.go)
+// per lost connection redials and re-sends what is unanswered.
 //
-// The client is resilient by default: dials and round trips carry
-// deadlines, a dead connection is redialled with exponential backoff and
-// jitter, and failed attempts are retried within Options.MaxAttempts.
-// Reads retry transparently; writes retry safely because every request
-// keeps its id across attempts and the server dedups (session, id), so a
-// replayed Put/Delete is applied and acknowledged exactly once.
+// The client is resilient by default: dials carry deadlines, the
+// connection's oldest unanswered request carries one, a dead connection
+// is redialled with exponential backoff and jitter, and unanswered
+// requests are re-sent within Options.MaxAttempts. Reads retry
+// transparently; writes retry safely because every request keeps its id
+// across attempts and the server dedups (session, id), so a replayed
+// Put/Delete is applied and acknowledged exactly once.
 type Client struct {
 	opts Options
 
+	// life ends at Close: new posts are refused, and window waiters and
+	// the retry step's sleeps, dials and idle wait unblock. bg counts the
+	// reader goroutines (each runs the retry step when its connection
+	// dies), so Close can join.
+	life context.Context
+	stop context.CancelFunc
+	bg   sync.WaitGroup
+
 	rngMu sync.Mutex
 	rng   *rand.Rand // backoff jitter
+
+	// wmu is the write stream: ids are assigned and frames written under
+	// it, so the order of ids is the order of requests on the wire. The
+	// reader never takes it — a writer blocked on a full socket cannot
+	// stop responses from draining.
+	wmu  sync.Mutex
+	enc  []byte    // frame-encode scratch
+	reqs []request // the requests of the frame being encoded
 
 	mu      sync.Mutex
 	addrs   []string // candidate servers; addrIdx is the one dials target
@@ -49,33 +67,32 @@ type Client struct {
 	conn     *clientConn // current connection; nil while down
 	cores    int         // from the latest handshake
 	nextID   uint64
-	closed   bool
-
-	dialMu sync.Mutex // serializes reconnect attempts
+	// pend holds every unanswered ticket by request id. It belongs to
+	// the client, not to a connection: what a dead connection leaves
+	// unanswered is what the next one is sent.
+	pend map[uint64]*Ticket
+	// work (on mu) wakes a retry step that waits, disconnected, for the
+	// pending table to fill.
+	work sync.Cond
 
 	// Pipelined-submission state (see pipeline.go): win holds one token
-	// per in-flight ticket (capacity Options.Window), comp the completed
-	// tickets not yet reaped by Wait/Poll, and closedCh unblocks window
-	// waiters when the client closes.
-	win      chan struct{}
-	closedCh chan struct{}
-	compMu   sync.Mutex
-	comp     map[*Ticket]struct{}
+	// per in-flight Submit ticket (capacity Options.Window), comp the
+	// completed ones not yet reaped by Wait/Poll.
+	win    chan struct{}
+	compMu sync.Mutex
+	comp   map[*Ticket]struct{}
 }
 
-// clientConn is one live connection: socket, write path, and the pending
-// table its readLoop resolves.
+// clientConn is one live connection. Its writer side (bw) is guarded by
+// Client.wmu; its reader is the goroutine started with it.
 type clientConn struct {
-	c  net.Conn
-	bw *bufio.Writer
+	c          net.Conn
+	bw         *bufio.Writer
+	readerDone chan struct{} // closed when the reader stops reading
 
-	wmu sync.Mutex // serializes frame writes
-	enc []byte     // request-encode scratch, guarded by wmu
-
-	mu         sync.Mutex // guards pend + err
-	pend       map[uint64]chan response
-	err        error
-	readerDone chan struct{} // closed when readLoop exits
+	mu       sync.Mutex
+	err      error       // why the connection was failed; nil while alive
+	watchdog *time.Timer // the RequestTimeout deadline; nil when disabled
 }
 
 // ErrClosed reports use of a closed client.
@@ -111,12 +128,17 @@ func DialContext(ctx context.Context, addr string, o Options) (*Client, error) {
 		addrs:    addrs,
 		opts:     o.withDefaults(),
 		sessions: map[uint64]uint64{},
+		pend:     map[uint64]*Ticket{},
+		comp:     map[*Ticket]struct{}{},
 	}
-	if o.Seed != 0 {
-		c.rng = rand.New(rand.NewSource(o.Seed))
-	} else {
-		c.rng = newRNG(mintSession())
+	c.work.L = &c.mu
+	c.life, c.stop = context.WithCancel(context.Background())
+	c.win = make(chan struct{}, c.opts.Window)
+	seed := o.Seed
+	if seed == 0 {
+		seed = int64(mintSession())
 	}
+	c.rng = rand.New(rand.NewSource(seed))
 	// Start at a random candidate: when every client in a fleet is handed
 	// the same ordered list, all of them dialling addrs[0] first turns one
 	// server into the connect-time hot spot (and a single slow head of the
@@ -125,9 +147,6 @@ func DialContext(ctx context.Context, addr string, o Options) (*Client, error) {
 	if len(addrs) > 1 {
 		c.addrIdx = c.rng.Intn(len(addrs))
 	}
-	c.win = make(chan struct{}, c.opts.Window)
-	c.closedCh = make(chan struct{})
-	c.comp = map[*Ticket]struct{}{}
 	var lastErr error
 	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -135,13 +154,15 @@ func DialContext(ctx context.Context, addr string, o Options) (*Client, error) {
 				return nil, fmt.Errorf("tcp: dial %s: %w (last error: %v)", addr, err, lastErr)
 			}
 		}
-		if _, err := c.connection(ctx); err == nil {
+		cc, err := c.dialConn(ctx)
+		if err == nil {
+			c.resume(cc)
 			return c, nil
-		} else if ctx.Err() != nil {
-			return nil, err
-		} else {
-			lastErr = err
 		}
+		if ctx.Err() != nil {
+			return nil, err
+		}
+		lastErr = err
 	}
 	return nil, fmt.Errorf("tcp: dial %s failed after %d attempts: %w", addr, c.opts.MaxAttempts, lastErr)
 }
@@ -192,124 +213,55 @@ func (c *Client) currentAddr() string {
 	return c.addrs[c.addrIdx]
 }
 
-// addrList renders the candidate set for error messages.
-func (c *Client) addrList() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return strings.Join(c.addrs, ",")
-}
-
-// rotateAddr moves to the next candidate after a connect failure.
-func (c *Client) rotateAddr() {
-	c.mu.Lock()
-	c.addrIdx = (c.addrIdx + 1) % len(c.addrs)
-	c.mu.Unlock()
-}
-
 // retarget re-points the client at addr (learned from a NotPrimary
 // redirect), adding it to the candidate set if new. An empty addr means
-// the redirecting server does not know the primary yet; the client just
-// rotates and lets the retry loop probe the other candidates.
+// the redirecting server does not know the primary yet; the client moves
+// to the next candidate and lets the retry step probe the others.
 func (c *Client) retarget(addr string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if addr == "" {
-		c.rotateAddr()
+		c.addrIdx = (c.addrIdx + 1) % len(c.addrs)
 		return
 	}
-	c.mu.Lock()
 	for i, a := range c.addrs {
 		if a == addr {
 			c.addrIdx = i
-			c.mu.Unlock()
 			return
 		}
 	}
 	c.addrs = append(c.addrs, addr)
 	c.addrIdx = len(c.addrs) - 1
-	c.mu.Unlock()
 }
 
 // Close tears the connection down and joins the background reader;
 // in-flight calls fail with ErrClosed.
 func (c *Client) Close() error {
+	c.stop() // before the sweep: a post that misses it finds life over
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
 	cc := c.conn
 	c.conn = nil
+	for id, t := range c.pend {
+		delete(c.pend, id)
+		c.complete(t, response{}, ErrClosed)
+	}
+	c.work.Broadcast()
 	c.mu.Unlock()
-	close(c.closedCh) // unblock Submit callers waiting on the window
 	if cc != nil {
 		cc.fail(ErrClosed)
-		<-cc.readerDone // join: readLoop must not touch the reader after Close
 	}
+	c.bg.Wait() // readers must not touch their sockets after Close
 	return nil
-}
-
-// connection returns the live connection, dialling a fresh one if the
-// previous died. Only one goroutine dials at a time; the others wait and
-// share the result.
-func (c *Client) connection(ctx context.Context) (*clientConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	cc := c.conn
-	c.mu.Unlock()
-	if cc != nil && cc.alive() {
-		return cc, nil
-	}
-	c.dialMu.Lock()
-	defer c.dialMu.Unlock()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	cc = c.conn
-	c.mu.Unlock()
-	if cc != nil && cc.alive() {
-		return cc, nil
-	}
-	cc, cores, err := c.dialConn(ctx)
-	if err != nil {
-		// Move on to the next candidate: a dead or unreachable server
-		// should not absorb the whole retry budget when a peer may be
-		// serving (the failover case).
-		c.rotateAddr()
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		cc.fail(ErrClosed)
-		<-cc.readerDone
-		return nil, ErrClosed
-	}
-	c.conn = cc
-	c.cores = cores
-	c.mu.Unlock()
-	return cc, nil
-}
-
-// dropConn marks cc dead and detaches it so the next call redials. The
-// dead readLoop drains on its own once the socket is closed.
-func (c *Client) dropConn(cc *clientConn, err error) {
-	cc.fail(err)
-	c.mu.Lock()
-	if c.conn == cc {
-		c.conn = nil
-	}
-	c.mu.Unlock()
 }
 
 // dialConn performs one connect attempt: TCP dial, handshake read, and
 // hello write, all under the dial deadline so a black-holed address or a
-// mute server cannot hang the caller.
-func (c *Client) dialConn(ctx context.Context) (*clientConn, int, error) {
+// mute server cannot hang the caller. The connection comes back with its
+// reader running and its deadline armed, but not yet the client's
+// current one (see resume). A failed attempt moves the client on to the
+// next candidate: a dead or unreachable server should not absorb the
+// whole retry budget when a peer may be serving (the failover case).
+func (c *Client) dialConn(ctx context.Context) (*clientConn, error) {
 	// A negative DialTimeout means "no per-attempt bound"; it must not
 	// reach net.Dialer, where any non-zero Timeout becomes a deadline
 	// (an already-expired one when negative).
@@ -318,9 +270,19 @@ func (c *Client) dialConn(ctx context.Context) (*clientConn, int, error) {
 		d.Timeout = c.opts.DialTimeout
 	}
 	conn, err := d.DialContext(ctx, "tcp", c.currentAddr())
-	if err != nil {
-		return nil, 0, err
+	if err == nil {
+		var cc *clientConn
+		if cc, err = c.handshake(ctx, conn); err == nil {
+			return cc, nil
+		}
+		conn.Close()
 	}
+	c.retarget("")
+	return nil, err
+}
+
+// handshake identifies both ends of a fresh socket and starts its reader.
+func (c *Client) handshake(ctx context.Context, conn net.Conn) (*clientConn, error) {
 	// Bound the handshake by the earlier of the per-attempt DialTimeout
 	// and the ctx deadline: a ctx deadline later than DialTimeout must
 	// not extend the documented per-attempt bound against a mute server.
@@ -337,178 +299,131 @@ func (c *Client) dialConn(ctx context.Context) (*clientConn, int, error) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	hs, err := readFrame(br)
 	if err != nil || len(hs) != 20 {
-		conn.Close()
-		return nil, 0, fmt.Errorf("tcp: bad handshake: %v", err)
+		return nil, fmt.Errorf("tcp: bad handshake: %v", err)
 	}
 	if binary.LittleEndian.Uint64(hs) != wireMagic {
-		conn.Close()
-		return nil, 0, errors.New("tcp: not a FlatStore server (or wire protocol mismatch)")
+		return nil, errors.New("tcp: not a FlatStore server (or wire protocol mismatch)")
 	}
-	cores := int(binary.LittleEndian.Uint32(hs[8:]))
-	serverID := binary.LittleEndian.Uint64(hs[12:])
-	session := c.sessionFor(serverID)
+	session := c.sessionFor(binary.LittleEndian.Uint64(hs[12:]))
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	if err := writeFrame(bw, encodeHello(session)); err == nil {
+	if err = writeFrame(bw, encodeHello(session)); err == nil {
 		err = bw.Flush()
-	} else {
-		bw.Flush()
 	}
 	if err != nil {
-		conn.Close()
-		return nil, 0, fmt.Errorf("tcp: hello: %w", err)
+		return nil, fmt.Errorf("tcp: hello: %w", err)
 	}
 	conn.SetDeadline(time.Time{})
 	c.mu.Lock()
 	c.session = session
+	c.cores = int(binary.LittleEndian.Uint32(hs[8:]))
 	c.mu.Unlock()
-	cc := &clientConn{
-		c:          conn,
-		bw:         bw,
-		pend:       map[uint64]chan response{},
-		readerDone: make(chan struct{}),
+	cc := &clientConn{c: conn, bw: bw, readerDone: make(chan struct{})}
+	if rt := c.opts.RequestTimeout; rt > 0 {
+		cc.mu.Lock()
+		cc.watchdog = time.AfterFunc(rt, func() { c.checkDeadline(cc) })
+		cc.mu.Unlock()
 	}
-	go cc.readLoop(br)
-	return cc, cores, nil
+	c.bg.Add(1)
+	go c.readLoop(cc, br)
+	return cc, nil
 }
 
-// alive reports whether the connection has not failed yet.
-func (cc *clientConn) alive() bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return cc.err == nil
-}
-
-// fail marks the connection dead, closes the socket (unblocking the
-// readLoop), and releases every waiter. Idempotent. A batch registers
-// many ids against one shared channel, so closes are deduped through a
-// seen-set.
-func (cc *clientConn) fail(err error) {
+// fail marks the connection dead of err — the first cause wins and is
+// returned — and closes the socket, which ends its reader. Idempotent.
+func (cc *clientConn) fail(err error) error {
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
-		var seen map[chan response]struct{}
-		if len(cc.pend) > 1 {
-			seen = make(map[chan response]struct{}, len(cc.pend))
-		}
-		for id, ch := range cc.pend {
-			delete(cc.pend, id)
-			if seen != nil {
-				if _, dup := seen[ch]; dup {
-					continue
-				}
-				seen[ch] = struct{}{}
-			}
-			close(ch)
+		if cc.watchdog != nil {
+			cc.watchdog.Stop()
 		}
 	}
+	err = cc.err
 	cc.mu.Unlock()
 	cc.c.Close()
+	return err
 }
 
-// forget abandons a pending single request (its attempt timed out); a
-// late response for the id is dropped by the readLoop.
-func (cc *clientConn) forget(id uint64) {
-	cc.mu.Lock()
-	if ch, ok := cc.pend[id]; ok {
-		close(ch)
-		delete(cc.pend, id)
-	}
-	cc.mu.Unlock()
-}
-
-// forgetIDs abandons a batch attempt's still-pending ids; late responses
-// for them are dropped by the readLoop. Unlike forget, the shared
-// channel is left open — the abandoning caller is its only receiver and
-// has stopped receiving, and fail dedupes closes for whatever remains.
-func (cc *clientConn) forgetIDs(ch chan response, ops []request) {
-	cc.mu.Lock()
-	for i := range ops {
-		if cur, ok := cc.pend[ops[i].id]; ok && cur == ch {
-			delete(cc.pend, ops[i].id)
+// checkDeadline is the connection's one deadline, Options.RequestTimeout
+// on its oldest unanswered request. A request that is not answered in
+// time makes the whole connection suspect, so one timer per connection —
+// re-armed for whatever is oldest when it fires — does what a timer per
+// request would: fail the connection and let the retry step take over.
+func (c *Client) checkDeadline(cc *clientConn) {
+	left := c.opts.RequestTimeout
+	c.mu.Lock()
+	for _, t := range c.pend {
+		if !t.sent.IsZero() {
+			if d := c.opts.RequestTimeout - time.Since(t.sent); d < left {
+				left = d
+			}
 		}
 	}
+	c.mu.Unlock()
+	if left <= 0 {
+		cc.fail(ErrTimeout)
+		return
+	}
+	cc.mu.Lock()
+	if cc.err == nil {
+		cc.watchdog.Reset(left)
+	}
 	cc.mu.Unlock()
 }
 
-func (cc *clientConn) readLoop(br *bufio.Reader) {
-	defer close(cc.readerDone)
+// readLoop is the connection's reader: it completes tickets from the
+// responses until the connection fails, then runs the retry step.
+func (c *Client) readLoop(cc *clientConn, br *bufio.Reader) {
+	defer c.bg.Done()
+	err := c.read(br)
+	close(cc.readerDone)
+	c.retry(cc, err)
+}
+
+// read dispatches responses to their tickets by id and returns why it
+// stopped. A terminal answer completes the ticket; the two answers that
+// mean "not applied, send it again" keep it pending.
+func (c *Client) read(br *bufio.Reader) error {
 	for {
 		payload, err := readFrame(br)
 		if err != nil {
-			cc.fail(fmt.Errorf("tcp: connection lost: %w", err))
-			return
+			return fmt.Errorf("tcp: connection lost: %w", err)
 		}
 		rs, err := decodeResponse(payload)
 		if err != nil {
-			cc.fail(err)
-			return
+			return err
 		}
-		// Deliver while holding mu: the send cannot block (each id's
-		// channel has capacity for every id registered against it, and
-		// an id delivers at most once), and holding the lock across the
-		// lookup+send means fail/forget can never close a channel this
-		// send is about to use.
-		cc.mu.Lock()
-		ch := cc.pend[rs.id]
-		delete(cc.pend, rs.id)
-		if ch != nil {
-			ch <- rs
-		}
-		cc.mu.Unlock()
-	}
-}
-
-// roundTrip sends one attempt of one request and waits for its response,
-// the per-request deadline, or ctx cancellation.
-func (cc *clientConn) roundTrip(ctx context.Context, q request, d time.Duration) (response, error) {
-	ch := make(chan response, 1)
-	cc.mu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.mu.Unlock()
-		return response{}, err
-	}
-	cc.pend[q.id] = ch
-	cc.mu.Unlock()
-
-	cc.wmu.Lock()
-	// Encode into the connection's scratch: writeFrame copies the payload
-	// into the bufio.Writer, so the scratch is free again at unlock.
-	cc.enc = appendRequest(cc.enc[:0], q)
-	err := writeFrame(cc.bw, cc.enc)
-	if err == nil {
-		err = cc.bw.Flush()
-	}
-	cc.wmu.Unlock()
-	if err != nil {
-		cc.fail(fmt.Errorf("tcp: write: %w", err))
-		return response{}, err
-	}
-
-	var expire <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		expire = t.C
-	}
-	select {
-	case rs, ok := <-ch:
-		if !ok {
-			cc.mu.Lock()
-			err := cc.err
-			cc.mu.Unlock()
-			if err == nil {
-				err = ErrTimeout // forgotten by a racing attempt
+		c.mu.Lock()
+		t := c.pend[rs.id]
+		switch {
+		case t == nil:
+			// Answered before (a replay raced the first answer) or given
+			// up on: drop the late response.
+			c.mu.Unlock()
+			continue
+		case rs.status == statusNotPrimary:
+			// A read replica refused the write. Re-point at the primary it
+			// named (or the next candidate if it knows none) and give the
+			// connection up: the retry step replays there — ids are
+			// stable, but the dedup session is per server identity, so the
+			// replay cannot alias state on the old node.
+			c.mu.Unlock()
+			c.retarget(string(rs.value))
+			return ErrNotPrimary
+		case rs.status == statusBusy:
+			// Shed: the connection is fine, the request goes again after
+			// its backoff, unless its budget is spent.
+			t.lastErr, t.sent = ErrBusy, time.Time{}
+			if err = c.spent(t); err == nil {
+				time.AfterFunc(c.backoff(t.attempts), func() { c.resend(t) })
+				c.mu.Unlock()
+				continue
 			}
-			return response{}, err
+			rs = response{}
 		}
-		return rs, nil
-	case <-ctx.Done():
-		cc.forget(q.id)
-		return response{}, ctx.Err()
-	case <-expire:
-		cc.forget(q.id)
-		return response{}, ErrTimeout
+		delete(c.pend, t.q.id)
+		c.mu.Unlock()
+		c.complete(t, rs, err)
 	}
 }
 
@@ -525,6 +440,12 @@ const (
 	opBatch // multi-op frame: u8 opBatch, u32 count, count × request
 )
 
+// opNames name the ops in error messages.
+var opNames = [...]string{
+	opGet: "get", opPut: "put", opDelete: "delete",
+	opScan: "scan (server needs an ordered index)", opIntegrity: "integrity", opStats: "stats",
+}
+
 // statusOK mirrors rpc.StatusOK etc.
 const (
 	statusOK uint8 = iota
@@ -539,25 +460,22 @@ const (
 // WrongShardError reports an op routed to a server that does not own
 // the key under the cluster's current shard map. Hint carries the
 // rejecting server's encoded map (see internal/cluster): a cluster-
-// aware caller decodes it, refreshes its routing, and replays the op —
-// under the same request id, so the owning server's dedup still
-// acknowledges the write exactly once.
+// aware caller decodes it, refreshes its routing, and replays the op
+// against the owning group, whose dedup acknowledges the write exactly
+// once.
 type WrongShardError struct{ Hint []byte }
 
 func (e *WrongShardError) Error() string { return "tcp: key belongs to another shard" }
 
-// statusToErr maps a non-OK terminal status to the error surfaced for
-// it, or nil for statuses the caller maps itself.
-func statusToErr(op string, status uint8, value []byte) error {
-	if status == statusWrongShard {
-		return &WrongShardError{Hint: value}
+// do runs one request to completion beside the window: post its ticket
+// and wait for it. The ticket is returned completed, or with the error
+// that says why not.
+func (c *Client) do(ctx context.Context, q request) (*Ticket, error) {
+	t := c.newTicket(ctx, q)
+	if err := c.post(t); err != nil {
+		return nil, err
 	}
-	return fmt.Errorf("tcp: %s failed (status %d)", op, status)
-}
-
-// route picks the owning core for a key.
-func (c *Client) route(key uint64) uint32 {
-	return uint32(core.RouteKey(key, c.Cores()))
+	return t, t.Wait(ctx)
 }
 
 // Put stores a key-value pair; it returns after the server made it
@@ -566,16 +484,10 @@ func (c *Client) Put(key uint64, value []byte) error {
 	return c.PutCtx(context.Background(), key, value)
 }
 
-// PutCtx is Put bounded by ctx (on top of the per-request deadline).
+// PutCtx is Put bounded by ctx (on top of the connection's deadline).
 func (c *Client) PutCtx(ctx context.Context, key uint64, value []byte) error {
-	rs, err := c.call(ctx, request{op: opPut, key: key, value: value})
-	if err != nil {
-		return err
-	}
-	if rs.status != statusOK {
-		return statusToErr("put", rs.status, rs.value)
-	}
-	return nil
+	_, err := c.do(ctx, request{op: opPut, key: key, value: value})
+	return err
 }
 
 // Get fetches a value.
@@ -585,17 +497,11 @@ func (c *Client) Get(key uint64) (value []byte, ok bool, err error) {
 
 // GetCtx is Get bounded by ctx.
 func (c *Client) GetCtx(ctx context.Context, key uint64) (value []byte, ok bool, err error) {
-	rs, err := c.call(ctx, request{op: opGet, key: key})
+	t, err := c.do(ctx, request{op: opGet, key: key})
 	if err != nil {
 		return nil, false, err
 	}
-	switch rs.status {
-	case statusOK:
-		return rs.value, true, nil
-	case statusNotFound:
-		return nil, false, nil
-	}
-	return nil, false, statusToErr("get", rs.status, rs.value)
+	return t.rs.value, t.ok, nil
 }
 
 // Delete removes a key.
@@ -605,17 +511,11 @@ func (c *Client) Delete(key uint64) (ok bool, err error) {
 
 // DeleteCtx is Delete bounded by ctx.
 func (c *Client) DeleteCtx(ctx context.Context, key uint64) (ok bool, err error) {
-	rs, err := c.call(ctx, request{op: opDelete, key: key})
+	t, err := c.do(ctx, request{op: opDelete, key: key})
 	if err != nil {
 		return false, err
 	}
-	switch rs.status {
-	case statusOK:
-		return true, nil
-	case statusNotFound:
-		return false, nil
-	}
-	return false, statusToErr("delete", rs.status, rs.value)
+	return t.ok, nil
 }
 
 // Integrity fetches the server's storage-integrity counters (scrubber
@@ -627,14 +527,11 @@ func (c *Client) Integrity() (stats.Integrity, error) {
 
 // IntegrityCtx is Integrity bounded by ctx.
 func (c *Client) IntegrityCtx(ctx context.Context) (stats.Integrity, error) {
-	rs, err := c.call(ctx, request{op: opIntegrity})
+	t, err := c.do(ctx, request{op: opIntegrity})
 	if err != nil {
 		return stats.Integrity{}, err
 	}
-	if rs.status != statusOK {
-		return stats.Integrity{}, fmt.Errorf("tcp: integrity failed (status %d)", rs.status)
-	}
-	return stats.UnmarshalIntegrity(rs.value)
+	return stats.UnmarshalIntegrity(t.rs.value)
 }
 
 // Stats fetches the server's full observability snapshot: per-op counts
@@ -647,14 +544,11 @@ func (c *Client) Stats() (*obs.Snapshot, error) {
 
 // StatsCtx is Stats bounded by ctx.
 func (c *Client) StatsCtx(ctx context.Context) (*obs.Snapshot, error) {
-	rs, err := c.call(ctx, request{op: opStats})
+	t, err := c.do(ctx, request{op: opStats})
 	if err != nil {
 		return nil, err
 	}
-	if rs.status != statusOK {
-		return nil, fmt.Errorf("tcp: stats failed (status %d)", rs.status)
-	}
-	return obs.UnmarshalSnapshot(rs.value)
+	return obs.UnmarshalSnapshot(t.rs.value)
 }
 
 // Pair is one scan result.
@@ -670,15 +564,12 @@ func (c *Client) Scan(lo, hi uint64, limit int) ([]Pair, error) {
 
 // ScanCtx is Scan bounded by ctx.
 func (c *Client) ScanCtx(ctx context.Context, lo, hi uint64, limit int) ([]Pair, error) {
-	rs, err := c.call(ctx, request{op: opScan, key: lo, scanHi: hi, limit: uint32(limit)})
+	t, err := c.do(ctx, request{op: opScan, key: lo, scanHi: hi, limit: uint32(limit)})
 	if err != nil {
 		return nil, err
 	}
-	if rs.status != statusOK {
-		return nil, fmt.Errorf("tcp: scan failed (status %d; server needs an ordered index)", rs.status)
-	}
-	out := make([]Pair, len(rs.pairs))
-	for i, p := range rs.pairs {
+	out := make([]Pair, len(t.rs.pairs))
+	for i, p := range t.rs.pairs {
 		out[i] = Pair{Key: p.key, Value: p.value}
 	}
 	return out, nil

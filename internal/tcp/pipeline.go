@@ -1,11 +1,11 @@
 package tcp
 
-// Pipelined asynchronous API — the TCP analogue of the paper's FlatRPC
-// client model (§5): post up to Options.Window asynchronous submissions,
-// then reap completions with Wait or Poll while the window refills. Depth
-// is what keeps the server's horizontal batching fed: with W requests in
-// flight, the per-op wire round trip amortizes across the window instead
-// of bounding throughput at 1/RTT.
+// The client path — the TCP analogue of the paper's FlatRPC client model
+// (§5): post up to Options.Window asynchronous submissions, then reap
+// completions with Wait or Poll while the window refills. Depth is what
+// keeps the server's horizontal batching fed: with W requests in flight,
+// the per-op wire round trip amortizes across the window instead of
+// bounding throughput at 1/RTT.
 //
 //	for i, kv := range work {
 //	    t, err := cl.SubmitPut(ctx, kv.Key, kv.Value) // blocks when window full
@@ -15,39 +15,59 @@ package tcp
 //	    }
 //	}
 //
-// Each submission runs the same retry/reconnect/dedup machinery as the
-// sync calls — a ticket's request id stays stable across replays, so the
-// server acks it exactly once even across reconnects mid-window.
+// There is one path: a Ticket is the client's pending-table entry, post
+// gives it its id and puts it on the wire in the same critical section,
+// the connection's reader completes it, and the retry step re-sends it
+// under the same id if the connection dies first. A sync call is that
+// path at depth one — post a ticket, Wait — and a multi-op call is N
+// tickets posted as one frame; neither starts a goroutine, a timer or a
+// channel of its own beyond the ticket's completion signal.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync/atomic"
+	"time"
+
+	"flatstore/internal/core"
 )
 
 // ErrInFlight reports a result accessor called before the ticket
 // completed.
 var ErrInFlight = errors.New("tcp: ticket still in flight")
 
-// Ticket is one in-flight pipelined submission. It holds one window slot
+// Ticket is one request in flight. A Submit ticket holds one window slot
 // from Submit until the request *completes*, so at most Options.Window
-// requests are on the wire at once; a blocked Submit wakes as soon as any
-// outstanding request finishes. Delivery to the application is a separate
+// of them are on the wire at once; a blocked Submit wakes as soon as any
+// outstanding one finishes. Delivery to the application is a separate
 // exactly-once step — *reaping* — done either by the ticket's own Wait
 // returning or by the ticket appearing in one Poll batch, never both.
 type Ticket struct {
-	c      *Client
-	op     uint8
-	key    uint64
-	done   chan struct{} // closed on completion
-	val    []byte        // Get result
+	c        *Client
+	ctx      context.Context // the submitter's: once done, the request is not sent again
+	q        request         // q.id is assigned by post and stable across re-sends
+	windowed bool            // a Submit ticket: holds a window slot, is published to Poll
+
+	// Guarded by Client.mu while the ticket is pending.
+	attempts int       // times sent, plus failed dials sat through
+	sent     time.Time // when it last went on the wire; zero while it waits out a Busy backoff
+	lastErr  error     // why the last attempt did not end it
+
+	done   chan struct{} // closed on completion, after the fields below are set
+	rs     response      // the server's terminal answer; zero when the transport gave up
 	ok     bool          // Get: found; Delete: existed
 	err    error
 	reaped atomic.Bool
 }
 
+func (c *Client) newTicket(ctx context.Context, q request) *Ticket {
+	return &Ticket{c: c, ctx: ctx, q: q, done: make(chan struct{})}
+}
+
 // Key returns the key the submission targets.
-func (t *Ticket) Key() uint64 { return t.key }
+func (t *Ticket) Key() uint64 { return t.q.key }
 
 // Done reports completion without reaping the ticket.
 func (t *Ticket) Done() bool {
@@ -75,27 +95,25 @@ func (t *Ticket) Value() (value []byte, ok bool) {
 	if !t.Done() || t.err != nil {
 		return nil, false
 	}
-	return t.val, t.ok
+	return t.rs.value, t.ok
 }
 
 // Existed reports whether a completed Delete's key was present.
-func (t *Ticket) Existed() bool {
-	return t.Done() && t.err == nil && t.ok
-}
+func (t *Ticket) Existed() bool { return t.Done() && t.ok }
 
-// reap delivers the completion exactly once: the CAS makes a Wait racing
-// a Poll agree on a single delivery, and the winner removes the ticket
-// from the completion set. The CAS and the delete share compMu with the
-// completion path's conditional insert, so a ticket reaped by Wait in the
-// instant before its goroutine publishes it can never be re-inserted.
-func (t *Ticket) reap() bool {
-	t.c.compMu.Lock()
-	won := t.reaped.CompareAndSwap(false, true)
-	if won {
-		delete(t.c.comp, t)
-	}
-	t.c.compMu.Unlock()
-	return won
+// answered reports a ticket the server gave a terminal answer, of
+// whatever status — as opposed to one still in flight or one the
+// transport gave up on.
+func (t *Ticket) answered() bool { return t.Done() && t.rs.id != 0 }
+
+// reap marks the completion delivered. Wait and Poll both do it under
+// compMu, which also guards complete's conditional insert: a ticket is in
+// the completion set only while it is unreaped, so the two agree on a
+// single delivery, and one reaped by Wait in the instant before it is
+// published is never inserted.
+func (t *Ticket) reap() {
+	t.reaped.Store(true)
+	delete(t.c.comp, t)
 }
 
 // Wait blocks until the ticket completes (reaping it) or ctx fires, and
@@ -104,7 +122,9 @@ func (t *Ticket) reap() bool {
 func (t *Ticket) Wait(ctx context.Context) error {
 	select {
 	case <-t.done:
+		t.c.compMu.Lock()
 		t.reap()
+		t.c.compMu.Unlock()
 		return t.err
 	case <-ctx.Done():
 		return ctx.Err()
@@ -113,22 +133,29 @@ func (t *Ticket) Wait(ctx context.Context) error {
 
 // Poll reaps up to max completed tickets (max <= 0: every one that is
 // ready) without blocking. Each completion is delivered exactly once
-// across all Poll and Wait calls.
+// across all Poll and Wait calls. A Poll that finds nothing yields the
+// processor once before it returns: a caller that polls while it waits —
+// the closed loop above, or `for cl.InFlight() > 0 { cl.Poll(0) }` — then
+// gives the goroutines it is waiting on a turn (the connection's reader;
+// in a one-process test or benchmark the server too, whose idle naps only
+// end on a scheduler pass) instead of spinning through its time slice.
 func (c *Client) Poll(max int) []*Ticket {
 	c.compMu.Lock()
-	var ready []*Ticket
+	n := len(c.comp)
+	if max > 0 && max < n {
+		n = max
+	}
+	out := make([]*Ticket, 0, n)
 	for t := range c.comp {
-		if max > 0 && len(ready) >= max {
+		if len(out) == n {
 			break
 		}
-		ready = append(ready, t)
+		t.reap()
+		out = append(out, t)
 	}
 	c.compMu.Unlock()
-	out := ready[:0]
-	for _, t := range ready {
-		if t.reap() { // lost races with concurrent Waits drop out here
-			out = append(out, t)
-		}
+	if len(out) == 0 {
+		runtime.Gosched()
 	}
 	return out
 }
@@ -141,76 +168,161 @@ func (c *Client) InFlight() int { return len(c.win) }
 // window is full (until some outstanding request completes) and returns
 // a Ticket to reap via Wait or Poll. The caller must not modify value
 // until the ticket completes: retries re-send it.
+//
+// Requests go on the wire in submission order, and a lost connection's
+// unanswered requests are replayed in that order ahead of anything
+// submitted later, so two writes in flight on one key are applied in the
+// order they were submitted. The one exception is overload: a request the
+// server sheds with StatusBusy is sent again after its backoff, behind
+// whatever was submitted in the meantime.
 func (c *Client) SubmitPut(ctx context.Context, key uint64, value []byte) (*Ticket, error) {
 	return c.submit(ctx, request{op: opPut, key: key, value: value})
 }
 
-// SubmitGet queues an asynchronous Get.
+// SubmitGet queues an asynchronous Get (see SubmitPut).
 func (c *Client) SubmitGet(ctx context.Context, key uint64) (*Ticket, error) {
 	return c.submit(ctx, request{op: opGet, key: key})
 }
 
-// SubmitDelete queues an asynchronous Delete.
+// SubmitDelete queues an asynchronous Delete (see SubmitPut).
 func (c *Client) SubmitDelete(ctx context.Context, key uint64) (*Ticket, error) {
 	return c.submit(ctx, request{op: opDelete, key: key})
 }
 
-// submit acquires a window slot and launches the request through the
-// sync retry machinery on its own goroutine.
+// submit acquires a window slot and posts the request.
 func (c *Client) submit(ctx context.Context, q request) (*Ticket, error) {
-	select {
-	case <-c.closedCh:
-		return nil, ErrClosed
-	default:
-	}
 	select {
 	case c.win <- struct{}{}: // window has room
 	default:
-		select { // full: block until a reap, cancellation, or close
+		select { // full: block until a completion, cancellation, or close
 		case c.win <- struct{}{}:
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-c.closedCh:
+		case <-c.life.Done():
 			return nil, ErrClosed
 		}
 	}
-	t := &Ticket{c: c, op: q.op, key: q.key, done: make(chan struct{})}
-	go func() {
-		rs, err := c.call(ctx, q)
-		switch {
-		case err != nil:
-			t.err = err
-		case q.op == opPut:
-			if rs.status != statusOK {
-				t.err = statusToErr("put", rs.status, rs.value)
-			}
-		case q.op == opGet:
-			switch rs.status {
-			case statusOK:
-				t.val, t.ok = rs.value, true
-			case statusNotFound:
-			default:
-				t.err = statusToErr("get", rs.status, rs.value)
-			}
-		case q.op == opDelete:
-			switch rs.status {
-			case statusOK:
-				t.ok = true
-			case statusNotFound:
-			default:
-				t.err = statusToErr("delete", rs.status, rs.value)
-			}
-		}
-		<-c.win // completion frees the window slot; a blocked Submit may proceed
-		close(t.done)
-		// Publish for Poll only after done is closed, so a polled ticket's
-		// accessors always see a completed state. Skip if a racing Wait
-		// already reaped it (the shared compMu makes this atomic with reap).
-		c.compMu.Lock()
-		if !t.reaped.Load() {
-			c.comp[t] = struct{}{}
-		}
-		c.compMu.Unlock()
-	}()
+	t := c.newTicket(ctx, q)
+	t.windowed = true
+	if err := c.post(t); err != nil {
+		<-c.win
+		return nil, err
+	}
 	return t, nil
+}
+
+// post enters ts into the pending table and puts them on the wire as one
+// frame. Ids are assigned and the frame is written under wmu, so wire
+// order is id order is the order post was called in.
+func (c *Client) post(ts ...*Ticket) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	if c.life.Err() != nil {
+		c.mu.Unlock()
+		return ErrClosed
+	}
+	for _, t := range ts {
+		c.nextID++
+		t.q.id = c.nextID
+		c.pend[t.q.id] = t
+	}
+	c.mu.Unlock()
+	c.send(ts, true)
+	return nil
+}
+
+// resend puts a Busy-shed ticket back on the wire once its backoff has
+// passed — unless the retry step replayed it in the meantime, or it was
+// ended.
+func (c *Client) resend(t *Ticket) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	waiting := c.pend[t.q.id] == t && t.sent.IsZero()
+	c.mu.Unlock()
+	if waiting {
+		c.send([]*Ticket{t}, false)
+	}
+}
+
+// send is the connection's one writer: it charges each ticket an attempt,
+// routes it to a core under the current handshake, and writes the
+// requests — as one multi-op frame when oneFrame is set and there are
+// several, else a frame each — with one flush. The caller holds wmu.
+// While the client is disconnected nothing is written: the tickets are in
+// the pending table, and the retry step (woken here if it sits idle) will
+// send them. A write error fails the connection, which hands everything
+// unanswered to the retry step.
+func (c *Client) send(ts []*Ticket, oneFrame bool) {
+	c.mu.Lock()
+	cc := c.conn
+	if cc == nil {
+		c.work.Signal()
+		c.mu.Unlock()
+		return
+	}
+	now := time.Now()
+	c.reqs = c.reqs[:0]
+	for _, t := range ts {
+		t.attempts++
+		t.sent = now
+		t.q.core = uint32(core.RouteKey(t.q.key, c.cores))
+		c.reqs = append(c.reqs, t.q)
+	}
+	c.mu.Unlock()
+
+	// Encode into the client's scratch: writeFrame copies the payload
+	// into the bufio.Writer, so the scratch is free again on return.
+	var err error
+	if oneFrame && len(c.reqs) > 1 {
+		c.enc = appendBatchFrame(c.enc[:0], c.reqs)
+		err = writeFrame(cc.bw, c.enc)
+	} else {
+		for i := 0; i < len(c.reqs) && err == nil; i++ {
+			c.enc = appendRequest(c.enc[:0], c.reqs[i])
+			err = writeFrame(cc.bw, c.enc)
+		}
+	}
+	if err == nil {
+		err = cc.bw.Flush()
+	}
+	if err != nil {
+		cc.fail(fmt.Errorf("tcp: write: %w", err))
+	}
+}
+
+// complete ends t — with the server's terminal answer, or with the error
+// the transport gave up on it with — frees its window slot and publishes
+// it for Poll. It holds the one mapping from a wire status to what Wait,
+// Err, Value, Existed and the sync and multi-op calls report. t must be
+// out of the pending table.
+func (c *Client) complete(t *Ticket, rs response, err error) {
+	t.rs, t.err = rs, err
+	if err == nil {
+		switch {
+		case rs.status == statusOK:
+			t.ok = true
+		case rs.status == statusNotFound && (t.q.op == opGet || t.q.op == opDelete):
+			// Absent key: a normal outcome, not an error.
+		case rs.status == statusWrongShard:
+			t.err = &WrongShardError{Hint: rs.value}
+		default:
+			t.err = fmt.Errorf("tcp: %s failed (status %d)", opNames[t.q.op], rs.status)
+		}
+	}
+	if !t.windowed {
+		close(t.done)
+		return
+	}
+	<-c.win // completion frees the window slot; a blocked Submit may proceed
+	close(t.done)
+	// Publish for Poll only after done is closed, so a polled ticket's
+	// accessors always see a completed state. Skip if a racing Wait
+	// already reaped it (the shared compMu makes this atomic with reap).
+	c.compMu.Lock()
+	if !t.reaped.Load() {
+		c.comp[t] = struct{}{}
+	}
+	c.compMu.Unlock()
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"sort"
 	"time"
 )
 
@@ -16,24 +16,27 @@ type Options struct {
 	// read and hello write, so a black-holed address cannot hang the
 	// caller. Default 5s.
 	DialTimeout time.Duration
-	// RequestTimeout bounds one round trip of one attempt. A request
-	// that times out marks the connection suspect: the client tears it
-	// down and the next attempt redials. Default 10s; negative: none.
+	// RequestTimeout is the connection's one deadline: how long its
+	// oldest unanswered request may stay unanswered. When it passes the
+	// connection is suspect as a whole — it is torn down and the recovery
+	// step redials and re-sends everything still unanswered. Default 10s;
+	// negative: none.
 	RequestTimeout time.Duration
-	// MaxAttempts is the per-call attempt budget (first try included)
+	// MaxAttempts is the per-request attempt budget (first try included)
 	// spent across reconnects, timeouts, and StatusBusy sheds.
 	// Default 6.
 	MaxAttempts int
-	// BackoffBase and BackoffMax bound the exponential backoff between
-	// attempts; the actual sleep is full-jitter uniform in
-	// (0, min(BackoffMax, BackoffBase<<attempt)]. Defaults 5ms / 500ms.
+	// BackoffBase and BackoffMax bound the exponential backoff before a
+	// redial or the re-send of a shed request; the actual sleep is
+	// full-jitter uniform in (0, min(BackoffMax, BackoffBase<<attempt)].
+	// Defaults 5ms / 500ms.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Window bounds the in-flight pipelined submissions (Submit tickets,
-	// see pipeline.go) — the paper's FlatRPC batchsize. Submit blocks
-	// when the window is full until a completion is reaped. The sync
-	// Put/Get/Delete/Scan calls are depth-1 by construction and do not
-	// consume window slots. Default 8.
+	// Window bounds the in-flight Submit tickets (see pipeline.go) — the
+	// paper's FlatRPC batchsize. Submit blocks while the window is full,
+	// until an outstanding ticket completes. The sync calls and the
+	// multi-op calls ride the same path but take no slot: their depth is
+	// the caller's own concurrency. Default 8.
 	Window int
 	// Seed seeds the client's RNG: the randomized starting position in
 	// the candidate address list (so a fleet of clients handed the same
@@ -87,7 +90,7 @@ var ErrBusy = errors.New("tcp: server busy")
 // the whole retry budget (the cluster had no reachable primary).
 var ErrNotPrimary = errors.New("tcp: no reachable primary")
 
-// backoff returns the sleep before attempt n (n ≥ 1): full jitter over
+// backoff returns the sleep before attempt n+1 (n ≥ 1): full jitter over
 // an exponentially growing cap, so a thundering herd of retriers
 // decorrelates instead of re-colliding.
 func (c *Client) backoff(n int) time.Duration {
@@ -113,86 +116,91 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// call runs one logical request to completion: it assigns the request a
-// stable id (the dedup key the server sees on every replay), then loops
-// over attempts — (re)connecting with backoff, round-tripping with the
-// per-request deadline, and treating connection failures, timeouts, and
-// StatusBusy sheds as retryable. Reads are naturally idempotent; writes
-// are safe to replay because the server dedups on (session, id) and acks
-// a replayed Put/Delete exactly once.
-func (c *Client) call(ctx context.Context, q request) (response, error) {
+// spent returns the error that ends t if it may not be sent again — its
+// caller's ctx is done or its attempt budget is used up — and nil while
+// it may. Caller holds c.mu.
+func (c *Client) spent(t *Ticket) error {
+	if err := t.ctx.Err(); err != nil {
+		return fmt.Errorf("tcp: request %d: %w (last error: %v)", t.q.id, err, t.lastErr)
+	}
+	if t.attempts >= c.opts.MaxAttempts {
+		return fmt.Errorf("tcp: request %d failed after %d attempts: %w", t.q.id, t.attempts, t.lastErr)
+	}
+	return nil
+}
+
+// retry is the client's one retry step, run on the reader's goroutine
+// once the connection dead has died of cause (a broken pipe, a checksum
+// failure, the deadline, a NotPrimary redirect). Every request that was
+// in flight on it has used up an attempt; retry ends the ones whose
+// budget or ctx is spent, redials with backoff (a failed dial is an
+// attempt too), and re-sends whatever is still unanswered in id order
+// under the original ids — reads are idempotent, and the server dedups
+// writes on (session, id), so a replayed Put/Delete is applied and
+// acknowledged exactly once. While nothing is pending the client stays
+// disconnected; the next submission wakes the step. It returns once a new
+// connection (with its own reader) has taken over, or the client is
+// closed.
+func (c *Client) retry(dead *clientConn, cause error) {
+	cause = dead.fail(cause) // the first failure is why the read ended
 	c.mu.Lock()
-	if c.closed {
+	if c.conn == dead {
+		c.conn = nil
+	}
+	for _, t := range c.pend {
+		if !t.sent.IsZero() {
+			t.lastErr = cause
+		}
+	}
+	for fails := 1; ; fails++ { // mu is held at the top of each round
+		for id, t := range c.pend {
+			if err := c.spent(t); err != nil {
+				delete(c.pend, id)
+				c.complete(t, response{}, err)
+			}
+		}
+		for len(c.pend) == 0 && c.life.Err() == nil {
+			c.work.Wait()
+			fails = 0 // a fresh request: its first dial needs no backoff
+		}
 		c.mu.Unlock()
-		return response{}, ErrClosed
+		if c.life.Err() != nil {
+			return
+		}
+		if fails > 0 && sleep(c.life, c.backoff(fails)) != nil {
+			return
+		}
+		cc, err := c.dialConn(c.life)
+		if err == nil {
+			c.resume(cc)
+			return
+		}
+		c.mu.Lock()
+		for _, t := range c.pend {
+			t.attempts++
+			t.lastErr = err
+		}
 	}
-	c.nextID++
-	q.id = c.nextID
+}
+
+// resume makes cc the client's connection and replays the pending table
+// onto it. Holding wmu across both means a concurrent submission lands
+// either in the replay (it was already in the table) or behind it.
+func (c *Client) resume(cc *clientConn) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	if c.life.Err() != nil {
+		c.mu.Unlock()
+		cc.fail(ErrClosed)
+		return
+	}
+	c.conn = cc
+	ts := make([]*Ticket, 0, len(c.pend))
+	for _, t := range c.pend {
+		ts = append(ts, t)
+	}
 	c.mu.Unlock()
-
-	var lastErr error
-	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			if err := sleep(ctx, c.backoff(attempt-1)); err != nil {
-				return response{}, fmt.Errorf("tcp: request %d: %w (last error: %v)", q.id, err, lastErr)
-			}
-		}
-		cc, err := c.connection(ctx)
-		if err != nil {
-			if errors.Is(err, ErrClosed) || ctx.Err() != nil {
-				return response{}, err
-			}
-			lastErr = err
-			continue
-		}
-		q.core = c.route(q.key) // re-route: the core count may have changed
-		rs, err := cc.roundTrip(ctx, q, c.opts.RequestTimeout)
-		if err != nil {
-			// The connection is suspect (broken pipe, checksum failure,
-			// or deadline blown); drop it so the next attempt redials.
-			c.dropConn(cc, err)
-			if errors.Is(err, ErrClosed) || ctx.Err() != nil {
-				return response{}, err
-			}
-			lastErr = err
-			continue
-		}
-		if rs.status == statusNotPrimary {
-			lastErr = ErrNotPrimary
-			c.redirect(cc, rs.value)
-			if err := ctx.Err(); err != nil {
-				return response{}, fmt.Errorf("tcp: request %d: %w (last error: %v)", q.id, err, lastErr)
-			}
-			continue
-		}
-		if rs.status == statusBusy {
-			lastErr = ErrBusy // shed: connection is fine, just back off
-			// Bail out before the next backoff sleep if the caller is
-			// gone; the sleep would only delay the inevitable.
-			if err := ctx.Err(); err != nil {
-				return response{}, fmt.Errorf("tcp: request %d: %w (last error: %v)", q.id, err, lastErr)
-			}
-			continue
-		}
-		return rs, nil
-	}
-	return response{}, fmt.Errorf("tcp: request %d failed after %d attempts: %w",
-		q.id, c.opts.MaxAttempts, lastErr)
-}
-
-// redirect follows a StatusNotPrimary answer on cc: that server is a read
-// replica and did NOT apply the op. Re-point at the primary it named (or
-// the next candidate if it doesn't know one) and drop the connection, so
-// the next attempt replays there — ids are stable, but the dedup session
-// is per server identity, so the replay cannot alias state on the old
-// node. The single-op and the multi-op retry loops share it.
-func (c *Client) redirect(cc *clientConn, primary []byte) {
-	c.retarget(string(primary))
-	c.dropConn(cc, ErrNotPrimary)
-}
-
-// newRNG seeds the jitter source; the seed mixes the session id so
-// clients created in the same nanosecond still decorrelate.
-func newRNG(session uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(session) ^ time.Now().UnixNano()))
+	sort.Slice(ts, func(i, j int) bool { return ts[i].q.id < ts[j].q.id })
+	c.send(ts, false)
 }

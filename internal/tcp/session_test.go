@@ -81,7 +81,7 @@ func sessionPerServerIdentity(t *testing.T, seed int64) {
 	cl.addrs[first] = "127.0.0.1:1" // unroutable stand-in for the dead server
 	cc := cl.conn
 	cl.mu.Unlock()
-	cl.dropConn(cc, errors.New("test: server gone"))
+	cc.fail(errors.New("test: server gone"))
 	if err := cl.Put(1, []byte("second")); err != nil {
 		t.Fatal(err)
 	}
