@@ -59,9 +59,9 @@ type TierConfig struct {
 	// as before.
 	Dir string
 	// DemoteFreeChunks is the free-pool threshold below which the
-	// cleaner starts demoting live records from cold (unread) chunks
-	// instead of relocating them. Below GC.MinFreeChunks demotion is
-	// unconditional. Default 3.
+	// cleaner starts demoting its victims' live records instead of
+	// relocating them. Below GC.MinFreeChunks demotion is unconditional.
+	// Default 3.
 	DemoteFreeChunks int
 	// CompactRatio is the dead-record fraction above which a segment
 	// becomes a tier-compaction victim. Default 0.5.

@@ -72,6 +72,9 @@ type Core struct {
 	leadOffs    []int64
 
 	reads uint64 // PM reads (for the simulator's cost model)
+
+	// touched decides which cold records a Get promotes (nil untiered).
+	touched *touchSketch
 }
 
 // pendingSlot bundles the per-write allocations — the PendingOp, its log
@@ -383,11 +386,6 @@ func (c *Core) readEntry(key uint64, ref int64) (val []byte, ok, corrupt bool) {
 		if !d.inline {
 			c.reads++
 		}
-		if c.st.tier != nil {
-			// Access tracking for demotion: a chunk whose entries are being
-			// read is hot and should be relocated, not demoted.
-			c.st.usage.noteRead(chunkOf(ref))
-		}
 	}
 	return val, d.state == refOK, d.state == refRotted
 }
@@ -450,10 +448,19 @@ func (c *Core) respondGet(req rpc.Request, client int, t0 int64) {
 			c.st.noteChecksumErrors(1)
 			resp.Status = rpc.StatusCorrupt
 		case vok:
+			// Every served Get marks its key, so a popular key the cleaner
+			// demoted comes back on its first cold read; a cold record
+			// nobody touched lately is served from disk and stays there.
+			seen := c.touched != nil && c.touched.touch(req.Key)
 			if index.Cold(ref) {
-				// Transparent promotion: the cold record is being read,
-				// so bring it back to the hot tier (best effort).
-				c.promote(req.Key, ref, ver, v)
+				switch {
+				case !seen:
+					c.st.tier.NotePromoteDeferred()
+				case c.promote(req.Key, ver, v):
+					c.st.tier.NotePromoted(1)
+				default:
+					c.st.tier.NotePromoteFailed()
+				}
 			}
 			resp = rpc.Response{ID: req.ID, Status: rpc.StatusOK, Value: v}
 		}
@@ -475,27 +482,29 @@ func (c *Core) refMoved(key uint64, ref int64) bool {
 
 // promote re-appends a tier-resident value to this core's PM log under
 // its existing version and repoints the index, so subsequent reads of
-// the key are PM hits again. Best-effort: on any failure the key simply
-// stays cold (the value was already served from the tier). Writing the
-// same (version, value) the tier holds keeps every recovery resolution
-// correct whichever copy it picks.
-func (c *Core) promote(key uint64, coldRef int64, ver uint32, val []byte) {
+// the key are PM hits again. Best-effort: on any failure it reports false
+// and the key simply stays cold (the value was already served from the
+// tier). Writing the same (version, value) the tier holds keeps every
+// recovery resolution correct whichever copy it picks.
+func (c *Core) promote(key uint64, ver uint32, val []byte) bool {
 	e := oplog.Entry{Op: oplog.OpPut, Version: ver, Key: key}
 	if c.materialize(c.f, &e, val) != nil {
-		return
+		return false
 	}
 	off, err := c.appendOne(c.f, &e)
 	if err != nil {
-		return
+		return false
 	}
-	promoted := false
 	c.idxMu.Lock()
-	if c.idx.CompareAndSwapRef(key, coldRef, off) {
-		promoted = true
-	} else {
-		// A concurrent tier compaction moved the cold copy first: the
-		// fresh PM entry is not the index target, i.e. a stale log copy
-		// the registry must account for (recovery recomputes stale as
+	// Tier compaction may have repointed the key since the caller read it:
+	// a cold copy of the same version is the same write wherever it sits
+	// now, so whatever cold ref the index holds is the one swapped out.
+	cold, curVer, ok := c.idx.Get(key)
+	promoted := ok && index.Cold(cold) && curVer == ver && c.idx.CompareAndSwapRef(key, cold, off)
+	if !promoted {
+		// The key moved on (overwritten, deleted, quarantined): the fresh
+		// PM entry is not the index target, i.e. a stale log copy the
+		// registry must account for (recovery recomputes stale as
 		// put-entries-minus-index-target).
 		m := c.reg[key]
 		if m == nil {
@@ -506,11 +515,11 @@ func (c *Core) promote(key uint64, coldRef int64, ver uint32, val []byte) {
 	}
 	c.idxMu.Unlock()
 	if promoted {
-		c.st.tier.MarkDead(coldRef)
-		c.st.tier.NotePromoted(1)
+		c.st.tier.MarkDead(cold)
 	} else {
 		c.st.usage.markDead(chunkOf(off), e.EncodedSize())
 	}
+	return promoted
 }
 
 func (c *Core) respondScan(req rpc.Request, client int, t0 int64) {

@@ -68,8 +68,7 @@ func (cl *Cleaner) demotePressure() bool {
 // cores, honoring the configured dead ratio unless free space is low.
 // Under tier demotion pressure any closed chunk qualifies — an all-live
 // arena has nothing dead to drop, so the only way to free space is to
-// move live-but-cold data down a tier — and chunks that no Get has
-// touched since they closed (reads == 0) are preferred as the coldest.
+// move live data down a tier.
 func (cl *Cleaner) pickVictim() (int64, *chunkUsage) {
 	st := cl.st
 	lowSpace := st.al.FreeChunks() < st.cfg.GC.MinFreeChunks
@@ -99,9 +98,6 @@ func (cl *Cleaner) pickVictim() (int64, *chunkUsage) {
 			continue
 		}
 		score := float64(dead) / float64(total)
-		if demote && cu.reads.Load() == 0 {
-			score += 0.05 // cold-chunk bonus: untouched since close
-		}
 		if score >= bestRatio {
 			bestRatio = score
 			bestChunk = chunk

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flatstore/internal/alloc"
@@ -32,8 +31,9 @@ type Store struct {
 	ckptCa *alloc.CoreAlloc // reserved allocation context for checkpoints
 
 	// tier is the cold disk tier (nil unless cfg.Tier.Dir is set): GC
-	// demotes cold records into it, Get promotes on access, and index
-	// refs with index.TierBit set resolve through it.
+	// demotes cold records into it, a Get promotes the ones its core's
+	// touch sketch has seen before, and index refs with index.TierBit set
+	// resolve through it.
 	tier *tier.Store
 
 	usage usageTable
@@ -195,6 +195,13 @@ func (st *Store) newCore(i int) (*Core, error) {
 		c.idx = st.tree
 	} else {
 		c.idx = hashidx.New()
+	}
+	if st.cfg.Tier.Dir != "" {
+		// One generation spans as many Gets as the core's share of the
+		// arena has 256 B media blocks — an upper bound on the records it
+		// could hold hot: two touches further apart than that would not
+		// have found the first one's promotion still in PM.
+		c.touched = newTouchSketch(st.arena.Size() / pmem.BlockSize / st.cfg.Cores)
 	}
 	return c, nil
 }
@@ -569,10 +576,6 @@ type chunkUsage struct {
 	mu    sync.Mutex
 	total int64
 	dead  int64
-	// reads counts readEntry hits against the chunk (maintained only
-	// while tiering is enabled) — the access signal demotion uses to
-	// prefer never-read chunks.
-	reads atomic.Int64
 }
 
 func (u *usageTable) account(chunk int64, log *oplog.Log, owner int, size int) {
@@ -598,15 +601,6 @@ func (u *usageTable) markDead(chunk int64, size int) {
 	cu.mu.Lock()
 	cu.dead += int64(size)
 	cu.mu.Unlock()
-}
-
-func (u *usageTable) noteRead(chunk int64) {
-	u.mu.Lock()
-	cu := u.m[chunk]
-	u.mu.Unlock()
-	if cu != nil {
-		cu.reads.Add(1)
-	}
 }
 
 // reset empties the table (recovery rebuilds it from its scan).

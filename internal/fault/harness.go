@@ -24,8 +24,8 @@ const (
 	KGC
 	// KCheckpoint persists a runtime checkpoint.
 	KCheckpoint
-	// KGet reads Key through the request path (promoting a cold hit) and
-	// asserts the value matches the acknowledged model.
+	// KGet reads Key through the request path (a cold hit on a key read
+	// before promotes) and asserts the value matches the acknowledged model.
 	KGet
 	// KTierCompact runs one cold-tier compaction pass.
 	KTierCompact

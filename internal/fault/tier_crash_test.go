@@ -49,6 +49,21 @@ func tierPrelude() []fault.Op {
 	return ops
 }
 
+// mustPromote runs h's script once with no fault injected and fails unless
+// a Get promoted a cold record: promotion is a policy decision, and a script
+// the policy leaves cold would sweep every point but the promotion append's.
+func mustPromote(t *testing.T, h *fault.Harness) {
+	t.Helper()
+	var promoted uint64
+	err := h.Observe(func(_ int, st *core.Store) { promoted = st.Tier().Stats().Promoted })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if promoted == 0 {
+		t.Fatal("the script's un-crashed run promoted nothing: the sweep never visits the promotion append")
+	}
+}
+
 // TestSweepTierDemotion crashes at every persist-ordering point of a full
 // demote/promote/compact lifecycle: the GC demotion's segment write (tmp
 // write, fsync, rename, directory sync) interleaved with the PM journal /
@@ -65,16 +80,19 @@ func TestSweepTierDemotion(t *testing.T) {
 	}
 	script := []fault.Op{
 		fault.Put(9001, val(9001, 0, 200)),
+		fault.Get(3),                 // hot read: the touch sketch marks the key
+		fault.Get(25),                // and this one
 		fault.GC(),                   // demotes every live chunk-1 record to segment files
-		fault.Get(3),                 // cold hit → promotion back to PM
+		fault.Get(3),                 // cold hit on a marked key → promotion back to PM
 		fault.Put(7, val(7, 1, 180)), // overwrite a cold key
 		fault.Delete(11),             // delete a cold key
 		fault.Get(7),                 // hot again after the overwrite
 		fault.TierCompact(),          // ≥3 dead of ~135 → rewrite + remove victim
-		fault.Get(25),                // cold read from the compacted segment
+		fault.Get(25),                // marked key promotes out of the compacted segment
 		fault.Checkpoint(),           // checkpoint now persists cold refs
 	}
 	h := fault.NewHarness(tierCfg(t.TempDir()), tierPrelude(), script)
+	mustPromote(t, h)
 	_, pts, err := h.CountPoints()
 	if err != nil {
 		t.Fatal(err)
@@ -106,13 +124,15 @@ func TestSweepTierDemotion(t *testing.T) {
 func TestSweepTierColdStart(t *testing.T) {
 	prelude := append(tierPrelude(), fault.GC())
 	script := []fault.Op{
-		fault.Get(5),                 // promote
+		fault.Get(5),                 // first touch: served from disk, stays cold
+		fault.Get(5),                 // second touch → promotion
 		fault.Put(9, val(9, 1, 100)), // overwrite cold
 		fault.Delete(13),             // delete cold
 		fault.TierCompact(),
 		fault.Checkpoint(),
 	}
 	h := fault.NewHarness(tierCfg(t.TempDir()), prelude, script)
+	mustPromote(t, h)
 	stats := sweep(t, h, true)
 	if stats.Points < 10 {
 		t.Fatalf("cold-start script generated only %d persist points", stats.Points)

@@ -20,9 +20,10 @@ import (
 //
 // The field order is the format and the magic names it: a peer built from
 // other declarations is rejected rather than mis-decoded, and a change to
-// the declared fields moves the magic. OBS6 is the first walked format;
-// DESIGN.md §7 says why there is no compatibility shim.
-const snapMagic uint32 = 0x4F425336 // "OBS6"
+// the declared fields moves the magic. OBS6 was the first walked format,
+// OBS7 added the tier's promotion-decision counters; DESIGN.md §7 says why
+// there is no compatibility shim.
+const snapMagic uint32 = 0x4F425337 // "OBS7"
 
 var le = binary.LittleEndian
 

@@ -426,7 +426,9 @@ type TierSnap struct {
 	SegmentsWritten uint64 `prom:"flatstore_tier_segments_written_total,counter"`     // segments ever written (demotion + compaction)
 	Compactions     uint64 `prom:"flatstore_tier_compactions_total,counter"`          // compaction passes completed
 	Demoted         uint64 `prom:"flatstore_tier_demoted_total,counter"`              // records demoted PM → tier
-	Promoted        uint64 `prom:"flatstore_tier_promoted_total,counter"`             // records promoted tier → PM on access
+	Promoted        uint64 `prom:"flatstore_tier_promoted_total,counter"`             // records promoted tier → PM by a Get
+	PromoteDeferred uint64 `prom:"flatstore_tier_promote_deferred_total,counter"`     // cold Gets served from disk and left cold (key not touched lately)
+	PromoteFailed   uint64 `prom:"flatstore_tier_promote_failed_total,counter"`       // promotions given up (append refused, or the key moved on)
 	CorruptReads    uint64 `prom:"flatstore_tier_corrupt_reads_total,counter"`        // cold reads that failed closed (CRC/decode)
 	Quarantined     uint64 `prom:"flatstore_tier_segments_quarantined_total,counter"` // segments quarantined at open
 }

@@ -127,7 +127,7 @@ func buildSnapshot() Snapshot {
 	s.Shard = ShardSnap{Configured: true, ID: 2, Count: 3, MapVersion: 51, WrongShard: 52}
 	s.Tier = TierSnap{Enabled: true, Segments: 61, Records: 62, DeadRecords: 63, Bytes: 64, Reads: 65,
 		BloomFiltered: 66, SegmentsWritten: 67, Compactions: 68, Demoted: 69, Promoted: 70,
-		CorruptReads: 71, Quarantined: 72}
+		PromoteDeferred: 73, PromoteFailed: 74, CorruptReads: 71, Quarantined: 72}
 	s.PM = PMSnap{Flushes: 81, Fences: 82, Lines: 83, MediaBytes: 84, SeqBlocks: 85, RndBlocks: 86}
 	return s
 }

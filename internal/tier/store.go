@@ -62,13 +62,38 @@ type OpenReport struct {
 }
 
 type segment struct {
-	id    uint32
-	path  string
-	f     *os.File
-	size  int64
-	recs  []TableRec
-	bloom []uint64
-	dead  atomic.Uint32
+	id      uint32
+	path    string
+	f       *os.File
+	size    int64
+	dataEnd int64      // end of the record area, where the footer table starts
+	recs    []TableRec // footer table, in offset order
+	bloom   []uint64
+	dead    atomic.Uint32
+}
+
+// newSegment describes an open segment file of size bytes whose footer
+// decoded to table and bloom; the record area ends where that footer starts.
+func newSegment(id uint32, path string, f *os.File, size int, table []TableRec, bloom []uint64) *segment {
+	return &segment{id: id, path: path, f: f, size: int64(size), recs: table, bloom: bloom,
+		dataEnd: int64(size - len(table)*tableRecSize - len(bloom)*8 - trailerSize)}
+}
+
+// extent returns the end of the record the footer table lists at off: the
+// next record's offset, or the end of the record area for the last one.
+// An offset the table does not list has no extent.
+func (seg *segment) extent(off uint32) (end int64, ok bool) {
+	i := sort.Search(len(seg.recs), func(i int) bool { return seg.recs[i].Off >= off })
+	if i == len(seg.recs) || seg.recs[i].Off != off {
+		return 0, false
+	}
+	end = seg.dataEnd
+	if i+1 < len(seg.recs) {
+		end = int64(seg.recs[i+1].Off)
+	}
+	// Open validated every offset against the record area but not their
+	// order: a table out of order yields no extent rather than a short one.
+	return end, end-int64(off) >= recHeaderSize
 }
 
 // Store is the cold tier: a directory of immutable segment files plus
@@ -89,6 +114,8 @@ type Store struct {
 	compactions  atomic.Uint64
 	demoted      atomic.Uint64
 	promoted     atomic.Uint64
+	promoteDefer atomic.Uint64
+	promoteFail  atomic.Uint64
 	corruptReads atomic.Uint64
 	quarantined  atomic.Uint64
 }
@@ -158,7 +185,7 @@ func openSegment(path string) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &segment{id: id, path: path, f: f, size: int64(len(b)), recs: table, bloom: bloom}, nil
+	return newSegment(id, path, f, len(b), table, bloom), nil
 }
 
 func syncDir(dir string) error {
@@ -265,7 +292,7 @@ func (s *Store) Write(recs []Rec) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	seg := &segment{id: id, path: final, f: rf, size: int64(len(buf)), recs: table, bloom: bloom}
+	seg := newSegment(id, final, rf, len(buf), table, bloom)
 	s.mu.Lock()
 	s.segs[id] = seg
 	s.mu.Unlock()
@@ -277,10 +304,13 @@ func (s *Store) Write(recs []Rec) ([]int64, error) {
 	return refs, nil
 }
 
-// Get reads and CRC-verifies the record named by cold ref. It returns
-// the record's stored key (callers compare it against the key they
-// looked up — a mismatch means corruption or a stale ref) and a fresh
-// value copy. Any validation failure is ErrCorrupt: Get fails closed.
+// Get reads and CRC-verifies the record named by cold ref, in one pread:
+// the record's extent comes from the in-memory footer table, so the length
+// in the on-disk header is checked against the bytes read and never used to
+// size a read. It returns the record's stored key (callers compare it
+// against the key they looked up — a mismatch means corruption or a stale
+// ref) and a fresh value copy. Any validation failure, an offset the table
+// does not list included, is ErrCorrupt: Get fails closed.
 func (s *Store) Get(ref int64) (key uint64, ver uint32, val []byte, err error) {
 	segID, off := index.ColdParts(ref)
 	s.mu.RLock()
@@ -291,21 +321,12 @@ func (s *Store) Get(ref int64) (key uint64, ver uint32, val []byte, err error) {
 		return 0, 0, nil, fmt.Errorf("%w: no such segment %d", ErrCorrupt, segID)
 	}
 	s.reads.Add(1)
-	if int64(off)+recHeaderSize > seg.size {
+	end, ok := seg.extent(off)
+	if !ok {
 		s.corruptReads.Add(1)
-		return 0, 0, nil, fmt.Errorf("%w: record offset out of range", ErrCorrupt)
+		return 0, 0, nil, fmt.Errorf("%w: no record at offset %d of segment %d", ErrCorrupt, off, segID)
 	}
-	var hdr [recHeaderSize]byte
-	if _, err := seg.f.ReadAt(hdr[:], int64(off)); err != nil {
-		s.corruptReads.Add(1)
-		return 0, 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	vlen := int64(uint32(hdr[12]) | uint32(hdr[13])<<8 | uint32(hdr[14])<<16 | uint32(hdr[15])<<24)
-	if int64(off)+recHeaderSize+vlen > seg.size {
-		s.corruptReads.Add(1)
-		return 0, 0, nil, fmt.Errorf("%w: record length out of range", ErrCorrupt)
-	}
-	buf := make([]byte, recHeaderSize+vlen)
+	buf := make([]byte, end-int64(off))
 	if _, err := seg.f.ReadAt(buf, int64(off)); err != nil {
 		s.corruptReads.Add(1)
 		return 0, 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -360,6 +381,12 @@ func (s *Store) MarkDead(ref int64) {
 // tiers (multi-writer: GC cleaners and cores both call these).
 func (s *Store) NoteDemoted(n int)  { s.demoted.Add(uint64(n)) }
 func (s *Store) NotePromoted(n int) { s.promoted.Add(uint64(n)) }
+
+// NotePromoteDeferred / NotePromoteFailed account the cold Gets that did
+// not move their record: the engine chose to leave it cold, or tried and
+// could not.
+func (s *Store) NotePromoteDeferred() { s.promoteDefer.Add(1) }
+func (s *Store) NotePromoteFailed()   { s.promoteFail.Add(1) }
 
 // orderedIDs returns the live segment IDs in ascending order.
 // Ascending ID = write order, which recovery relies on for a
@@ -514,6 +541,8 @@ func (s *Store) Stats() obs.TierSnap {
 		Compactions:     s.compactions.Load(),
 		Demoted:         s.demoted.Load(),
 		Promoted:        s.promoted.Load(),
+		PromoteDeferred: s.promoteDefer.Load(),
+		PromoteFailed:   s.promoteFail.Load(),
 		CorruptReads:    s.corruptReads.Load(),
 		Quarantined:     s.quarantined.Load(),
 	}

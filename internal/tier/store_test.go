@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -202,6 +203,56 @@ func TestCorruptRecordFailsClosed(t *testing.T) {
 		func(uint64, int64, int64) bool { return true })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("CompactOnce over corrupt live record = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestGetTakesExtentFromTable: a record is read in one piece whose bounds
+// come from the footer table — up to the next record, or to the end of the
+// record area for the last one. A ref the table does not list is refused
+// before any read, and a length field that rot has stretched past the
+// record's extent fails closed instead of sizing a read.
+func TestGetTakesExtentFromTable(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	recs := []Rec{{Key: 1, Ver: 1, Val: val(1, 5)}, {Key: 2, Ver: 3, Val: val(2, 256)}, {Key: 3, Ver: 2, Val: val(3, 1000)}}
+	refs, err := s.Write(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		k, v, got, err := s.Get(refs[i])
+		if err != nil || k != r.Key || v != r.Ver || !bytes.Equal(got, r.Val) {
+			t.Fatalf("Get(record %d) = key %d v%d, %d bytes, err %v", i, k, v, len(got), err)
+		}
+	}
+	before := s.Stats().CorruptReads
+	_, off := index.ColdParts(refs[1])
+	for _, bad := range []uint32{off + 8, off - 8, segHeaderSize - 8, 1 << 30} {
+		if _, _, _, err := s.Get(index.ColdRef(0, bad)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Get(offset %d, not in the table) = %v, want ErrCorrupt", bad, err)
+		}
+	}
+	if got := s.Stats().CorruptReads - before; got != 4 {
+		t.Fatalf("4 unlisted offsets counted %d corrupt reads", got)
+	}
+	s.Close()
+
+	// Stretch record 1's length field over record 2.
+	path := filepath.Join(dir, segName(0))
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(img[int(off)+12:], 600)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir)
+	if _, _, _, err := s2.Get(refs[1]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get(record with a stretched length) = %v, want ErrCorrupt", err)
+	}
+	if _, _, got, err := s2.Get(refs[2]); err != nil || !bytes.Equal(got, recs[2].Val) {
+		t.Fatalf("Get(intact sibling) = %d bytes, err %v", len(got), err)
 	}
 }
 
