@@ -5,9 +5,62 @@ import (
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
-	"flatstore/internal/sim"
+	"flatstore/internal/rpc"
 	"flatstore/internal/stats"
 )
+
+// rpcBench reports the FlatRPC §4.3 quantities: queue-pair counts versus
+// the all-to-all design, and the delegation/MMIO behaviour of an echo
+// run over the in-process transport. It reports counts only; what a
+// round trip costs in time is the scoreboard's rpc.* and tcp.* rows.
+func rpcBench() {
+	const cores, clients, perClient = 8, 12, 2000
+	s := rpc.NewServer(cores, 0)
+
+	done := make(chan struct{})
+	for c := 0; c < cores; c++ {
+		go func(c int) {
+			p := s.Port(c)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if req, client, ok := p.Poll(); ok {
+					p.Respond(client, rpc.Response{ID: req.ID, Status: rpc.StatusOK})
+				}
+				p.DrainDelegated()
+			}
+		}(c)
+	}
+	fin := make(chan struct{}, clients)
+	for i := 0; i < clients; i++ {
+		go func() {
+			cl := s.Connect()
+			sent, recv := 0, 0
+			for recv < perClient {
+				if sent < perClient && cl.Send(sent%cores, rpc.Request{Op: rpc.OpGet, Key: uint64(sent)}) {
+					sent++
+				}
+				recv += len(cl.Poll(16))
+			}
+			fin <- struct{}{}
+		}()
+	}
+	for i := 0; i < clients; i++ {
+		<-fin
+	}
+	close(done)
+
+	st := s.Stats()
+	t := stats.NewTable("FlatRPC (§4.3)", "metric", "FlatRPC", "all-to-all")
+	t.Row("queue pairs (NIC cache entries)", st.QueuePairs, clients*cores)
+	t.Row("responses", st.Responses, st.Responses)
+	t.Row("delegated verbs", st.Delegations, 0)
+	t.Row("MMIO doorbells (all on agent socket)", st.MMIOs, st.Responses)
+	t.Fprint(os.Stdout)
+}
 
 // groupSize reproduces the §3.3 "Pipelined HB with Grouping" ablation the
 // paper describes textually: small groups acquire the lock cheaply but
@@ -52,22 +105,16 @@ func offload() {
 	p.PreloadValue = func(uint64) int { return 64 }
 	p.ArenaChunks = 256
 	get100 := runFlat("H", p, flatCfg(core.IndexHash, batch.ModePipelinedHB),
-		ycsbGen(0, 64, 1.0))
+		ycsbGetPut(0, 64, 1.0))
 	mixed := runFlat("H", p, flatCfg(core.IndexHash, batch.ModePipelinedHB),
-		ycsbGen(0, 64, 0.5))
+		ycsbGetPut(0, 64, 0.5))
 
 	// Offload-side: Gets bypass the server but serialize on NIC reads;
 	// Puts still go through RPC.
-	offloadGet := nicReadRate / readsPerGet / 1e6
-	get100Off := offloadGet
-	if get100.Mops < get100Off {
-		// offload can't exceed... (kept explicit for readability)
-		_ = get100Off
-	}
-	// 50:50: Puts at half the RPC put capacity pace the run; Gets ride
-	// the NIC in parallel — throughput = 2 × min(putCap/1, offloadGet).
-	putCap := mixed.Mops // mixed RPC run as the RPC reference
-	mixedOff := 2 * minf(putCap/2*1.0, offloadGet/1.0)
+	get100Off := nicReadRate / readsPerGet / 1e6
+	// 50:50: Puts at half the mixed RPC run's rate pace the run; Gets ride
+	// the NIC in parallel — throughput = 2 × min(putRate, offloadGet).
+	mixedOff := 2 * min(mixed.Mops/2, get100Off)
 
 	t := stats.NewTable("RDMA offloading (§4.3): Get via one-sided reads vs RPC (Mops/s)",
 		"workload", "RPC (FlatStore)", "RDMA-read offload", "offload vs RPC")
@@ -99,16 +146,4 @@ func inlineAblation() {
 		t.Row(row...)
 	}
 	t.Fprint(os.Stdout)
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ycsbGen builds a YCSB source with a get ratio.
-func ycsbGen(theta float64, valueSize int, getRatio float64) sim.Source {
-	return ycsbGetPut(theta, valueSize, getRatio)
 }

@@ -315,17 +315,3 @@ func fig13() {
 	t.Fprint(os.Stdout)
 	fmt.Printf("overall: %.2f Mops with GC active\n\n", r.Mops)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

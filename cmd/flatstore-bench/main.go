@@ -1,14 +1,14 @@
-// Command flatstore-bench regenerates every table and figure of the
+// Command flatstore-bench regenerates the tables and figures of the
 // FlatStore paper (ASPLOS'20) on the virtual-time simulator described in
-// DESIGN.md. Each subcommand prints the rows/series of the corresponding
-// figure; `all` runs the full suite (the output EXPERIMENTS.md quotes).
+// DESIGN.md. Each experiment prints the rows/series of the corresponding
+// figure; `all` runs the whole table below in order (the output
+// EXPERIMENTS.md quotes). Time here is virtual, so the output is a
+// function of the code alone; wall-clock numbers come from the scoreboard
+// (benchmark/README.md), never from this command.
 //
 // Usage:
 //
-//	flatstore-bench [flags] <experiment>...
-//	experiments: fig1a fig1b fig1c table1 fig7 fig8 fig9 fig10 fig11
-//	             fig12 fig13 recovery rpc groupsize offload inline
-//	             pipeline cluster all
+//	flatstore-bench [flags] <experiment>... | all
 //
 // Absolute numbers depend on the calibrated cost model (see
 // internal/sim); the shapes — who wins, by what factor, where curves
@@ -25,86 +25,93 @@ import (
 )
 
 type benchConfig struct {
-	cores       int
-	clients     int
-	cbatch      int
-	ops         int
-	keys        uint64
-	quick       bool
-	dist        string
-	theta       float64
-	shards      int
-	clusterJSON string
+	cores   int
+	clients int
+	cbatch  int
+	ops     int
+	keys    uint64
+	quick   bool
 }
 
 var cfg benchConfig
+
+type experiment struct {
+	name string
+	run  func()
+}
+
+// experiments is every experiment this command knows, in the order `all`
+// runs them.
+var experiments = []experiment{
+	{"fig1a", fig1a},
+	{"fig1b", fig1b},
+	{"fig1c", fig1c},
+	{"table1", table1},
+	{"fig7", fig7},
+	{"fig8", fig8},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"fig13", fig13},
+	{"rpc", rpcBench},
+	{"groupsize", groupSize},
+	{"offload", offload},
+	{"inline", inlineAblation},
+}
+
+func usage() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return "usage: flatstore-bench [flags] <" + strings.Join(names, "|") + "|all>..."
+}
+
+// plan resolves the argument list to the experiments to run, in order. An
+// unknown name fails the whole list, so nothing has run when it is
+// reported.
+func plan(args []string) ([]experiment, error) {
+	var runs []experiment
+	for _, a := range args {
+		n := len(runs)
+		for _, e := range experiments {
+			if a == "all" || a == e.name {
+				runs = append(runs, e)
+			}
+		}
+		if len(runs) == n {
+			return nil, fmt.Errorf("unknown experiment %q", a)
+		}
+	}
+	return runs, nil
+}
 
 func main() {
 	flag.IntVar(&cfg.cores, "cores", 26, "server cores for the full-load experiments")
 	flag.IntVar(&cfg.clients, "clients", 288, "closed-loop client threads (the paper uses 12 nodes × 24)")
 	flag.IntVar(&cfg.cbatch, "client-batch", 8, "per-client async request window")
-	flag.IntVar(&cfg.ops, "ops", 50_000, "measured requests per configuration point")
+	flag.IntVar(&cfg.ops, "ops", 0, "measured requests per configuration point (default 50000, or 15000 with -quick)")
 	flag.Uint64Var(&cfg.keys, "keys", 192_000_000, "YCSB key-space size")
 	flag.BoolVar(&cfg.quick, "quick", false, "shrink sweeps for a fast smoke run")
-	flag.StringVar(&cfg.dist, "dist", "uniform", "key popularity for the TCP benches (pipeline, cluster): uniform or zipfian")
-	flag.Float64Var(&cfg.theta, "theta", 0.99, "zipfian skew for -dist zipfian (YCSB default 0.99)")
-	flag.IntVar(&cfg.shards, "shards", 3, "shard-group count for the cluster experiment's multi-shard point")
-	flag.StringVar(&cfg.clusterJSON, "json", "", "write the cluster experiment's aggregate throughput to this JSON file (e.g. BENCH_cluster.json)")
 	flag.Parse()
 
-	if cfg.quick {
-		cfg.ops = 15_000
+	if cfg.ops == 0 {
+		cfg.ops = 50_000
+		if cfg.quick {
+			cfg.ops = 15_000
+		}
 	}
-	switch cfg.dist {
-	case "uniform", "zipfian":
-	default:
-		fmt.Fprintf(os.Stderr, "flatstore-bench: unknown -dist %q (want uniform or zipfian)\n", cfg.dist)
+	runs, err := plan(flag.Args())
+	if err != nil || len(runs) == 0 {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "flatstore-bench:", err)
+		}
+		fmt.Fprintln(os.Stderr, usage())
 		os.Exit(2)
 	}
-
-	experiments := map[string]func(){
-		"fig1a":    fig1a,
-		"fig1b":    fig1b,
-		"fig1c":    fig1c,
-		"table1":   table1,
-		"fig7":     fig7,
-		"fig8":     fig8,
-		"fig9":     fig9,
-		"fig10":    fig10,
-		"fig11":    fig11,
-		"fig12":    fig12,
-		"fig13":    fig13,
-		"recovery":  recovery,
-		"rpc":       rpcBench,
-		"groupsize": groupSize,
-		"offload":   offload,
-		"inline":    inlineAblation,
-		"pipeline":  pipelineBench,
-		"cluster":   clusterBench,
-	}
-	order := []string{"fig1a", "fig1b", "fig1c", "table1", "fig7", "fig8", "fig9",
-		"fig10", "fig11", "fig12", "fig13", "recovery", "rpc", "groupsize", "offload",
-		"inline", "pipeline", "cluster"}
-
-	args := flag.Args()
-	if len(args) == 0 {
-		fmt.Fprintf(os.Stderr, "usage: flatstore-bench [flags] <%s|all>...\n",
-			strings.Join(order, "|"))
-		os.Exit(2)
-	}
-	for _, a := range args {
-		if a == "all" {
-			for _, name := range order {
-				experiments[name]()
-			}
-			continue
-		}
-		fn, ok := experiments[a]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", a)
-			os.Exit(2)
-		}
-		fn()
+	for _, e := range runs {
+		e.run()
 	}
 }
 

@@ -211,10 +211,10 @@ func main() {
 			for i := 0; i < st.Cores(); i++ {
 				st.Core(i).Flusher().FlushEvents()
 			}
-			s := st.Stats()
+			s := st.Metrics()
 			fmt.Printf("keys: %d   free chunks: %d\n", s.Keys, s.FreeChunks)
 			fmt.Printf("PM: %d flushes, %d fences, %d lines, %d media bytes, %d repeated-line stalls\n",
-				s.PM.Flushes, s.PM.Fences, s.PM.Lines, s.PM.MediaBytes, s.PM.SameLineRepeats)
+				s.PM.Flushes, s.PM.Fences, s.PM.Lines, s.PM.MediaBytes, st.Arena().Stats().SameLineRepeats)
 			for g, gs := range s.Groups {
 				fmt.Printf("HB group %d: %d batches, %d stolen, %d leads\n", g, gs.Batches, gs.Stolen, gs.Leads)
 			}

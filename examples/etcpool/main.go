@@ -72,7 +72,7 @@ func main() {
 	}
 	fmt.Printf("preloaded %d ETC keys (%d live in index)\n", keys, st.Len())
 	var preBatches uint64
-	for _, gs := range st.Stats().Groups {
+	for _, gs := range st.Metrics().Groups {
 		preBatches += gs.Batches
 	}
 
@@ -129,7 +129,7 @@ func main() {
 	for i := 0; i < st.Cores(); i++ {
 		st.Core(i).Flusher().FlushEvents()
 	}
-	s := st.Stats()
+	s := st.Metrics()
 	var batches, stolen uint64
 	for _, gs := range s.Groups {
 		batches += gs.Batches

@@ -65,7 +65,7 @@ func main() {
 	for i := 0; i < st.Cores(); i++ {
 		st.Core(i).Flusher().FlushEvents()
 	}
-	s := st.Stats()
+	s := st.Metrics()
 	fmt.Printf("\nPM traffic: %d flushes, %d fences, %d cachelines, %d media bytes\n",
 		s.PM.Flushes, s.PM.Fences, s.PM.Lines, s.PM.MediaBytes)
 	for g, gs := range s.Groups {

@@ -10,16 +10,16 @@ import (
 )
 
 // Allocation budgets for the engine-only hot path (no transport, no
-// goroutines): one core driven synchronously, the same shape as the
-// BenchmarkHotpathCore* benchmarks. The budgets are averages with slack
-// for amortized growth (pending/outbox slices, index resizes, the odd
-// GC emptying a pool) — the point is that the steady state is O(0)
-// allocations, not that every single op is.
+// goroutines): one core driven synchronously. The budgets are averages
+// with slack for amortized growth (pending/outbox slices, index resizes,
+// the odd GC emptying a pool) — the point is that the steady state is
+// O(0) allocations, not that every single op is.
 
-func newAllocStore(t *testing.T) *core.Store {
+func newAllocStore(t *testing.T, tierDir string) *core.Store {
 	t.Helper()
 	st, err := core.New(core.Config{
 		Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 192,
+		Tier: core.TierConfig{Dir: tierDir},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +27,29 @@ func newAllocStore(t *testing.T) *core.Store {
 	return st
 }
 
+// hotPathStores runs a Put or Get budget over an untiered and a tiered
+// store. The hot path must not pay for the cold tier's existence (the
+// tier check is one nil test), so both rows hold the same budget, and the
+// tiered row's working set stays in PM: it may not touch the tier.
+func hotPathStores(t *testing.T, budget func(t *testing.T, st *core.Store)) {
+	for _, row := range []struct{ name, tierDir string }{{"untiered", ""}, {"tiered", t.TempDir()}} {
+		t.Run(row.name, func(t *testing.T) {
+			st := newAllocStore(t, row.tierDir)
+			budget(t, st)
+			if tr := st.Tier(); tr != nil {
+				if s := tr.Stats(); s.Reads != 0 || s.Demoted != 0 {
+					t.Fatalf("hot-path ops touched the tier: %+v", s)
+				}
+			}
+		})
+	}
+}
+
 func TestAllocBudgetCoreInlinePut(t *testing.T) {
-	st := newAllocStore(t)
+	hotPathStores(t, allocBudgetInlinePut)
+}
+
+func allocBudgetInlinePut(t *testing.T, st *core.Store) {
 	c := st.Core(0)
 	val := make([]byte, 64)
 	// Warm the slot/buffer pools and the index before measuring. Two
@@ -56,7 +77,10 @@ func TestAllocBudgetCoreInlinePut(t *testing.T) {
 }
 
 func TestAllocBudgetCoreGet(t *testing.T) {
-	st := newAllocStore(t)
+	hotPathStores(t, allocBudgetGet)
+}
+
+func allocBudgetGet(t *testing.T, st *core.Store) {
 	c := st.Core(0)
 	val := make([]byte, 64)
 	for k := uint64(0); k < 2_048; k++ {
@@ -88,7 +112,7 @@ func TestAllocBudgetCoreGet(t *testing.T) {
 // version gate, log append, index update, stale accounting — allocates
 // nothing once the key's registry entry exists.
 func TestAllocBudgetReplApply(t *testing.T) {
-	st := newAllocStore(t)
+	st := newAllocStore(t, "")
 	f := st.ReplFlusher()
 	val := make([]byte, 64)
 	ver := uint32(0)

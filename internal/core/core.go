@@ -796,10 +796,6 @@ func (c *Core) DrainCompletedLimit(max int) int {
 // PendingCount reports how many own ops await durability or completion.
 func (c *Core) PendingCount() int { return len(c.pending) - c.pendHead }
 
-// HasPublished reports whether this core has entries in its group pool
-// awaiting a leader.
-func (c *Core) HasPublished() bool { return c.group.HasPending(c.member) }
-
 // GroupPending reports whether any group member has entries awaiting a
 // leader (idle cores volunteer to lead on this signal).
 func (c *Core) GroupPending() bool { return c.group.AnyPending() }

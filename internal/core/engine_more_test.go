@@ -207,14 +207,14 @@ func TestStatsSnapshot(t *testing.T) {
 	for i := 0; i < st.Cores(); i++ {
 		st.Core(i).Flusher().FlushEvents()
 	}
-	s := st.Stats()
+	s := st.Metrics()
 	if s.Keys != 100 {
 		t.Errorf("Keys = %d", s.Keys)
 	}
 	if s.PM.Fences == 0 || s.PM.Lines == 0 {
 		t.Errorf("PM stats empty: %+v", s.PM)
 	}
-	if s.FreeChunks <= 0 {
+	if s.FreeChunks == 0 {
 		t.Errorf("FreeChunks = %d", s.FreeChunks)
 	}
 	if len(s.Groups) != 1 {

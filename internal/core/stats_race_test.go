@@ -13,8 +13,8 @@ import (
 
 // TestStatsAndLifecycleRace hammers the paths the flatstore-server front
 // end exercises concurrently: traffic on serving cores, a monitoring
-// goroutine polling Stats/Len, and Run/Stop cycling from another
-// goroutine. Stats reads index sizes under the per-core index locks and
+// goroutine polling Metrics/Len, and Run/Stop cycling from another
+// goroutine. Metrics reads index sizes under the per-core index locks and
 // Run/Stop serialize on lifeMu, so the race detector must stay silent.
 func TestStatsAndLifecycleRace(t *testing.T) {
 	cfg := core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 10,
@@ -53,7 +53,7 @@ func TestStatsAndLifecycleRace(t *testing.T) {
 				return
 			default:
 			}
-			_ = st.Stats()
+			_ = st.Metrics()
 			_ = st.Len()
 		}
 	}()
@@ -79,7 +79,7 @@ func TestStatsAndLifecycleRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if st.Stats().Keys == 0 {
+	if st.Metrics().Keys == 0 {
 		t.Fatal("no keys visible after concurrent traffic")
 	}
 }

@@ -400,38 +400,14 @@ func (st *Store) Stop() {
 	st.stop = make(chan struct{})
 }
 
-// StatsSnapshot aggregates engine-level statistics.
-type StatsSnapshot struct {
-	Keys       int
-	PM         pmem.StatsSnapshot
-	Groups     []batch.GroupStats
-	FreeChunks int
-	Integrity  stats.Integrity
-}
-
-// Stats snapshots engine statistics. Safe to call while the store is
-// serving (the flatstore-server front end polls it from a monitoring
-// goroutine): index sizes are read under the per-core index locks, and
-// every other source is internally synchronized. Counts are exact only
-// while quiescent.
-func (st *Store) Stats() StatsSnapshot {
-	s := StatsSnapshot{PM: st.arena.Stats(), FreeChunks: st.al.FreeChunks()}
-	s.Keys = st.Len()
-	for _, g := range st.groups {
-		s.Groups = append(s.Groups, g.Stats())
-	}
-	s.Integrity = st.Integrity()
-	return s
-}
-
-// Observability exposes the metrics registry (tests, embedding servers).
-func (st *Store) Observability() *obs.Registry { return st.obs }
-
 // Metrics assembles the full observability snapshot: the per-core
 // single-writer blocks merged by the registry, plus the store-level
 // gauges (index size, allocator occupancy, HB group counters, integrity,
-// tier, PM device and transport stats) that live outside the registry. Safe to call while
-// serving; counts are exact only while quiescent.
+// tier, PM device and transport stats) that live outside the registry.
+// Safe to call while serving (the flatstore-server front end polls it
+// from a monitoring goroutine): index sizes are read under the per-core
+// index locks, and every other source is internally synchronized. Counts
+// are exact only while quiescent.
 func (st *Store) Metrics() obs.Snapshot {
 	s := st.obs.Snapshot()
 	s.Keys = uint64(st.Len())

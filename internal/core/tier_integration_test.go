@@ -270,15 +270,21 @@ func TestTierBloomColdReads(t *testing.T) {
 	}
 
 	// (2) Every demoted key reads back byte-exact, from disk on its first
-	// touch and again on the second, which promotes it.
+	// touch and again on the second, which promotes it. The first touch is
+	// one segment read, no more: the blooms pin the segment, and deferring
+	// the promotion costs no second read.
 	for touch := 1; touch <= 2; touch++ {
 		for k, v := range want {
+			reads := st.Tier().Stats().Reads
 			got, ok, err := cl.Get(k)
 			if err != nil || !ok {
 				t.Fatalf("cold key %d, touch %d: ok=%v err=%v (bloom false negative or lost demote)", k, touch, ok, err)
 			}
 			if !bytes.Equal(got, v) {
 				t.Fatalf("cold key %d, touch %d: %d bytes differ", k, touch, len(got))
+			}
+			if n := st.Tier().Stats().Reads - reads; touch == 1 && n != 1 {
+				t.Fatalf("cold key %d: first touch cost %d tier reads, want exactly 1", k, n)
 			}
 		}
 	}

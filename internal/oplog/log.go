@@ -174,13 +174,6 @@ func (l *Log) writeHeader(off int64, gen uint32) {
 	l.arena.WriteUint64(int(off)+genOff+8, ^g)
 }
 
-// Head returns the first chunk of the chain.
-func (l *Log) Head() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.chunks[0]
-}
-
 // Tail returns the absolute offset of the next write position.
 func (l *Log) Tail() int64 {
 	l.mu.Lock()

@@ -258,9 +258,6 @@ func NewServer(ncores, agent int) *Server {
 	return s
 }
 
-// Agent returns the agent core's id.
-func (s *Server) Agent() int { return s.agent }
-
 // Cores returns the number of server cores.
 func (s *Server) Cores() int { return s.ncores }
 

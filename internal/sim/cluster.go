@@ -109,14 +109,14 @@ type pendingReq struct {
 // arrivalHeap orders requests by server-side arrival time.
 type arrivalHeap []pendingReq
 
-func (h arrivalHeap) Len() int            { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool  { return h[i].arrival < h[j].arrival }
-func (h arrivalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)         { *h = append(*h, x.(pendingReq)) }
-func (h *arrivalHeap) Pop() any           { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h arrivalHeap) peek() *pendingReq   { return &h[0] }
-func (h *arrivalHeap) pop() pendingReq    { return heap.Pop(h).(pendingReq) }
-func (h *arrivalHeap) push(r pendingReq)  { heap.Push(h, r) }
+func (h arrivalHeap) Len() int           { return len(h) }
+func (h arrivalHeap) Less(i, j int) bool { return h[i].arrival < h[j].arrival }
+func (h arrivalHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *arrivalHeap) Push(x any)        { *h = append(*h, x.(pendingReq)) }
+func (h *arrivalHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h arrivalHeap) peek() *pendingReq  { return &h[0] }
+func (h *arrivalHeap) pop() pendingReq   { return heap.Pop(h).(pendingReq) }
+func (h *arrivalHeap) push(r pendingReq) { heap.Push(h, r) }
 func (h arrivalHeap) hasReady(t int64) bool {
 	return len(h) > 0 && h[0].arrival <= t
 }

@@ -71,23 +71,23 @@ type CostModel struct {
 // 2.5× lower; FAST&FAIR ≈ 3.5 Mops/s) — see EXPERIMENTS.md.
 func DefaultModel() CostModel {
 	return CostModel{
-		PM:          pmem.OptaneProfile(),
-		PollNS:      60,
-		WorkNS:      300,
-		ByteNS:      0.03,
-		HashIdxNS:   90,
-		TreeIdxNS:   650,
-		TreeFFIdxNS: 950,
+		PM:            pmem.OptaneProfile(),
+		PollNS:        60,
+		WorkNS:        300,
+		ByteNS:        0.03,
+		HashIdxNS:     90,
+		TreeIdxNS:     650,
+		TreeFFIdxNS:   950,
 		LockNS:        40,
 		SocketWidth:   18,
 		XSocketLockNS: 260,
 		CollectNS:     5,
-		ScanPoolNS:  15,
-		VolatileNS:  80,
-		MMIONS:      30,
-		DelegateNS:  40,
-		NetNS:       900,
-		ClientNS:    150,
+		ScanPoolNS:    15,
+		VolatileNS:    80,
+		MMIONS:        30,
+		DelegateNS:    40,
+		NetNS:         900,
+		ClientNS:      150,
 	}
 }
 

@@ -19,19 +19,6 @@ const failedLockNS = 15
 // interleaving) faithful to continuous time.
 const simPollsPerStep = 2
 
-// DebugTrace, when set, receives (core, clockBefore, clockAfter) for
-// every simulated step (calibration tooling).
-var DebugTrace func(core int, before, after int64)
-
-// DebugCoreTime / DebugCoreActs accumulate per-core busy time and
-// activity counts (polls, drains, leads, lead-ns) when non-nil.
-var DebugCoreTime []int64
-var DebugCoreActs [][4]int64
-
-// DebugEvents, when set, receives each poll-time persist delta and its
-// charged nanoseconds (calibration tooling).
-var DebugEvents func(ev pmem.Events, chargedNS int64)
-
 // gate delays a core's op completions until their batch's virtual
 // durability time.
 type gate struct {
@@ -134,23 +121,12 @@ func FlatRun(name string, p Params, cfg core.Config, src Source) (Result, error)
 		v.clock += v.backlog
 		v.backlog = 0
 		clk.Set(v.clock)
-		if DebugTrace != nil {
-			before := v.clock
-			defer func() { DebugTrace(i, before, v.clock) }()
-		}
-		if DebugCoreTime != nil {
-			before := v.clock
-			defer func() { DebugCoreTime[i] += v.clock - before }()
-		}
 
 		// 1. Durable completions whose gate has passed.
 		for len(v.gates) > 0 && v.gates[0].at <= v.clock {
 			g := v.gates[0]
 			v.gates = v.gates[1:]
 			n := eng.DrainCompletedLimit(g.n)
-			if DebugCoreActs != nil {
-				DebugCoreActs[i][1] += int64(n)
-			}
 			v.clock += int64(n) * m.VolatileNS
 		}
 
@@ -170,9 +146,6 @@ func FlatRun(name string, p Params, cfg core.Config, src Source) (Result, error)
 			pollBudget = st.Config().MaxPoll
 		}
 		for polls := 0; !blocked && polls < pollBudget && d.arrivals[i].hasReady(v.clock); polls++ {
-			if DebugCoreActs != nil {
-				DebugCoreActs[i][0]++
-			}
 			pr := d.arrivals[i].pop()
 			v.clock += m.PollNS + m.WorkNS
 			if pr.op.Type == workload.OpPut {
@@ -181,12 +154,7 @@ func FlatRun(name string, p Params, cfg core.Config, src Source) (Result, error)
 			v.clock += idxCost
 			clk.Set(v.clock)
 			eng.Submit(toRPC(pr, src), pr.client)
-			ev := eng.Flusher().TakeEvents()
-			before := v.clock
-			v.clock = m.chargePersist(v.clock, ev, bw)
-			if DebugEvents != nil {
-				DebugEvents(ev, v.clock-before)
-			}
+			v.clock = m.chargePersist(v.clock, eng.Flusher().TakeEvents(), bw)
 			v.clock += int64(eng.TakeReads()) * m.PM.ReadNS
 		}
 
@@ -211,13 +179,8 @@ func FlatRun(name string, p Params, cfg core.Config, src Source) (Result, error)
 				v.clock += m.XSocketLockNS
 			}
 			clk.Set(v.clock)
-			leadStart := v.clock
 			ops := eng.TryLeadOps()
 			v.clock += int64(st.Config().GroupSize) * m.ScanPoolNS
-			if DebugCoreActs != nil {
-				DebugCoreActs[i][2]++
-				defer func() { DebugCoreActs[i][3] += v.clock - leadStart }()
-			}
 			if len(ops) > 0 {
 				collectEnd := v.clock + int64(len(ops))*m.CollectNS
 				ev := eng.Flusher().TakeEvents()

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-)
+import "io"
 
 // Integrity aggregates the storage-integrity counters a node accumulates
 // from salvage recovery and the online scrubber. It is plain data so it
@@ -40,46 +36,10 @@ type Integrity struct {
 	DanglingPtrs   uint64
 }
 
-// integrityWords is the number of uint64 fields marshalled, in order.
-const integrityWords = 10
-
-// IntegritySize is the wire size of a marshalled Integrity.
-const IntegritySize = 8 * integrityWords
-
-func (s Integrity) fields() [integrityWords]uint64 {
-	return [integrityWords]uint64{
-		s.ScrubRuns, s.ScrubBatches, s.ScrubRecords, s.ChecksumErrors,
-		s.Quarantined, s.QuarantineClears, s.SalvageRuns, s.ChunksDropped,
-		s.CorruptHeaders, s.DanglingPtrs,
-	}
-}
-
 // Clean reports whether no integrity anomaly has ever been observed.
 func (s Integrity) Clean() bool {
 	return s.ChecksumErrors == 0 && s.Quarantined == 0 && s.SalvageRuns == 0 &&
 		s.ChunksDropped == 0 && s.CorruptHeaders == 0 && s.DanglingPtrs == 0
-}
-
-// Marshal encodes the counters as fixed-order little-endian words.
-func (s Integrity) Marshal() []byte {
-	b := make([]byte, 0, IntegritySize)
-	for _, w := range s.fields() {
-		b = binary.LittleEndian.AppendUint64(b, w)
-	}
-	return b
-}
-
-// UnmarshalIntegrity decodes what Marshal produced.
-func UnmarshalIntegrity(b []byte) (Integrity, error) {
-	if len(b) != IntegritySize {
-		return Integrity{}, fmt.Errorf("stats: integrity payload is %d bytes, want %d", len(b), IntegritySize)
-	}
-	w := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	return Integrity{
-		ScrubRuns: w(0), ScrubBatches: w(1), ScrubRecords: w(2), ChecksumErrors: w(3),
-		Quarantined: w(4), QuarantineClears: w(5), SalvageRuns: w(6), ChunksDropped: w(7),
-		CorruptHeaders: w(8), DanglingPtrs: w(9),
-	}, nil
 }
 
 // Fprint renders the counters as an aligned table.

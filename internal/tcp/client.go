@@ -427,15 +427,16 @@ func (c *Client) read(br *bufio.Reader) error {
 	}
 }
 
-// Wire op codes (match internal/rpc). opIntegrity and opStats are
-// server-local: they never reach the engine, the reader answers them
-// directly.
+// Wire op codes (match internal/rpc). opStats is server-local: it never
+// reaches the engine, the reader answers it directly. Code 5 was the
+// integrity op, now a block of the stats reply; it stays unassigned so the
+// codes after it keep their values.
 const (
 	opGet uint8 = iota + 1
 	opPut
 	opDelete
 	opScan
-	opIntegrity
+	_
 	opStats
 	opBatch // multi-op frame: u8 opBatch, u32 count, count × request
 )
@@ -443,7 +444,7 @@ const (
 // opNames name the ops in error messages.
 var opNames = [...]string{
 	opGet: "get", opPut: "put", opDelete: "delete",
-	opScan: "scan (server needs an ordered index)", opIntegrity: "integrity", opStats: "stats",
+	opScan: "scan (server needs an ordered index)", opStats: "stats",
 }
 
 // statusOK mirrors rpc.StatusOK etc.
@@ -527,11 +528,11 @@ func (c *Client) Integrity() (stats.Integrity, error) {
 
 // IntegrityCtx is Integrity bounded by ctx.
 func (c *Client) IntegrityCtx(ctx context.Context) (stats.Integrity, error) {
-	t, err := c.do(ctx, request{op: opIntegrity})
+	snap, err := c.StatsCtx(ctx)
 	if err != nil {
 		return stats.Integrity{}, err
 	}
-	return stats.UnmarshalIntegrity(t.rs.value)
+	return snap.Integrity, nil
 }
 
 // Stats fetches the server's full observability snapshot: per-op counts

@@ -98,9 +98,10 @@ func TestPipelinedSameKeyOrder(t *testing.T) {
 // the count with one. And an op allocates its ticket, the ticket's
 // completion signal and the response frame — the budget leaves the slack
 // the old per-attempt scaffolding used to fill, and not a goroutine's or a
-// timer's worth more.
+// timer's worth more. A 16-pair Scan measures 12 (its budget is short of
+// one allocation per pair more).
 func TestClientPathBudget(t *testing.T) {
-	const window, budget = 32, 6
+	const window, budget, scanBudget = 32, 6, 16
 	ctx := context.Background()
 
 	t.Run("goroutines", func(t *testing.T) {
@@ -171,6 +172,30 @@ func TestClientPathBudget(t *testing.T) {
 			}
 		}); n > budget {
 			t.Errorf("sync Get: %v allocs/op, budget %d", n, budget)
+		}
+		// A Scan needs an ordered index, so it has a server of its own. Its
+		// reply carries 16 pairs: the ticket and frames of a Get, plus the
+		// pair slices the server, the decoder and the caller each build.
+		_, _, ordered := startServerOpts(t, core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 32,
+			Index: core.IndexMasstree}, ServerOptions{})
+		sc, err := DialOptions(ordered, Options{Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sc.Close()
+		for k := uint64(0); k < 128; k++ {
+			if err := sc.Put(k, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(300, func() {
+			key++
+			lo := key % 112
+			if pairs, err := sc.Scan(lo, lo+15, 16); err != nil || len(pairs) != 16 {
+				t.Fatalf("scan from %d: %d pairs, err=%v", lo, len(pairs), err)
+			}
+		}); n > scanBudget && !raceDetector { // 24 under -race: see raceDetector
+			t.Errorf("sync Scan of 16 pairs: %v allocs/op, budget %d", n, scanBudget)
 		}
 		// One run is a full window through Submit and Poll, the way a
 		// closed-loop load generator drives it.

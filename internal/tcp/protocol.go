@@ -39,9 +39,11 @@ import (
 // single-bit and burst-≤32 errors).
 //
 // Handshake (server → client on connect):
+//
 //	u64 magic, u32 cores, u64 serverID
 //
 // Hello (client → server, immediately after the handshake):
+//
 //	u64 magic, u64 session
 //
 // The session id names the client across reconnects: the server keys its
@@ -53,10 +55,12 @@ import (
 // nothing of it) after a redirect or failover.
 //
 // Request:
+//
 //	u8 op, u32 core, u64 id, u64 key, u64 scanHi, u32 limit,
 //	u32 vlen, vlen bytes
 //
 // Batch request (first byte opBatch):
+//
 //	u8 opBatch, u32 count, count × request
 //
 // Each sub-request uses the exact single-request encoding above and is
@@ -65,6 +69,7 @@ import (
 // the pipelined client packs MultiGet/MultiPut/MultiDelete into.
 //
 // Response:
+//
 //	u64 id, u8 status, u32 vlen, vlen bytes,
 //	u32 npairs, npairs × (u64 key, u32 vlen, vlen bytes)
 //
@@ -175,10 +180,6 @@ func WriteFrame(w *bufio.Writer, payload []byte) error {
 func ReadFrame(r *bufio.Reader) ([]byte, error) {
 	return readFrame(r)
 }
-
-// IsCRCError reports whether err is the frame-checksum failure, after
-// which a stream's framing cannot be trusted.
-func IsCRCError(err error) bool { return errors.Is(err, errCRC) }
 
 // readFrameBuf is readFrame into a pooled buffer: the returned payload is
 // backed by bufpool and the caller owns it — it must go back via

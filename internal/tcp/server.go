@@ -543,14 +543,10 @@ func (s *Server) handle(conn net.Conn) {
 			q.core = uint32(core.RouteKey(q.key, s.st.Cores()))
 		}
 
-		// Integrity/metrics snapshots: answered by the reader without
+		// The metrics snapshot is answered by the reader without
 		// touching the engine, so observability works even when the
 		// data path is saturated (the moment an operator most wants
 		// the counters).
-		if q.op == opIntegrity {
-			lq.push(response{id: q.id, status: statusOK, value: s.st.Integrity().Marshal()})
-			return rpc.Request{}, 0, false
-		}
 		if q.op == opStats {
 			snap := s.Metrics()
 			lq.push(response{id: q.id, status: statusOK, value: snap.Marshal()})

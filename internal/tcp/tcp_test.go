@@ -132,6 +132,18 @@ func TestIntegrityOverTCP(t *testing.T) {
 	if local := st.Integrity(); local != integ {
 		t.Fatalf("wire snapshot %+v != local snapshot %+v", integ, local)
 	}
+
+	// The counters used to have a wire op of their own, code 5. A server
+	// sent it answers as for any op code it does not know: the engine
+	// refuses it and the connection stays up.
+	raw := dialRaw(t, addr, 0x1e7)
+	for i, op := range []uint8{5, 0x7f} {
+		id := uint64(i + 1)
+		raw.send(request{op: op, id: id})
+		if rs := raw.recv(); rs.id != id || rs.status != statusError || len(rs.value) != 0 {
+			t.Fatalf("op code %d answered %+v, want a bare error status", op, rs)
+		}
+	}
 }
 
 func TestConcurrentClientsOverTCP(t *testing.T) {
