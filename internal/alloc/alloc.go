@@ -118,6 +118,7 @@ type Allocator struct {
 
 	mu       sync.Mutex
 	free     []int  // free chunk indices (LIFO)
+	reserve  int    // free chunks only AllocSurvivorChunk may take (Reserve)
 	inPool   []bool // popFreeRun scratch, one flag per chunk (all false between calls)
 	chunks   []chunkState
 	recStats RecoveryStats // integrity events since BeginRecovery
@@ -171,6 +172,25 @@ func (al *Allocator) FreeChunks() int {
 	return len(al.free)
 }
 
+// Reserve holds the last n free chunks back for AllocSurvivorChunk: every
+// other allocation reports out-of-space while the pool is at n. A log
+// cleaner frees chunks by first writing their live entries into a fresh
+// one, so a foreground that could take the last chunk would leave the
+// store full with space to give.
+func (al *Allocator) Reserve(n int) {
+	al.mu.Lock()
+	al.reserve = n
+	al.mu.Unlock()
+}
+
+// WritableChunks returns the free chunks outside the reserve — what the
+// foreground can still take.
+func (al *Allocator) WritableChunks() int {
+	al.mu.Lock()
+	defer al.mu.Unlock()
+	return max(len(al.free)-al.reserve, 0)
+}
+
 // chunkOff returns the byte offset of chunk i in the arena.
 func (al *Allocator) chunkOff(i int) int { return al.base + i*pmem.ChunkSize }
 
@@ -179,11 +199,12 @@ func (al *Allocator) chunkIndex(off int64) int {
 	return (int(off) - al.base) / pmem.ChunkSize
 }
 
-// popFree removes a free chunk from the pool.
-func (al *Allocator) popFree() (int, bool) {
+// popFree removes a free chunk from the pool; only a survivor chunk may be
+// one of the reserved ones.
+func (al *Allocator) popFree(survivor bool) (int, bool) {
 	al.mu.Lock()
 	defer al.mu.Unlock()
-	if len(al.free) == 0 {
+	if len(al.free) == 0 || (!survivor && len(al.free) <= al.reserve) {
 		return 0, false
 	}
 	i := al.free[len(al.free)-1]
@@ -232,10 +253,14 @@ func (al *Allocator) Occupancy() Occupancy {
 	return o
 }
 
-// popFreeRun removes a run of n contiguous free chunks from the pool.
+// popFreeRun removes a run of n contiguous free chunks from the pool,
+// leaving the reserve.
 func (al *Allocator) popFreeRun(n int) (int, bool) {
 	al.mu.Lock()
 	defer al.mu.Unlock()
+	if len(al.free)-n < al.reserve {
+		return 0, false
+	}
 	for _, i := range al.free {
 		al.inPool[i] = true
 	}
@@ -261,7 +286,17 @@ func (al *Allocator) popFreeRun(n int) (int, bool) {
 // AllocRawChunk hands out one whole free chunk (used by the OpLog for log
 // segments). The chunk header is NOT touched: the caller owns all 4 MB.
 func (al *Allocator) AllocRawChunk() (off int64, err error) {
-	i, ok := al.popFree()
+	return al.allocRaw(false)
+}
+
+// AllocSurvivorChunk is AllocRawChunk for a log cleaner's survivor chunk:
+// it may take the chunks Reserve holds back.
+func (al *Allocator) AllocSurvivorChunk() (off int64, err error) {
+	return al.allocRaw(true)
+}
+
+func (al *Allocator) allocRaw(survivor bool) (int64, error) {
+	i, ok := al.popFree(survivor)
 	if !ok {
 		return 0, ErrOutOfMemory
 	}
@@ -316,7 +351,7 @@ type handedFree struct {
 // cut takes a free chunk, assigns it the class and this core as owner,
 // and persists the header.
 func (c *CoreAlloc) cut(class int, f *pmem.Flusher) (int, error) {
-	i, ok := c.al.popFree()
+	i, ok := c.al.popFree(false)
 	if !ok {
 		return 0, ErrOutOfMemory
 	}

@@ -387,3 +387,35 @@ func TestQuickRecoveryPreservesLiveSet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReserve: the reserved chunks are out of reach of every allocation but
+// a survivor chunk's.
+func TestReserve(t *testing.T) {
+	al, _, f := newTestAlloc(t, 4, 1)
+	al.Reserve(1)
+	for al.FreeChunks() > 1 {
+		if _, err := al.AllocRawChunk(); err != nil {
+			t.Fatalf("AllocRawChunk with %d chunks free: %v", al.FreeChunks(), err)
+		}
+	}
+	if al.WritableChunks() != 0 {
+		t.Fatalf("WritableChunks = %d with only the reserve left", al.WritableChunks())
+	}
+	if _, err := al.AllocRawChunk(); err == nil {
+		t.Error("AllocRawChunk took the reserved chunk")
+	}
+	if _, err := al.Core(0).Alloc(300, f); err == nil {
+		t.Error("a class chunk was cut from the reserve")
+	}
+	if _, err := al.Core(0).Alloc(pmem.ChunkSize, f); err == nil {
+		t.Error("a huge allocation took the reserve")
+	}
+	off, err := al.AllocSurvivorChunk()
+	if err != nil {
+		t.Fatalf("AllocSurvivorChunk with the reserve free: %v", err)
+	}
+	al.FreeRawChunk(off, f)
+	if al.FreeChunks() != 1 {
+		t.Errorf("%d chunks free after the survivor chunk came back", al.FreeChunks())
+	}
+}

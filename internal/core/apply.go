@@ -125,7 +125,16 @@ func (c *Core) supersede(f *pmem.Flusher, key uint64, off int64, ver uint32, del
 		if stalePM {
 			m.stale++
 		}
+		if m.tombOff != 0 {
+			// The write supersedes the key's tombstone.
+			st.usage.markDead(chunkOf(m.tombOff), oplog.HeaderSize)
+			m.tombOff = 0
+		}
 		m.lastVer, m.deleted = ver, del
+		if del {
+			m.tombOff = off
+			st.settleTombstone(key, m)
+		}
 	}
 	_, cleared := c.quar[key]
 	if cleared {
@@ -236,7 +245,9 @@ func (st *Store) deref(key uint64, ref int64) located {
 //     the caller replays segments in ascending id;
 //   - of two PM copies (a GC relocation) the first replayed wins, except
 //     after a checkpoint seed: the seeded reference may name a chunk the
-//     cleaner has freed since, so a same-version log copy refreshes it.
+//     cleaner has freed since, so a same-version log copy refreshes it;
+//   - of two copies of a tombstone the registry names the first replayed
+//     (tombOff: where the usage table counts it live).
 //
 // Every PM Put is counted into the registry's stale count, accepted or
 // not; recovery's post-pass subtracts the one the index ends up naming. A
@@ -265,10 +276,16 @@ func (c *Core) replay(r keyRef, seeded bool) {
 		}
 	}
 	if !accept {
+		if r.del && m.deleted && r.ver == m.lastVer && m.tombOff == 0 {
+			// Copies of one tombstone (a GC relocation): the registry names
+			// the first one replayed. A seeded entry names none yet.
+			m.tombOff = r.ref
+		}
 		return
 	}
-	m.lastVer, m.deleted = r.ver, r.del
+	m.lastVer, m.deleted, m.tombOff = r.ver, r.del, 0
 	if r.del {
+		m.tombOff = r.ref
 		c.idx.Delete(r.key)
 	} else {
 		c.idx.Put(r.key, r.ref, r.ver)

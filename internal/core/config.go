@@ -39,13 +39,17 @@ func (k IndexKind) String() string {
 
 // GCConfig tunes the log cleaner (§3.4).
 type GCConfig struct {
-	// Enabled starts one cleaner per HB group in Run.
+	// Enabled starts one cleaner per HB group in Run, and holds one free
+	// chunk per cleaner back from the foreground: a pass writes its
+	// survivor chunk before it frees its victims.
 	Enabled bool
 	// DeadRatio is the garbage fraction above which a closed chunk
-	// becomes a victim.
+	// becomes a victim: the share of a whole chunk that cleaning it would
+	// give back, 1 − live bytes / chunk capacity. Default 0.5.
 	DeadRatio float64
-	// MinFreeChunks forces cleaning (even below DeadRatio) when the
-	// allocator's free pool drops this low.
+	// MinFreeChunks forces cleaning (even below DeadRatio, down to 5 %
+	// garbage, and any pass that frees a chunk net) when the free pool
+	// writers can draw on drops this low. Default 2.
 	MinFreeChunks int
 }
 

@@ -128,11 +128,37 @@ func (c *Core) putInflight(fl *inflight) {
 // (so versions keep increasing across deletes) and the number of stale
 // Put entries still sitting in un-cleaned chunks (a tombstone may only be
 // reclaimed once that count reaches zero, or a crash could resurrect an
-// older Put).
+// older Put). tombOff is where a deleted key's tombstone sits while the
+// usage table counts it live (0: no tombstone, or one already counted
+// dead): the table learns of its death when the last entry it guards
+// leaves the log, not when the cleaner next happens to scan it.
 type keyMeta struct {
 	lastVer uint32
 	stale   int32
 	deleted bool
+	tombOff int64
+}
+
+// guarded reports whether a deleted key's tombstone still has something to
+// guard (§3.4: a tombstone "can be safely reclaimed only after all the log
+// entries related to this KV item have been reclaimed"): an older Put entry
+// a crash could replay, or — with a cold tier — a segment whose bloom still
+// admits the key and may hold an older cold record, which the tombstone
+// must outlive.
+func (st *Store) guarded(key uint64, m *keyMeta) bool {
+	return m.stale > 0 || (st.tier != nil && st.tier.MayContain(key))
+}
+
+// settleTombstone counts key's tombstone dead in the usage table once it
+// guards nothing any more. Liveness itself is the cleaner's call when it
+// scans the entry; this only keeps the table's "live" honest, so a chunk
+// holding nothing but released tombstones reads as empty. Caller holds the
+// owning core's idxMu.
+func (st *Store) settleTombstone(key uint64, m *keyMeta) {
+	if m.deleted && m.tombOff != 0 && !st.guarded(key, m) {
+		st.usage.markDead(chunkOf(m.tombOff), oplog.HeaderSize)
+		m.tombOff = 0
+	}
 }
 
 // deferred is a request parked behind a conflicting in-flight key. t0 is
@@ -760,7 +786,7 @@ func (c *Core) TryLeadOps() []*batch.PendingOp {
 
 // accountAppend records the new entry's bytes in the chunk usage table.
 func (c *Core) accountAppend(off int64, size int) {
-	c.st.usage.account(chunkOf(off), c.log, c.id, size)
+	c.st.usage.account(chunkOf(off), c.id, size)
 }
 
 // DrainCompleted finishes the volatile phase of every durable own op, in

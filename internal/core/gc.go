@@ -1,17 +1,22 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
 	"flatstore/internal/record"
 	"flatstore/internal/tier"
 )
 
-// Cleaner is one HB group's log cleaner (§3.4): it picks victim chunks by
-// garbage ratio, copies live entries into a survivor chunk, journals and
-// links the survivor, repoints the volatile index with CAS, and frees the
-// victim — all without blocking the request path. One cleaner runs per
-// group, so log recycling proceeds in parallel across groups.
+// Cleaner is one HB group's log cleaner (§3.4). A pass compacts: it takes
+// the emptiest closed chunks of the group's logs whose live entries together
+// fit one chunk, copies those entries into ONE survivor chunk, journals and
+// links the survivor, repoints the volatile index with CAS, and unlinks and
+// frees every victim — N chunks back for one taken, without blocking the
+// request path. One cleaner runs per group, so log recycling proceeds in
+// parallel across groups. DESIGN.md §3.6 has the policy and the crash walk.
 type Cleaner struct {
 	st     *Store
 	group  int
@@ -19,17 +24,29 @@ type Cleaner struct {
 	coreHi int
 	f      *pmem.Flusher
 
+	passes    uint64 // passes that freed at least one chunk
 	cleaned   uint64 // chunks reclaimed
 	relocated uint64 // live entries copied
 	dropped   uint64 // dead entries discarded
 	demoted   uint64 // live entries moved to the cold tier
+
+	// Scratch, kept across passes. The picker runs on every idle poll of
+	// the cleaner loop (≈20 k/s) and must allocate nothing; a pass touches
+	// tens of thousands of entries and must not allocate per entry.
+	tails      []int64        // tail chunk of each group core's log
+	cands      []candidate    // the picker's candidates; a pass's victims are a prefix
+	entries    []scanned      // every victim's entries, victim after victim
+	live       []*oplog.Entry // the survivor's entries; they point into entries
+	liveIdx    []int          // live[i] is entries[liveIdx[i]].e
+	demoteIdx  []int
+	demoteRecs []tier.Rec
 }
 
 // newCleaner builds the cleaner for group g.
 func (st *Store) newCleaner(g int) *Cleaner {
 	lo := g * st.cfg.GroupSize
-	hi := lo + st.groups[g].Size()
-	return &Cleaner{st: st, group: g, coreLo: lo, coreHi: hi, f: st.arena.NewFlusher()}
+	n := st.groups[g].Size()
+	return &Cleaner{st: st, group: g, coreLo: lo, coreHi: lo + n, f: st.arena.NewFlusher(), tails: make([]int64, n)}
 }
 
 // NewCleaner exposes cleaner construction for the simulator and tools.
@@ -37,6 +54,7 @@ func (st *Store) NewCleaner(group int) *Cleaner { return st.newCleaner(group) }
 
 // CleanerStats reports a cleaner's progress.
 type CleanerStats struct {
+	Passes    uint64
 	Cleaned   uint64
 	Relocated uint64
 	Dropped   uint64
@@ -45,66 +63,125 @@ type CleanerStats struct {
 
 // Stats snapshots the cleaner counters.
 func (cl *Cleaner) Stats() CleanerStats {
-	return CleanerStats{Cleaned: cl.cleaned, Relocated: cl.relocated, Dropped: cl.dropped, Demoted: cl.demoted}
+	return CleanerStats{Passes: cl.passes, Cleaned: cl.cleaned, Relocated: cl.relocated, Dropped: cl.dropped, Demoted: cl.demoted}
 }
 
 // Flusher exposes the cleaner's flusher (simulator cost accounting).
 func (cl *Cleaner) Flusher() *pmem.Flusher { return cl.f }
 
-// demotePressure reports whether the cleaner should demote cold live
-// entries to the disk tier instead of merely relocating them: the tier
-// is configured and the arena's free-chunk pool has fallen below the
-// demotion watermark (or the harder GC low-space floor).
-func (cl *Cleaner) demotePressure() bool {
-	st := cl.st
-	if st.tier == nil {
-		return false
-	}
-	free := st.al.FreeChunks()
-	return free < st.cfg.Tier.DemoteFreeChunks || free < st.cfg.GC.MinFreeChunks
+// candidate is a closed chunk the cleaner may take, and — once a pass has
+// scanned it — where its entries are.
+type candidate struct {
+	chunk int64
+	owner int   // core whose log holds it
+	total int64 // entry bytes ever appended
+	live  int64 // of those, bytes a recovery still needs
+	// entries[lo:hi] are the chunk's entries (set by the pass).
+	lo, hi int
 }
 
-// pickVictim selects the dirtiest closed chunk owned by this group's
-// cores, honoring the configured dead ratio unless free space is low.
+// lowSpaceRatio replaces GC.DeadRatio while fewer than GC.MinFreeChunks
+// chunks are writable.
+const lowSpaceRatio = 0.05
+
+// pickVictims selects the chunks one pass takes, from the closed chunks of
+// this group's logs, or nil when no pass is worth running.
+//
+// A chunk is a candidate when its reclaimable share of a WHOLE chunk —
+// 1 − live/capacity, not dead/written — reaches GC.DeadRatio (lowSpaceRatio
+// while space is low), so a survivor that came out a third full is as
+// cleanable as a chunk that was filled and is two thirds dead. Candidates
+// are taken emptiest first (ties by offset: the order is a function of the
+// table, and the paper mode's output with it) for as long as their live
+// bytes fit one survivor chunk; passSize then decides whether that pass
+// runs.
+//
 // Under tier demotion pressure any closed chunk qualifies — an all-live
-// arena has nothing dead to drop, so the only way to free space is to
-// move live data down a tier.
-func (cl *Cleaner) pickVictim() (int64, *chunkUsage) {
+// arena has nothing dead to drop, so the only way to free space is to move
+// live data down a tier — and the pass takes the one dirtiest chunk.
+func (cl *Cleaner) pickVictims() (victims []candidate, demote bool) {
 	st := cl.st
-	lowSpace := st.al.FreeChunks() < st.cfg.GC.MinFreeChunks
-	demote := cl.demotePressure()
-	var bestChunk int64 = -1
-	var best *chunkUsage
-	bestRatio := st.cfg.GC.DeadRatio
+	writable := st.al.WritableChunks()
+	lowSpace := writable < st.cfg.GC.MinFreeChunks
+	// Demote cold live entries to the disk tier instead of merely relocating
+	// them: a tier is configured and the chunks writers can still take have
+	// fallen below the demotion watermark (or the harder low-space floor).
+	demote = st.tier != nil && (lowSpace || writable < st.cfg.Tier.DemoteFreeChunks)
+	ratio := st.cfg.GC.DeadRatio
 	if lowSpace {
-		bestRatio = 0.05
+		ratio = lowSpaceRatio
 	}
+	maxLive := int64((1 - ratio) * oplog.SurvivorCapacity)
+	cands := cl.cands[:0]
+	for i := range st.usage {
+		owner, total, live := st.usage.load(i)
+		if owner < cl.coreLo || owner >= cl.coreHi || total == 0 || (!demote && live > maxLive) {
+			continue // another group's, empty, or over the bar
+		}
+		cands = append(cands, candidate{chunk: int64(i) * pmem.ChunkSize, owner: owner, total: total, live: live})
+	}
+	// Never the chunk being appended to. The tails are read after the
+	// slots: a chunk is its log's tail before its first entry is accounted,
+	// so a slot seen owned belongs to the tail read now, or to a chunk that
+	// has been closed since.
+	for i := range cl.tails {
+		cl.tails[i] = st.cores[cl.coreLo+i].log.TailChunk()
+	}
+	cands = slices.DeleteFunc(cands, func(c candidate) bool { return c.chunk == cl.tails[c.owner-cl.coreLo] })
+	cl.cands = cands
 	if demote {
-		bestRatio = -0.01
+		// The one dirtiest chunk: the smallest live share, the lowest
+		// offset among equals.
+		best := 0
+		for i := range cands {
+			if cands[i].live*cands[best].total < cands[best].live*cands[i].total {
+				best = i
+			}
+		}
+		return cands[best:min(best+1, len(cands))], true
 	}
-	st.usage.mu.Lock()
-	defer st.usage.mu.Unlock()
-	for chunk, cu := range st.usage.m {
-		if cu.owner < cl.coreLo || cu.owner >= cl.coreHi {
-			continue
+	slices.SortFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.live, b.live), cmp.Compare(a.chunk, b.chunk))
+	})
+	return cands[:passSize(cands, int64((1-st.cfg.GC.DeadRatio)*oplog.SurvivorCapacity), lowSpace)], false
+}
+
+// maxPassBytes bounds the entry bytes one pass scans, and with them the
+// cleaner's scratch: four full chunks, what it takes to fill a survivor
+// from victims a quarter live.
+const maxPassBytes = 4 * oplog.SurvivorCapacity
+
+// passSize decides how many of cands — sorted emptiest first — one pass
+// takes. A pass must free at least one chunk net and must not manufacture
+// its own next victim: a survivor that is neither full nor still a
+// candidate is space nobody will come back for, which is how the log's
+// footprint used to follow the bytes ever written instead of the bytes
+// alive. So:
+//
+//   - candidates with nothing live cost no survivor and are always taken;
+//   - beyond them a pass needs two victims with live entries (one would only
+//     move its entries into an equally empty chunk), and either the next
+//     candidate no longer fits — the survivor is as full as the candidates
+//     allow — or the survivor comes out at most stay bytes full, so it is a
+//     candidate again and a later pass tops it up;
+//   - while space is low any pass with a net gain runs.
+func passSize(cands []candidate, stay int64, lowSpace bool) int {
+	var n, dead int
+	var live, scan int64
+	for ; n < len(cands); n++ {
+		c := &cands[n]
+		if live+c.live > oplog.SurvivorCapacity || scan+c.total > maxPassBytes {
+			break
 		}
-		if chunk == cu.log.TailChunk() {
-			continue // never clean the chunk being appended to
-		}
-		cu.mu.Lock()
-		total, dead := cu.total, cu.dead
-		cu.mu.Unlock()
-		if total == 0 {
-			continue
-		}
-		score := float64(dead) / float64(total)
-		if score >= bestRatio {
-			bestRatio = score
-			bestChunk = chunk
-			best = cu
+		live, scan = live+c.live, scan+c.total
+		if live == 0 {
+			dead = n + 1
 		}
 	}
-	return bestChunk, best
+	if n-dead >= 2 && (lowSpace || n < len(cands) || live <= stay) {
+		return n
+	}
+	return dead
 }
 
 // scanned is one victim entry with its verdict. A live Put may
@@ -115,63 +192,64 @@ type scanned struct {
 	off     int64
 	e       oplog.Entry
 	live    bool
-	demoted bool
+	demote  bool // a cold copy was written; the entry is not relocated
+	demoted bool // ... and the index now names the cold copy
 }
 
-// CleanOnce reclaims at most one victim chunk. It returns the number of
+// CleanOnce runs at most one cleaning pass. It returns the number of
 // entries processed (0 when there was nothing worth cleaning), so callers
 // can back off when idle.
 //
 // CleanOnce is idempotent up to its commit point: classification is
 // read-only and every registry mutation is deferred until the survivor
-// chunk is durably linked and the victim unlinked, so a failure anywhere
-// before that (survivor out of space, unlink refusal) leaves the store
-// exactly as found and the same victim can be retried. Decrementing the
-// tombstone-guard counts eagerly and then retrying would double-decrement
-// them, reclaim a tombstone while an older Put for its key is still in
-// the log, and resurrect the deleted key on the next crash recovery.
+// chunk is durably linked and the entries' victim unlinked, so a failure
+// anywhere before that (survivor out of space, unlink refusal) leaves the
+// store exactly as found and the same victims can be retried. Decrementing
+// the tombstone-guard counts eagerly and then retrying would
+// double-decrement them, reclaim a tombstone while an older Put for its key
+// is still in the log, and resurrect the deleted key on the next crash
+// recovery.
 func (cl *Cleaner) CleanOnce() int {
 	st := cl.st
+	victims, demote := cl.pickVictims()
+	if len(victims) == 0 {
+		return 0
+	}
 	// Metrics deltas: cleaners are one-per-group but share the registry's
-	// GC counters, so progress is published via atomic adds at the two
-	// exits that did real work.
-	r0, d0 := cl.relocated, cl.dropped
-	victim, cu := cl.pickVictim()
-	if victim < 0 {
-		return 0
-	}
+	// GC counters, so progress is published via atomic adds at the exit.
+	c0, r0, d0 := cl.cleaned, cl.relocated, cl.dropped
 
-	// 1. Scan the victim and classify every entry under the owning
-	// core's index lock (read-only: registry effects apply in step 6).
-	var entries []scanned
-	err := oplog.ScanChunk(st.arena, victim, cu.log.Tail(), func(off int64, e oplog.Entry) bool {
-		entries = append(entries, scanned{off: off, e: e})
-		return true
-	})
-	if err != nil {
-		return 0
-	}
-	for i := range entries {
-		s := &entries[i]
-		oc := st.cores[st.CoreOf(s.e.Key)]
-		oc.idxMu.Lock()
-		switch s.e.Op {
-		case oplog.OpPut:
-			ref, _, ok := oc.idx.Get(s.e.Key)
-			s.live = ok && ref == s.off
-		case oplog.OpDelete:
-			// A tombstone stays live while older Put entries for its
-			// key could still be replayed after a crash (§3.4: "can
-			// be safely reclaimed only after all the log entries
-			// related to this KV item have been reclaimed"). With a
-			// cold tier that includes segment footers: a key whose
-			// blooms still admit it may have an older cold record, so
-			// the tombstone must outlive the segment holding it.
-			m := oc.reg[s.e.Key]
-			s.live = m != nil && m.deleted && m.lastVer == s.e.Version &&
-				(m.stale > 0 || (st.tier != nil && st.tier.MayContain(s.e.Key)))
+	// 1. Scan the victims and classify every entry under the owning
+	// core's index lock (read-only: registry effects apply in step 5).
+	// The table's live bytes can lag the truth by an entry or two, so the
+	// pass is cut where the classified live bytes stop fitting a chunk.
+	entries := cl.entries[:0]
+	var liveBytes int64
+	nv := 0
+	for _, v := range victims {
+		v.lo = len(entries)
+		err := oplog.ScanChunk(st.arena, v.chunk, st.cores[v.owner].log.Tail(), func(off int64, e oplog.Entry) bool {
+			entries = append(entries, scanned{off: off, e: e})
+			return true
+		})
+		if err != nil {
+			entries = entries[:v.lo] // unreadable: the scrubber's business
+			continue
 		}
-		oc.idxMu.Unlock()
+		v.hi = len(entries)
+		bytes := cl.classify(entries[v.lo:])
+		if liveBytes+bytes > oplog.SurvivorCapacity {
+			entries = entries[:v.lo]
+			break
+		}
+		liveBytes += bytes
+		victims[nv] = v
+		nv++
+	}
+	cl.entries = entries
+	victims = victims[:nv]
+	if nv == 0 {
+		return 0
 	}
 
 	// 2a. Under tier pressure, peel live Puts off into a demote set and
@@ -182,9 +260,8 @@ func (cl *Cleaner) CleanOnce() int {
 	// cannot be materialized with a clean CRC is never demoted (the
 	// cold copy would launder corruption into a valid-looking segment);
 	// it relocates as-is and the read path quarantines it.
-	var demoteIdx []int
-	var demoteRecs []tier.Rec
-	if cl.demotePressure() {
+	demoteIdx, demoteRecs := cl.demoteIdx[:0], cl.demoteRecs[:0]
+	if demote {
 		for i := range entries {
 			s := &entries[i]
 			if !s.live || s.e.Op != oplog.OpPut {
@@ -198,6 +275,7 @@ func (cl *Cleaner) CleanOnce() int {
 			demoteRecs = append(demoteRecs, tier.Rec{Key: s.e.Key, Ver: s.e.Version, Val: v})
 		}
 	}
+	cl.demoteIdx, cl.demoteRecs = demoteIdx, demoteRecs
 	var trefs []int64
 	if len(demoteRecs) > 0 {
 		var err error
@@ -209,24 +287,25 @@ func (cl *Cleaner) CleanOnce() int {
 			demoteIdx, trefs = nil, nil
 		}
 	}
-	demoting := make(map[int]bool, len(demoteIdx))
 	for _, i := range demoteIdx {
-		demoting[i] = true
+		entries[i].demote = true
 	}
 
-	// 2b. Copy the remaining live entries into a survivor chunk and
-	// persist it.
-	var live []*oplog.Entry
-	var liveIdx []int
+	// 2b. Copy the remaining live entries of every victim into one
+	// survivor chunk, linked into the first victim's log, and persist it.
+	live, liveIdx := cl.live[:0], cl.liveIdx[:0]
+	var survBytes int
 	for i := range entries {
-		if entries[i].live && !demoting[i] {
-			e := entries[i].e
-			live = append(live, &e)
+		if s := &entries[i]; s.live && !s.demote {
+			live = append(live, &s.e)
 			liveIdx = append(liveIdx, i)
+			survBytes += s.e.EncodedSize()
 		}
 	}
+	cl.live, cl.liveIdx = live, liveIdx
 	if len(live) > 0 {
-		surv, offs, err := cu.log.WriteSurvivorChunk(cl.f, live)
+		log := st.cores[victims[0].owner].log
+		surv, offs, err := log.WriteSurvivorChunk(cl.f, live)
 		if err != nil {
 			// Out of space; retry later. The just-written cold copies
 			// (if any) are not index-referenced: mark them dead so tier
@@ -239,24 +318,29 @@ func (cl *Cleaner) CleanOnce() int {
 		// 3. Journal the survivor so a crash between here and the
 		// link cannot lose it, then link it into the chain.
 		cl.f.PersistUint64(journalOff(cl.group), uint64(surv))
-		cu.log.LinkAtHead(cl.f, surv)
+		log.LinkAtHead(cl.f, surv)
 		// 4. Repoint the index (CAS: a concurrent update wins and the
-		// survivor copy simply becomes garbage).
+		// survivor copy simply becomes garbage) and, for a tombstone, the
+		// registry's note of where it sits. The survivor is accounted
+		// first: a write that supersedes a repointed key marks it dead in
+		// the survivor at once.
+		st.usage.account(surv, victims[0].owner, survBytes)
 		for i, idx := range liveIdx {
 			s := &entries[idx]
-			size := s.e.EncodedSize()
-			st.usage.account(surv, cu.log, cu.owner, size)
+			oc := st.cores[st.CoreOf(s.e.Key)]
+			oc.idxMu.Lock()
+			moved := false
 			if s.e.Op == oplog.OpPut {
-				oc := st.cores[st.CoreOf(s.e.Key)]
-				oc.idxMu.Lock()
-				moved := oc.idx.CompareAndSwapRef(s.e.Key, s.off, offs[i])
-				oc.idxMu.Unlock()
-				if !moved {
-					st.usage.markDead(surv, size)
-				}
+				moved = oc.idx.CompareAndSwapRef(s.e.Key, s.off, offs[i])
+			} else if m := oc.reg[s.e.Key]; m != nil && m.tombOff == s.off {
+				m.tombOff, moved = offs[i], true
 			}
-			cl.relocated++
+			oc.idxMu.Unlock()
+			if !moved {
+				st.usage.markDead(surv, s.e.EncodedSize())
+			}
 		}
+		cl.relocated += uint64(len(live))
 	}
 
 	// 4b. Repoint demoted keys at their durable cold copies (the
@@ -296,32 +380,67 @@ func (cl *Cleaner) CleanOnce() int {
 		oc.idxMu.Unlock()
 	}
 
-	// 5. Unlink and free the victim; readers are excluded only for the
-	// brief moment the chunk returns to the pool.
-	if err := cu.log.Unlink(cl.f, victim); err != nil {
-		// The survivor is already linked, so the journal slot has done
-		// its job; left set, it would outlive this attempt and could
-		// point at a freed-and-reused chunk by the next crash. The
-		// registry is untouched: the victim (and its stale Puts) stays
-		// in the chain, so the guard counts still hold.
-		cl.f.PersistUint64(journalOff(cl.group), 0)
-		cl.f.FlushEvents()
-		st.obs.NoteGC(0, cl.relocated-r0, cl.dropped-d0)
-		return len(entries)
+	// 5. Victim by victim: unlink it from its own log, apply the deferred
+	// registry effects of its dropped entries — only now have they left
+	// the log for good — and free it. A crash between two victims leaves
+	// the later ones in their chains beside the survivor: equal-version
+	// copies of one write, which replay resolves to either.
+	for i := range victims {
+		v := &victims[i]
+		if err := st.cores[v.owner].log.Unlink(cl.f, v.chunk); err != nil {
+			// This victim and the ones after it stay in their chains (and
+			// their stale Puts with them, so the guard counts still hold).
+			break
+		}
+		cl.applyDropped(entries[v.lo:v.hi])
+		// The slot goes before the chunk: once the chunk is in the pool
+		// its next owner may account into it.
+		st.usage.drop(v.chunk)
+		// Readers are excluded only for the brief moment the chunk
+		// returns to the pool.
+		st.reclaimMu.Lock()
+		st.al.FreeRawChunk(v.chunk, cl.f)
+		st.reclaimMu.Unlock()
+		cl.cleaned++
 	}
-	// 6. The victim's entries have left the log for good: apply the
-	// deferred registry effects of the dropped ones.
-	cl.applyDropped(entries)
-	st.reclaimMu.Lock()
-	st.al.FreeRawChunk(victim, cl.f)
-	st.reclaimMu.Unlock()
-	st.usage.drop(victim)
-	// 7. Clear the journal slot.
+	// 6. Clear the journal slot. The survivor is linked, so the slot has
+	// done its job even when an unlink refused; left set, it would outlive
+	// this pass and could point at a freed-and-reused chunk by the next
+	// crash.
 	cl.f.PersistUint64(journalOff(cl.group), 0)
 	cl.f.FlushEvents()
-	cl.cleaned++
-	st.obs.NoteGC(1, cl.relocated-r0, cl.dropped-d0)
+	if cl.cleaned > c0 {
+		cl.passes++
+	}
+	st.obs.NoteGC(cl.cleaned-c0, cl.relocated-r0, cl.dropped-d0)
 	return len(entries)
+}
+
+// classify sets the verdict of one victim's entries and returns the bytes
+// of the live ones.
+func (cl *Cleaner) classify(entries []scanned) (liveBytes int64) {
+	st := cl.st
+	for i := range entries {
+		s := &entries[i]
+		oc := st.cores[st.CoreOf(s.e.Key)]
+		oc.idxMu.Lock()
+		switch s.e.Op {
+		case oplog.OpPut:
+			ref, _, ok := oc.idx.Get(s.e.Key)
+			s.live = ok && ref == s.off
+		case oplog.OpDelete:
+			// A tombstone stays live while it guards something. Its stale
+			// Puts may sit in another victim of this very pass: it is
+			// still relocated then, and dies one pass later.
+			m := oc.reg[s.e.Key]
+			s.live = m != nil && m.deleted && m.lastVer == s.e.Version && st.guarded(s.e.Key, m)
+		}
+		oc.idxMu.Unlock()
+		if s.live {
+			liveBytes += int64(s.e.EncodedSize())
+		}
+	}
+	return liveBytes
 }
 
 // applyDropped applies the registry effects of the entries that left the
@@ -346,20 +465,25 @@ func (cl *Cleaner) applyDropped(entries []scanned) {
 		oc := st.cores[st.CoreOf(s.e.Key)]
 		oc.idxMu.Lock()
 		m := oc.reg[s.e.Key]
-		switch s.e.Op {
-		case oplog.OpPut:
-			if m != nil {
-				m.stale--
-				if m.stale <= 0 && !m.deleted {
-					delete(oc.reg, s.e.Key)
-				}
+		switch {
+		case m == nil:
+		case s.e.Op == oplog.OpPut:
+			m.stale--
+			if m.stale <= 0 && !m.deleted {
+				delete(oc.reg, s.e.Key)
+			} else {
+				// The last stale Put of a deleted key: its tombstone,
+				// wherever it sits, has nothing left to guard.
+				st.settleTombstone(s.e.Key, m)
 			}
-		case oplog.OpDelete:
-			// The tier guard is rechecked too: releasing the slot while
-			// a segment bloom still admits the key would let recovery
-			// resurrect an older cold record.
-			if m != nil && m.deleted && m.lastVer == s.e.Version && m.stale <= 0 &&
-				(st.tier == nil || !st.tier.MayContain(s.e.Key)) {
+		case s.e.Op == oplog.OpDelete:
+			if m.tombOff == s.off {
+				m.tombOff = 0 // it left the log with the victim
+			}
+			// The guard is rechecked, the tier's too: releasing the slot
+			// while a segment bloom still admits the key would let
+			// recovery resurrect an older cold record.
+			if m.deleted && m.lastVer == s.e.Version && !st.guarded(s.e.Key, m) {
 				delete(oc.reg, s.e.Key)
 			}
 		}

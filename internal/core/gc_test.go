@@ -8,6 +8,10 @@ import (
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
+	"flatstore/internal/oplog"
+	"flatstore/internal/pmem"
+	"flatstore/internal/rpc"
+	"flatstore/internal/workload"
 )
 
 // fillGarbage overwrites a small key set many times so early log chunks
@@ -276,5 +280,170 @@ func TestEverythingAtOnce(t *testing.T) {
 		if !ok || !bytes.Equal(got, want) {
 			t.Fatalf("post-crash mismatch on key %d", k)
 		}
+	}
+}
+
+// TestSpaceFollowsLiveData drives a small store through the shape that used
+// to wedge it: inline values, zipfian 0.99 over a key space whose live set
+// stays under a fifth of the arena, so every chunk closes holding a tail of
+// cold entries that never die. Cleaning one victim into one fresh survivor
+// freed nothing net and left a chunk nobody came back for; the log's
+// footprint was then the bytes ever written, and the arena filled around a
+// few chunks of live data. Four arenas' worth of puts must all succeed, and
+// the chunks in use must follow the live bytes: what they need when every
+// closed chunk is kept at GC.DeadRatio's bar, plus the tails, the candidates
+// waiting for a pass worth running, and a survivor in flight.
+func TestSpaceFollowsLiveData(t *testing.T) {
+	const (
+		chunks    = 16
+		keys      = 40_000
+		valueSize = 240
+		entrySize = oplog.HeaderSize + valueSize
+		slack     = 2 /* tails */ + 4 /* waiting: a pass scans four chunks' worth */ + 1 /* survivor */
+	)
+	cfg := core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: chunks,
+		GC: core.GCConfig{Enabled: true}}
+	st, cl := newRunning(t, cfg)
+	gen := workload.YCSB(1, keys, 0.99, valueSize, 0)
+	val := make([]byte, valueSize)
+	seen := make([]bool, keys)
+	reqs := make([]rpc.Request, 256)
+	liveKeys, peak := 0, 0
+	for written := 0; written < 4*chunks*pmem.ChunkSize; written += len(reqs) * entrySize {
+		for i := range reqs {
+			k := gen.NextKey()
+			if !seen[k] {
+				seen[k] = true
+				liveKeys++
+			}
+			reqs[i] = rpc.Request{Op: rpc.OpPut, Key: k, Value: val}
+		}
+		for _, r := range cl.Batch(reqs) {
+			if r.Status != rpc.StatusOK {
+				t.Fatalf("put refused after %d MiB of puts with %d KiB live: the arena filled around its garbage",
+					written>>20, liveKeys*entrySize>>10)
+			}
+		}
+		// Every closed chunk left alone is at least 1 − DeadRatio live.
+		need := float64(liveKeys*entrySize) / ((1 - st.Config().GC.DeadRatio) * oplog.SurvivorCapacity)
+		used := chunks - 1 - st.Allocator().FreeChunks()
+		if used > int(need)+1+slack {
+			t.Fatalf("%d chunks in use for %.1f chunks of live data after %d MiB of puts (bound: +%d)",
+				used, need, written>>20, slack)
+		}
+		peak = max(peak, used)
+	}
+	m := st.Metrics()
+	t.Logf("%d KiB live; peak %d chunks in use; %d passes freed %d chunks, %d entries relocated, %d dropped",
+		liveKeys*entrySize>>10, peak, m.GCPasses, m.GCCleaned, m.GCRelocated, m.GCDropped)
+}
+
+// TestCleanerAllocations pins what the cleaner may allocate. Its loop polls
+// CleanOnce some twenty thousand times a second while idle, so a poll that
+// finds no pass worth running — here with two candidates waiting, which it
+// has to sort and weigh — allocates nothing; and a pass relocates tens of
+// thousands of entries, so beyond its warmed-up scratch it allocates a
+// handful of objects (the survivor's offsets, a scan buffer and a closure
+// per victim), never one per entry.
+func TestCleanerAllocations(t *testing.T) {
+	cfg := core.Config{Cores: 1, Mode: batch.ModePipelinedHB, ArenaChunks: 16,
+		GC: core.GCConfig{DeadRatio: 0.5}}
+	st, cl := newRunning(t, cfg)
+	// Two never-overwritten keys in every five puts: each chunk closes 40 %
+	// live, so two fill a survivor to 80 % and a third no longer fits. Six
+	// closed chunks make two such passes and leave two candidates waiting.
+	val := make([]byte, 200)
+	reqs := make([]rpc.Request, 250)
+	unique := uint64(1 << 32)
+	for len(st.Core(0).Log().Chunks()) < 7 {
+		for i := range reqs {
+			key := uint64(i)
+			if i%5 < 2 {
+				key, unique = unique, unique+1
+			}
+			reqs[i] = rpc.Request{Op: rpc.OpPut, Key: key, Value: val}
+		}
+		for _, r := range cl.Batch(reqs) {
+			if r.Status != rpc.StatusOK {
+				t.Fatal("fill put refused")
+			}
+		}
+	}
+	st.Stop()
+
+	cleaner := st.NewCleaner(0)
+	// AllocsPerRun's warm-up call runs the first pass, which grows the
+	// scratch; the measured call runs the second.
+	perPass := testing.AllocsPerRun(1, func() { cleaner.CleanOnce() })
+	s := cleaner.Stats()
+	if s.Passes != 2 || s.Cleaned != 4 || s.Relocated < 10_000 {
+		t.Fatalf("two CleanOnce calls: %+v, want two passes of two victims each", s)
+	}
+	if perPass > 32 {
+		t.Errorf("a pass that relocated %d entries allocated %.0f objects", s.Relocated/2, perPass)
+	}
+	idle := testing.AllocsPerRun(100, func() {
+		if cleaner.CleanOnce() != 0 {
+			t.Fatal("a pass ran although the two candidates left would not fill a survivor")
+		}
+	})
+	if idle != 0 {
+		t.Errorf("an idle CleanOnce allocated %.0f objects", idle)
+	}
+}
+
+// TestCleanerCannotBeStarved fills a store, with nobody cleaning, until the
+// foreground is refused — every closed chunk 40 % live, so no chunk can be
+// freed without first writing a survivor. The allocator holds one chunk back
+// for exactly that (a cleaner group's reserve): the pass still runs, frees
+// two chunks for the one it took, and the foreground writes again. Without
+// the reserve the refused put had taken the last chunk, and the store was
+// full for good with 60 % of its log reclaimable.
+func TestCleanerCannotBeStarved(t *testing.T) {
+	st, err := core.New(core.Config{Cores: 1, Mode: batch.ModePipelinedHB, ArenaChunks: 8,
+		GC: core.GCConfig{Enabled: true, DeadRatio: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No Run: the test is the core's loop, and the cleaner.
+	c := st.Core(0)
+	val := make([]byte, 200)
+	put := func(key uint64) uint8 {
+		c.Submit(rpc.Request{ID: 1, Op: rpc.OpPut, Key: key, Value: val}, 0)
+		c.TryLead()
+		c.DrainCompleted()
+		out := c.TakeResponses()
+		if len(out) != 1 {
+			t.Fatalf("put of key %d: %d responses", key, len(out))
+		}
+		return out[0].Resp.Status
+	}
+	unique := uint64(1 << 32)
+	fill := func() (puts int) {
+		for ; ; puts++ {
+			key := uint64(puts % 250)
+			if puts%5 < 2 {
+				key, unique = unique, unique+1
+			}
+			if put(key) != rpc.StatusOK {
+				return puts
+			}
+		}
+	}
+	if n := fill(); n < 80_000 {
+		t.Fatalf("the arena took only %d puts", n)
+	}
+	if free := st.Allocator().FreeChunks(); free != 1 {
+		t.Fatalf("%d chunks free when the foreground was refused, want the cleaner's one", free)
+	}
+	cleaner := st.NewCleaner(0)
+	if cleaner.CleanOnce() == 0 {
+		t.Fatal("no pass ran on a full store whose closed chunks are 60 % dead")
+	}
+	if s := cleaner.Stats(); s.Cleaned < 2 || st.Allocator().FreeChunks() < 2 {
+		t.Fatalf("the pass freed %d chunks and left %d free: no net gain", s.Cleaned, st.Allocator().FreeChunks())
+	}
+	if n := fill(); n < 10_000 {
+		t.Fatalf("after the pass the store took only %d more puts", n)
 	}
 }

@@ -99,12 +99,17 @@ func (st *Store) resetVolatile() error {
 	// blocks (runtime checkpointing must not race a core's own allocator).
 	st.al = alloc.New(st.arena, 1, st.arena.Chunks()-1, st.cfg.Cores+1)
 	st.ckptCa = st.al.Core(st.cfg.Cores)
-	st.usage.reset()
+	st.usage = make(usageTable, st.arena.Chunks())
 	if st.cfg.Index == IndexMasstree {
 		st.tree = masstree.New()
 	}
 	st.groups = nil
 	st.buildGroups()
+	if st.cfg.GC.Enabled {
+		// One chunk per cleaner: a pass writes its survivor chunk before it
+		// frees its victims, so the foreground must not take the last one.
+		st.al.Reserve(len(st.groups))
+	}
 	st.cores = nil
 	for i := 0; i < st.cfg.Cores; i++ {
 		c, err := st.newCore(i)
@@ -266,7 +271,7 @@ func (st *Store) openCrash() error {
 			for k, ch := range chunks {
 				chunk := ch
 				deliver := func(off int64, e oplog.Entry) bool {
-					st.usage.account(chunk, c.log, i, e.EncodedSize())
+					st.usage.account(chunk, i, e.EncodedSize())
 					shardTo(shards[i], off, e)
 					return true
 				}
@@ -565,17 +570,21 @@ func (st *Store) openCrash() error {
 			}
 			if m.stale <= 0 && !m.deleted {
 				delete(c.reg, key)
+			} else if m.tombOff != 0 {
+				// A tombstone is live while it guards something.
+				if st.guarded(key, m) {
+					liveBytes[chunkOf(m.tombOff)] += oplog.HeaderSize
+				} else {
+					m.tombOff = 0
+				}
 			}
 		}
 	}
-	st.usage.mu.Lock()
-	for chunk, cu := range st.usage.m {
-		cu.dead = cu.total - liveBytes[chunk]
-		if cu.dead < 0 {
-			cu.dead = 0
+	for i := range st.usage {
+		if owner, total, _ := st.usage.load(i); owner >= 0 {
+			st.usage[i].dead.Store(max(total-liveBytes[int64(i)*pmem.ChunkSize], 0))
 		}
 	}
-	st.usage.mu.Unlock()
 
 	rs := al.RecoveryStats()
 	al.FinishRecovery()
@@ -627,8 +636,8 @@ func (st *Store) openCrash() error {
 				m = &keyMeta{}
 				c.reg[key] = m
 			}
-			m.lastVer = ver
-			m.deleted = true
+			m.lastVer, m.deleted, m.tombOff = ver, true, off
+			st.settleTombstone(key, m)
 		}
 		c.f.FlushEvents()
 	}
@@ -729,15 +738,18 @@ func (st *Store) Close() error {
 //
 //	magic, ncores,
 //	nidx, nidx × (key, ref, version),
-//	per core: nreg, nreg × (key, lastVer | deleted<<32, stale),
+//	per core: nreg, nreg × (key, lastVer | deleted<<32 | stale<<33, tombOff),
 //	nusage, nusage × (chunk, owner, total, dead),
 //	checksum (CRC32C over all preceding bytes)
 //
 // The checksum lets crash recovery reject a torn or rotted checkpoint
 // (e.g. a crash between the descriptor's length and pointer updates, or
 // an at-rest bit flip anywhere in the blob) and fall back to plain log
-// replay.
-const ckptMagic = 0xC4_E0_2020
+// replay. The magic names the layout: ...2021 put tombOff in the registry
+// rows (and stale beside the version), and a blob of another layout is
+// refused, not mis-decoded (a crash replay ignores it; an image an older
+// build closed cleanly opens with Salvage, which replays the logs).
+const ckptMagic = 0xC4_E0_2021
 
 // ckptCastagnoli is the CRC32C table — the same polynomial that guards
 // log batches and out-of-place records, typically hardware-accelerated.
@@ -776,22 +788,22 @@ func (st *Store) buildCheckpoint() []byte {
 			if m.deleted {
 				v |= 1 << 32
 			}
-			w(v)
-			w(uint64(uint32(m.stale)))
+			w(v | uint64(max(m.stale, 0))<<33)
+			w(uint64(m.tombOff))
 		}
 	}
-	st.usage.mu.Lock()
-	w(uint64(len(st.usage.m)))
-	for chunk, cu := range st.usage.m {
-		cu.mu.Lock()
-		total, dead := cu.total, cu.dead
-		cu.mu.Unlock()
-		w(uint64(chunk))
-		w(uint64(cu.owner))
-		w(uint64(total))
-		w(uint64(dead))
+	var usage [][4]uint64
+	for i := range st.usage {
+		if owner, total, live := st.usage.load(i); owner >= 0 {
+			usage = append(usage, [4]uint64{uint64(i) * pmem.ChunkSize, uint64(owner), uint64(total), uint64(total - live)})
+		}
 	}
-	st.usage.mu.Unlock()
+	w(uint64(len(usage)))
+	for _, u := range usage {
+		for _, x := range u {
+			w(x)
+		}
+	}
 	w(ckptChecksum(buf))
 	return buf
 }
@@ -799,8 +811,9 @@ func (st *Store) buildCheckpoint() []byte {
 // loadCheckpoint decodes blob into the (empty) volatile structures. With
 // seed set the blob only seeds a crash replay, which re-derives two things
 // itself: cold index triples are dropped (the footer replay re-establishes
-// every live cold ref), and stale counts start at zero (replay counts the
-// log's Put entries).
+// every live cold ref), and stale counts and tombstone offsets start at zero
+// (replay counts the log's Put entries and finds the tombstones where the
+// cleaner has moved them since).
 func (st *Store) loadCheckpoint(blob []byte, seed bool) error {
 	pos := 0
 	r := func() (uint64, bool) {
@@ -850,13 +863,13 @@ func (st *Store) loadCheckpoint(blob []byte, seed bool) error {
 		for i := uint64(0); i < nreg; i++ {
 			key, _ := r()
 			v, _ := r()
-			stale, ok := r()
-			if !ok {
+			tomb, ok := r()
+			if !ok || tomb >= uint64(st.arena.Size()) {
 				return bad
 			}
 			m := &keyMeta{lastVer: uint32(v), deleted: v>>32&1 == 1}
 			if !seed {
-				m.stale = int32(uint32(stale))
+				m.stale, m.tombOff = int32(v>>33), int64(tomb)
 			}
 			c.reg[key] = m
 		}
@@ -870,15 +883,11 @@ func (st *Store) loadCheckpoint(blob []byte, seed bool) error {
 		owner, _ := r()
 		total, _ := r()
 		dead, ok := r()
-		if !ok || int(owner) >= len(st.cores) {
+		if !ok || owner >= uint64(len(st.cores)) || chunk/pmem.ChunkSize >= uint64(len(st.usage)) {
 			return bad
 		}
-		st.usage.m[int64(chunk)] = &chunkUsage{
-			log:   st.cores[owner].log,
-			owner: int(owner),
-			total: int64(total),
-			dead:  int64(dead),
-		}
+		st.usage.account(int64(chunk), int(owner), int(total))
+		st.usage.markDead(int64(chunk), int(dead))
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flatstore/internal/alloc"
@@ -430,6 +431,13 @@ func (st *Store) Metrics() obs.Snapshot {
 		gs := g.Stats()
 		s.Groups = append(s.Groups, obs.GroupSnap{Batches: gs.Batches, Stolen: gs.Stolen, Leads: gs.Leads})
 	}
+	for i := range st.usage {
+		owner, _, live := st.usage.load(i)
+		if owner >= 0 && int64(i)*pmem.ChunkSize != st.cores[owner].log.TailChunk() {
+			s.LogChunksClosed++
+			s.LogLiveBytes += uint64(live)
+		}
+	}
 	s.Integrity = st.Integrity()
 	if st.tier != nil {
 		s.Tier = st.tier.Stats()
@@ -539,57 +547,65 @@ func (st *Store) JournalSlot(g int) uint64 {
 	return st.arena.ReadUint64(journalOff(g))
 }
 
-// usageTable tracks per-chunk live/dead bytes for victim selection
-// (§3.4's "in-memory table to track the usage of each 4MB chunk").
-type usageTable struct {
-	mu sync.Mutex
-	m  map[int64]*chunkUsage
-}
+// usageTable tracks, per arena chunk, the log-entry bytes appended to it and
+// how many of them are dead (§3.4's "in-memory table to track the usage of
+// each 4MB chunk"). It is indexed by chunk number — the arena's chunk count
+// is fixed — and every field is an atomic, so the put path (an account per
+// appended entry, a markDead per superseded one, from every core) takes no
+// lock. A slot describes a log chunk while its owner is set: account claims
+// it with the chunk's first entry, drop releases it before the chunk goes
+// back to the pool.
+type usageTable []chunkUsage
 
 type chunkUsage struct {
-	log   *oplog.Log
-	owner int // core whose log owns the chunk
-	mu    sync.Mutex
-	total int64
-	dead  int64
+	total atomic.Int64 // entry bytes appended
+	dead  atomic.Int64 // of those, bytes no recovery needs any more
+	owner atomic.Int32 // core whose log holds the chunk, plus one; 0: not a log chunk
+	_     [40]byte     // a cacheline per slot: neighbouring chunks belong to other cores
 }
 
-func (u *usageTable) account(chunk int64, log *oplog.Log, owner int, size int) {
-	u.mu.Lock()
-	cu := u.m[chunk]
-	if cu == nil {
-		cu = &chunkUsage{log: log, owner: owner}
-		u.m[chunk] = cu
+// account adds size appended bytes to chunk, which is in owner's log. Only
+// the goroutine that took a chunk from the pool appends to it until it is
+// linked, so the claim needs no CAS; a markDead that strayed into the slot
+// while it was nobody's is wiped here.
+func (u usageTable) account(chunk int64, owner, size int) {
+	s := &u[chunk/pmem.ChunkSize]
+	if s.owner.Load() != int32(owner)+1 {
+		s.total.Store(0)
+		s.dead.Store(0)
+		s.owner.Store(int32(owner) + 1)
 	}
-	u.mu.Unlock()
-	cu.mu.Lock()
-	cu.total += int64(size)
-	cu.mu.Unlock()
+	s.total.Add(int64(size))
 }
 
-func (u *usageTable) markDead(chunk int64, size int) {
-	u.mu.Lock()
-	cu := u.m[chunk]
-	u.mu.Unlock()
-	if cu == nil {
-		return
-	}
-	cu.mu.Lock()
-	cu.dead += int64(size)
-	cu.mu.Unlock()
+func (u usageTable) markDead(chunk int64, size int) {
+	u[chunk/pmem.ChunkSize].dead.Add(int64(size))
+}
+
+// drop releases chunk's slot: the chunk is about to leave its log.
+func (u usageTable) drop(chunk int64) {
+	s := &u[chunk/pmem.ChunkSize]
+	s.owner.Store(0)
+	s.total.Store(0)
+	s.dead.Store(0)
 }
 
 // reset empties the table (recovery rebuilds it from its scan).
-func (u *usageTable) reset() {
-	u.mu.Lock()
-	u.m = map[int64]*chunkUsage{}
-	u.mu.Unlock()
+func (u usageTable) reset() {
+	for i := range u {
+		u.drop(int64(i) * pmem.ChunkSize)
+	}
 }
 
-func (u *usageTable) drop(chunk int64) {
-	u.mu.Lock()
-	delete(u.m, chunk)
-	u.mu.Unlock()
+// load reads slot i: the owning core (-1 when the chunk is not a log chunk),
+// the bytes appended, and the bytes still live. A markDead can race a
+// relocation's accounting by an entry or two, so live is clamped.
+func (u usageTable) load(i int) (owner int, total, live int64) {
+	s := &u[i]
+	owner = int(s.owner.Load()) - 1
+	total = s.total.Load()
+	live = max(total-s.dead.Load(), 0)
+	return owner, total, live
 }
 
 // chunkOf maps a log-entry offset to its chunk base.

@@ -114,53 +114,119 @@ func TestSweepMasstree(t *testing.T) {
 	sweep(t, fault.NewHarness(cfg, nil, script), false)
 }
 
-// gcPrelude fills a one-core store so its first log chunk is closed and
-// mostly dead, yet still holds live entries (GC must relocate them) and
-// stale Puts of later-deleted keys (tombstone-guard coverage). It runs
-// once; every trial reopens the resulting clean image.
+// gcPrelude fills a two-core, one-group store so that each core's first log
+// chunk is closed and mostly dead, yet still holds live entries (GC must
+// relocate them) and stale Puts of later-deleted keys (tombstone-guard
+// coverage). The harness lets a key's owning core lead its batch, so each
+// log holds its own core's keys. It runs once; every trial reopens the
+// resulting clean image.
 func gcPrelude() []fault.Op {
 	var ops []fault.Op
-	// Cold keys: live out-of-place values whose entries stay in chunk 1.
+	// Cold keys: live out-of-place values whose entries stay in the first
+	// chunk of their core's log.
 	for k := uint64(1); k <= 120; k++ {
 		ops = append(ops, fault.Put(k, val(k, 0, 400)))
 	}
-	// Churn fills chunk 1 past capacity (≈15.4k × 272 B entries) and
-	// rolls into chunk 2; all churn entries in chunk 1 become dead.
-	for r := 0; r < 208; r++ {
+	// Churn fills both first chunks past capacity (a 250 B put is a 320 B
+	// batch of one: ≈13.1k a chunk) and rolls both logs; every churn entry
+	// left in a first chunk is dead.
+	perCore := [2]int{}
+	for k := uint64(1000); k < 1080; k++ {
+		perCore[core.RouteKey(k, 2)]++
+	}
+	rounds := 13_200/min(perCore[0], perCore[1]) + 3
+	for r := 0; r < rounds; r++ {
 		for k := uint64(1000); k < 1080; k++ {
 			ops = append(ops, fault.Put(k, val(k, r, 250)))
 		}
 	}
-	// Tombstones in the tail chunk guard stale Puts back in chunk 1.
-	for k := uint64(1); k <= 5; k++ {
+	// Tombstones in the tail chunks guard stale Puts back in the first ones.
+	for k := uint64(1); k <= 10; k++ {
 		ops = append(ops, fault.Delete(k))
 	}
 	return ops
 }
 
-// TestSweepGCUnderLoad crashes at every point of a GC-under-load script:
-// survivor-chunk write, journal, link, CAS repoint, unlink, free, and
-// journal clear, interleaved with foreground writes and a checkpoint.
+// TestSweepGCUnderLoad crashes at every persist point, and every torn
+// prefix of every flush, of a GC-under-load script whose first pass takes
+// two victims from two different logs with live entries in both: one
+// survivor-chunk write, journal, link, CAS repoint, then unlink and free of
+// the first victim, unlink and free of the second, and the journal clear —
+// interleaved with foreground writes and a checkpoint. In particular the
+// store is cut between the two unlinks, where the second victim still sits
+// in its chain beside the survivor that already holds its live entries.
 func TestSweepGCUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("GC sweep replays a large prelude image per trial")
 	}
-	cfg := core.Config{Cores: 1, Mode: batch.ModePipelinedHB, ArenaChunks: 9,
+	cfg := core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 8,
 		GC: core.GCConfig{DeadRatio: 0.5}}
 	script := []fault.Op{
-		fault.Put(1000, val(1000, 999, 250)),
-		fault.GC(), // reclaims chunk 1: survivors + stale puts of deleted keys
-		fault.Put(6, val(6, 1, 300)),
-		fault.Delete(7),
+		fault.Put(1000, val(1000, 999, 24)),
+		fault.GC(), // both first chunks in one pass: survivors + stale puts of deleted keys
+		// Over 1 KiB, so the record's flush is torn in two places, not at
+		// every word: the records are not what is swept.
+		fault.Put(11, val(11, 1, 1200)),
+		fault.Delete(12),
 		fault.GC(),
 		fault.Checkpoint(),
-		fault.Put(2000, val(2000, 0, 90)),
 		fault.GC(),
 	}
 	h := fault.NewHarness(cfg, gcPrelude(), script)
-	stats := sweep(t, h, false)
-	if stats.Points < 20 {
-		t.Fatalf("GC script generated only %d persist points — cleaner found no victim?", stats.Points)
+
+	// The script must do what the comments say, or the sweep proves nothing.
+	var victims [2]int64
+	if err := h.Observe(func(i int, st *core.Store) {
+		switch i {
+		case -1:
+			for c := range victims {
+				chain := st.Core(c).Log().Chunks()
+				if len(chain) != 2 {
+					t.Fatalf("core %d's log has %d chunks after the prelude, want one closed and the tail", c, len(chain))
+				}
+				victims[c] = chain[0]
+			}
+			live := map[int64]int{}
+			for c := 0; c < 2; c++ {
+				st.Core(c).Index().Range(func(_ uint64, ref int64, _ uint32) bool {
+					live[ref&^(pmem.ChunkSize-1)]++
+					return true
+				})
+			}
+			if live[victims[0]] == 0 || live[victims[1]] == 0 {
+				t.Fatalf("live entries per closed chunk: %d and %d, want some in both", live[victims[0]], live[victims[1]])
+			}
+		case 1:
+			m := st.Metrics()
+			if m.GCPasses != 1 || m.GCCleaned != 2 || m.GCRelocated == 0 {
+				t.Fatalf("first GC op: %d passes freed %d chunks and relocated %d entries, want one pass over both closed chunks",
+					m.GCPasses, m.GCCleaned, m.GCRelocated)
+			}
+			if st.Core(0).Log().Contains(victims[0]) || st.Core(1).Log().Contains(victims[1]) {
+				t.Fatal("a victim is still linked after the pass")
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// What a crash left of the pass, as recovery found it: both victims
+	// linked, the second alone, or neither.
+	linked := map[[2]bool]int{}
+	h.Recovered = func(st *core.Store) {
+		linked[[2]bool{st.Core(0).Log().Contains(victims[0]), st.Core(1).Log().Contains(victims[1])}]++
+	}
+	stats := sweep(t, h, true)
+	if stats.Points < 40 || stats.Torn == 0 {
+		t.Fatalf("GC script generated only %d persist points (%d torn trials)", stats.Points, stats.Torn)
+	}
+	for _, state := range [][2]bool{{true, true}, {false, true}, {false, false}} {
+		if linked[state] == 0 {
+			t.Errorf("no crash left the victims linked as %v (seen: %v): the window is not swept", state, linked)
+		}
+	}
+	if n := linked[[2]bool{true, false}]; n != 0 {
+		t.Errorf("%d crashes left the second victim unlinked before the first", n)
 	}
 }
 

@@ -89,6 +89,11 @@ type Harness struct {
 	prelude []Op
 	script  []Op
 
+	// Recovered, when set, sees every trial's store as its first recovery
+	// left it, after Check passed: a test can tally which of a script's
+	// intermediate states its crash points actually reached.
+	Recovered func(st *core.Store)
+
 	img       []byte            // clean media image after the prelude
 	baseModel map[uint64][]byte // acknowledged state after the prelude
 	tierImg   map[string][]byte // segment files after the prelude
@@ -197,7 +202,10 @@ func (tr *trial) exec(op Op) error {
 }
 
 // drive steps every core until the response for id appears in tc's
-// outbox. Single-goroutine, so a bounded spin means a real deadlock.
+// outbox. Single-goroutine, so a bounded spin means a real deadlock. The
+// core that took the request steps first, as it would in its own loop: it
+// leads the batch, so a key's entries land in its owner's log and a script
+// decides which log grows.
 func (tr *trial) drive(tc *core.Core, id uint64) (rpc.Response, error) {
 	for spins := 0; spins < 1<<20; spins++ {
 		for _, o := range tc.TakeResponses() {
@@ -206,7 +214,7 @@ func (tr *trial) drive(tc *core.Core, id uint64) (rpc.Response, error) {
 			}
 		}
 		for i := 0; i < tr.st.Cores(); i++ {
-			c := tr.st.Core(i)
+			c := tr.st.Core((tc.ID() + i) % tr.st.Cores())
 			c.TryLead()
 			c.DrainCompleted()
 		}
@@ -416,6 +424,9 @@ func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 	model, err := Check(re, tr.model, tr.pending)
 	if err != nil {
 		return crashed, err
+	}
+	if h.Recovered != nil {
+		h.Recovered(re)
 	}
 
 	// Liveness probe: the recovered store must take new writes and a

@@ -21,9 +21,10 @@ import (
 // The field order is the format and the magic names it: a peer built from
 // other declarations is rejected rather than mis-decoded, and a change to
 // the declared fields moves the magic. OBS6 was the first walked format,
-// OBS7 added the tier's promotion-decision counters; DESIGN.md §7 says why
-// there is no compatibility shim.
-const snapMagic uint32 = 0x4F425337 // "OBS7"
+// OBS7 added the tier's promotion-decision counters, OBS8 the cleaner's
+// passes and the closed log chunks' utilisation; DESIGN.md §7 says why there
+// is no compatibility shim.
+const snapMagic uint32 = 0x4F425338 // "OBS8"
 
 var le = binary.LittleEndian
 

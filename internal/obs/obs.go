@@ -239,6 +239,7 @@ type Registry struct {
 
 	// GC counters: multiple cleaners (one per HB group) write these, so
 	// they are real atomics, not single-writer counters.
+	gcPasses    atomic.Uint64
 	gcCleaned   atomic.Uint64
 	gcRelocated atomic.Uint64
 	gcDropped   atomic.Uint64
@@ -271,8 +272,12 @@ func (r *Registry) SlowThreshold() int64 { return r.slowThresh }
 // Core returns core i's metric block.
 func (r *Registry) Core(i int) *CoreMetrics { return r.cores[i] }
 
-// NoteGC accumulates one cleaner pass's effects (any cleaner goroutine).
+// NoteGC accumulates one cleaner pass's effects (any cleaner goroutine). A
+// pass counts when it freed a chunk.
 func (r *Registry) NoteGC(cleaned, relocated, dropped uint64) {
+	if cleaned > 0 {
+		r.gcPasses.Add(1)
+	}
 	r.gcCleaned.Add(cleaned)
 	r.gcRelocated.Add(relocated)
 	r.gcDropped.Add(dropped)
@@ -463,9 +468,12 @@ type Snapshot struct {
 	FollowedOps     uint64           `json:"batch_entries_followed" prom:"flatstore_batch_entries_followed_total,counter"`
 	LogBytes        uint64           `json:"oplog_bytes" prom:"flatstore_oplog_bytes_total,counter"`
 	FlushUnits      uint64           `json:"flush_units" prom:"flatstore_flush_units_total,counter"`
+	GCPasses        uint64           `json:"gc_passes" prom:"flatstore_gc_passes_total,counter"` // cleaning passes that freed a chunk; cleaned / passes = victims per pass
 	GCCleaned       uint64           `json:"gc_chunks_cleaned" prom:"flatstore_gc_chunks_cleaned_total,counter"`
 	GCRelocated     uint64           `json:"gc_entries_relocated" prom:"flatstore_gc_entries_relocated_total,counter"`
 	GCDropped       uint64           `json:"gc_entries_dropped" prom:"flatstore_gc_entries_dropped_total,counter"`
+	LogChunksClosed uint64           `json:"log_chunks_closed" prom:"flatstore_log_chunks_closed,gauge"` // closed log chunks held (every log chunk but the tails)
+	LogLiveBytes    uint64           `json:"log_live_bytes" prom:"flatstore_log_live_bytes,gauge"`       // entry bytes in them a recovery still needs
 	Keys            uint64           `json:"keys" prom:"flatstore_keys,gauge"`
 	FreeChunks      uint64           `json:"free_chunks" prom:"flatstore_free_chunks,gauge"`
 	RawChunks       uint64           `json:"raw_chunks" prom:"flatstore_raw_chunks,gauge"`
@@ -489,6 +497,7 @@ func (r *Registry) Snapshot() Snapshot {
 		UptimeNs:        r.Now(),
 		Cores:           len(r.cores),
 		SlowThresholdNs: r.slowThresh,
+		GCPasses:        r.gcPasses.Load(),
 		GCCleaned:       r.gcCleaned.Load(),
 		GCRelocated:     r.gcRelocated.Load(),
 		GCDropped:       r.gcDropped.Load(),

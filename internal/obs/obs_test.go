@@ -109,6 +109,7 @@ func buildSnapshot() Snapshot {
 	s.UptimeNs = 12_500_000_000
 	s.Keys = 42
 	s.FreeChunks, s.RawChunks, s.HugeChunks = 5, 6, 7
+	s.LogChunksClosed, s.LogLiveBytes = 4, 9_000_000
 	s.Classes = []ClassOcc{
 		{Class: 256, Chunks: 2, UsedBlocks: 100, CapBlocks: 200},
 		{Class: 1024, Chunks: 1, UsedBlocks: 30, CapBlocks: 40},

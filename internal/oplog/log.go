@@ -27,6 +27,11 @@ const (
 	// endMarkerReserve keeps room for the OpEnd marker so a chunk can
 	// always be terminated.
 	endMarkerReserve = HeaderSize
+
+	// SurvivorCapacity is the most entry bytes (the sum of EncodedSize) one
+	// chunk holds as a single batch: what WriteSurvivorChunk accepts, and
+	// the whole chunk the cleaner measures a victim's live bytes against.
+	SurvivorCapacity = pmem.ChunkSize - chunkHeader - endMarkerReserve - TrailerSize
 )
 
 // ErrBatchTooLarge reports a batch that cannot fit in a single log chunk.
@@ -284,7 +289,7 @@ func (l *Log) AppendBatchOffs(f *pmem.Flusher, entries []*Entry, offs []int64) (
 	for _, e := range entries {
 		total += e.EncodedSize()
 	}
-	if total+TrailerSize > pmem.ChunkSize-chunkHeader-endMarkerReserve {
+	if total > SurvivorCapacity {
 		return offs, ErrBatchTooLarge
 	}
 	// A tail off the cacheline grid is padEnd's end-of-chunk case: nothing
@@ -604,10 +609,10 @@ func (l *Log) WriteSurvivorChunk(f *pmem.Flusher, entries []*Entry) (int64, []in
 	for _, e := range entries {
 		total += e.EncodedSize()
 	}
-	if total+TrailerSize > pmem.ChunkSize-chunkHeader-endMarkerReserve {
+	if total > SurvivorCapacity {
 		return 0, nil, ErrBatchTooLarge
 	}
-	c, err := l.al.AllocRawChunk()
+	c, err := l.al.AllocSurvivorChunk()
 	if err != nil {
 		return 0, nil, err
 	}

@@ -313,7 +313,7 @@ func (cv *cleanerVCore) step(clk *Clock, m *CostModel, bw *BWServer, d *dispatch
 	}
 	cv.clock += int64(n) * cleanEntryNS
 	cv.clock = m.chargePersist(cv.clock, ev, bw)
-	if cv.cl.Stats().Cleaned > before {
+	for c := cv.cl.Stats().Cleaned; c > before; c-- {
 		cv.history = append(cv.history, cv.clock)
 	}
 }
