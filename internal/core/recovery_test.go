@@ -66,37 +66,6 @@ func TestCrashRecoveryBasic(t *testing.T) {
 	}
 }
 
-func TestCrashRecoveryLargeValues(t *testing.T) {
-	cfg := core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 32}
-	st, cl := newRunning(t, cfg)
-	big := bytes.Repeat([]byte{0xee}, 10_000)
-	for i := uint64(0); i < 20; i++ {
-		if err := cl.Put(i, big); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, cl2 := crashAndReopen(t, st, cfg)
-	for i := uint64(0); i < 20; i++ {
-		v, ok, _ := cl2.Get(i)
-		if !ok || !bytes.Equal(v, big) {
-			t.Fatalf("large value %d lost after crash", i)
-		}
-	}
-	// The allocator must not hand out the recovered blocks again:
-	// overwrite every key and verify contents stay consistent.
-	for i := uint64(0); i < 20; i++ {
-		if err := cl2.Put(i, bytes.Repeat([]byte{0xdd}, 9_000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(0); i < 20; i++ {
-		v, _, _ := cl2.Get(i)
-		if len(v) != 9_000 || v[0] != 0xdd {
-			t.Fatalf("post-recovery overwrite corrupted key %d", i)
-		}
-	}
-}
-
 func TestCrashRecoveryVersionsContinue(t *testing.T) {
 	// After recovery, versions must keep increasing, or the cleaner's
 	// liveness comparison would mis-rank old entries.
@@ -112,18 +81,6 @@ func TestCrashRecoveryVersionsContinue(t *testing.T) {
 	v, ok, _ := cl3.Get(1)
 	if !ok || string(v) != "after" {
 		t.Fatalf("version ordering broken across recoveries: %q %v", v, ok)
-	}
-}
-
-func TestDeleteThenCrashNoResurrection(t *testing.T) {
-	cfg := core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 32}
-	st, cl := newRunning(t, cfg)
-	cl.Put(5, []byte("old1"))
-	cl.Put(5, []byte("old2"))
-	cl.Delete(5)
-	_, cl2 := crashAndReopen(t, st, cfg)
-	if _, ok, _ := cl2.Get(5); ok {
-		t.Fatal("tombstone ignored: deleted key resurrected")
 	}
 }
 
@@ -189,24 +146,6 @@ func TestOpenRejectsCoreMismatch(t *testing.T) {
 	}
 	if re.Cores() != 4 {
 		t.Errorf("inferred %d cores, want 4", re.Cores())
-	}
-}
-
-func TestCrashRecoveryMasstree(t *testing.T) {
-	cfg := core.Config{Cores: 2, Mode: batch.ModePipelinedHB, Index: core.IndexMasstree, ArenaChunks: 32}
-	st, cl := newRunning(t, cfg)
-	for i := uint64(0); i < 200; i++ {
-		cl.Put(i, []byte(fmt.Sprint(i)))
-	}
-	_, cl2 := crashAndReopen(t, st, cfg)
-	pairs, err := cl2.Scan(50, 59, 0)
-	if err != nil || len(pairs) != 10 {
-		t.Fatalf("scan after recovery: %d pairs, err %v", len(pairs), err)
-	}
-	for i, p := range pairs {
-		if p.Key != uint64(50+i) {
-			t.Fatalf("recovered scan out of order: %d", p.Key)
-		}
 	}
 }
 

@@ -444,7 +444,8 @@ func (st *Store) Metrics() obs.Snapshot {
 	}
 	pm := st.arena.Stats()
 	s.PM = obs.PMSnap{Flushes: pm.Flushes, Fences: pm.Fences, Lines: pm.Lines,
-		MediaBytes: pm.MediaBytes, SeqBlocks: pm.SeqBlocks, RndBlocks: pm.RndBlocks}
+		MediaBytes: pm.MediaBytes, SeqBlocks: pm.SeqBlocks, RndBlocks: pm.RndBlocks,
+		Touched: st.arena.TouchedBytes()}
 	if st.rpc != nil {
 		rs := st.rpc.Stats()
 		s.Net.QueuePairs = uint64(rs.QueuePairs)

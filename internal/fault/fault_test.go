@@ -22,20 +22,6 @@ func val(key uint64, step, size int) []byte {
 	return out
 }
 
-func sweep(t *testing.T, h *fault.Harness, tear bool) fault.SweepStats {
-	t.Helper()
-	stats, err := h.Sweep(tear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Points == 0 || stats.Crashes == 0 {
-		t.Fatalf("sweep exercised nothing: %+v", stats)
-	}
-	t.Logf("swept %d crash points (%d crashed, %d completed, %d torn)",
-		stats.Points, stats.Crashes, stats.Completed, stats.Torn)
-	return stats
-}
-
 // TestSweepPutOverwriteDelete crashes a base-mode store at every persist
 // point of a put/overwrite/delete script, with inline and out-of-place
 // values, deletes of present and re-created keys.
@@ -55,7 +41,7 @@ func TestSweepPutOverwriteDelete(t *testing.T) {
 		fault.Put(7, val(7, 1, 30)),  // out-of-place → inline
 		fault.Delete(4),
 	)
-	sweep(t, fault.NewHarness(cfg, nil, script), false)
+	fault.NewHarness(cfg, nil, script).Sweep(t, false)
 }
 
 // TestSweepPipelinedHB sweeps the grouped-batching path (publish, steal,
@@ -73,7 +59,7 @@ func TestSweepPipelinedHB(t *testing.T) {
 		fault.Delete(10),
 		fault.Put(11, val(11, 2, 90)),
 	)
-	sweep(t, fault.NewHarness(cfg, nil, script), false)
+	fault.NewHarness(cfg, nil, script).Sweep(t, false)
 }
 
 // TestSweepCheckpoint crashes inside runtime checkpoints: mid-blob,
@@ -93,7 +79,7 @@ func TestSweepCheckpoint(t *testing.T) {
 		fault.Put(26, val(26, 0, 48)),
 		fault.Checkpoint(),
 	)
-	sweep(t, fault.NewHarness(cfg, nil, script), false)
+	fault.NewHarness(cfg, nil, script).Sweep(t, false)
 }
 
 // TestSweepMasstree sweeps the shared-ordered-index configuration
@@ -111,7 +97,7 @@ func TestSweepMasstree(t *testing.T) {
 		fault.Delete(36),
 		fault.Put(33, val(33, 2, 44)),
 	)
-	sweep(t, fault.NewHarness(cfg, nil, script), false)
+	fault.NewHarness(cfg, nil, script).Sweep(t, false)
 }
 
 // gcPrelude fills a two-core, one-group store so that each core's first log
@@ -216,7 +202,7 @@ func TestSweepGCUnderLoad(t *testing.T) {
 	h.Recovered = func(st *core.Store) {
 		linked[[2]bool{st.Core(0).Log().Contains(victims[0]), st.Core(1).Log().Contains(victims[1])}]++
 	}
-	stats := sweep(t, h, true)
+	stats := h.Sweep(t, true)
 	if stats.Points < 40 || stats.Torn == 0 {
 		t.Fatalf("GC script generated only %d persist points (%d torn trials)", stats.Points, stats.Torn)
 	}
@@ -242,7 +228,7 @@ func TestSweepTornFlushes(t *testing.T) {
 		fault.Delete(2),
 		fault.Put(3, val(3, 0, 200)),
 	}
-	stats := sweep(t, fault.NewHarness(cfg, nil, script), true)
+	stats := fault.NewHarness(cfg, nil, script).Sweep(t, true)
 	if stats.Torn == 0 {
 		t.Fatal("no torn-flush trials ran")
 	}
@@ -276,7 +262,7 @@ func TestSweepRandomized(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cfg := core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 7}
-			sweep(t, fault.NewHarness(cfg, nil, randomScript(seed, 18)), false)
+			fault.NewHarness(cfg, nil, randomScript(seed, 18)).Sweep(t, false)
 		})
 	}
 }
@@ -381,7 +367,7 @@ func TestSweepChunkReuse(t *testing.T) {
 			t.Fatalf("after op %d the free pool moved by %d, want %d: %s", want.op, got, want.delta, want.what)
 		}
 	}
-	stats := sweep(t, h, false)
+	stats := h.Sweep(t, false)
 	if stats.Points < 60 {
 		t.Fatalf("chunk-reuse script generated only %d persist points", stats.Points)
 	}

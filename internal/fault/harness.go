@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"testing"
 
 	"flatstore/internal/core"
 	"flatstore/internal/pmem"
@@ -76,8 +77,9 @@ func TierCompact() Op { return Op{Kind: KTierCompact} }
 
 // Harness sweeps a scripted workload over every crash point. The optional
 // prelude runs ONCE, uninstrumented, and is closed cleanly into an arena
-// image; every trial then reopens that image, so a trial's cost is the
-// (short) script rather than the bulk fill that created GC-worthy chunks.
+// image; every trial then opens an arena over that image, so a trial's
+// cost is the (short) script — the pages it writes — rather than the bulk
+// fill that created GC-worthy chunks, or a copy of it.
 // When cfg.Tier.Dir is set it is treated as a base directory: the
 // prelude runs in <dir>/prelude and every trial gets its own
 // <dir>/trial-N populated with a byte-exact copy of the prelude's
@@ -94,7 +96,7 @@ type Harness struct {
 	// intermediate states its crash points actually reached.
 	Recovered func(st *core.Store)
 
-	img       []byte            // clean media image after the prelude
+	img       *pmem.Image       // clean media image after the prelude
 	baseModel map[uint64][]byte // acknowledged state after the prelude
 	tierImg   map[string][]byte // segment files after the prelude
 	trialN    int
@@ -253,11 +255,10 @@ func (h *Harness) init() error {
 	if err := st.Close(); err != nil {
 		return fmt.Errorf("fault: prelude close: %w", err)
 	}
-	var buf bytes.Buffer
-	if _, err := arena.WriteTo(&buf); err != nil {
+	if h.img, err = arena.Image(); err != nil {
 		return err
 	}
-	h.img = buf.Bytes()
+	arena.Release()
 	h.baseModel = tr.model
 	if cfg.Tier.Dir != "" {
 		h.tierImg = map[string][]byte{}
@@ -299,7 +300,7 @@ func (h *Harness) newTrial() (*trial, *pmem.Arena, core.Config, error) {
 	var st *core.Store
 	var err error
 	if h.img != nil {
-		arena, err = pmem.ReadArena(bytes.NewReader(h.img))
+		arena, err = h.img.Open()
 		if err != nil {
 			return nil, nil, cfg, err
 		}
@@ -311,6 +312,7 @@ func (h *Harness) newTrial() (*trial, *pmem.Arena, core.Config, error) {
 		st, err = core.New(cfg)
 	}
 	if err != nil {
+		arena.Release()
 		return nil, nil, cfg, fmt.Errorf("fault: trial store: %w", err)
 	}
 	model := make(map[uint64][]byte, len(h.baseModel))
@@ -330,6 +332,7 @@ func (h *Harness) CountPoints() (uint64, []PointInfo, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	defer arena.Release()
 	in := Attach(arena)
 	in.AttachTier(tr.st.Tier())
 	in.Record()
@@ -352,10 +355,11 @@ func (h *Harness) Observe(fn func(i int, st *core.Store)) error {
 	if err := h.init(); err != nil {
 		return err
 	}
-	tr, _, _, err := h.newTrial()
+	tr, arena, _, err := h.newTrial()
 	if err != nil {
 		return err
 	}
+	defer arena.Release()
 	fn(-1, tr.st)
 	for i, op := range h.script {
 		if err := tr.exec(op); err != nil {
@@ -388,6 +392,7 @@ func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	defer arena.Release()
 	in := Attach(arena)
 	in.AttachTier(tr.st.Tier())
 	if tearKeep >= 0 {
@@ -417,6 +422,7 @@ func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 	}
 	cfg := tcfg
 	cfg.Arena = arena.Crash()
+	defer cfg.Arena.Release()
 	re, err := core.Open(cfg)
 	if err != nil {
 		return crashed, fmt.Errorf("recovery failed: %w", err)
@@ -449,6 +455,7 @@ func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 		t.Close()
 	}
 	cfg2.Arena = re.Arena().Crash()
+	defer cfg2.Arena.Release()
 	re2, err := core.Open(cfg2)
 	if err != nil {
 		return crashed, fmt.Errorf("second recovery failed: %w", err)
@@ -483,18 +490,21 @@ func tornKeeps(n int) (keeps []int) {
 
 // Sweep runs the workload once per crash point, checking every recovery
 // invariant each time. With tear set, every multi-word flush point is
-// additionally swept with torn (partial) flushes.
-func (h *Harness) Sweep(tear bool) (SweepStats, error) {
+// additionally swept with torn (partial) flushes. The first failure fails
+// t; a sweep that ran logs what it covered, and one that covered nothing
+// fails too.
+func (h *Harness) Sweep(t testing.TB, tear bool) SweepStats {
+	t.Helper()
 	var stats SweepStats
 	total, points, err := h.CountPoints()
 	if err != nil {
-		return stats, err
+		t.Fatal(err)
 	}
 	stats.Points = total
 	for n := uint64(1); n <= total; n++ {
 		crashed, err := h.RunPoint(n, -1)
 		if err != nil {
-			return stats, fmt.Errorf("crash point %d/%d: %w", n, total, err)
+			t.Fatalf("crash point %d/%d: %v", n, total, err)
 		}
 		if crashed {
 			stats.Crashes++
@@ -511,11 +521,16 @@ func (h *Harness) Sweep(tear bool) (SweepStats, error) {
 			n := uint64(i + 1)
 			for _, keep := range tornKeeps(pi.N) {
 				if _, err := h.RunPoint(n, keep); err != nil {
-					return stats, fmt.Errorf("torn flush at point %d (keep %d/%d): %w", n, keep, pi.N, err)
+					t.Fatalf("torn flush at point %d (keep %d/%d): %v", n, keep, pi.N, err)
 				}
 				stats.Torn++
 			}
 		}
 	}
-	return stats, nil
+	if stats.Points == 0 || stats.Crashes == 0 {
+		t.Fatalf("sweep exercised nothing: %+v", stats)
+	}
+	t.Logf("swept %d crash points (%d crashed, %d completed, %d torn)",
+		stats.Points, stats.Crashes, stats.Completed, stats.Torn)
+	return stats
 }

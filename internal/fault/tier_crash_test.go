@@ -106,7 +106,7 @@ func TestSweepTierDemotion(t *testing.T) {
 	if tierPts < 8 {
 		t.Fatalf("script generated only %d disk persist points — demotion or compaction never ran", tierPts)
 	}
-	stats := sweep(t, h, true)
+	stats := h.Sweep(t, true)
 	if stats.Points < 30 {
 		t.Fatalf("tier script generated only %d persist points", stats.Points)
 	}
@@ -133,7 +133,7 @@ func TestSweepTierColdStart(t *testing.T) {
 	}
 	h := fault.NewHarness(tierCfg(t.TempDir()), prelude, script)
 	mustPromote(t, h)
-	stats := sweep(t, h, true)
+	stats := h.Sweep(t, true)
 	if stats.Points < 10 {
 		t.Fatalf("cold-start script generated only %d persist points", stats.Points)
 	}

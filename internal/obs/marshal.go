@@ -22,9 +22,9 @@ import (
 // other declarations is rejected rather than mis-decoded, and a change to
 // the declared fields moves the magic. OBS6 was the first walked format,
 // OBS7 added the tier's promotion-decision counters, OBS8 the cleaner's
-// passes and the closed log chunks' utilisation; DESIGN.md §7 says why there
-// is no compatibility shim.
-const snapMagic uint32 = 0x4F425338 // "OBS8"
+// passes and the closed log chunks' utilisation, OBS9 the device's touched
+// bytes; DESIGN.md §7 says why there is no compatibility shim.
+const snapMagic uint32 = 0x4F425339 // "OBS9"
 
 var le = binary.LittleEndian
 

@@ -449,6 +449,7 @@ type PMSnap struct {
 	MediaBytes uint64 `json:"media_bytes" prom:"flatstore_pm_media_bytes_total,counter"` // bytes charged against device bandwidth
 	SeqBlocks  uint64 `json:"seq_blocks" prom:"flatstore_pm_seq_blocks_total,counter"`   // 256 B block activations adjacent to the previous one
 	RndBlocks  uint64 `json:"rnd_blocks" prom:"flatstore_pm_rnd_blocks_total,counter"`   // random (non-adjacent) 256 B block activations
+	Touched    uint64 `json:"touched_bytes" prom:"flatstore_pm_touched_bytes,gauge"`     // device bytes ever written, in 64 KiB extents: what each of the emulator's two views holds in memory
 }
 
 // Snapshot is a merged moment-in-time view of the whole registry, plus

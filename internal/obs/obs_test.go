@@ -129,7 +129,7 @@ func buildSnapshot() Snapshot {
 	s.Tier = TierSnap{Enabled: true, Segments: 61, Records: 62, DeadRecords: 63, Bytes: 64, Reads: 65,
 		BloomFiltered: 66, SegmentsWritten: 67, Compactions: 68, Demoted: 69, Promoted: 70,
 		PromoteDeferred: 73, PromoteFailed: 74, CorruptReads: 71, Quarantined: 72}
-	s.PM = PMSnap{Flushes: 81, Fences: 82, Lines: 83, MediaBytes: 84, SeqBlocks: 85, RndBlocks: 86}
+	s.PM = PMSnap{Flushes: 81, Fences: 82, Lines: 83, MediaBytes: 84, SeqBlocks: 85, RndBlocks: 86, Touched: 87}
 	return s
 }
 

@@ -10,6 +10,12 @@
 //     64-byte cachelines from the cache view to the media view, modelling
 //     clwb/clflushopt followed by an sfence.
 //
+// Both views are lazily backed, like a mapped device: zero until touched
+// for New, copy-on-write over an immutable Image for Image.Open, so an
+// arena costs the pages it has written. A bitmap of 64 KiB extents records
+// which media bytes differ from that base; Crash, Image and the
+// TouchedBytes statistic are walks of it.
+//
 // Crash discards everything that was never flushed, which makes
 // crash-consistency bugs observable in tests: a recovery path that relies
 // on an unflushed store will read stale bytes.
@@ -88,12 +94,13 @@ func (nullClock) Now() int64 { return 0 }
 // overlapping lines do not race, although their data content would (just
 // as on real hardware).
 type Arena struct {
-	mem   []byte
-	media []byte
+	*views
 
-	// lineTime[i] is the emulated time at which cacheline i was last
-	// flushed, used to detect the repeated-flush-to-same-line stall.
-	lineTime []int64
+	// base is what the views were opened over (nil: zeroes), and dirty the
+	// media extents written since: every media write goes through
+	// flushRange, CopyToMedia, CorruptMedia or Corrupt, which mark it.
+	base  *Image
+	dirty extents
 
 	clock Clock
 	stats Stats
@@ -105,6 +112,18 @@ type Arena struct {
 	// window is the time window (ns) within which a second flush of the
 	// same line counts as a repeated flush.
 	window int64
+}
+
+// views are the regions behind one arena. How they are obtained and
+// released is the backing's business (views_mmap.go, views_heap.go);
+// everything else in the package is shared.
+type views struct {
+	mem   []byte
+	media []byte
+
+	// lineTime[i] is the emulated time at which cacheline i was last
+	// flushed, used to detect the repeated-flush-to-same-line stall.
+	lineTime []int64
 }
 
 // Option configures an Arena.
@@ -124,18 +143,38 @@ func New(size int, opts ...Option) *Arena {
 		panic("pmem: non-positive arena size")
 	}
 	size = (size + ChunkSize - 1) &^ (ChunkSize - 1)
+	a, err := open(size, nil, opts)
+	if err != nil {
+		panic(err) // address space or mapping count exhausted, as fatal as a failed make
+	}
+	return a
+}
+
+// open builds an arena of size bytes over base (nil: zeroes).
+func open(size int, base *Image, opts []Option) (*Arena, error) {
+	v, err := newViews(size, base)
+	if err != nil {
+		return nil, err
+	}
 	a := &Arena{
-		mem:      make([]byte, size),
-		media:    make([]byte, size),
-		lineTime: make([]int64, size/CachelineSize),
-		clock:    nullClock{},
-		window:   1000, // 1 µs default window
+		views:  v,
+		base:   base,
+		dirty:  newExtents(size),
+		clock:  nullClock{},
+		window: 1000, // 1 µs default window
 	}
 	for _, o := range opts {
 		o(a)
 	}
-	return a
+	return a, nil
 }
+
+// Release gives the arena's memory back at once. An arena that is simply
+// dropped is reclaimed too, some time after the collector finds it
+// unreachable; a caller that opens arenas in a loop (a crash sweep) should
+// not wait for that. Nothing may use the arena afterwards — nor any slice
+// obtained from Mem, which keeps neither the arena nor its memory alive.
+func (a *Arena) Release() { a.views.release() }
 
 // Size returns the arena size in bytes.
 func (a *Arena) Size() int { return len(a.mem) }
@@ -149,6 +188,22 @@ func (a *Arena) Mem() []byte { return a.mem }
 
 // Stats returns a snapshot of the device statistics.
 func (a *Arena) Stats() StatsSnapshot { return a.stats.snapshot() }
+
+// TouchedBytes returns how much of the device has ever been written, in
+// whole extents: those dirtied since the base plus the base's non-zero
+// ones. It is what each view costs in memory. (A method and not a field of
+// StatsSnapshot, whose layout has to stay convertible to Events.)
+func (a *Arena) TouchedBytes() uint64 {
+	return uint64(a.dirty.countWith(a.baseExtents())) * extentSize
+}
+
+// baseExtents returns the base's non-zero extents (nil without a base).
+func (a *Arena) baseExtents() extents {
+	if a.base == nil {
+		return nil
+	}
+	return a.base.nonzero
+}
 
 // ResetStats zeroes all device statistics.
 func (a *Arena) ResetStats() { a.stats.reset() }
@@ -196,6 +251,7 @@ func (a *Arena) SetHook(h Hook) { a.hook = h }
 // granular prefix of an in-flight flush is a reachable crash state.
 func (a *Arena) CopyToMedia(off, n int) {
 	a.check(off, n)
+	a.dirty.mark(off, n)
 	copy(a.media[off:off+n], a.mem[off:off+n])
 }
 
@@ -205,6 +261,7 @@ func (a *Arena) CopyToMedia(off, n int) {
 // exactly like an error on the medium under a still-warm CPU cache.
 func (a *Arena) CorruptMedia(off, n int, fn func(b []byte)) {
 	a.check(off, n)
+	a.dirty.mark(off, n)
 	fn(a.media[off : off+n])
 }
 
@@ -213,6 +270,7 @@ func (a *Arena) CorruptMedia(off, n int, fn func(b []byte)) {
 // scrub/quarantine tests use it; CorruptMedia models the at-rest variant.
 func (a *Arena) Corrupt(off, n int, fn func(b []byte)) {
 	a.check(off, n)
+	a.dirty.mark(off, n)
 	fn(a.media[off : off+n])
 	fn(a.mem[off : off+n])
 }
@@ -230,20 +288,36 @@ func (a *Arena) IsPersisted(off, n int) bool {
 	return true
 }
 
-// Crash simulates a power failure: a new arena is returned whose contents
-// are exactly the media view (all unflushed stores are lost). The original
-// arena must not be used afterwards. Statistics are reset.
+// Crash simulates a power failure: a new arena is returned whose two views
+// are exactly this arena's media view (all unflushed stores are lost). It
+// shares nothing writable with its source — fresh views over the same
+// base, plus a copy of the extents written since — so the source stays
+// fully usable, Crash may be called any number of times, and two calls
+// with no flush between them return byte-identical arenas. The clock and
+// the same-line window carry over; the hook does not, and statistics start
+// at zero.
 func (a *Arena) Crash() *Arena {
-	n := &Arena{
-		mem:      make([]byte, len(a.media)),
-		media:    make([]byte, len(a.media)),
-		lineTime: make([]int64, len(a.lineTime)),
-		clock:    a.clock,
-		window:   a.window,
+	n, err := open(len(a.media), a.base, nil)
+	if err != nil {
+		panic(err)
 	}
-	copy(n.mem, a.media)
-	copy(n.media, a.media)
+	n.clock, n.window = a.clock, a.window
+	n.fill(a.media, a.dirty)
+	for i := range a.dirty {
+		n.dirty[i].Store(a.dirty[i].Load())
+	}
 	return n
+}
+
+// fill copies the extents of src that x names into both byte views.
+func (v *views) fill(src []byte, x extents) {
+	for e := 0; e < len(src)/extentSize; e++ {
+		if x.has(e) {
+			lo, hi := e*extentSize, (e+1)*extentSize
+			copy(v.mem[lo:hi], src[lo:hi])
+			copy(v.media[lo:hi], src[lo:hi])
+		}
+	}
 }
 
 // flushRange copies the cachelines covering [off, off+n) from the cache
@@ -255,6 +329,7 @@ func (a *Arena) flushRange(off, n int, ev *Events, lastBlock int64) int64 {
 	if n == 0 {
 		return lastBlock
 	}
+	a.dirty.mark(off, n)
 	now := a.clock.Now()
 	first := off / CachelineSize
 	last := (off + n - 1) / CachelineSize
