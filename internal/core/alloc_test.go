@@ -6,6 +6,7 @@ import (
 	"flatstore/internal/batch"
 	"flatstore/internal/bufpool"
 	"flatstore/internal/core"
+	"flatstore/internal/oplog"
 	"flatstore/internal/rpc"
 )
 
@@ -108,34 +109,34 @@ func allocBudgetGet(t *testing.T, st *core.Store) {
 }
 
 // The follower's write path shares the steps of the primary's (apply.go),
-// so it shares the budget: a replicated inline Put over an existing key —
-// version gate, log append, index update, stale accounting — allocates
-// nothing once the key's registry entry exists.
-func TestAllocBudgetReplApply(t *testing.T) {
+// so it shares the budget: a replicated batch of inline Puts over existing
+// keys — version gate, one log append, index updates, stale accounting —
+// allocates nothing once the keys' registry entries exist and the apply
+// scratch has seen a batch of its size, however many ops it carries.
+func TestAllocBudgetReplApplyBatch(t *testing.T) {
 	st := newAllocStore(t, "")
-	f := st.ReplFlusher()
+	st.SetReplOwner(true)
 	val := make([]byte, 64)
 	ver := uint32(0)
-	for pass := 0; pass < 2; pass++ {
-		ver++
-		for k := uint64(0); k < 2_048; k++ {
-			if err := st.ReplApply(f, rpc.OpPut, k, ver, val); err != nil {
+	for _, size := range []int{1, 32, 1_024} {
+		ops := make([]core.ReplOp, size)
+		apply := func() {
+			ver++
+			for i := range ops {
+				ops[i] = core.ReplOp{Op: oplog.OpPut, Key: uint64(i), Ver: ver, Val: val}
+			}
+			if err := st.ReplApplyBatch(ops); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	ver++
-	i := uint64(0)
-	n := testing.AllocsPerRun(2_000, func() {
-		if err := st.ReplApply(f, rpc.OpPut, i%2_048, ver, val); err != nil {
-			t.Fatal(err)
+		apply()
+		apply() // each key's first overwrite pays its registry entry
+		n := testing.AllocsPerRun(64, apply)
+		if _, got, _ := st.Core(st.CoreOf(0)).Index().Get(0); got != ver {
+			t.Fatalf("key 0 is at version %d, want %d: the measured batches were gated away, not applied", got, ver)
 		}
-		i++
-	})
-	if _, got, _ := st.Core(st.CoreOf(0)).Index().Get(0); got != ver {
-		t.Fatalf("key 0 is at version %d, want %d: the measured ops were gated away, not applied", got, ver)
-	}
-	if n > 0.5 {
-		t.Fatalf("replicated inline Put: %v allocs/op, want ~0", n)
+		if n > 0.5 {
+			t.Fatalf("replicated batch of %d inline Puts: %v allocs/batch, want ~0", size, n)
+		}
 	}
 }

@@ -12,10 +12,8 @@ import (
 // it superseded) and its recovery is one rule (§3.5: replay entries, the
 // highest version wins). This file holds the one definition of each:
 //
-//	materialize  value → log entry          startModify, promote, ReplApply
-//	appendOne    entry → log, alone         promote, ReplApply (a local write
-//	                                        is appended by its batch leader)
-//	supersede    index, registry, frees     complete, ReplApply
+//	materialize  value → log entry          startModify, promote, ReplApplyBatch
+//	supersede    index, registry, frees     complete, ReplApplyBatch
 //	deref        index ref → entry + value  every reader of a ref
 //	replay       version-gated apply        crash recovery
 //
@@ -75,19 +73,6 @@ func (c *Core) unmaterialize(f *pmem.Flusher, e *oplog.Entry) {
 	if e.Op == oplog.OpPut && !e.Inline {
 		c.ca.Free(e.Ptr, record.Size(record.Len(c.st.arena, e.Ptr)), f)
 	}
-}
-
-// appendOne is step 2 of §3.2's Put for a write no batch leader carries (a
-// promotion, a replicated op): the entry is a batch of one in this core's
-// log. A failed append gives the entry's record back.
-func (c *Core) appendOne(f *pmem.Flusher, e *oplog.Entry) (int64, error) {
-	off, err := c.log.Append(f, e)
-	if err != nil {
-		c.unmaterialize(f, e)
-		return 0, err
-	}
-	c.accountAppend(off, e.EncodedSize())
-	return off, nil
 }
 
 // supersede is step 3 of §3.2's Put, the volatile phase of a durable

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"flatstore/internal/batch"
 	"flatstore/internal/index"
+	"flatstore/internal/oplog"
 	"flatstore/internal/rpc"
 )
 
@@ -153,17 +155,17 @@ func demotedStore(t *testing.T) (*Store, []uint64) {
 func TestReplApplyOverDemotedKey(t *testing.T) {
 	st, cold := demotedStore(t)
 	c := st.cores[0]
-	f := st.ReplFlusher()
+	st.SetReplOwner(true)
 	putKey, delKey := cold[0], cold[1]
 	before := regSnapshot(st)
 	dead := st.tier.Stats().DeadRecords
 
-	_, ver, _ := c.idx.Get(putKey)
-	if err := st.ReplApply(f, rpc.OpPut, putKey, ver+1, []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	_, ver, _ = c.idx.Get(delKey)
-	if err := st.ReplApply(f, rpc.OpDelete, delKey, ver+1, nil); err != nil {
+	_, putVer, _ := c.idx.Get(putKey)
+	_, delVer, _ := c.idx.Get(delKey)
+	if err := st.ReplApplyBatch([]ReplOp{
+		{Op: oplog.OpPut, Key: putKey, Ver: putVer + 1, Val: []byte("new")},
+		{Op: oplog.OpDelete, Key: delKey, Ver: delVer + 1},
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -254,17 +256,195 @@ func TestFailedAppendFreesRecord(t *testing.T) {
 			}
 		}
 	}
-	used := func() (n int) {
-		for _, cl := range st.al.Occupancy().Classes {
-			n += cl.UsedBlocks
-		}
-		return n
-	}
-	before := used()
+	before := usedBlocks(st)
 	if s := submit(2, big); s != rpc.StatusError {
 		t.Fatalf("out-of-place Put into a full log: status %d, want StatusError", s)
 	}
-	if after := used(); after != before {
+	if after := usedBlocks(st); after != before {
 		t.Fatalf("failed Put leaked its record: %d blocks in use before, %d after", before, after)
+	}
+}
+
+// usedBlocks counts the record blocks allocated in every class.
+func usedBlocks(st *Store) (n int) {
+	for _, cl := range st.al.Occupancy().Classes {
+		n += cl.UsedBlocks
+	}
+	return n
+}
+
+// logEntries counts the entries in every core's log.
+func logEntries(t *testing.T, st *Store) (n int) {
+	t.Helper()
+	for _, c := range st.cores {
+		if err := c.log.Scan(func(int64, oplog.Entry) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// TestReplApplyBatch pins the follower's batch step: what the version gate
+// drops never reaches a log or the allocator, what it lets through is one
+// append, and an append that fails leaves nothing behind.
+func TestReplApplyBatch(t *testing.T) {
+	put := func(key uint64, ver uint32, val []byte) ReplOp {
+		return ReplOp{Op: oplog.OpPut, Key: key, Ver: ver, Val: val}
+	}
+	big := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 1000) } // out of place
+	newStore := func(t *testing.T) *Store {
+		st, err := New(Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SetReplOwner(true)
+		return st
+	}
+	apply := func(t *testing.T, st *Store, ops ...ReplOp) {
+		t.Helper()
+		if err := st.ReplApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// holds checks that key is live at ver with val.
+	holds := func(t *testing.T, st *Store, key uint64, ver uint32, val []byte) {
+		t.Helper()
+		ref, got, ok := st.cores[st.CoreOf(key)].idx.Get(key)
+		if !ok || got != ver {
+			t.Fatalf("key %d is at version %d (present %v), want %d", key, got, ok, ver)
+		}
+		if d := st.deref(key, ref); d.state != refOK || !bytes.Equal(d.val, val) {
+			t.Fatalf("key %d v%d does not carry its value (state %d, %d bytes)", key, ver, d.state, len(d.val))
+		}
+	}
+	tails := func(st *Store) (sum int64) {
+		for _, c := range st.cores {
+			sum += c.log.Tail()
+		}
+		return sum
+	}
+
+	t.Run("a batch delivered twice is a no-op the second time", func(t *testing.T) {
+		st := newStore(t)
+		ops := []ReplOp{put(1, 1, []byte("a")), put(2, 1, big(2)), put(3, 1, []byte("c")), {Op: oplog.OpDelete, Key: 3, Ver: 2}}
+		apply(t, st, ops...)
+		if n := logEntries(t, st); n != len(ops) {
+			t.Fatalf("%d log entries after a batch of %d", n, len(ops))
+		}
+		tail, blocks, reg := tails(st), usedBlocks(st), regSnapshot(st)
+		apply(t, st, ops...)
+		if tails(st) != tail || usedBlocks(st) != blocks || !regEqual(regSnapshot(st), reg) {
+			t.Fatalf("redelivery changed the store: log tails %d -> %d, record blocks %d -> %d", tail, tails(st), blocks, usedBlocks(st))
+		}
+		holds(t, st, 1, 1, []byte("a"))
+		holds(t, st, 2, 1, big(2))
+		if _, _, ok := st.cores[st.CoreOf(3)].idx.Get(3); ok {
+			t.Fatal("the deleted key is back")
+		}
+	})
+
+	t.Run("stale entries are dropped, fresh ones appended", func(t *testing.T) {
+		st := newStore(t)
+		apply(t, st, put(1, 2, []byte("x")), put(2, 2, big(2)))
+		entries, blocks := logEntries(t, st), usedBlocks(st)
+		apply(t, st,
+			put(1, 1, []byte("older")), put(1, 2, []byte("same")), put(1, 3, []byte("new")),
+			put(2, 1, big(9)), put(4, 1, []byte("fresh")))
+		if n := logEntries(t, st); n != entries+2 {
+			t.Fatalf("%d entries appended, want the 2 fresh ones", n-entries)
+		}
+		if n := usedBlocks(st); n != blocks {
+			t.Fatalf("record blocks %d -> %d: a stale out-of-place Put was materialized", blocks, n)
+		}
+		holds(t, st, 1, 3, []byte("new"))
+		holds(t, st, 2, 2, big(2))
+		holds(t, st, 4, 1, []byte("fresh"))
+	})
+
+	t.Run("two versions of one key in one batch", func(t *testing.T) {
+		st := newStore(t)
+		blocks := usedBlocks(st)
+		apply(t, st, put(7, 1, big(1)), put(7, 2, []byte("b")))
+		holds(t, st, 7, 2, []byte("b"))
+		if n := logEntries(t, st); n != 2 {
+			t.Fatalf("%d log entries, want both versions", n)
+		}
+		if m := regSnapshot(st)[7]; m.stale != 1 || m.lastVer != 2 {
+			t.Fatalf("registry %+v, want the lower version counted as one stale Put", m)
+		}
+		if n := usedBlocks(st); n != blocks {
+			t.Fatalf("record blocks %d -> %d: the superseded version kept its record", blocks, n)
+		}
+	})
+
+	t.Run("a failed append gives every record back", func(t *testing.T) {
+		st := newStore(t)
+		apply(t, st, put(1, 1, big(1)))
+		entries, blocks, tail := logEntries(t, st), usedBlocks(st), tails(st)
+		// Three records to materialize, then more inline bytes than one
+		// log chunk takes.
+		ops := []ReplOp{put(1, 2, big(2)), put(2, 1, big(3)), put(3, 1, big(4))}
+		inline := make([]byte, 256)
+		for size, k := 0, uint64(100); size <= oplog.SurvivorCapacity; k++ {
+			ops = append(ops, put(k, 1, inline))
+			size += oplog.HeaderSize + len(inline)
+		}
+		if err := st.ReplApplyBatch(ops); !errors.Is(err, oplog.ErrBatchTooLarge) {
+			t.Fatalf("oversized batch: %v, want ErrBatchTooLarge", err)
+		}
+		if logEntries(t, st) != entries || tails(st) != tail {
+			t.Fatal("the refused batch reached a log")
+		}
+		if n := usedBlocks(st); n != blocks {
+			t.Fatalf("record blocks %d -> %d: the refused batch leaked its records", blocks, n)
+		}
+		holds(t, st, 1, 1, big(1))
+		if st.Len() != 1 {
+			t.Fatalf("%d keys live, want the 1 applied before", st.Len())
+		}
+	})
+
+	t.Run("without ownership it refuses", func(t *testing.T) {
+		st := newStore(t)
+		st.SetReplOwner(false)
+		if err := st.ReplApplyBatch([]ReplOp{put(1, 1, []byte("a"))}); err == nil || st.Len() != 0 {
+			t.Fatalf("applied on a store whose cores own the logs (err %v, %d keys)", err, st.Len())
+		}
+	})
+}
+
+// TestReplStateTornUpdate: SetReplState is one flush of three words, and a
+// crash inside it leaves an 8-byte-granular prefix of them on media. Every
+// proper prefix fails the checksum and reads as unset; none and all read as
+// the old and the new state.
+func TestReplStateTornUpdate(t *testing.T) {
+	for _, old := range []struct{ epoch, pos uint64 }{{0, 0}, {3, 41}} {
+		for words := 0; words <= 3; words++ {
+			st, err := New(Config{Cores: 1, Mode: batch.ModePipelinedHB, ArenaChunks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if old.epoch != 0 {
+				st.SetReplState(old.epoch, old.pos)
+			}
+			a := st.arena
+			a.WriteUint64(offRepl, 4)
+			a.WriteUint64(offRepl+8, 42)
+			a.WriteUint64(offRepl+16, replStateSum(4, 42))
+			a.CopyToMedia(offRepl, 8*words)
+
+			wantEpoch, wantPos := uint64(0), uint64(0)
+			switch words {
+			case 0:
+				wantEpoch, wantPos = old.epoch, old.pos
+			case 3:
+				wantEpoch, wantPos = 4, 42
+			}
+			crashed := &Store{arena: a.Crash()}
+			if e, p := crashed.ReplState(); e != wantEpoch || p != wantPos {
+				t.Errorf("(%d, %d) with %d words of (4, 42) on media reads (%d, %d), want (%d, %d)",
+					old.epoch, old.pos, words, e, p, wantEpoch, wantPos)
+			}
+		}
 	}
 }

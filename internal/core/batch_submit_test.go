@@ -71,11 +71,11 @@ func TestClientBatch(t *testing.T) {
 	}
 }
 
-// TestCoreSubmitBatchSealsTogether pins SubmitBatch's contract at the
-// Core level: every request in the slice is published to the pending
-// pool before the next lead election, so one TryLead seals them as one
-// batch.
-func TestCoreSubmitBatchSealsTogether(t *testing.T) {
+// TestCoreSubmitSealsTogether pins, at the Core level, what lets a
+// multi-op frame seal as one batch: everything submitted before the next
+// lead election is published to the pending pool, so one TryLead seals it
+// all with one oplog write.
+func TestCoreSubmitSealsTogether(t *testing.T) {
 	st, err := core.New(core.Config{Cores: 1, Mode: batch.ModePipelinedHB})
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +86,9 @@ func TestCoreSubmitBatchSealsTogether(t *testing.T) {
 	c := st.Core(0)
 
 	const n = 8
-	reqs := make([]rpc.Request, n)
-	for i := range reqs {
-		reqs[i] = rpc.Request{ID: uint64(i + 1), Op: rpc.OpPut, Key: uint64(i), Value: []byte("x")}
+	for i := 0; i < n; i++ {
+		c.Submit(rpc.Request{ID: uint64(i + 1), Op: rpc.OpPut, Key: uint64(i), Value: []byte("x")}, cl.Raw().ID())
 	}
-	c.SubmitBatch(reqs, cl.Raw().ID())
 	c.TryLead()
 	if s := st.Metrics(); s.LeadBatches != 1 || s.BatchSize.Max() != n {
 		t.Fatalf("lead batches = %d, max batch = %d; want 1 sealed batch of %d",

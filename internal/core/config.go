@@ -95,9 +95,6 @@ type Config struct {
 	// entirely — every value goes through the allocator (the ablation
 	// knob for the compacted-log design choice).
 	InlineMax int
-	// MaxPoll bounds requests pulled from the rings per loop
-	// iteration; it also caps vertical batch size.
-	MaxPoll int
 	// GC tunes the cleaner.
 	GC GCConfig
 	// Tier wires the cold disk tier; Tier.Dir == "" disables it.
@@ -144,9 +141,6 @@ func (c *Config) validate() error {
 	}
 	if c.InlineMax > 256 {
 		return fmt.Errorf("core: InlineMax %d exceeds the 256 B log-entry limit", c.InlineMax)
-	}
-	if c.MaxPoll == 0 {
-		c.MaxPoll = 16
 	}
 	if c.ArenaChunks == 0 {
 		c.ArenaChunks = c.Cores + 8

@@ -191,6 +191,9 @@ type Outgoing struct {
 }
 
 const (
+	// MaxPoll bounds the requests a core pulls from its rings per loop
+	// iteration; it also caps a vertical batch.
+	MaxPoll = 16
 	// maxScanLimit bounds a scan when the client sent no (or an absurd)
 	// limit.
 	maxScanLimit = 1 << 20
@@ -250,7 +253,7 @@ func (c *Core) Step() bool {
 		if c.port.DrainDelegated() > 0 {
 			worked = true
 		}
-		for i := 0; i < c.st.cfg.MaxPoll; i++ {
+		for i := 0; i < MaxPoll; i++ {
 			req, client, ok := c.port.Poll()
 			if !ok {
 				break
@@ -321,18 +324,6 @@ func (c *Core) TakeResponses() []Outgoing {
 // set, Submit takes ownership of it (see rpc.Request).
 func (c *Core) Submit(req rpc.Request, client int) {
 	c.submitAt(req, client, c.st.obs.Now())
-}
-
-// SubmitBatch processes a decoded multi-op frame in one shot: every
-// request is submitted — writes publishing into the horizontal-batching
-// pending pool — before the caller's next TryLead, so one network frame
-// can seal into one batch oplog write instead of one per op. All ops
-// share one arrival timestamp (they arrived in one frame).
-func (c *Core) SubmitBatch(reqs []rpc.Request, client int) {
-	t0 := c.st.obs.Now()
-	for i := range reqs {
-		c.submitAt(reqs[i], client, t0)
-	}
 }
 
 // submitAt is Submit with an explicit arrival timestamp: replays of
@@ -480,7 +471,9 @@ func (c *Core) respondGet(req rpc.Request, client int, t0 int64) {
 			seen := c.touched != nil && c.touched.touch(req.Key)
 			if index.Cold(ref) {
 				switch {
-				case !seen:
+				case !seen || c.st.repl.owner.Load():
+					// A first touch — or a replica, whose PM is the
+					// replication goroutine's to write (SetReplOwner).
 					c.st.tier.NotePromoteDeferred()
 				case c.promote(req.Key, ver, v):
 					c.st.tier.NotePromoted(1)
@@ -517,10 +510,13 @@ func (c *Core) promote(key uint64, ver uint32, val []byte) bool {
 	if c.materialize(c.f, &e, val) != nil {
 		return false
 	}
-	off, err := c.appendOne(c.f, &e)
+	// The one write no batch carries: a batch of one in this core's log.
+	off, err := c.log.Append(c.f, &e)
 	if err != nil {
+		c.unmaterialize(c.f, &e)
 		return false
 	}
+	c.accountAppend(off, e.EncodedSize())
 	c.idxMu.Lock()
 	// Tier compaction may have repointed the key since the caller read it:
 	// a cold copy of the same version is the same write wherever it sits
@@ -802,8 +798,10 @@ func (c *Core) DrainCompleted() int {
 func (c *Core) DrainCompletedLimit(max int) int {
 	// Record blocks released by goroutines that may not touch this core's
 	// chunks (the cleaner's demotions, the checkpointer) wait in the
-	// allocator for their owner.
-	c.ca.Drain(c.f)
+	// allocator for their owner — on a replica, the next applied batch.
+	if !c.st.repl.owner.Load() {
+		c.ca.Drain(c.f)
+	}
 	n := 0
 	for n < max && c.pendHead < len(c.pending) && c.pending[c.pendHead].Done() {
 		op := c.pending[c.pendHead]

@@ -252,12 +252,7 @@ func TestPromoteFollowsMovedColdRef(t *testing.T) {
 	if dead := h.st.tier.Stats().DeadRecords; dead != 0 {
 		t.Fatalf("compacted tier starts with %d dead records", dead)
 	}
-	used := func() (n int) {
-		for _, cl := range h.st.al.Occupancy().Classes {
-			n += cl.UsedBlocks
-		}
-		return n
-	}
+	used := func() int { return usedBlocks(h.st) }
 	blocks := used()
 	for i, l := range held {
 		moved, _, _ := h.c.idx.Get(l.key)

@@ -45,6 +45,7 @@ func Open(cfg Config) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{cfg: cfg, arena: arena, super: arena.NewFlusher(), stop: make(chan struct{})}
+	st.repl.f = arena.NewFlusher()
 	if err := st.resetVolatile(); err != nil {
 		return nil, err
 	}
@@ -449,13 +450,10 @@ func (st *Store) openCrash() error {
 		// version, may be rotted, so no comparison can clear them.
 		quarCand := func(key uint64, ver uint32, trusted bool) {
 			oc := st.cores[st.CoreOf(key)]
-			if trusted {
-				if m := oc.reg[key]; m != nil && m.lastVer >= ver {
-					return // a kept write (or tombstone) covers the dropped one
-				}
-				if _, v, ok := oc.idx.Get(key); ok && v >= ver {
-					return
-				}
+			if hi, _ := oc.lastVersion(key); trusted && hi >= ver {
+				// A kept write (or tombstone) covers the dropped one, or the
+				// key is quarantined at or above it already.
+				return
 			}
 			oc.quarantineLocked(key, ver) // single-threaded here: lock not needed
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -11,15 +12,14 @@ import (
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
 	"flatstore/internal/record"
-	"flatstore/internal/rpc"
 )
 
 // Replication support: the hooks a replication controller (internal/repl)
 // needs from the engine. The store itself stays replication-agnostic — it
 // exposes a seal hook (every durable batch, before its ops are
-// acknowledged), a version-gated apply over the write path's own steps
-// (apply.go), a consistent live-key capture for follower bootstrap, and a
-// durable (epoch, position) slot in the superblock.
+// acknowledged), a version-gated batch apply over the write path's own
+// steps (apply.go), a consistent live-key capture for follower bootstrap,
+// and a durable (epoch, position) slot in the superblock.
 
 // SealHook observes every sealed-and-durable oplog batch before any of
 // its ops are acknowledged. The entries (and the records they point at)
@@ -45,11 +45,17 @@ type replCore struct {
 	sealed    atomic.Int64
 	completed atomic.Int64
 
-	// mu guards f, the dedicated flusher for the superblock repl slot
-	// (SetReplState is called from controller goroutines, never from a
-	// core, so it cannot share a core's flusher).
-	mu sync.Mutex
-	f  *pmem.Flusher
+	// owner is the ownership rule's one flag, see SetReplOwner.
+	owner atomic.Bool
+
+	// mu guards f — the replication flusher: the superblock repl slot and
+	// every applied batch go through it, from controller goroutines, never
+	// from a core — and ReplApplyBatch's scratch.
+	mu    sync.Mutex
+	f     *pmem.Flusher
+	ents  []oplog.Entry
+	batch []*oplog.Entry
+	offs  []int64
 }
 
 // SetSealHook installs the seal hook. Must be called before Run (the
@@ -74,63 +80,112 @@ func (st *Store) EntryValue(e *oplog.Entry) ([]byte, error) {
 	return record.View(st.arena, e.Ptr), nil
 }
 
-// ReplInFlight reports how many sealed ops have not finished their
-// volatile phase yet. Zero means every shipped batch is visible in the
-// index.
-func (st *Store) ReplInFlight() int64 {
-	return st.repl.sealed.Load() - st.repl.completed.Load()
-}
-
 // ReplQuiesce waits until every sealed op has been applied to the index
 // (so a capture started afterwards includes everything up to the
 // caller's stream position). It fails if the store stays busy past the
 // timeout; the caller retries later.
 func (st *Store) ReplQuiesce(timeout time.Duration) error {
+	inFlight := func() int64 { return st.repl.sealed.Load() - st.repl.completed.Load() }
 	deadline := time.Now().Add(timeout)
-	for st.ReplInFlight() != 0 {
+	for inFlight() != 0 {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("core: store not quiescent after %v (in-flight %d)", timeout, st.ReplInFlight())
+			return fmt.Errorf("core: store not quiescent after %v (in-flight %d)", timeout, inFlight())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	return nil
 }
 
-// ReplFlusher returns a flusher for the replication controller's apply
-// path. The follower's single repl goroutine is its only user, so it
-// needs no locking.
-func (st *Store) ReplFlusher() *pmem.Flusher { return st.arena.NewFlusher() }
+// SetReplOwner states who writes this store's PM. While on, the
+// replication goroutine — the one caller of ReplApplyBatch — is the sole
+// appender to every core's log and the sole user of every core's
+// allocation context, and the cores serve reads without touching either: a
+// cold Get is answered from the tier and the record stays cold (promotion
+// appends and allocates), and a core leaves the frees the cleaner handed to
+// its context for the next applied batch to drain. A controller turns it on
+// before Run, for a store that follows a primary, and off once its apply
+// loop has exited for good (a promotion).
+func (st *Store) SetReplOwner(on bool) { st.repl.owner.Store(on) }
 
-// ReplApply applies one replicated operation the way a local write is
-// applied, minus the batching: a version gate (stale deliveries — snapshot
-// overlap, refetches — are duplicates and dropped), then the write path's
-// own steps. The op is appended to the owning core's log, so a promoted
-// follower recovers like any primary.
-//
-// Only a single goroutine may call ReplApply, and never concurrently
-// with local writes: the follower's cores serve reads only, so the repl
-// goroutine is the sole appender to each core's log and the sole user
-// of each core's allocation context. op is rpc.OpPut or rpc.OpDelete.
-func (st *Store) ReplApply(f *pmem.Flusher, op uint8, key uint64, ver uint32, val []byte) error {
-	c := st.cores[st.CoreOf(key)]
-	c.idxMu.Lock()
-	cur, _ := c.lastVersion(key)
-	c.idxMu.Unlock()
-	if ver <= cur {
+// ReplOp is one operation of a shipped batch: a Put of Val, or a Delete, of
+// Key at the version the primary gave it. Val may alias the caller's frame
+// buffer; it is not kept.
+type ReplOp struct {
+	Op  oplog.Op
+	Ver uint32
+	Key uint64
+	Val []byte
+}
+
+// ReplApplyBatch applies one shipped batch the way a leader applies a
+// sealed one (apply.go): every op is version-gated — a delivery at or below
+// what the key's core knows is a duplicate (snapshot overlap, a refetch)
+// and dropped — the survivors are materialized, appended to the log of the
+// first survivor's core as ONE batch (one flush, one fence, one
+// self-certifying trailer, whatever its size) and superseded in order, so a
+// promoted follower recovers like any primary. A failed append gives every
+// record back and applies nothing. The caller holds the ownership
+// SetReplOwner declares; the stream orders a key's versions as the
+// primary's log does.
+func (st *Store) ReplApplyBatch(ops []ReplOp) (err error) {
+	r := &st.repl
+	if !r.owner.Load() {
+		return errors.New("core: ReplApplyBatch without SetReplOwner: the cores own the logs")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	defer r.f.FlushEvents()
+	for _, c := range st.cores {
+		// Record frees handed over by the cleaner's demotions wait for
+		// their context's owner.
+		c.ca.Drain(r.f)
+	}
+	ents, batch := r.ents[:0], r.batch[:0]
+	defer func() {
+		if err != nil {
+			for i := range ents {
+				st.cores[st.CoreOf(ents[i].Key)].unmaterialize(r.f, &ents[i])
+			}
+		}
+		clear(ents) // the values alias the caller's frame
+		r.ents, r.batch = ents[:0], batch[:0]
+	}()
+	for i := range ops {
+		op := &ops[i]
+		if op.Op != oplog.OpPut && op.Op != oplog.OpDelete {
+			return fmt.Errorf("core: repl batch: bad op %d", op.Op)
+		}
+		c := st.cores[st.CoreOf(op.Key)]
+		c.idxMu.Lock()
+		cur, _ := c.lastVersion(op.Key)
+		c.idxMu.Unlock()
+		if op.Ver <= cur {
+			continue
+		}
+		e := oplog.Entry{Op: op.Op, Version: op.Ver, Key: op.Key}
+		if e.Op == oplog.OpPut {
+			if err := c.materialize(r.f, &e, op.Val); err != nil {
+				return fmt.Errorf("core: repl alloc: %w", err)
+			}
+		}
+		ents = append(ents, e)
+	}
+	if len(ents) == 0 {
 		return nil
 	}
-	e := oplog.Entry{Op: oplog.OpDelete, Version: ver, Key: key}
-	if op == rpc.OpPut {
-		e.Op = oplog.OpPut
-		if err := c.materialize(f, &e, val); err != nil {
-			return fmt.Errorf("core: repl alloc: %w", err)
-		}
+	for i := range ents {
+		batch = append(batch, &ents[i])
 	}
-	off, err := c.appendOne(f, &e)
+	lead := st.cores[st.CoreOf(ents[0].Key)]
+	offs, err := lead.log.AppendBatchOffs(r.f, batch, r.offs[:0])
 	if err != nil {
 		return fmt.Errorf("core: repl append: %w", err)
 	}
-	c.supersede(f, key, off, ver, op == rpc.OpDelete)
+	r.offs = offs
+	for i, e := range batch {
+		lead.accountAppend(offs[i], e.EncodedSize())
+		st.cores[st.CoreOf(e.Key)].supersede(r.f, e.Key, offs[i], e.Version, e.Op == oplog.OpDelete)
+	}
 	return nil
 }
 
@@ -184,7 +239,9 @@ func (st *Store) CaptureReplSnapshot(emit func(key uint64, ver uint32, val []byt
 
 // Durable replication state: (epoch, position) on its own superblock
 // cacheline, CRC-protected so a torn update (or a pre-replication arena)
-// reads as unset rather than garbage.
+// reads as unset rather than garbage. The three words are one flush and one
+// fence: stores reach media 8 bytes at a time, so a crash mid-flush leaves
+// some words new and some old, which the checksum does not match.
 
 var replStateTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -213,13 +270,12 @@ func (st *Store) ReplState() (epoch, pos uint64) {
 // duplicate deliveries are version-gated away.
 func (st *Store) SetReplState(epoch, pos uint64) {
 	st.repl.mu.Lock()
-	if st.repl.f == nil {
-		st.repl.f = st.arena.NewFlusher()
-	}
 	f := st.repl.f
-	f.PersistUint64(offRepl, epoch)
-	f.PersistUint64(offRepl+8, pos)
-	f.PersistUint64(offRepl+16, replStateSum(epoch, pos))
+	st.arena.WriteUint64(offRepl, epoch)
+	st.arena.WriteUint64(offRepl+8, pos)
+	st.arena.WriteUint64(offRepl+16, replStateSum(epoch, pos))
+	f.Flush(offRepl, 24)
+	f.Fence()
 	f.FlushEvents()
 	st.repl.mu.Unlock()
 }

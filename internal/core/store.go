@@ -54,8 +54,8 @@ type Store struct {
 	reclaimMu sync.RWMutex
 
 	// repl is the engine half of the replication wiring: the seal hook,
-	// the sealed/completed backlog counters, and the flusher for the
-	// superblock repl slot (see repl.go).
+	// the sealed/completed backlog counters, the ownership flag, and the
+	// flusher for applied batches and the superblock repl slot (repl.go).
 	repl replCore
 
 	// integMu guards integ, the cumulative storage-integrity counters
@@ -85,6 +85,7 @@ func New(cfg Config) (*Store, error) {
 		arena = pmem.New(cfg.ArenaChunks * pmem.ChunkSize)
 	}
 	st := &Store{cfg: cfg, arena: arena, super: arena.NewFlusher(), stop: make(chan struct{})}
+	st.repl.f = arena.NewFlusher()
 	st.super.PersistUint64(offMagic, superMagic)
 	st.super.PersistUint64(offFlag, flagDirty)
 	st.super.PersistUint64(offCores, uint64(cfg.Cores))

@@ -6,9 +6,6 @@ import (
 	"net"
 	"time"
 
-	"flatstore/internal/oplog"
-	"flatstore/internal/pmem"
-	"flatstore/internal/rpc"
 	"flatstore/internal/tcp"
 )
 
@@ -24,12 +21,11 @@ const (
 // fetchLoop is the follower's replication driver: one session per
 // upstream connection, re-dialled (against whatever primaryRepl points
 // at now) until the node is promoted or closed. It is the only
-// goroutine that applies replicated state, so the engine's single-
-// appender invariants hold without locking the cores.
+// goroutine that applies replicated state: while it runs it owns every
+// core's log and allocation context (core.Store.SetReplOwner).
 func (n *Node) fetchLoop(stop, done chan struct{}) {
 	defer n.wg.Done()
 	defer close(done)
-	f := n.st.ReplFlusher()
 	for {
 		select {
 		case <-stop:
@@ -45,7 +41,7 @@ func (n *Node) fetchLoop(stop, done chan struct{}) {
 			delay = fetchResetDelay
 		}
 		if addr != "" && !reset {
-			n.fetchSession(stop, f, addr)
+			n.fetchSession(stop, addr)
 		}
 		t := time.NewTimer(delay)
 		select {
@@ -59,7 +55,7 @@ func (n *Node) fetchLoop(stop, done chan struct{}) {
 
 // fetchSession runs one connection's worth of replication: hello,
 // then fetch/apply until an error, a fence, or a stop.
-func (n *Node) fetchSession(stop chan struct{}, f *pmem.Flusher, addr string) {
+func (n *Node) fetchSession(stop chan struct{}, addr string) {
 	d := net.Dialer{Timeout: fetchDialTimeout}
 	conn, err := d.Dial("tcp", addr)
 	if err != nil {
@@ -127,7 +123,6 @@ func (n *Node) fetchSession(stop chan struct{}, f *pmem.Flusher, addr string) {
 		return
 	}
 
-	var ents []batchEntry
 	for {
 		select {
 		case <-stop:
@@ -146,11 +141,11 @@ func (n *Node) fetchSession(stop chan struct{}, f *pmem.Flusher, addr string) {
 		}
 		switch frame[0] {
 		case rBatches:
-			if ents, err = n.applyBatches(f, frame, ents); err != nil {
+			if err := n.applyBatches(frame); err != nil {
 				return
 			}
 		case rSnapBegin:
-			if err := n.loadSnapshot(f, frame, br, conn); err != nil {
+			if err := n.loadSnapshot(frame, br, conn); err != nil {
 				return
 			}
 		case rStale:
@@ -193,46 +188,33 @@ func (n *Node) adoptUpstream(upEpoch, upTail uint64, upServe string) bool {
 }
 
 // applyBatches decodes one rBatches frame and applies every batch in
-// stream order through the version-gated engine path, advancing and
-// persisting the applied position batch by batch.
-func (n *Node) applyBatches(f *pmem.Flusher, frame []byte, ents []batchEntry) ([]batchEntry, error) {
+// stream order, each as one batch of the engine's write path (version
+// gate, one log append, index), advancing and persisting the applied
+// position batch by batch.
+func (n *Node) applyBatches(frame []byte) error {
 	epoch, tail, count, err := decodeBatchesHeader(frame)
 	if err != nil {
-		return ents, err
+		return err
 	}
 	if !n.adoptUpstream(epoch, tail, "") {
-		return ents, fmt.Errorf("repl: batches from stale epoch %d", epoch)
+		return fmt.Errorf("repl: batches from stale epoch %d", epoch)
 	}
 	off := 21
 	for i := uint32(0); i < count; i++ {
 		bodyStart := off
 		var pos uint64
-		pos, ents, off, err = decodeBatchBody(frame, off, ents[:0])
+		pos, n.ops, off, err = decodeBatchBody(frame, off, n.ops[:0])
 		if err != nil {
-			return ents, err
+			return err
 		}
-		n.mu.Lock()
-		want := n.pos + 1
-		n.mu.Unlock()
-		if pos != want {
+		if want := n.Pos() + 1; pos != want {
 			if pos < want {
 				continue // duplicate delivery (reconnect overlap): skip
 			}
-			return ents, fmt.Errorf("repl: stream gap: got %d want %d", pos, want)
+			return fmt.Errorf("repl: stream gap: got %d want %d", pos, want)
 		}
-		for _, e := range ents {
-			var op uint8
-			switch oplog.Op(e.op) {
-			case oplog.OpPut:
-				op = rpc.OpPut
-			case oplog.OpDelete:
-				op = rpc.OpDelete
-			default:
-				return ents, fmt.Errorf("repl: bad op %d in batch %d", e.op, pos)
-			}
-			if err := n.st.ReplApply(f, op, e.key, e.ver, e.val); err != nil {
-				return ents, err
-			}
+		if err := n.st.ReplApplyBatch(n.ops); err != nil {
+			return fmt.Errorf("repl: batch %d: %w", pos, err)
 		}
 		// Retain the body so this node can serve it after a promotion.
 		body := append([]byte(nil), frame[bodyStart:off]...)
@@ -243,15 +225,15 @@ func (n *Node) applyBatches(f *pmem.Flusher, frame []byte, ents []batchEntry) ([
 		n.bump()
 		n.mu.Unlock()
 		n.batchesApplied.Add(1)
-		n.entriesApplied.Add(uint64(len(ents)))
+		n.entriesApplied.Add(uint64(len(n.ops)))
 	}
-	return ents, nil
+	return nil
 }
 
 // loadSnapshot applies a bootstrap stream (rSnapBegin already read in
-// frame) through rSnapEnd, then jumps the applied position to the
-// snapshot's. Only an empty node ever receives one.
-func (n *Node) loadSnapshot(f *pmem.Flusher, frame []byte, br *bufio.Reader, conn net.Conn) error {
+// frame) through rSnapEnd, each chunk as one batch, then jumps the applied
+// position to the snapshot's. Only an empty node ever receives one.
+func (n *Node) loadSnapshot(frame []byte, br *bufio.Reader, conn net.Conn) error {
 	epoch, snapPos, err := decodeSnapBegin(frame)
 	if err != nil {
 		return err
@@ -259,14 +241,8 @@ func (n *Node) loadSnapshot(f *pmem.Flusher, frame []byte, br *bufio.Reader, con
 	if !n.adoptUpstream(epoch, snapPos, "") {
 		return fmt.Errorf("repl: snapshot from stale epoch %d", epoch)
 	}
-	n.mu.Lock()
-	pos := n.pos
-	n.mu.Unlock()
-	if pos != 0 {
+	if pos := n.Pos(); pos != 0 {
 		return fmt.Errorf("repl: snapshot offered to a non-empty node (pos %d)", pos)
-	}
-	apply := func(key uint64, ver uint32, val []byte) error {
-		return n.st.ReplApply(f, rpc.OpPut, key, ver, val)
 	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(serveReadTimeout))
@@ -276,7 +252,10 @@ func (n *Node) loadSnapshot(f *pmem.Flusher, frame []byte, br *bufio.Reader, con
 		}
 		switch chunk[0] {
 		case rSnapChunk:
-			if err := decodeSnapChunk(chunk, apply); err != nil {
+			if n.ops, err = decodeSnapChunk(chunk, n.ops[:0]); err != nil {
+				return err
+			}
+			if err := n.st.ReplApplyBatch(n.ops); err != nil {
 				return err
 			}
 		case rSnapEnd:

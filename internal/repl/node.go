@@ -107,6 +107,7 @@ type Node struct {
 	fetchConn   net.Conn      // follower: the live upstream connection
 	stopFetch   chan struct{} // follower: closes to stop the fetch loop
 	fetchDoneCh chan struct{} // closed when the fetch loop exits
+	ops         []core.ReplOp // the fetch loop's decode scratch
 	wg          sync.WaitGroup
 
 	batchesShipped  atomic.Uint64
@@ -154,6 +155,9 @@ func NewFollower(cfg Config) (*Node, error) {
 	// The seal hook is installed on followers too: it only fires once
 	// the node is promoted and local writes start flowing.
 	n.st.SetSealHook(n.onSeal)
+	// Until then the store's PM is the fetch loop's to write: the cores
+	// must know before they run.
+	n.st.SetReplOwner(true)
 	return n, nil
 }
 
@@ -269,7 +273,7 @@ func (n *Node) Promote() error {
 		n.mu.Unlock()
 		return nil
 	}
-	stop := n.stopFetch
+	stop, done := n.stopFetch, n.fetchDoneCh
 	n.stopFetch = nil
 	if stop != nil {
 		close(stop)
@@ -279,8 +283,12 @@ func (n *Node) Promote() error {
 	}
 	n.mu.Unlock()
 	// Join the fetch loop before flipping roles: no replicated apply
-	// may interleave with local writes (they share the cores' logs).
-	n.waitFetchDone()
+	// may interleave with local writes (they share the cores' logs), so
+	// only now do the logs go back to the cores.
+	if done != nil {
+		<-done
+	}
+	n.st.SetReplOwner(false)
 
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -311,17 +319,6 @@ func (n *Node) SetPrimary(replAddr string) {
 	}
 	n.bump()
 	n.mu.Unlock()
-}
-
-// waitFetchDone blocks until the fetch loop goroutine (if any) exits.
-// The loop signals by closing fetchDoneCh.
-func (n *Node) waitFetchDone() {
-	n.mu.Lock()
-	ch := n.fetchDoneCh
-	n.mu.Unlock()
-	if ch != nil {
-		<-ch
-	}
 }
 
 // onSeal is the engine's SealHook: it assigns the batch the next stream

@@ -33,7 +33,13 @@ func startFollower(t *testing.T, primaryRepl string, mut func(*Config)) *testNod
 
 func startNode(t *testing.T, primaryRepl string, mut func(*Config)) *testNode {
 	t.Helper()
-	st, err := core.New(core.Config{Cores: 2, Mode: batch.ModePipelinedHB})
+	return startNodeOn(t, core.Config{Cores: 2, Mode: batch.ModePipelinedHB}, primaryRepl, mut)
+}
+
+// startNodeOn is startNode over a fresh store of the given configuration.
+func startNodeOn(t *testing.T, scfg core.Config, primaryRepl string, mut func(*Config)) *testNode {
+	t.Helper()
+	st, err := core.New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +63,9 @@ func startNode(t *testing.T, primaryRepl string, mut func(*Config)) *testNode {
 	t.Cleanup(func() {
 		n.Close()
 		st.Stop()
+		if tr := st.Tier(); tr != nil {
+			tr.Close()
+		}
 	})
 	return &testNode{st: st, n: n}
 }

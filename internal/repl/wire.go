@@ -41,6 +41,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"flatstore/internal/core"
 	"flatstore/internal/oplog"
 )
 
@@ -89,17 +90,9 @@ func appendBatchBody(b []byte, pos uint64, entries []*oplog.Entry, values [][]by
 	return b
 }
 
-// batchEntry is one decoded replicated op.
-type batchEntry struct {
-	op  uint8 // oplog.OpPut / oplog.OpDelete
-	ver uint32
-	key uint64
-	val []byte // aliases the frame buffer
-}
-
-// decodeBatchBody decodes one batch starting at b[pos:], returning the
-// new offset. The entries' values alias b.
-func decodeBatchBody(b []byte, off int, ents []batchEntry) (uint64, []batchEntry, int, error) {
+// decodeBatchBody decodes one batch starting at b[off:] onto ops, returning
+// the new offset. The ops' values alias b.
+func decodeBatchBody(b []byte, off int, ops []core.ReplOp) (uint64, []core.ReplOp, int, error) {
 	if len(b)-off < 12 {
 		return 0, nil, 0, errShortFrame
 	}
@@ -110,10 +103,10 @@ func decodeBatchBody(b []byte, off int, ents []batchEntry) (uint64, []batchEntry
 		if len(b)-off < 17 {
 			return 0, nil, 0, errShortFrame
 		}
-		e := batchEntry{
-			op:  b[off],
-			ver: binary.LittleEndian.Uint32(b[off+1:]),
-			key: binary.LittleEndian.Uint64(b[off+5:]),
+		e := core.ReplOp{
+			Op:  oplog.Op(b[off]),
+			Ver: binary.LittleEndian.Uint32(b[off+1:]),
+			Key: binary.LittleEndian.Uint64(b[off+5:]),
 		}
 		vlen := int(binary.LittleEndian.Uint32(b[off+13:]))
 		off += 17
@@ -121,12 +114,12 @@ func decodeBatchBody(b []byte, off int, ents []batchEntry) (uint64, []batchEntry
 			if len(b)-off < vlen {
 				return 0, nil, 0, errShortFrame
 			}
-			e.val = b[off : off+vlen]
+			e.Val = b[off : off+vlen]
 			off += vlen
 		}
-		ents = append(ents, e)
+		ops = append(ops, e)
 	}
-	return pos, ents, off, nil
+	return pos, ops, off, nil
 }
 
 // appendHello encodes the follower's session opener.
@@ -258,30 +251,29 @@ func (s *snapEnc) take() []byte {
 	return s.buf
 }
 
-// decodeSnapChunk walks a chunk's pairs, calling apply for each.
-func decodeSnapChunk(b []byte, apply func(key uint64, ver uint32, val []byte) error) error {
+// decodeSnapChunk decodes a chunk's pairs onto ops, as Puts whose values
+// alias b.
+func decodeSnapChunk(b []byte, ops []core.ReplOp) ([]core.ReplOp, error) {
 	if len(b) < 5 || b[0] != rSnapChunk {
-		return errShortFrame
+		return nil, errShortFrame
 	}
 	n := int(binary.LittleEndian.Uint32(b[1:]))
 	off := 5
 	for i := 0; i < n; i++ {
 		if len(b)-off < 16 {
-			return errShortFrame
+			return nil, errShortFrame
 		}
 		key := binary.LittleEndian.Uint64(b[off:])
 		ver := binary.LittleEndian.Uint32(b[off+8:])
 		vlen := int(binary.LittleEndian.Uint32(b[off+12:]))
 		off += 16
 		if len(b)-off < vlen {
-			return errShortFrame
+			return nil, errShortFrame
 		}
-		if err := apply(key, ver, b[off:off+vlen]); err != nil {
-			return err
-		}
+		ops = append(ops, core.ReplOp{Op: oplog.OpPut, Ver: ver, Key: key, Val: b[off : off+vlen]})
 		off += vlen
 	}
-	return nil
+	return ops, nil
 }
 
 func appendStale(b []byte, epoch uint64) []byte {

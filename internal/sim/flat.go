@@ -143,7 +143,7 @@ func FlatRun(name string, p Params, cfg core.Config, src Source) (Result, error)
 		if cfg.Mode == batch.ModeNaiveHB {
 			// A naive core posts everything it polled before blocking
 			// on the lock, amortizing the wait (Figure 4(c)).
-			pollBudget = st.Config().MaxPoll
+			pollBudget = core.MaxPoll
 		}
 		for polls := 0; !blocked && polls < pollBudget && d.arrivals[i].hasReady(v.clock); polls++ {
 			pr := d.arrivals[i].pop()
