@@ -3,8 +3,8 @@ package cluster
 // Sharded failover e2e: three shard groups of two replicated nodes each
 // (primary + semi-sync follower), a mixed write load through the
 // fan-out client, one shard's primary killed mid-load, its follower
-// promoted — and afterwards zero lost acknowledged writes, audited
-// through the cluster client. With FLATSTORE_CLUSTER_SNAPSHOT set to a
+// promoted — and afterwards every key audited through the cluster client
+// against the history of the load. With FLATSTORE_CLUSTER_SNAPSHOT set to a
 // directory, each surviving group's metrics land there as
 // shard-<id>.prom for the CI artifact.
 
@@ -21,6 +21,7 @@ import (
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/obs"
 	"flatstore/internal/repl"
 	"flatstore/internal/tcp"
@@ -93,20 +94,10 @@ type shardGroup struct {
 	follower *replMember
 }
 
-// keysOwnedBy returns the first want keys the map routes to shard id.
-func keysOwnedBy(m *Map, id, want int) []uint64 {
-	var out []uint64
-	for k := uint64(0); len(out) < want; k++ {
-		if m.ShardOf(k) == id {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // TestClusterFailoverZeroLoss is the sharded acceptance gate: kill one
 // shard group's primary under mixed load across all shards, promote its
-// follower, and audit that no acknowledged write was lost anywhere.
+// follower, and audit the whole write history: no acknowledged write lost
+// anywhere.
 func TestClusterFailoverZeroLoss(t *testing.T) {
 	const nGroups = 3
 	groups := make([]shardGroup, nGroups)
@@ -133,15 +124,11 @@ func TestClusterFailoverZeroLoss(t *testing.T) {
 		}
 	}
 
-	// One worker per shard, each single-writer on a key that shard owns,
-	// so the audit window [acked, attempted] is exact per key.
-	workers := make([]struct {
-		key            uint64
-		acked, attempt uint64
-	}, nGroups)
-	for i := range workers {
-		workers[i].key = keysOwnedBy(m, i, 1)[0]
-	}
+	// One worker per shard, overwriting two keys that shard owns in turn: the
+	// promoted follower takes one write, to the other key than the last one
+	// before the kill, so a loss on either side of the promotion stays
+	// visible. A key moves after an errored write (DESIGN.md §5.4).
+	h := histcheck.New(nil)
 
 	opts := ClientOptions{TCP: tcp.Options{
 		DialTimeout:    300 * time.Millisecond,
@@ -150,7 +137,7 @@ func TestClusterFailoverZeroLoss(t *testing.T) {
 	}}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := range workers {
+	for i := 0; i < nGroups; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -160,18 +147,25 @@ func TestClusterFailoverZeroLoss(t *testing.T) {
 				return
 			}
 			defer cl.Close()
+			var fresh uint64
+			next := func() uint64 {
+				for fresh++; m.ShardOf(fresh) != i; fresh++ {
+				}
+				return fresh
+			}
+			keys := [2]uint64{next(), next()}
 			var vb [8]byte
-			for {
+			for seq := uint64(1); ; seq++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				seq := workers[i].attempt + 1
-				workers[i].attempt = seq
+				key := &keys[seq%2]
 				binary.LittleEndian.PutUint64(vb[:], seq)
-				if err := cl.Put(workers[i].key, vb[:]); err == nil {
-					workers[i].acked = seq
+				o := h.Put(*key, vb[:])
+				if o.End(cl.Put(*key, vb[:])) != nil {
+					*key = next()
 				}
 			}
 		}(i)
@@ -226,29 +220,8 @@ func TestClusterFailoverZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer audit.Close()
-	for i := range workers {
-		w := workers[i]
-		if w.attempt == 0 {
-			t.Fatalf("worker %d never ran", i)
-		}
-		v, ok, err := audit.Get(w.key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			if w.acked > 0 {
-				t.Errorf("shard %d: acked up to seq %d but key %d is gone — lost acked write",
-					i, w.acked, w.key)
-			}
-			continue
-		}
-		seq := binary.LittleEndian.Uint64(v)
-		if seq < w.acked || seq > w.attempt {
-			t.Errorf("shard %d: surviving seq %d outside [acked %d, attempted %d]",
-				i, seq, w.acked, w.attempt)
-		}
-		t.Logf("shard %d: key %d surviving seq %d (acked %d, attempted %d)",
-			i, w.key, seq, w.acked, w.attempt)
+	if err := h.Audit(audit.Get); err != nil {
+		t.Fatal(err)
 	}
 	if !victim.follower.n.AllowWrite() {
 		t.Error("promoted follower does not accept writes")

@@ -1,8 +1,7 @@
 package core_test
 
 import (
-	"encoding/binary"
-	"math"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -10,56 +9,18 @@ import (
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/netfault"
 	"flatstore/internal/tcp"
 )
 
 // Linearizability harness: N concurrent clients hammer a small key space
 // through the real TCP path (with netfault delay injection between them
-// and the server), every invocation and response is timestamped, and a
-// per-key checker then verifies the history against the engine's
-// consistency contract:
-//
-//   - no lost acked writes: a value read must be explained by a write
-//     that could still be the latest — there is no acked write that
-//     finished before the read began and definitely superseded it;
-//   - monotonic reads per key: two non-overlapping reads cannot observe
-//     values in inverted write order;
-//   - scans join the same history: every key a scan returns (or omits)
-//     inside its range counts as a read of that key.
-//
-// Writes use globally unique values (client id and sequence number), so
-// every observed value maps to exactly one write. A write whose call
-// errored or timed out is "maybe applied": it may explain a read but can
-// never invalidate one (its response time is treated as +infinity).
-
-// histEvent is one completed operation in the history.
-type histEvent struct {
-	key    uint64
-	write  bool   // Put or applied Delete (vs. a read observation)
-	del    bool   // write was a Delete
-	value  uint64 // write: value written; read: value observed (if !absent)
-	absent bool   // read observed "not found"
-	acked  bool   // write: response received (definitely applied)
-	inv    int64  // invocation timestamp, ns
-	resp   int64  // response timestamp, ns (maxInt64: maybe applied)
-}
-
-// uval packs a globally unique write value.
-func uval(client, seq int) uint64 { return uint64(client)<<32 | uint64(seq) }
-
-func encodeVal(v uint64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, v)
-	return b
-}
-
-func decodeVal(b []byte) (uint64, bool) {
-	if len(b) != 8 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(b), true
-}
+// and the server). Every op joins one histcheck.History — a Put or Delete
+// whose call errored is maybe-applied, a Delete that found nothing observed
+// an absence, and a Scan reads every key of its range, returned or omitted
+// — and a final quiescent read of every key closes the history, which must
+// satisfy histcheck's per-key register rule.
 
 func TestLinearizabilityUnderFaults(t *testing.T) {
 	st, err := core.New(core.Config{
@@ -80,7 +41,7 @@ func TestLinearizabilityUnderFaults(t *testing.T) {
 	runLinearizability(t, st)
 }
 
-// TestLinearizabilityWithTiering reruns the same history checker against
+// TestLinearizabilityWithTiering reruns the same history against
 // a store whose arena is small enough — and whose demotion watermark is
 // high enough — that the background cleaners keep pushing the checked
 // keys to disk while clients race them: every Get/Scan may land on a PM
@@ -192,10 +153,7 @@ func runLinearizability(t *testing.T, st *core.Store) {
 	}
 	defer proxy.Close()
 
-	base := time.Now()
-	now := func() int64 { return int64(time.Since(base)) }
-
-	histories := make([][]histEvent, clients)
+	h := histcheck.New(nil)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -207,85 +165,41 @@ func runLinearizability(t *testing.T, st *core.Store) {
 				return
 			}
 			defer cl.Close()
-			h := make([]histEvent, 0, opsPerClient)
 			// Deterministic per-client op mix; clients are phase-shifted
 			// so the same key sees different op types concurrently.
 			for seq := 0; seq < opsPerClient; seq++ {
 				key := uint64(1 + (seq*7+c*3)%keys)
 				switch (seq + c) % 10 {
 				case 0, 1, 2, 3: // Put
-					v := uval(c, seq)
-					inv := now()
-					err := cl.Put(key, encodeVal(v))
-					resp := now()
-					ev := histEvent{key: key, write: true, value: v, inv: inv, resp: resp, acked: err == nil}
-					if err != nil {
-						ev.resp = math.MaxInt64 // maybe applied
-					}
-					h = append(h, ev)
+					v := fmt.Appendf(nil, "c%d-s%d", c, seq)
+					o := h.Put(key, v)
+					o.End(cl.Put(key, v))
 				case 4, 5, 6: // Get
-					inv := now()
-					val, ok, err := cl.Get(key)
-					resp := now()
-					if err != nil {
-						continue // a failed read observed nothing
+					o := h.Read(key)
+					if val, ok, err := cl.Get(key); err == nil {
+						o.Saw(val, ok) // a failed read observed nothing
 					}
-					ev := histEvent{key: key, inv: inv, resp: resp}
-					if !ok {
-						ev.absent = true
-					} else {
-						v, vok := decodeVal(val)
-						if !vok {
-							t.Errorf("client %d: key %d: garbage value %x", c, key, val)
-							continue
-						}
-						ev.value = v
-					}
-					h = append(h, ev)
 				case 7, 8: // Delete
-					inv := now()
-					ok, err := cl.Delete(key)
-					resp := now()
-					switch {
-					case err != nil:
-						// Maybe applied: can explain an absent read, can
-						// never invalidate anything.
-						h = append(h, histEvent{key: key, write: true, del: true, inv: inv, resp: math.MaxInt64})
-					case ok:
-						h = append(h, histEvent{key: key, write: true, del: true, inv: inv, resp: resp, acked: true})
-					default:
-						// NotFound: nothing was written — the delete
-						// observed the key as absent.
-						h = append(h, histEvent{key: key, absent: true, inv: inv, resp: resp})
+					o := h.Delete(key)
+					if ok, err := cl.Delete(key); err == nil && !ok {
+						o.Saw(nil, false) // found nothing to delete: wrote nothing
+					} else {
+						o.End(err)
 					}
-				default: // Scan: the consistent-frontier check
-					inv := now()
-					pairs, err := cl.Scan(1, keys, 0)
-					resp := now()
-					if err != nil {
-						continue
-					}
-					seen := map[uint64]uint64{}
-					for _, p := range pairs {
-						v, vok := decodeVal(p.Value)
-						if !vok {
-							t.Errorf("client %d: scan key %d: garbage value %x", c, p.Key, p.Value)
-							continue
-						}
-						seen[p.Key] = v
-					}
+				default: // Scan: every key of the range is read at once
+					var rs [keys + 1]*histcheck.Op
 					for k := uint64(1); k <= keys; k++ {
-						ev := histEvent{key: k, inv: inv, resp: resp}
-						if v, ok := seen[k]; ok {
-							ev.value = v
-						} else {
-							ev.absent = true
-						}
-						h = append(h, ev)
+						rs[k] = h.Read(k)
+					}
+					pairs, err := cl.Scan(1, keys, 0)
+					for _, p := range pairs {
+						rs[p.Key].Saw(p.Value, true)
+					}
+					for k := uint64(1); k <= keys && err == nil; k++ {
+						rs[k].Saw(nil, false) // the keys the scan omitted
 					}
 				}
 			}
-			histories[c] = h
 		}(c)
 	}
 	wg.Wait()
@@ -298,44 +212,11 @@ func runLinearizability(t *testing.T, st *core.Store) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	final := make([]histEvent, 0, keys)
-	for k := uint64(1); k <= keys; k++ {
-		inv := now()
-		val, ok, err := cl.Get(k)
-		resp := now()
-		if err != nil {
-			t.Fatalf("final read of %d: %v", k, err)
-		}
-		ev := histEvent{key: k, inv: inv, resp: resp}
-		if !ok {
-			ev.absent = true
-		} else {
-			v, vok := decodeVal(val)
-			if !vok {
-				t.Fatalf("final read of %d: garbage value %x", k, val)
-			}
-			ev.value = v
-		}
-		final = append(final, ev)
+	if err := h.Audit(cl.Get); err != nil {
+		t.Fatal(err)
 	}
-
-	// Merge and check per key.
-	perKey := map[uint64][]histEvent{}
-	total := 0
-	for _, h := range append(histories, final) {
-		total += len(h)
-		for _, ev := range h {
-			perKey[ev.key] = append(perKey[ev.key], ev)
-		}
-	}
-	if total == 0 {
-		t.Fatal("empty history")
-	}
-	t.Logf("history: %d events over %d keys (%d injected delays)",
-		total, len(perKey), inj.Stats().Delays)
-	for key, evs := range perKey {
-		checkKeyHistory(t, key, evs)
-	}
+	t.Logf("history of %d clients × %d ops over %d keys checked (%d injected delays)",
+		clients, opsPerClient, keys, inj.Stats().Delays)
 
 	// The observability layer watched all of this happen.
 	snap := st.Metrics()
@@ -344,103 +225,5 @@ func runLinearizability(t *testing.T, st *core.Store) {
 	}
 	if len(snap.SlowOps) == 0 {
 		t.Error("no slow ops traced during a faulted run")
-	}
-}
-
-// checkKeyHistory verifies one key's merged history.
-func checkKeyHistory(t *testing.T, key uint64, evs []histEvent) {
-	t.Helper()
-	var writes []histEvent
-	var reads []histEvent
-	byValue := map[uint64]histEvent{}
-	for _, ev := range evs {
-		if ev.write {
-			writes = append(writes, ev)
-			if !ev.del {
-				if _, dup := byValue[ev.value]; dup {
-					t.Fatalf("key %d: duplicate write value %x", key, ev.value)
-				}
-				byValue[ev.value] = ev
-			}
-		} else {
-			reads = append(reads, ev)
-		}
-	}
-
-	// definitelySuperseded reports whether candidate w was overwritten,
-	// beyond doubt, before read r began: some acked write started after
-	// w responded and responded before r was invoked.
-	definitelySuperseded := func(w histEvent, r histEvent) bool {
-		for _, w2 := range writes {
-			if w2 == w || !w2.acked {
-				continue
-			}
-			if w.resp < w2.inv && w2.resp < r.inv {
-				return true
-			}
-		}
-		return false
-	}
-
-	// 1. Every read observation must have a live candidate write.
-	for _, r := range reads {
-		valid := false
-		if r.absent {
-			// Initial state: the key never existed. inv/resp of -1 make
-			// it superseded by any acked write that precedes the read.
-			init := histEvent{inv: -1, resp: -1}
-			if !definitelySuperseded(init, r) {
-				valid = true
-			}
-			for _, w := range writes {
-				if !valid && w.del && w.inv <= r.resp && !definitelySuperseded(w, r) {
-					valid = true
-				}
-			}
-			if !valid {
-				t.Errorf("key %d: read at [%d,%d] observed absent, but an acked write definitely preceded it and no delete can explain it",
-					key, r.inv, r.resp)
-			}
-			continue
-		}
-		w, ok := byValue[r.value]
-		if !ok {
-			t.Errorf("key %d: read at [%d,%d] observed value %x that was never written",
-				key, r.inv, r.resp, r.value)
-			continue
-		}
-		if w.inv <= r.resp && !definitelySuperseded(w, r) {
-			valid = true
-		}
-		if !valid {
-			t.Errorf("key %d: read at [%d,%d] observed value %x written at [%d,%d], which was definitely superseded (stale read / lost write)",
-				key, r.inv, r.resp, r.value, w.inv, w.resp)
-		}
-	}
-
-	// 2. Monotonic reads: non-overlapping reads of distinct values must
-	// not observe writes in inverted real-time order.
-	for i, r1 := range reads {
-		if r1.absent {
-			continue
-		}
-		w1, ok1 := byValue[r1.value]
-		if !ok1 {
-			continue // already reported above
-		}
-		for j, r2 := range reads {
-			if i == j || r2.absent || r1.resp >= r2.inv || r1.value == r2.value {
-				continue
-			}
-			w2, ok2 := byValue[r2.value]
-			if !ok2 {
-				continue
-			}
-			if w2.acked && w2.resp < w1.inv {
-				t.Errorf("key %d: reads went backwards: first read [%d,%d] saw %x (written [%d,%d]), later read [%d,%d] saw older %x (written [%d,%d])",
-					key, r1.inv, r1.resp, r1.value, w1.inv, w1.resp,
-					r2.inv, r2.resp, r2.value, w2.inv, w2.resp)
-			}
-		}
 	}
 }

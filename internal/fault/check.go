@@ -1,23 +1,24 @@
 package fault
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 
 	"flatstore/internal/core"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/index"
 	"flatstore/internal/oplog"
 	"flatstore/internal/record"
 )
 
-// Check verifies the recovery invariants of a just-opened store against
-// the oracle a trial recorded:
+// Check audits a just-opened store against the history its trial recorded,
+// then verifies the recovery invariants:
 //
-//  1. every acknowledged Put is readable with its exact value, and no
-//     acknowledged Delete's key reappears (no lost ack, no resurrection);
-//  2. no key exists that was never acknowledged live — except the single
-//     op in flight at the crash, which may resolve to its old state or
-//     its new state but nothing else (atomic durability per op);
+//  1. every key h or the index names, read through readVerified, joins h,
+//     and h holds histcheck's rule: no acknowledged write lost, nothing
+//     resurrected or invented, each op a crash interrupted at its old or
+//     its new state — for good, since h holds earlier recoveries' reads;
+//  2. no indexed record fails verification;
 //  3. the allocator bitmaps rebuilt from log pointers exactly equal the
 //     out-of-place records reachable from the index, plus the persisted
 //     checkpoint blob (the lazy-persist allocator's central claim); no
@@ -28,74 +29,11 @@ import (
 //     and account for every raw chunk (the GC link/unlink protocol never
 //     double-links or leaks a chunk);
 //  5. every cleaner journal slot is clear.
-//
-// It returns the resolved model — the oracle with the pending op settled
-// to whichever state recovery chose — for chained checks after further
-// crashes.
-func Check(st *core.Store, model map[uint64][]byte, pending *Op) (map[uint64][]byte, error) {
-	// Enumerate the recovered key set. Per-core hash indexes are
-	// disjoint; the shared masstree returns the same tree from every
-	// core, which the map dedupes.
-	recovered := map[uint64]int64{}
-	for i := 0; i < st.Cores(); i++ {
-		st.Core(i).Index().Range(func(k uint64, ref int64, _ uint32) bool {
-			recovered[k] = ref
-			return true
-		})
+func Check(st *core.Store, h *histcheck.History) error {
+	if _, err := audit(st, h); err != nil {
+		return err
 	}
-
-	resolved := make(map[uint64][]byte, len(model))
-	for k, v := range model {
-		resolved[k] = v
-	}
-
-	// (1) No acknowledged write lost.
-	for k, want := range model {
-		if pending != nil && k == pending.Key {
-			continue
-		}
-		got, ok, err := lookupValue(st, k)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("fault: acknowledged key %#x lost", k)
-		}
-		if !bytes.Equal(got, want) {
-			return nil, fmt.Errorf("fault: key %#x: recovered %d bytes, acknowledged %d bytes differ", k, len(got), len(want))
-		}
-	}
-	// (2a) Nothing present that was never acknowledged live.
-	for k := range recovered {
-		if _, ok := model[k]; ok {
-			continue
-		}
-		if pending != nil && k == pending.Key && pending.Kind == KPut {
-			continue
-		}
-		return nil, fmt.Errorf("fault: key %#x present after recovery but not in the acknowledged state (resurrected or phantom)", k)
-	}
-	// (2b) The in-flight op resolved to old or new state, nothing else.
-	if pending != nil && (pending.Kind == KPut || pending.Kind == KDelete) {
-		got, ok, err := lookupValue(st, pending.Key)
-		if err != nil {
-			return nil, err
-		}
-		old, hadOld := model[pending.Key]
-		switch {
-		case pending.Kind == KPut && ok && bytes.Equal(got, pending.Val):
-			resolved[pending.Key] = append([]byte(nil), pending.Val...) // new state won
-		case pending.Kind == KDelete && !ok:
-			delete(resolved, pending.Key) // new state won
-		case ok && hadOld && bytes.Equal(got, old):
-			// old state kept
-		case !ok && !hadOld:
-			// old state kept (absent)
-		default:
-			return nil, fmt.Errorf("fault: in-flight %v of key %#x resolved to neither old nor new state (present=%v)",
-				pending.Kind, pending.Key, ok)
-		}
-	}
+	recovered := indexRefs(st)
 
 	// (3) Allocator bitmaps == reachable out-of-place records (+ the
 	// checkpoint blob, whose descriptor still references its storage).
@@ -107,11 +45,11 @@ func Check(st *core.Store, model map[uint64][]byte, pending *Op) (map[uint64][]b
 		}
 		e, _, err := oplog.Decode(arena.Mem()[ref:])
 		if err != nil || e.Op != oplog.OpPut {
-			return nil, fmt.Errorf("fault: key %#x: index points at undecodable entry %#x", k, ref)
+			return fmt.Errorf("fault: key %#x: index points at undecodable entry %#x", k, ref)
 		}
 		if !e.Inline {
 			if expected[e.Ptr] {
-				return nil, fmt.Errorf("fault: key %#x: record block %#x also backs another live key (handed out twice)", k, e.Ptr)
+				return fmt.Errorf("fault: key %#x: record block %#x also backs another live key (handed out twice)", k, e.Ptr)
 			}
 			expected[e.Ptr] = true
 		}
@@ -123,16 +61,16 @@ func Check(st *core.Store, model map[uint64][]byte, pending *Op) (map[uint64][]b
 	st.Allocator().AuditBlocks(func(off int64, _ int) { actual[off] = true })
 	for off := range expected {
 		if !actual[off] {
-			return nil, fmt.Errorf("fault: reachable record at %#x not marked in the rebuilt allocator bitmap", off)
+			return fmt.Errorf("fault: reachable record at %#x not marked in the rebuilt allocator bitmap", off)
 		}
 	}
 	for off := range actual {
 		if !expected[off] {
-			return nil, fmt.Errorf("fault: allocator bitmap marks block %#x that no live entry references", off)
+			return fmt.Errorf("fault: allocator bitmap marks block %#x that no live entry references", off)
 		}
 	}
 	if err := st.Allocator().Audit(); err != nil {
-		return nil, fmt.Errorf("fault: %w", err)
+		return fmt.Errorf("fault: %w", err)
 	}
 
 	// (4) Log chain integrity.
@@ -140,7 +78,7 @@ func Check(st *core.Store, model map[uint64][]byte, pending *Op) (map[uint64][]b
 	for i := 0; i < st.Cores(); i++ {
 		for _, ch := range st.Core(i).Log().Chunks() {
 			if prev, dup := chainOwner[ch]; dup {
-				return nil, fmt.Errorf("fault: chunk %#x linked into the logs of cores %d and %d", ch, prev, i)
+				return fmt.Errorf("fault: chunk %#x linked into the logs of cores %d and %d", ch, prev, i)
 			}
 			chainOwner[ch] = i
 		}
@@ -151,24 +89,24 @@ func Check(st *core.Store, model map[uint64][]byte, pending *Op) (map[uint64][]b
 	}
 	for ch := range chainOwner {
 		if !raw[ch] {
-			return nil, fmt.Errorf("fault: log chunk %#x not marked in use with the allocator", ch)
+			return fmt.Errorf("fault: log chunk %#x not marked in use with the allocator", ch)
 		}
 	}
 	for off := range raw {
 		if _, ok := chainOwner[off]; !ok {
-			return nil, fmt.Errorf("fault: raw chunk %#x belongs to no log chain (leaked)", off)
+			return fmt.Errorf("fault: raw chunk %#x belongs to no log chain (leaked)", off)
 		}
 	}
 	for _, off := range st.Allocator().FreeList() {
 		if _, ok := chainOwner[off]; ok {
-			return nil, fmt.Errorf("fault: chunk %#x is both in a log chain and the free pool", off)
+			return fmt.Errorf("fault: chunk %#x is both in a log chain and the free pool", off)
 		}
 	}
 
 	// (5) Journal slots all clear.
 	for g := 0; g < core.MaxCores; g++ {
 		if v := st.JournalSlot(g); v != 0 {
-			return nil, fmt.Errorf("fault: cleaner journal slot %d still set (%#x) after recovery", g, v)
+			return fmt.Errorf("fault: cleaner journal slot %d still set (%#x) after recovery", g, v)
 		}
 	}
 
@@ -184,37 +122,75 @@ func Check(st *core.Store, model map[uint64][]byte, pending *Op) (map[uint64][]b
 			}
 			key, _, _, err := t.Get(ref)
 			if err != nil {
-				return nil, fmt.Errorf("fault: key %#x: cold ref %#x unreadable after recovery: %w", k, ref, err)
+				return fmt.Errorf("fault: key %#x: cold ref %#x unreadable after recovery: %w", k, ref, err)
 			}
 			if key != k {
-				return nil, fmt.Errorf("fault: key %#x: cold ref %#x stores key %#x", k, ref, key)
+				return fmt.Errorf("fault: key %#x: cold ref %#x stores key %#x", k, ref, key)
 			}
 			if !t.SegmentMayContain(ref, k) {
-				return nil, fmt.Errorf("fault: key %#x: segment bloom denies a live cold key (false negative)", k)
+				return fmt.Errorf("fault: key %#x: segment bloom denies a live cold key (false negative)", k)
 			}
 		}
 		tmps, err := t.TmpFiles()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(tmps) > 0 {
-			return nil, fmt.Errorf("fault: %d .tmp segment files survived recovery: %v", len(tmps), tmps)
+			return fmt.Errorf("fault: %d .tmp segment files survived recovery: %v", len(tmps), tmps)
 		}
 	} else {
 		for k, ref := range recovered {
 			if index.Cold(ref) {
-				return nil, fmt.Errorf("fault: key %#x has cold ref %#x but the store has no tier", k, ref)
+				return fmt.Errorf("fault: key %#x has cold ref %#x but the store has no tier", k, ref)
 			}
 		}
 	}
-	return resolved, nil
+	return nil
 }
 
-// lookupValue reads a key's current value through the index, exactly as
-// a Get would, without driving the request path.
-func lookupValue(st *core.Store, key uint64) ([]byte, bool, error) {
-	c := st.Core(st.CoreOf(key))
-	ref, _, ok := c.Index().Get(key)
+// indexRefs maps every key the store's indexes hold to its ref. Per-core
+// hash indexes are disjoint; the shared masstree returns the same tree from
+// every core, which the map dedupes.
+func indexRefs(st *core.Store) map[uint64]int64 {
+	refs := map[uint64]int64{}
+	for i := 0; i < st.Cores(); i++ {
+		st.Core(i).Index().Range(func(k uint64, ref int64, _ uint32) bool {
+			refs[k] = ref
+			return true
+		})
+	}
+	return refs
+}
+
+// audit reads every key h or st's index names through readVerified into h
+// (see histcheck.History.Audit) and returns what it read.
+func audit(st *core.Store, h *histcheck.History) (map[uint64][]byte, error) {
+	refs := indexRefs(st)
+	state := make(map[uint64][]byte, len(refs))
+	stored := make([]uint64, 0, len(refs))
+	for k := range refs {
+		stored = append(stored, k)
+	}
+	err := h.Audit(func(k uint64) ([]byte, bool, error) {
+		v, ok, err := readVerified(st, k)
+		if ok {
+			state[k] = v
+		}
+		return v, ok, err
+	}, stored...)
+	return state, err
+}
+
+// errRotted marks a key whose index entry names something that does not
+// verify: unreadable (the read path fails closed), not wrong.
+var errRotted = errors.New("fails verification")
+
+// readVerified is the checker's reference read: index ref → decode → verify
+// → value, the way a Get serves it but independent of core's own read path,
+// so the checker never launders bytes through the code under test. A rotted
+// key's error wraps errRotted; any other error is a broken structure.
+func readVerified(st *core.Store, key uint64) ([]byte, bool, error) {
+	ref, _, ok := st.Core(st.CoreOf(key)).Index().Get(key)
 	if !ok {
 		return nil, false, nil
 	}
@@ -224,26 +200,30 @@ func lookupValue(st *core.Store, key uint64) ([]byte, bool, error) {
 			return nil, false, fmt.Errorf("fault: key %#x: cold ref without a tier", key)
 		}
 		k, _, val, err := t.Get(ref)
-		if err != nil {
-			return nil, false, fmt.Errorf("fault: key %#x: cold read failed: %w", key, err)
+		if err == nil && k != key {
+			err = fmt.Errorf("cold ref resolves to key %#x", k)
 		}
-		if k != key {
-			return nil, false, fmt.Errorf("fault: key %#x: cold ref resolves to key %#x", key, k)
+		if err != nil {
+			return nil, false, fmt.Errorf("fault: key %#x: cold record %w: %w", key, errRotted, err)
 		}
 		return val, true, nil
 	}
-	e, _, err := oplog.Decode(st.Arena().Mem()[ref:])
-	if err != nil {
-		return nil, false, fmt.Errorf("fault: key %#x: undecodable entry at %#x: %w", key, ref, err)
+	arena := st.Arena()
+	if ref < 0 || ref+8 > int64(arena.Size()) {
+		return nil, false, fmt.Errorf("fault: key %#x: index ref %#x out of bounds", key, ref)
 	}
-	if e.Op != oplog.OpPut {
-		return nil, false, fmt.Errorf("fault: key %#x: index points at a non-Put entry", key)
+	e, _, err := oplog.Decode(arena.Mem()[ref:])
+	if err == nil && (e.Op != oplog.OpPut || e.Key != key) {
+		err = fmt.Errorf("entry is a %v of key %#x", e.Op, e.Key)
 	}
-	if e.Inline {
+	if err == nil && !e.Inline {
+		err = record.Verify(arena, e.Ptr)
+	}
+	switch {
+	case err != nil:
+		return nil, false, fmt.Errorf("fault: key %#x: entry at %#x %w: %w", key, ref, errRotted, err)
+	case e.Inline:
 		return append([]byte(nil), e.Value...), true, nil
 	}
-	if verr := record.Verify(st.Arena(), e.Ptr); verr != nil {
-		return nil, false, fmt.Errorf("fault: key %#x: record at %#x fails verification: %w", key, e.Ptr, verr)
-	}
-	return record.Read(st.Arena(), e.Ptr), true, nil
+	return record.Read(arena, e.Ptr), true, nil
 }

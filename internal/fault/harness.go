@@ -1,13 +1,13 @@
 package fault
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"flatstore/internal/core"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/pmem"
 	"flatstore/internal/rpc"
 	"flatstore/internal/tier"
@@ -26,7 +26,7 @@ const (
 	// KCheckpoint persists a runtime checkpoint.
 	KCheckpoint
 	// KGet reads Key through the request path (a cold hit on a key read
-	// before promotes) and asserts the value matches the acknowledged model.
+	// before promotes); the answer joins the history.
 	KGet
 	// KTierCompact runs one cold-tier compaction pass.
 	KTierCompact
@@ -96,10 +96,10 @@ type Harness struct {
 	// intermediate states its crash points actually reached.
 	Recovered func(st *core.Store)
 
-	img       *pmem.Image       // clean media image after the prelude
-	baseModel map[uint64][]byte // acknowledged state after the prelude
-	tierImg   map[string][]byte // segment files after the prelude
-	trialN    int
+	img     *pmem.Image       // clean media image after the prelude
+	base    map[uint64][]byte // the store's contents after the prelude
+	tierImg map[string][]byte // segment files after the prelude
+	trialN  int
 }
 
 // NewHarness builds a harness for cfg. prelude may be nil.
@@ -112,27 +112,26 @@ func NewHarness(cfg core.Config, prelude, script []Op) *Harness {
 
 // trial is one store being driven inline (single goroutine, no Run): ops
 // are submitted directly to the owning core and the per-core state
-// machines are stepped until the response surfaces. The model records
-// only ACKNOWLEDGED effects, and pending holds the op in flight, so a
-// crash anywhere leaves an exact oracle of what recovery must preserve.
+// machines are stepped until the response surfaces. Every Put, Delete and
+// Get is recorded in h, so a crash anywhere leaves the op in flight open
+// for h.Crash to close.
 type trial struct {
 	st       *core.Store
 	cleaners []*core.Cleaner
-	model    map[uint64][]byte
-	pending  *Op
+	h        *histcheck.History
 	nextID   uint64
 }
 
-func newTrialOn(st *core.Store, model map[uint64][]byte) *trial {
-	tr := &trial{st: st, model: model}
+func newTrialOn(st *core.Store, h *histcheck.History) *trial {
+	tr := &trial{st: st, h: h}
 	for g := range st.Groups() {
 		tr.cleaners = append(tr.cleaners, st.NewCleaner(g))
 	}
 	return tr
 }
 
-// exec runs one scripted op to completion (ack observed) or panics out
-// through an injected crash, leaving tr.pending set.
+// exec runs one scripted op to completion (response observed) or panics
+// out through an injected crash, leaving the op open in tr.h.
 func (tr *trial) exec(op Op) error {
 	switch op.Kind {
 	case KGC:
@@ -150,57 +149,50 @@ func (tr *trial) exec(op Op) error {
 			return fmt.Errorf("fault: tier compaction: %w", err)
 		}
 		return nil
-	case KGet:
-		tr.nextID++
-		req := rpc.Request{ID: tr.nextID, Op: rpc.OpGet, Key: op.Key}
-		tc := tr.st.Core(tr.st.CoreOf(op.Key))
-		tc.Submit(req, 0)
-		resp, err := tr.drive(tc, req.ID)
-		if err != nil {
-			return err
-		}
-		// A Get changes no acknowledged state (promotion is internal),
-		// so it is never pending — but its answer must already honor
-		// the model.
-		want, live := tr.model[op.Key]
-		switch {
-		case live && resp.Status == rpc.StatusOK && bytes.Equal(resp.Value, want):
-		case !live && resp.Status == rpc.StatusNotFound:
-		default:
-			return fmt.Errorf("fault: get key %#x: status %d, %d bytes; model live=%v",
-				op.Key, resp.Status, len(resp.Value), live)
-		}
-		return nil
 	}
 
-	tr.nextID++
-	req := rpc.Request{ID: tr.nextID, Key: op.Key}
+	req := rpc.Request{Key: op.Key}
+	var o *histcheck.Op
 	switch op.Kind {
 	case KPut:
-		req.Op = rpc.OpPut
-		req.Value = op.Val
+		req.Op, req.Value = rpc.OpPut, op.Val
+		o = tr.h.Put(op.Key, op.Val)
 	case KDelete:
 		req.Op = rpc.OpDelete
+		o = tr.h.Delete(op.Key)
+	case KGet:
+		req.Op = rpc.OpGet
+		o = tr.h.Read(op.Key)
 	default:
 		return fmt.Errorf("fault: unknown op kind %d", op.Kind)
 	}
-	opCopy := op
-	tr.pending = &opCopy
-	tc := tr.st.Core(tr.st.CoreOf(op.Key))
-	tc.Submit(req, 0)
-	resp, err := tr.drive(tc, req.ID)
+	resp, err := tr.call(req)
 	if err != nil {
 		return err
 	}
-	if resp.Status == rpc.StatusOK {
-		if op.Kind == KPut {
-			tr.model[op.Key] = append([]byte(nil), op.Val...)
-		} else {
-			delete(tr.model, op.Key)
-		}
+	switch {
+	case resp.Status == rpc.StatusNotFound:
+		o.Saw(nil, false) // a Get or a Delete found the key absent
+	case op.Kind == KGet && resp.Status == rpc.StatusOK:
+		o.Saw(resp.Value, true)
+	case op.Kind == KGet:
+		return fmt.Errorf("fault: get key %#x: status %d", op.Key, resp.Status)
+	case resp.Status == rpc.StatusOK:
+		o.Ack()
+	default:
+		o.Fail() // refused, e.g. out of space
 	}
-	tr.pending = nil
 	return nil
+}
+
+// call submits req to its key's core and drives the cores until it is
+// answered.
+func (tr *trial) call(req rpc.Request) (rpc.Response, error) {
+	tr.nextID++
+	req.ID = tr.nextID
+	tc := tr.st.Core(tr.st.CoreOf(req.Key))
+	tc.Submit(req, 0)
+	return tr.drive(tc, req.ID)
 }
 
 // drive steps every core until the response for id appears in tc's
@@ -233,7 +225,8 @@ func (tr *trial) execAll(script []Op) error {
 	return nil
 }
 
-// init runs the prelude once and captures the clean image + oracle.
+// init runs the prelude once, checks it, and captures the clean image and
+// the store's contents, which every trial's history starts from.
 func (h *Harness) init() error {
 	if len(h.prelude) == 0 || h.img != nil {
 		return nil
@@ -248,8 +241,11 @@ func (h *Harness) init() error {
 	if err != nil {
 		return fmt.Errorf("fault: prelude store: %w", err)
 	}
-	tr := newTrialOn(st, map[uint64][]byte{})
+	tr := newTrialOn(st, histcheck.New(nil))
 	if err := tr.execAll(h.prelude); err != nil {
+		return fmt.Errorf("fault: prelude: %w", err)
+	}
+	if h.base, err = audit(st, tr.h); err != nil {
 		return fmt.Errorf("fault: prelude: %w", err)
 	}
 	if err := st.Close(); err != nil {
@@ -259,7 +255,6 @@ func (h *Harness) init() error {
 		return err
 	}
 	arena.Release()
-	h.baseModel = tr.model
 	if cfg.Tier.Dir != "" {
 		h.tierImg = map[string][]byte{}
 		segs, err := filepath.Glob(filepath.Join(cfg.Tier.Dir, "*.seg"))
@@ -315,15 +310,12 @@ func (h *Harness) newTrial() (*trial, *pmem.Arena, core.Config, error) {
 		arena.Release()
 		return nil, nil, cfg, fmt.Errorf("fault: trial store: %w", err)
 	}
-	model := make(map[uint64][]byte, len(h.baseModel))
-	for k, v := range h.baseModel {
-		model[k] = v
-	}
-	return newTrialOn(st, model), arena, cfg, nil
+	return newTrialOn(st, histcheck.New(h.base)), arena, cfg, nil
 }
 
-// CountPoints runs the script once uninstrumented-but-counted and
-// returns the total number of persist-ordering points plus their kinds.
+// CountPoints runs the script once uninstrumented-but-counted, audits the
+// store it leaves against its history, and returns the total number of
+// persist-ordering points plus their kinds.
 func (h *Harness) CountPoints() (uint64, []PointInfo, error) {
 	if err := h.init(); err != nil {
 		return 0, nil, err
@@ -345,12 +337,16 @@ func (h *Harness) CountPoints() (uint64, []PointInfo, error) {
 	if execErr != nil {
 		return 0, nil, execErr
 	}
+	if _, err := audit(tr.st, tr.h); err != nil {
+		return 0, nil, err
+	}
 	return in.Points(), in.Recorded(), nil
 }
 
 // Observe runs the script once on a trial store with no fault injected
 // and calls fn after every op, so a test can assert that its script
-// really reaches the states it means to crash in.
+// really reaches the states it means to crash in; then it audits the store
+// against the run's history, as CountPoints does.
 func (h *Harness) Observe(fn func(i int, st *core.Store)) error {
 	if err := h.init(); err != nil {
 		return err
@@ -367,10 +363,11 @@ func (h *Harness) Observe(fn func(i int, st *core.Store)) error {
 		}
 		fn(i, tr.st)
 	}
+	_, err = audit(tr.st, tr.h)
 	if t := tr.st.Tier(); t != nil {
 		t.Close()
 	}
-	return nil
+	return err
 }
 
 // probeKey is written to every recovered store to prove it still accepts
@@ -380,10 +377,11 @@ const probeKey = 0xFA17_0000_0000_0001
 // RunPoint executes one fault trial: run the script with a crash armed at
 // point n (torn to tearKeep media bytes if tearKeep ≥ 0), recover the
 // media image through core.Open, check every invariant against the
-// trial's own oracle, exercise the recovered store (a put and a runtime
-// checkpoint), crash it AGAIN, and re-check — so state recovery itself
-// must leave a recoverable, operational store. Reports whether the armed
-// point was reached.
+// trial's history, exercise the recovered store (a put and a runtime
+// checkpoint), crash it AGAIN, and re-check the same history, which now
+// holds the first recovery's reads — so state recovery itself must leave a
+// recoverable, operational store. Reports whether the armed point was
+// reached.
 func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 	if err := h.init(); err != nil {
 		return false, err
@@ -403,14 +401,11 @@ func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 	var execErr error
 	crashed := in.Run(func() { execErr = tr.execAll(h.script) })
 	in.Detach()
-	if !crashed {
-		if execErr != nil {
-			return false, execErr
-		}
-		// This run had fewer points than n (the engine is not required
-		// to be deterministic across runs); its completed state must
-		// still survive a crash-at-the-end exactly.
-		tr.pending = nil
+	// A run with fewer points than n (the engine is not required to be
+	// deterministic across runs) completed: its state must survive a
+	// crash-at-the-end exactly.
+	if !crashed && execErr != nil {
+		return false, execErr
 	}
 
 	// Power failure: only the media view survives — and the disk tier,
@@ -422,13 +417,13 @@ func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 	}
 	cfg := tcfg
 	cfg.Arena = arena.Crash()
+	tr.h.Crash()
 	defer cfg.Arena.Release()
 	re, err := core.Open(cfg)
 	if err != nil {
 		return crashed, fmt.Errorf("recovery failed: %w", err)
 	}
-	model, err := Check(re, tr.model, tr.pending)
-	if err != nil {
+	if err := Check(re, tr.h); err != nil {
 		return crashed, err
 	}
 	if h.Recovered != nil {
@@ -439,7 +434,7 @@ func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 	// runtime checkpoint (which frees any pre-crash checkpoint block
 	// through the allocator — a path that only works if recovery left
 	// the blob accounted for).
-	probe := newTrialOn(re, model)
+	probe := newTrialOn(re, tr.h)
 	if err := probe.exec(Put(probeKey, []byte("post-recovery probe"))); err != nil {
 		return crashed, fmt.Errorf("post-recovery put: %w", err)
 	}
@@ -455,12 +450,13 @@ func (h *Harness) RunPoint(n uint64, tearKeep int) (bool, error) {
 		t.Close()
 	}
 	cfg2.Arena = re.Arena().Crash()
+	tr.h.Crash()
 	defer cfg2.Arena.Release()
 	re2, err := core.Open(cfg2)
 	if err != nil {
 		return crashed, fmt.Errorf("second recovery failed: %w", err)
 	}
-	if _, err := Check(re2, probe.model, nil); err != nil {
+	if err := Check(re2, tr.h); err != nil {
 		return crashed, fmt.Errorf("after second crash: %w", err)
 	}
 	return crashed, nil

@@ -10,6 +10,7 @@ import (
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
 )
@@ -32,7 +33,7 @@ func newRecorder(t *testing.T, cfg core.Config) *recorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &recorder{t: t, tr: newTrialOn(st, map[uint64][]byte{})}
+	return &recorder{t: t, tr: newTrialOn(st, histcheck.New(nil))}
 }
 
 func (r *recorder) do(op Op) {
@@ -241,7 +242,7 @@ func TestTornBatchRemnantRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := newTrialOn(st, map[uint64][]byte{})
+		tr := newTrialOn(st, histcheck.New(nil))
 		if err := tr.exec(Put(1, mval(1, 0, 60))); err != nil {
 			t.Fatal(err)
 		}
@@ -268,27 +269,28 @@ func TestTornBatchRemnantRecovery(t *testing.T) {
 		}
 
 		cfg.Arena = arena.Crash()
+		tr.h.Crash()
 		re, err := core.Open(cfg)
 		if err != nil {
 			t.Fatalf("keep %d: recovery: %v", keep, err)
 		}
-		model, err := Check(re, tr.model, tr.pending)
-		if err != nil {
+		if err := Check(re, tr.h); err != nil {
 			t.Fatalf("keep %d: %v", keep, err)
 		}
-		if _, ok := model[2]; ok {
+		if _, ok, _ := readVerified(re, 2); ok {
 			t.Fatalf("keep %d: a torn batch was delivered", keep)
 		}
-		tr2 := newTrialOn(re, model)
+		tr2 := newTrialOn(re, tr.h)
 		if err := tr2.exec(Put(3, []byte("short"))); err != nil {
 			t.Fatal(err)
 		}
 		cfg.Arena = re.Arena().Crash()
+		tr.h.Crash()
 		re2, err := core.Open(cfg)
 		if err != nil {
 			t.Fatalf("keep %d: second recovery: %v", keep, err)
 		}
-		if _, err := Check(re2, tr2.model, nil); err != nil {
+		if err := Check(re2, tr.h); err != nil {
 			t.Fatalf("keep %d: after the short batch: %v", keep, err)
 		}
 	}

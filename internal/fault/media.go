@@ -1,15 +1,13 @@
 package fault
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"flatstore/internal/core"
-	"flatstore/internal/index"
-	"flatstore/internal/oplog"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/pmem"
-	"flatstore/internal/record"
 )
 
 // MediaFault injects at-rest media corruption — the failure mode the
@@ -60,139 +58,34 @@ func (m *MediaFault) StuckRange(a *pmem.Arena, off, n int, v byte) {
 	})
 }
 
-// History is the per-key list of every value a client ever saw
-// acknowledged, in order; a nil entry records an acknowledged delete.
-// CheckSalvage uses it as the oracle of "data that was ever true".
-type History map[uint64][][]byte
-
-// RecordPut appends an acknowledged value.
-func (h History) RecordPut(key uint64, val []byte) {
-	h[key] = append(h[key], append([]byte(nil), val...))
-}
-
-// RecordDelete appends an acknowledged delete.
-func (h History) RecordDelete(key uint64) { h[key] = append(h[key], nil) }
-
-// CheckSalvage verifies the integrity contract of a store opened (in
-// salvage mode) from corrupted media against the final acknowledged model
-// and the full value history:
-//
-//  1. NOTHING WRONG: a readable key must carry a value that was at some
-//     point acknowledged for that key — never garbage, never another
-//     key's bytes. Out-of-place records are CRC-verified before being
-//     compared, exactly as the read path does.
-//  2. NOTHING INVENTED: no key outside the history may be readable.
-//     (Quarantined keys — including suspects whose decoded key is itself
-//     rotted garbage — are absent from the index, so they cannot trip
-//     this.)
-//  3. NOTHING SILENT: if the salvage report is clean (and no key is
-//     quarantined), the state must EXACTLY match the final acknowledged
-//     model — damage may only degrade data when it is also reported.
-//
-// Reverting to an older acknowledged value, disappearing, or reading as
-// quarantined are all acceptable for a damaged key: the contract is that
-// corruption is loud and never fabricates data, not that every last
-// write survives arbitrary rot.
-func CheckSalvage(st *core.Store, model map[uint64][]byte, hist History) error {
-	rep := st.SalvageReport()
-	strict := rep.Clean() && st.Integrity().Quarantined == 0
-	return checkHistory(st, model, hist, strict)
-}
-
-// checkHistory is CheckSalvage with the strictness chosen by the caller
-// (non-salvage sweeps verify only the never-wrong-data rules: their loss
-// reporting surfaces as a typed Open error instead of a report).
-func checkHistory(st *core.Store, model map[uint64][]byte, hist History, strict bool) error {
-	seen := map[uint64]bool{}
-	for i := 0; i < st.Cores(); i++ {
-		ok := true
-		var ferr error
-		st.Core(i).Index().Range(func(k uint64, ref int64, _ uint32) bool {
-			if seen[k] {
-				return true
-			}
-			seen[k] = true
-			got, gotOK, err := lookupVerified(st, k, ref)
-			if err != nil {
-				ferr = err
-				ok = false
-				return false
-			}
-			if !gotOK {
-				// Index points at an unreadable record: the read path
-				// would quarantine; not wrong data.
-				return true
-			}
-			past, known := hist[k]
-			if !known {
-				ferr = fmt.Errorf("fault: key %#x readable but never acknowledged (fabricated)", k)
-				ok = false
-				return false
-			}
-			matched := false
-			for _, v := range past {
-				if v != nil && bytes.Equal(got, v) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				ferr = fmt.Errorf("fault: key %#x reads %d bytes matching no acknowledged value", k, len(got))
-				ok = false
-				return false
-			}
-			if strict {
-				want, live := model[k]
-				if !live || !bytes.Equal(got, want) {
-					ferr = fmt.Errorf("fault: clean salvage report but key %#x deviates from the acknowledged state", k)
-					ok = false
-					return false
-				}
-			}
-			return true
-		})
-		if !ok {
-			return ferr
-		}
+// CheckSalvage verifies the integrity contract of a store opened from
+// damaged media against the history of what was written to it. Damage may
+// cost data, never invent it: a clean report with nothing quarantined means
+// the exact state (an audit, of a copy of h: one recorded past is checked
+// against many damaged futures); otherwise every key that reads at all must
+// read a value some write of that key may have stored.
+func CheckSalvage(st *core.Store, h *histcheck.History) error {
+	if st.SalvageReport().Clean() && st.Integrity().Quarantined == 0 {
+		_, err := audit(st, h.Clone())
+		return err
 	}
-	if strict {
-		for k := range model {
-			if !seen[k] {
-				return fmt.Errorf("fault: clean salvage report but acknowledged key %#x is gone", k)
-			}
+	return unfabricated(st, h)
+}
+
+// unfabricated checks that every key st can read holds bytes some write of
+// that key may have stored: never garbage, never another key's bytes, no
+// key nothing wrote. A rotted record is unreadable (the read path fails
+// closed), not wrong; a quarantined key is absent from the index.
+func unfabricated(st *core.Store, h *histcheck.History) error {
+	for k := range indexRefs(st) {
+		v, ok, err := readVerified(st, k)
+		switch {
+		case errors.Is(err, errRotted):
+		case err != nil:
+			return err
+		case ok && !h.Ever(k, v):
+			return fmt.Errorf("fault: key %#x reads %d bytes no write of it stored (fabricated)", k, len(v))
 		}
 	}
 	return nil
-}
-
-// lookupVerified reads a key's value through its index ref with the same
-// verification the serving read path applies — it must never return
-// unverified bytes, or the checker itself would launder garbage.
-func lookupVerified(st *core.Store, key uint64, ref int64) ([]byte, bool, error) {
-	arena := st.Arena()
-	if index.Cold(ref) {
-		t := st.Tier()
-		if t == nil {
-			return nil, false, fmt.Errorf("fault: key %#x: cold ref without a tier", key)
-		}
-		k, _, val, err := t.Get(ref)
-		if err != nil || k != key {
-			return nil, false, nil // read path fails closed (StatusCorrupt)
-		}
-		return val, true, nil
-	}
-	if ref < 0 || ref+8 > int64(arena.Size()) {
-		return nil, false, fmt.Errorf("fault: key %#x: index ref %#x out of bounds", key, ref)
-	}
-	e, _, err := oplog.Decode(arena.Mem()[ref:])
-	if err != nil || e.Op != oplog.OpPut || e.Key != key {
-		return nil, false, nil // read path would quarantine
-	}
-	if e.Inline {
-		return append([]byte(nil), e.Value...), true, nil
-	}
-	if record.Verify(arena, e.Ptr) != nil {
-		return nil, false, nil
-	}
-	return record.Read(arena, e.Ptr), true, nil
 }

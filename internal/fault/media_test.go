@@ -11,10 +11,12 @@ import (
 	"bytes"
 	"os"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/oplog"
 	"flatstore/internal/pmem"
 	"flatstore/internal/record"
@@ -58,22 +60,13 @@ func mediaWorkload() []Op {
 	return ops
 }
 
-// mediaImage runs the workload once and captures a crashed image (media
-// view, no clean shutdown), a cleanly-closed image, the final
-// acknowledged model, and the full value history oracle. The crashed image
-// is taken with every log witnessed: the sweeps model corruption at rest,
-// in a store that ran long enough for a Stop or a scrub pass to have
-// persisted the witnesses. (Rot in a batch nothing witnesses yet is
-// TestSalvageLogTailFlip's business.)
-func mediaImage(t *testing.T) (crashed, clean []byte, model map[uint64][]byte, hist History) {
-	t.Helper()
-	_, crashed, clean, model, hist = mediaImages(t)
-	return crashed, clean, model, hist
-}
-
-// mediaImages is mediaImage that also returns the image as the power cut
-// found it under load, before anything witnessed the logs' newest batches.
-func mediaImages(t *testing.T) (underLoad, crashed, clean []byte, model map[uint64][]byte, hist History) {
+// mediaImages runs the workload once and captures the image as the power
+// cut found it under load, the same image with every log witnessed, a
+// cleanly-closed image, and the workload's history. The sweeps flip bytes of
+// the witnessed image: corruption at rest, in a store that ran long enough
+// for a Stop or a scrub pass to have persisted the witnesses. (Rot in a
+// batch nothing witnesses yet is TestSalvageLogTailFlip's business.)
+func mediaImages(t *testing.T) (underLoad, crashed, clean []byte, h *histcheck.History) {
 	t.Helper()
 	cfg := mediaCfg()
 	arena := pmem.New(cfg.ArenaChunks * pmem.ChunkSize)
@@ -82,17 +75,10 @@ func mediaImages(t *testing.T) (underLoad, crashed, clean []byte, model map[uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTrialOn(st, map[uint64][]byte{})
-	hist = History{}
+	tr := newTrialOn(st, histcheck.New(nil))
 	for i, op := range mediaWorkload() {
 		if err := tr.exec(op); err != nil {
 			t.Fatalf("workload op %d: %v", i, err)
-		}
-		switch op.Kind {
-		case KPut:
-			hist.RecordPut(op.Key, op.Val)
-		case KDelete:
-			hist.RecordDelete(op.Key)
 		}
 	}
 	image := func() []byte {
@@ -111,13 +97,13 @@ func mediaImages(t *testing.T) (underLoad, crashed, clean []byte, model map[uint
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return underLoad, crashed, image(), tr.model, hist
+	return underLoad, crashed, image(), tr.h
 }
 
 // flipTrial reopens img with bit (off%8) of byte off flipped at rest.
 // Opening must never panic; a typed error is a legal (loud) outcome;
-// success must satisfy the salvage contract.
-func flipTrial(t *testing.T, img []byte, off int, salvage bool, model map[uint64][]byte, hist History) {
+// success must satisfy the salvage contract, with or without salvage.
+func flipTrial(t *testing.T, img []byte, off int, salvage bool, h *histcheck.History) {
 	t.Helper()
 	defer func() {
 		if r := recover(); r != nil {
@@ -143,12 +129,7 @@ func flipTrial(t *testing.T, img []byte, off int, salvage bool, model map[uint64
 	// batches, so rot under an inline entry is only caught by scrubbing
 	// (or by the read path, which quarantines on first touch).
 	st.ScrubOnce()
-	if salvage {
-		err = CheckSalvage(st, model, hist)
-	} else {
-		err = checkHistory(st, model, hist, false)
-	}
-	if err != nil {
+	if err := CheckSalvage(st, h); err != nil {
 		t.Fatalf("flip byte %#x (salvage=%v): %v", off, salvage, err)
 	}
 }
@@ -197,20 +178,20 @@ func sweepOffsets(t *testing.T, img []byte) []int {
 // are fine there — panics and garbage are not) and against the cleanly-
 // closed image.
 func TestMediaFaultSweep(t *testing.T) {
-	crashed, clean, model, hist := mediaImage(t)
+	_, crashed, clean, h := mediaImages(t)
 	offs := sweepOffsets(t, crashed)
 	t.Logf("sweeping %d byte offsets (%d image bytes)", len(offs), len(crashed))
 	for _, off := range offs {
-		flipTrial(t, crashed, off, true, model, hist)
+		flipTrial(t, crashed, off, true, h)
 	}
 	for i, off := range offs {
 		if i%8 == 0 {
-			flipTrial(t, crashed, off, false, model, hist)
+			flipTrial(t, crashed, off, false, h)
 		}
 	}
 	for i, off := range offs {
 		if i%8 == 4 {
-			flipTrial(t, clean, off, true, model, hist)
+			flipTrial(t, clean, off, true, h)
 		}
 	}
 }
@@ -280,7 +261,7 @@ func logDamaged(st *core.Store) bool {
 // That is the one guarantee the single persist point weakens, and what
 // bounds it is how often Stop, Close and the scrubber persist the witness.
 func TestSalvageLogTailFlip(t *testing.T) {
-	underLoad, witnessed, _, model, hist := mediaImages(t)
+	underLoad, witnessed, _, h := mediaImages(t)
 	mf := NewMediaFault(1)
 
 	// (i) After Stop or a scrub pass the witness covers the whole log: a
@@ -298,7 +279,7 @@ func TestSalvageLogTailFlip(t *testing.T) {
 				if logDamaged(st) {
 					t.Fatalf("flip in padding at %#x reported as log damage", off)
 				}
-				if err := checkHistory(st, model, hist, true); err != nil {
+				if _, err := audit(st, h.Clone()); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -306,7 +287,7 @@ func TestSalvageLogTailFlip(t *testing.T) {
 			if !logDamaged(st) {
 				t.Fatalf("flip at %#x under the witness went unnoticed", off)
 			}
-			if err := CheckSalvage(st, model, hist); err != nil {
+			if err := CheckSalvage(st, h); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -321,7 +302,7 @@ func TestSalvageLogTailFlip(t *testing.T) {
 		if !logDamaged(st) {
 			t.Fatal("flip in the second-to-last batch went unnoticed")
 		}
-		if err := CheckSalvage(st, model, hist); err != nil {
+		if err := CheckSalvage(st, h); err != nil {
 			t.Fatal(err)
 		}
 		// Without salvage the same image must refuse to open.
@@ -345,18 +326,23 @@ func TestSalvageLogTailFlip(t *testing.T) {
 		_, last, _, e := lastBatches(t, underLoad)
 		st := mediaOpen(t, underLoad, func(a *pmem.Arena) { mf.FlipBit(a, int(last)+3, 3) })
 		t.Logf("lost the last batch (%v of key %d); report: %s", e.Op, e.Key, st.SalvageReport())
-		rolledBack := map[uint64][]byte{}
-		for k, v := range model {
-			rolledBack[k] = v
+		// The last batch is the last write of its key: replay the workload
+		// without it (GC and checkpoint steps name key 0, never written).
+		ops, rolledBack := mediaWorkload(), map[uint64][]byte{}
+		lastWrite := len(ops) - 1
+		for ops[lastWrite].Key != e.Key {
+			lastWrite--
 		}
-		delete(rolledBack, e.Key)
-		if past := hist[e.Key]; len(past) >= 2 && past[len(past)-2] != nil {
-			rolledBack[e.Key] = past[len(past)-2]
+		for _, op := range slices.Delete(ops, lastWrite, lastWrite+1) {
+			delete(rolledBack, op.Key)
+			if op.Kind == KPut {
+				rolledBack[op.Key] = op.Val
+			}
 		}
-		if err := checkHistory(st, rolledBack, hist, true); err != nil {
+		if _, err := audit(st, histcheck.New(rolledBack)); err != nil {
 			t.Fatalf("state is not the acknowledged history minus the last batch: %v", err)
 		}
-		if err := checkHistory(st, model, hist, false); err != nil {
+		if err := unfabricated(st, h); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -366,7 +352,7 @@ func TestSalvageLogTailFlip(t *testing.T) {
 // fault shapes: a fully zeroed cacheline and an all-ones stuck range in
 // the middle of a log chunk.
 func TestSalvageZeroedCachelineAndStuckRange(t *testing.T) {
-	crashed, _, model, hist := mediaImage(t)
+	_, crashed, _, h := mediaImages(t)
 	for name, inject := range map[string]func(*MediaFault, *pmem.Arena){
 		"zeroline": func(mf *MediaFault, a *pmem.Arena) {
 			mf.ZeroCacheline(a, int(pmem.ChunkSize)+640)
@@ -381,7 +367,7 @@ func TestSalvageZeroedCachelineAndStuckRange(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mf := NewMediaFault(42)
 			st := mediaOpen(t, crashed, func(a *pmem.Arena) { inject(mf, a) })
-			if err := CheckSalvage(st, model, hist); err != nil {
+			if err := CheckSalvage(st, h); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -393,7 +379,7 @@ func TestSalvageZeroedCachelineAndStuckRange(t *testing.T) {
 // must fall back to full log replay, landing on EXACTLY the acknowledged
 // state — a rotted checkpoint may cost recovery time, never data.
 func TestCheckpointBitFlipSweep(t *testing.T) {
-	crashed, _, model, _ := mediaImage(t)
+	_, crashed, _, h := mediaImages(t)
 	probe, err := pmem.ReadArena(bytes.NewReader(crashed))
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +411,7 @@ func TestCheckpointBitFlipSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ckpt byte %d: replay fallback failed: %v", i, err)
 		}
-		if _, err := Check(st, model, nil); err != nil {
+		if err := Check(st, h.Clone()); err != nil {
 			t.Fatalf("ckpt byte %d: state after fallback: %v", i, err)
 		}
 	}
@@ -434,11 +420,7 @@ func TestCheckpointBitFlipSweep(t *testing.T) {
 // getStatus drives a Get through the serving path and returns its status.
 func getStatus(t *testing.T, tr *trial, key uint64) (uint8, []byte) {
 	t.Helper()
-	tr.nextID++
-	req := rpc.Request{ID: tr.nextID, Op: rpc.OpGet, Key: key}
-	c := tr.st.Core(tr.st.CoreOf(key))
-	c.Submit(req, 0)
-	resp, err := tr.drive(c, req.ID)
+	resp, err := tr.call(rpc.Request{Op: rpc.OpGet, Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +439,7 @@ func TestScrubberDetectAndQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTrialOn(st, map[uint64][]byte{})
+	tr := newTrialOn(st, histcheck.New(nil))
 	const kBig, kInline = uint64(7), uint64(9)
 	if err := tr.exec(Put(kBig, mval(kBig, 0, 400))); err != nil {
 		t.Fatal(err)
@@ -532,7 +514,7 @@ func TestScrubberDetectAndQuarantine(t *testing.T) {
 // quarantine verdict must hold (no older value resurrects) and the
 // overwrite must survive.
 func TestSalvageThenReopen(t *testing.T) {
-	crashed, _, model, hist := mediaImage(t)
+	_, crashed, _, h := mediaImages(t)
 
 	// Rot a value byte of key 5's latest (inline) entry: the batch fails
 	// verification, and the suspect decode still carries the true key, so
@@ -558,13 +540,13 @@ func TestSalvageThenReopen(t *testing.T) {
 		}
 		NewMediaFault(7).FlipBit(a, int(ref)+20, 1)
 	})
-	if err := CheckSalvage(st, model, hist); err != nil {
+	if err := CheckSalvage(st, h); err != nil {
 		t.Fatal(err)
 	}
 	var qks []uint64
-	for k := range hist {
-		if st.Core(st.CoreOf(k)).Quarantined(k) {
-			qks = append(qks, k)
+	for _, op := range mediaWorkload() {
+		if st.Core(st.CoreOf(op.Key)).Quarantined(op.Key) {
+			qks = append(qks, op.Key)
 		}
 	}
 	if !st.Core(st.CoreOf(healKey)).Quarantined(healKey) {
@@ -572,16 +554,11 @@ func TestSalvageThenReopen(t *testing.T) {
 	}
 
 	// Overwrite the victim; it must accept the write.
-	model2 := map[uint64][]byte{}
-	for k, v := range model {
-		model2[k] = v
-	}
-	tr := newTrialOn(st, model2)
+	tr := newTrialOn(st, h)
 	healVal := mval(healKey, 99, 77)
 	if err := tr.exec(Put(healKey, healVal)); err != nil {
 		t.Fatalf("put to quarantined key: %v", err)
 	}
-	hist.RecordPut(healKey, healVal)
 	if st.Core(st.CoreOf(healKey)).Quarantined(healKey) {
 		t.Fatal("put did not clear quarantine")
 	}
@@ -604,15 +581,11 @@ func TestSalvageThenReopen(t *testing.T) {
 			t.Fatalf("quarantined key %#x resurrected after reopen", k)
 		}
 	}
-	ref, _, ok := re.Core(re.CoreOf(healKey)).Index().Get(healKey)
-	if !ok {
-		t.Fatalf("healed key %#x lost across reopen", healKey)
-	}
-	got, gok, err := lookupVerified(re, healKey, ref)
+	got, gok, err := readVerified(re, healKey)
 	if err != nil || !gok || !bytes.Equal(got, healVal) {
 		t.Fatalf("healed key reads wrong after reopen: ok=%v err=%v", gok, err)
 	}
-	if err := CheckSalvage(re, tr.model, hist); err != nil {
+	if err := CheckSalvage(re, h); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -628,12 +601,9 @@ func TestSalvageBrokenLinkThenStrictReopen(t *testing.T) {
 	r := newRecorder(t, cfg)
 	log0 := r.tr.st.Core(0).Log()
 	keys := keysFor(0, 100, 1000)
-	hist := History{}
 	put := func(i int) {
 		k := keys[i%len(keys)]
-		v := mval(k, i, 250)
-		r.do(Put(k, v))
-		hist.RecordPut(k, v)
+		r.do(Put(k, mval(k, i, 250)))
 	}
 	n := 0
 	for ; len(log0.Chunks()) < 3; n++ {
@@ -663,7 +633,7 @@ func TestSalvageBrokenLinkThenStrictReopen(t *testing.T) {
 	if len(rep.Cores) != 1 || !rep.Cores[0].Damage.ChainTruncated || rep.Cores[0].TruncatedAt >= 0 {
 		t.Fatalf("report %q: want core 0's chain truncated and no batch cut", rep)
 	}
-	if err := CheckSalvage(st, r.tr.model, hist); err != nil {
+	if err := CheckSalvage(st, r.tr.h); err != nil {
 		t.Fatal(err)
 	}
 	if next := st.Arena().ReadUint64(int(kept) + 8); next != 0 {
@@ -672,34 +642,24 @@ func TestSalvageBrokenLinkThenStrictReopen(t *testing.T) {
 
 	// Write on, so the freed chunk can come back, then power-cut and open
 	// WITHOUT salvage: the repaired image is an ordinary one.
-	model := map[uint64][]byte{}
-	for k, v := range r.tr.model {
-		model[k] = v
-	}
-	tr := newTrialOn(st, model)
+	tr := newTrialOn(st, r.tr.h)
+	afterSalvage := func(i int) (uint64, []byte) { k := keys[i]; return k, mval(k, 1<<20+i, 250) }
 	for i := 0; i < 20; i++ {
-		k := keys[i%len(keys)]
-		v := mval(k, 1<<20+i, 250)
-		if err := tr.exec(Put(k, v)); err != nil {
+		if err := tr.exec(Put(afterSalvage(i))); err != nil {
 			t.Fatalf("put after salvage: %v", err)
 		}
-		hist.RecordPut(k, v)
 	}
 	re, err := open(st.Arena(), false)
 	if err != nil {
 		t.Fatalf("strict reopen after salvage: %v", err)
 	}
-	if err := checkHistory(re, nil, hist, false); err != nil {
+	if err := unfabricated(re, r.tr.h); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		k := keys[i%len(keys)]
-		ref, _, ok := re.Core(0).Index().Get(k)
-		if !ok {
-			t.Fatalf("key %#x written after salvage is gone", k)
-		}
-		if got, gok, err := lookupVerified(re, k, ref); err != nil || !gok || !bytes.Equal(got, tr.model[k]) {
-			t.Fatalf("key %#x written after salvage reads wrong: ok=%v err=%v", k, gok, err)
+		k, v := afterSalvage(i)
+		if got, ok, err := readVerified(re, k); err != nil || !ok || !bytes.Equal(got, v) {
+			t.Fatalf("key %#x written after salvage reads wrong: ok=%v err=%v", k, ok, err)
 		}
 	}
 }

@@ -8,11 +8,11 @@ package fault
 // detector.
 
 import (
-	"bytes"
 	"testing"
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/index"
 	"flatstore/internal/pmem"
 	"flatstore/internal/rpc"
@@ -22,8 +22,8 @@ import (
 // e2eBoom is the crash sentinel the mid-demotion tier hook panics with.
 type e2eBoom struct{}
 
-// e2e drives one store: acked-only model, put-with-GC-retry, and byte
-// accounting of everything acknowledged.
+// e2e drives one store: put-with-GC-retry, every attempt recorded in the
+// trial's history, and byte accounting of everything acknowledged.
 type e2e struct {
 	t     *testing.T
 	tr    *trial
@@ -40,24 +40,21 @@ func (e *e2e) gc() {
 }
 
 // put stores key → val, running GC (which demotes under tier pressure)
-// and retrying when the arena is full. Only an acked write enters the
-// model.
+// and retrying when the arena is full: a refused attempt wrote nothing.
 func (e *e2e) put(key uint64, val []byte) {
 	e.t.Helper()
 	for attempt := 0; ; attempt++ {
-		e.tr.nextID++
-		req := rpc.Request{ID: e.tr.nextID, Op: rpc.OpPut, Key: key, Value: val}
-		c := e.tr.st.Core(e.tr.st.CoreOf(key))
-		c.Submit(req, 0)
-		resp, err := e.tr.drive(c, req.ID)
+		o := e.tr.h.Put(key, val)
+		resp, err := e.tr.call(rpc.Request{Op: rpc.OpPut, Key: key, Value: val})
 		if err != nil {
 			e.t.Fatal(err)
 		}
 		if resp.Status == rpc.StatusOK {
-			e.tr.model[key] = append([]byte(nil), val...)
+			o.Ack()
 			e.bytes += int64(len(val)) + 16
 			return
 		}
+		o.Fail()
 		if attempt >= 8 {
 			e.t.Fatalf("put key %#x: status %d after %d GC retries (free=%d chunks)",
 				key, resp.Status, attempt, len(e.tr.st.Allocator().FreeList()))
@@ -82,29 +79,15 @@ func (e *e2e) fill(lo, hi uint64) {
 	}
 }
 
-// audit reads EVERY acknowledged key through the same verified lookup
-// the read path uses and fails on any mismatch. Returns how many reads
-// resolved to the cold tier.
-func auditAll(t *testing.T, st *core.Store, model map[uint64][]byte) int {
-	t.Helper()
-	cold := 0
-	for k, want := range model {
-		c := st.Core(st.CoreOf(k))
-		if ref, _, ok := c.Index().Get(k); ok && index.Cold(ref) {
+// coldKeys counts the keys the index holds and how many of them are cold.
+func coldKeys(st *core.Store) (cold, all int) {
+	refs := indexRefs(st)
+	for _, ref := range refs {
+		if index.Cold(ref) {
 			cold++
 		}
-		got, ok, err := lookupValue(st, k)
-		if err != nil {
-			t.Fatalf("key %#x: %v", k, err)
-		}
-		if !ok {
-			t.Fatalf("acknowledged key %#x lost", k)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("key %#x: %d bytes recovered, acknowledged %d differ", k, len(got), len(want))
-		}
 	}
-	return cold
+	return cold, len(refs)
 }
 
 // TestTieredCapacityE2E is the acceptance battery: fill past arena
@@ -127,7 +110,7 @@ func TestTieredCapacityE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &e2e{t: t, tr: newTrialOn(st, map[uint64][]byte{})}
+	e := &e2e{t: t, tr: newTrialOn(st, histcheck.New(nil))}
 
 	// Phase A: two arena's worth of data — far past PM capacity, so GC
 	// demotion must already have kicked in for these puts to be acked.
@@ -167,24 +150,24 @@ func TestTieredCapacityE2E(t *testing.T) {
 
 	cfg2 := cfg
 	cfg2.Arena = arena.Crash()
+	e.tr.h.Crash()
 	re, err := core.Open(cfg2)
 	if err != nil {
 		t.Fatalf("recovery after mid-demotion crash: %v", err)
 	}
-	if _, err := Check(re, e.tr.model, e.tr.pending); err != nil {
+	if err := Check(re, e.tr.h); err != nil {
 		t.Fatalf("invariants after mid-demotion crash: %v", err)
 	}
-	cold := auditAll(t, re, e.tr.model)
-	t.Logf("after crash 1: %d acked keys audited (%d cold), %d MiB acked into a %d MiB arena",
-		len(e.tr.model), cold, e.bytes>>20, arenaSize>>20)
+	cold, keys := coldKeys(re)
+	t.Logf("after crash 1: %d keys audited (%d cold), %d MiB acked into a %d MiB arena",
+		keys, cold, e.bytes>>20, arenaSize>>20)
 	if cold == 0 {
 		t.Fatal("no key recovered into the cold tier")
 	}
 
 	// Phase C: keep going on the recovered store until the acknowledged
 	// dataset exceeds 4× the arena, with a compaction pass mixed in.
-	e.tr = newTrialOn(re, e.tr.model)
-	e.tr.pending = nil
+	e.tr = newTrialOn(re, e.tr.h)
 	for k := uint64(batch1 + 60_000); e.bytes < 4*arenaSize; k += 10_000 {
 		e.fill(k, k+10_000)
 		if _, err := re.TierCompactOnce(); err != nil {
@@ -199,18 +182,19 @@ func TestTieredCapacityE2E(t *testing.T) {
 	re.Tier().Close()
 	cfg3 := cfg
 	cfg3.Arena = re.Arena().Crash()
+	e.tr.h.Crash()
 	re2, err := core.Open(cfg3)
 	if err != nil {
 		t.Fatalf("final recovery: %v", err)
 	}
-	if _, err := Check(re2, e.tr.model, nil); err != nil {
+	if err := Check(re2, e.tr.h); err != nil {
 		t.Fatalf("final invariants: %v", err)
 	}
-	cold = auditAll(t, re2, e.tr.model)
+	cold, keys = coldKeys(re2)
 	ts := re2.Tier().Stats()
 	t.Logf("final: %d keys (%d cold), %d MiB acked (%.1f× arena), tier: %d segs, %d records, demoted %d, compactions %d",
-		len(e.tr.model), cold, e.bytes>>20, float64(e.bytes)/float64(arenaSize), ts.Segments, ts.Records, ts.Demoted, ts.Compactions)
-	if cold < len(e.tr.model)/2 {
-		t.Fatalf("only %d of %d keys cold — tiering did not absorb the overflow", cold, len(e.tr.model))
+		keys, cold, e.bytes>>20, float64(e.bytes)/float64(arenaSize), ts.Segments, ts.Records, ts.Demoted, ts.Compactions)
+	if cold < keys/2 {
+		t.Fatalf("only %d of %d keys cold — tiering did not absorb the overflow", cold, keys)
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/index"
 	"flatstore/internal/pmem"
 	"flatstore/internal/rpc"
@@ -37,7 +38,7 @@ func tierMediaCfg(dir string) core.Config {
 // exact state a power cut would leave. The demoted keys' only copies
 // live in the segments (the victim chunk was reclaimed), so damaging the
 // files attacks data with no PM fallback.
-func tierMediaImage(t *testing.T) (img []byte, segImg map[string][]byte, model map[uint64][]byte, hist History, coldKeys []uint64) {
+func tierMediaImage(t *testing.T) (img []byte, segImg map[string][]byte, h *histcheck.History, coldKeys []uint64) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := tierMediaCfg(dir)
@@ -47,18 +48,11 @@ func tierMediaImage(t *testing.T) (img []byte, segImg map[string][]byte, model m
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTrialOn(st, map[uint64][]byte{})
-	hist = History{}
+	tr := newTrialOn(st, histcheck.New(nil))
 	step := func(op Op) {
 		t.Helper()
 		if err := tr.exec(op); err != nil {
 			t.Fatal(err)
-		}
-		switch op.Kind {
-		case KPut:
-			hist.RecordPut(op.Key, op.Val)
-		case KDelete:
-			hist.RecordDelete(op.Key)
 		}
 	}
 	for k := uint64(1); k <= 120; k++ {
@@ -108,7 +102,7 @@ func tierMediaImage(t *testing.T) (img []byte, segImg map[string][]byte, model m
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return img, segImg, tr.model, hist, coldKeys
+	return img, segImg, tr.h, coldKeys
 }
 
 // tierReopen materializes the captured state into a fresh tier dir,
@@ -168,7 +162,7 @@ func segFile(t *testing.T, segImg map[string][]byte) string {
 // or absent and nothing fabricated; strict recovery must refuse with a
 // typed error rather than open over silent loss.
 func TestTierMediaFaultShapes(t *testing.T) {
-	img, segImg, model, hist, _ := tierMediaImage(t)
+	img, segImg, h, _ := tierMediaImage(t)
 	name := segFile(t, segImg)
 	size := len(segImg[name])
 	shapes := map[string]func(dir string){
@@ -201,7 +195,7 @@ func TestTierMediaFaultShapes(t *testing.T) {
 		t.Run(sname, func(t *testing.T) {
 			st := tierReopen(t, img, segImg, damage, true)
 			st.ScrubOnce() // catches record rot a clean-path open would not touch
-			if err := CheckSalvage(st, model, hist); err != nil {
+			if err := CheckSalvage(st, h); err != nil {
 				t.Fatal(err)
 			}
 			if rep := st.SalvageReport(); rep.Clean() && st.Integrity().Quarantined == 0 {
@@ -210,7 +204,7 @@ func TestTierMediaFaultShapes(t *testing.T) {
 			// Strict mode: the same damage must refuse to open (or, if it
 			// opens, still never serve garbage).
 			if ss := tierReopen(t, img, segImg, damage, false); ss != nil {
-				if err := checkHistory(ss, model, hist, false); err != nil {
+				if err := unfabricated(ss, h); err != nil {
 					t.Fatal(err)
 				}
 				t.Fatal("strict open succeeded over damaged segment media")
@@ -219,7 +213,7 @@ func TestTierMediaFaultShapes(t *testing.T) {
 	}
 	// Control: undamaged reopen must be byte-exact in strict salvage terms.
 	st := tierReopen(t, img, segImg, nil, true)
-	if err := CheckSalvage(st, model, hist); err != nil {
+	if err := CheckSalvage(st, h); err != nil {
 		t.Fatal(err)
 	}
 	if rep := st.SalvageReport(); !rep.Clean() || st.Integrity().Quarantined != 0 {
@@ -249,7 +243,7 @@ func corruptFile(t *testing.T, path string, off int, fn func(byte) byte) {
 // bytes), an overwrite heals it, and a second crash + salvage reopen
 // neither resurrects the rotted value nor loses the heal.
 func TestTierMediaColdReadFailsClosed(t *testing.T) {
-	img, segImg, model, hist, coldKeys := tierMediaImage(t)
+	img, segImg, h, coldKeys := tierMediaImage(t)
 	name := segFile(t, segImg)
 
 	// Locate the victim's record inside the segment file via an
@@ -267,23 +261,23 @@ func TestTierMediaColdReadFailsClosed(t *testing.T) {
 		// valid, only the record's CRC can catch this.
 		corruptFile(t, filepath.Join(dir, name), int(off)+24+3, func(b byte) byte { return b ^ 0x80 })
 	}, true)
-	if err := CheckSalvage(st, model, hist); err != nil {
+	if err := CheckSalvage(st, h); err != nil {
 		t.Fatal(err)
 	}
 	if !st.Core(0).Quarantined(victim) {
 		t.Fatalf("rotted cold key %#x not quarantined: %q", victim, st.SalvageReport())
 	}
-	tr := newTrialOn(st, cloneModel(model))
+	tr := newTrialOn(st, h)
 	if s, v := getStatus(t, tr, victim); s != rpc.StatusCorrupt || len(v) != 0 {
 		t.Fatalf("Get of rotted cold key: status %v (%d bytes), want StatusCorrupt", s, len(v))
 	}
-	// Undamaged cold neighbors still read their acknowledged values.
+	// Undamaged cold neighbors still read values they were written.
 	okReads := 0
 	for _, k := range coldKeys {
 		if k == victim {
 			continue
 		}
-		if s, v := getStatus(t, tr, k); s == rpc.StatusOK && bytes.Equal(v, model[k]) {
+		if s, v := getStatus(t, tr, k); s == rpc.StatusOK && h.Ever(k, v) {
 			okReads++
 		}
 		if okReads == 5 {
@@ -298,7 +292,6 @@ func TestTierMediaColdReadFailsClosed(t *testing.T) {
 	if err := tr.exec(Put(victim, heal)); err != nil {
 		t.Fatalf("put to quarantined cold key: %v", err)
 	}
-	hist.RecordPut(victim, heal)
 	if st.Core(0).Quarantined(victim) {
 		t.Fatal("overwrite did not clear quarantine")
 	}
@@ -313,21 +306,13 @@ func TestTierMediaColdReadFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("second salvage open: %v", err)
 	}
-	got, gok, err := lookupValue(re, victim)
+	got, gok, err := readVerified(re, victim)
 	if err != nil || !gok || !bytes.Equal(got, heal) {
 		t.Fatalf("healed cold key after second crash: ok=%v err=%v", gok, err)
 	}
-	if err := CheckSalvage(re, tr.model, hist); err != nil {
+	if err := CheckSalvage(re, h); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func cloneModel(m map[uint64][]byte) map[uint64][]byte {
-	out := make(map[uint64][]byte, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // TestTierMediaBitflipSweep flips a strided sample of single bits across
@@ -335,7 +320,7 @@ func cloneModel(m map[uint64][]byte) map[uint64][]byte {
 // reopens, and checks the full contract each time: no panic, no
 // fabricated bytes, loss only with a report.
 func TestTierMediaBitflipSweep(t *testing.T) {
-	img, segImg, model, hist, _ := tierMediaImage(t)
+	img, segImg, h, _ := tierMediaImage(t)
 	name := segFile(t, segImg)
 	size := len(segImg[name])
 	stride := size / 48
@@ -352,7 +337,7 @@ func TestTierMediaBitflipSweep(t *testing.T) {
 			corruptFile(t, filepath.Join(dir, name), off, func(b byte) byte { return b ^ (1 << (off % 8)) })
 		}, true)
 		st.ScrubOnce()
-		if err := CheckSalvage(st, model, hist); err != nil {
+		if err := CheckSalvage(st, h); err != nil {
 			t.Fatalf("flip at byte %d/%d: %v", off, size, err)
 		}
 		trials++

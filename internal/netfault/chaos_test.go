@@ -11,6 +11,7 @@ import (
 	"flatstore/internal/batch"
 	"flatstore/internal/core"
 	"flatstore/internal/fault"
+	"flatstore/internal/histcheck"
 	"flatstore/internal/netfault"
 	"flatstore/internal/tcp"
 )
@@ -18,18 +19,17 @@ import (
 // TestChaosSoakNoLostAckedWrites is the network-path analogue of the
 // crash-point sweeps in internal/fault: a multi-client workload runs
 // through a fault-injecting proxy that corrupts, resets, delays, and
-// partially delivers frames, while each client tracks the exact state
-// its ACKED operations imply. The client's retry/dedup machinery must
-// absorb every injected fault, and at the end — after faults are
-// switched off and indeterminate keys are settled — the store must hold
-// exactly the acked state, survive a crash with it (reusing the
-// internal/fault checker for the durability half), and leak no
-// goroutines.
+// partially delivers frames, and every op — a write whose call errored is
+// maybe-applied — joins one history. The client's retry/dedup machinery
+// must absorb every injected fault; every Get must be explained by the
+// history; and after the stack winds down the store is power-cut and the
+// recovered state, whatever the faults left of the maybe-applied writes,
+// is audited against the same history by the internal/fault checker.
 //
 // Specifically this asserts, under -race:
 //   - no acked write is lost and no write is applied twice (a duplicate
-//     or reordered replay would leave a key at a stale value, which the
-//     per-key model comparison and the post-crash checker both catch);
+//     or reordered replay would leave a key at a value already
+//     superseded, which the history rejects, live and after the crash);
 //   - a corrupted frame surfaces as a CRC connection error, never a
 //     mis-decoded op (a mis-decode would corrupt some key's value or
 //     resurrect a deleted key — same detectors — and the server's
@@ -78,9 +78,9 @@ func TestChaosSoakNoLostAckedWrites(t *testing.T) {
 	}
 
 	// chaosValue makes every written value unique and self-describing, so
-	// a duplicate-applied or reordered replay leaves a mismatch a model
-	// comparison must catch. Sizes straddle the 256 B inline threshold so
-	// both inline entries and out-of-place records cross the wire.
+	// a duplicate-applied or reordered replay leaves a value the history
+	// rejects. Sizes straddle the 256 B inline threshold so both inline
+	// entries and out-of-place records cross the wire.
 	chaosValue := func(c int, key uint64, seq int) []byte {
 		v := fmt.Sprintf("c%d-k%d-s%d|", c, key, seq)
 		if seq%5 == 0 {
@@ -89,16 +89,9 @@ func TestChaosSoakNoLostAckedWrites(t *testing.T) {
 		return []byte(v)
 	}
 
-	type clientState struct {
-		model     map[uint64][]byte // state implied by ACKED ops only
-		uncertain map[uint64]bool   // keys whose last write errored out
-		cl        *tcp.Client
-	}
-	states := make([]*clientState, clients)
+	h := histcheck.New(nil)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		cs := &clientState{model: map[uint64][]byte{}, uncertain: map[uint64]bool{}}
-		states[c] = cs
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
@@ -107,47 +100,36 @@ func TestChaosSoakNoLostAckedWrites(t *testing.T) {
 				t.Errorf("client %d: dial: %v", c, err)
 				return
 			}
-			cs.cl = cl
+			defer cl.Close()
 			for i := 0; i < ops; i++ {
 				key := uint64(c*1000 + i*13%span)
 				switch i % 4 {
 				case 0, 1: // 50% puts
 					v := chaosValue(c, key, i)
-					if err := cl.Put(key, v); err != nil {
-						cs.uncertain[key] = true
-					} else {
-						cs.model[key] = v
-						delete(cs.uncertain, key)
-					}
-				case 2: // 25% deletes
-					if _, err := cl.Delete(key); err != nil {
-						cs.uncertain[key] = true
-					} else {
-						delete(cs.model, key)
-						delete(cs.uncertain, key)
-					}
-				case 3: // 25% gets, checked against the acked model
-					got, ok, err := cl.Get(key)
-					if err != nil || cs.uncertain[key] {
-						continue
-					}
-					want, present := cs.model[key]
-					if ok != present || (present && string(got) != string(want)) {
-						t.Errorf("client %d key %d: got (%q,%v), acked model (%q,%v)",
-							c, key, got, ok, want, present)
+					o := h.Put(key, v)
+					o.End(cl.Put(key, v))
+				case 2: // 25% deletes; one that found nothing wrote absence all the same
+					o := h.Delete(key)
+					_, err := cl.Delete(key)
+					o.End(err)
+				case 3: // 25% gets
+					o := h.Read(key)
+					if got, ok, err := cl.Get(key); err == nil {
+						o.Saw(got, ok) // a failed read observed nothing
 					}
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
 	if t.Failed() {
 		t.FailNow()
 	}
 
-	// Let the dust settle: faults off, in-flight server work drained, and
-	// every indeterminate key overwritten with a known value so the final
-	// oracle is exact.
+	// Let the dust settle: faults off, in-flight server work drained.
 	in.SetEnabled(false)
 	for deadline := time.Now().Add(10 * time.Second); srv.Stats().InFlight > 0; {
 		if time.Now().After(deadline) {
@@ -155,22 +137,10 @@ func TestChaosSoakNoLostAckedWrites(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for c, cs := range states {
-		for key := range cs.uncertain {
-			v := chaosValue(c, key, 1_000_000)
-			if err := cs.cl.Put(key, v); err != nil {
-				t.Fatalf("client %d: settle put key %d: %v", c, key, err)
-			}
-			cs.model[key] = v
-		}
-		if err := cs.cl.Close(); err != nil {
-			t.Fatalf("client %d: close: %v", c, err)
-		}
-	}
 
 	// The fault mix must actually have exercised every injection kind,
 	// and every corruption must have been caught by a CRC check (the
-	// model comparison above proves none was mis-decoded into an op).
+	// history check above proves none was mis-decoded into an op).
 	fs := in.Stats()
 	t.Logf("injected: %+v over %d segments; server: %+v", fs, fs.Segments, srv.Stats())
 	if fs.Corruptions == 0 || fs.Resets == 0 || fs.Partials == 0 || fs.Delays == 0 {
@@ -197,19 +167,14 @@ func TestChaosSoakNoLostAckedWrites(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Durability half: simulate power loss and recover; every acked write
-	// must be there, nothing else, and all engine invariants must hold.
-	merged := map[uint64][]byte{}
-	for _, cs := range states {
-		for k, v := range cs.model {
-			merged[k] = v
-		}
-	}
+	// Durability half: simulate power loss and recover; the recovered state
+	// must be one the history explains, and all engine invariants must hold.
 	re, err := core.Open(core.Config{Mode: cfg.Mode, Arena: st.Arena().Crash()})
 	if err != nil {
 		t.Fatalf("recovery after chaos soak: %v", err)
 	}
-	if _, err := fault.Check(re, merged, nil); err != nil {
+	h.Crash()
+	if err := fault.Check(re, h); err != nil {
 		t.Fatalf("post-crash invariant check: %v", err)
 	}
 }
