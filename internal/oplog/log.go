@@ -355,16 +355,11 @@ func ValidChunkHeader(arena *pmem.Arena, off int64) bool {
 		arena.ReadUint64(int(off)+genOff) == ^arena.ReadUint64(int(off)+genOff+8)
 }
 
-// batchEntry is one decoded entry buffered until its batch verifies.
-type batchEntry struct {
-	off int64
-	e   Entry
-}
-
 // scanChunk is the batch-verifying walk shared by ScanChunk and
-// SalvageChunk. Entries are buffered per batch and delivered to fn only
-// after the batch's trailer verifies (this chunk's generation, this start
-// offset, matching checksum); the first position that holds neither a
+// SalvageChunk. Each batch's entries are delivered to fn only after its
+// trailer verifies (this chunk's generation, this start offset, matching
+// checksum): batchTrailer walks to the trailer first, and the entries are
+// decoded again on delivery. The first position that holds neither a
 // valid batch nor the end marker stops the walk with an error. It returns
 // the absolute offset at which the walk stopped (the truncation-safe
 // point), the error describing the invalidity (nil when the chunk scanned
@@ -380,7 +375,6 @@ func scanChunk(arena *pmem.Arena, chunkOff, tail int64, fn func(off int64, e Ent
 	corrupt := func(at int, cause error) (int64, int, error, bool) {
 		return int64(at), batches, fmt.Errorf("oplog: chunk %#x offset %d: %w", chunkOff, at-base, cause), false
 	}
-	var batch []batchEntry
 	// A full chunk has no room for a marker after its last batch.
 	for pos+HeaderSize <= end {
 		w0 := getUint64(mem[pos:])
@@ -391,59 +385,59 @@ func scanChunk(arena *pmem.Arena, chunkOff, tail int64, fn func(off int64, e Ent
 			}
 			return int64(pos), batches, nil, false
 		}
-		// Start of a batch: buffer entries until its trailer verifies.
 		start := pos
-		batch = batch[:0]
-		for {
-			if pos+8 > end {
-				return corrupt(start, ErrCorrupt)
+		t, werr := batchTrailer(mem, start, end)
+		if werr != nil {
+			return corrupt(start, werr)
+		}
+		if t == start || t+TrailerSize > end || !checkTrailer(mem, base, start, t) {
+			return corrupt(start, ErrChecksum)
+		}
+		next := base + padEnd(t+TrailerSize-base)
+		batches++
+		for pos < t {
+			e, n, _ := Decode(mem[pos:end]) // the walk decoded it already
+			if !fn(int64(pos), e) {
+				return int64(next), batches, nil, true
 			}
-			if IsTrailerWord(getUint64(mem[pos:])) {
-				if pos == start || pos+TrailerSize > end || !checkTrailer(mem, base, start, pos) {
-					return corrupt(start, ErrChecksum)
-				}
-				pos = base + padEnd(pos+TrailerSize-base)
-				break
-			}
-			e, n, derr := Decode(mem[pos:end])
-			if derr != nil {
-				return corrupt(start, derr)
-			}
-			if e.Op == OpPad || e.Op == OpEnd {
-				// A zero word or an end marker inside an unterminated
-				// batch: the trailer never made it.
-				return corrupt(start, ErrCorrupt)
-			}
-			batch = append(batch, batchEntry{off: int64(pos), e: e})
 			pos += n
 		}
-		batches++
-		for _, be := range batch {
-			if !fn(be.off, be.e) {
-				return int64(pos), batches, nil, true
-			}
-		}
+		pos = next
 	}
 	return int64(pos), batches, nil, false
 }
 
 // batchTrailer walks the entries of a batch from start and returns where
 // its trailer sits: the first trailer-shaped word on an entry boundary
-// before end, or -1 when the bytes stop decoding as Put/Delete entries
-// first. It is the walk scanChunk makes, so a trailer-shaped word inside an
-// inline value, which no scan ever lands on, is never taken for one.
-func batchTrailer(mem []byte, start, end int) int {
+// before end. When the bytes stop decoding as Put/Delete entries first it
+// returns the decode error, or ErrCorrupt for a pad word, an end marker or
+// the end of the range. It is the walk scanChunk makes, so a
+// trailer-shaped word inside an inline value, which no scan ever lands
+// on, is never taken for one.
+func batchTrailer(mem []byte, start, end int) (int, error) {
 	for pos := start; pos+8 <= end; {
 		if IsTrailerWord(getUint64(mem[pos:])) {
-			return pos
+			return pos, nil
 		}
 		e, n, err := Decode(mem[pos:end])
-		if err != nil || e.Op == OpPad || e.Op == OpEnd {
-			return -1
+		if err != nil {
+			return -1, err
+		}
+		if e.Op == OpPad || e.Op == OpEnd {
+			// A zero word or an end marker inside an unterminated batch:
+			// the trailer never made it.
+			return -1, ErrCorrupt
 		}
 		pos += n
 	}
-	return -1
+	return -1, ErrCorrupt
+}
+
+// walksTo reports whether the batch walk from start ends on the trailer
+// at t.
+func walksTo(mem []byte, start, t int) bool {
+	at, _ := batchTrailer(mem, start, t+8)
+	return at == t
 }
 
 // findTail returns where the log ends in its last chunk: the end of the
@@ -474,7 +468,7 @@ func findTail(arena *pmem.Arena, chunk int64, from int) int {
 		}
 		start := base + int(getUint64(mem[t+8:])>>32)
 		if start < tail || start >= t || start%pmem.CachelineSize != 0 ||
-			!checkTrailer(mem, base, start, t) || batchTrailer(mem, start, t+8) != t {
+			!checkTrailer(mem, base, start, t) || !walksTo(mem, start, t) {
 			continue
 		}
 		tail = base + padEnd(t+TrailerSize-base)

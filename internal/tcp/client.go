@@ -11,6 +11,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flatstore/internal/obs"
@@ -47,11 +48,18 @@ type Client struct {
 
 	// wmu is the write stream: ids are assigned and frames written under
 	// it, so the order of ids is the order of requests on the wire. The
-	// reader never takes it — a writer blocked on a full socket cannot
-	// stop responses from draining.
+	// reader only ever tries it (to flush held frames) — a writer blocked
+	// on a full socket cannot stop responses from draining.
 	wmu  sync.Mutex
 	enc  []byte    // frame-encode scratch
 	reqs []request // the requests of the frame being encoded
+	// The flush rule's state (pipeline.go), for the current connection:
+	// held counts the request frames in its writer since the last flush
+	// (changed under wmu), onWire the flushed requests it has not answered
+	// yet. resume resets both. flushes counts request flushes.
+	held    atomic.Int32
+	onWire  atomic.Int32
+	flushes atomic.Uint64
 
 	mu      sync.Mutex
 	addrs   []string // candidate servers; addrIdx is the one dials target
@@ -384,14 +392,25 @@ func (c *Client) readLoop(cc *clientConn, br *bufio.Reader) {
 // stopped. A terminal answer completes the ticket; the two answers that
 // mean "not applied, send it again" keep it pending.
 func (c *Client) read(br *bufio.Reader) error {
+	// A bare answer — every Put's — is read into scratch and keeps
+	// nothing of it; a longer frame gets a buffer of its own, which its
+	// value or pairs keep.
+	var scratch [bareResponse + 4]byte // + checksum
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrameInto(br, scratch[:])
 		if err != nil {
 			return fmt.Errorf("tcp: connection lost: %w", err)
 		}
 		rs, err := decodeResponse(payload)
 		if err != nil {
 			return err
+		}
+		// The last flushed request is answered: the server has nothing
+		// left to do, so held frames go now. A writer holding wmu flushes
+		// them itself (see post), so the reader never blocks on it.
+		if c.onWire.Add(-1) == 0 && c.held.Load() > 0 && c.wmu.TryLock() {
+			c.flush()
+			c.wmu.Unlock()
 		}
 		c.mu.Lock()
 		t := c.pend[rs.id]

@@ -5,9 +5,13 @@ package tcp
 // allocations whether it is a sync call or a pipelined ticket.
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
+	"fmt"
+	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -93,15 +97,275 @@ func TestPipelinedSameKeyOrder(t *testing.T) {
 	})
 }
 
+// TestPipelinedFlushCoalescing: a closed loop at window 32 — submit, reap
+// what is done, the way a load generator drives the client — must put a
+// burst of submissions on the wire with one socket write, not one each:
+// at most one flush per two requests. The server's reader then finds
+// bursts too: on average at least one frame beyond the first per wakeup.
+func TestPipelinedFlushCoalescing(t *testing.T) {
+	const window, n = 32, 4000
+	_, srv, addr := startServerOpts(t, core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 32}, ServerOptions{})
+	cl, err := DialOptions(addr, Options{Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	value := make([]byte, 32)
+	reap := func() {
+		for _, tk := range cl.Poll(0) {
+			if err := tk.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	flushes, coalesced := cl.flushes.Load(), srv.Stats().FramesCoalesced
+	for i := 0; i < n; i++ {
+		if _, err := cl.SubmitPut(ctx, uint64(i%512), value); err != nil {
+			t.Fatal(err)
+		}
+		reap()
+	}
+	for cl.InFlight() > 0 {
+		reap()
+	}
+	flushes = cl.flushes.Load() - flushes
+	coalesced = srv.Stats().FramesCoalesced - coalesced
+	wakeups := n - coalesced // each wakeup reads one frame, then the coalesced ones
+	t.Logf("%d requests: %d client flushes, %d server reader wakeups", n, flushes, wakeups)
+	if flushes*2 > n {
+		t.Errorf("%d flushes for %d requests: more than one per two", flushes, n)
+	}
+	if coalesced < wakeups {
+		t.Errorf("%d frames coalesced over %d reader wakeups: fewer than one per wakeup", coalesced, wakeups)
+	}
+}
+
+// TestPipelinedNoStrandedRequest: a frame held in the writer must reach
+// the server however the caller reaps. Two submits at window 8 against a
+// server that answers nothing yet: the first is flushed, the second held
+// behind it. Spinning on Done, calling only Poll, or calling only Wait
+// must each see both complete; a large frame behind them, or a Busy
+// resend, must carry the held one to the server.
+func TestPipelinedNoStrandedRequest(t *testing.T) {
+	const window = 8
+	deadline := func(t *testing.T, what string) func() {
+		t.Helper()
+		end := time.Now().Add(10 * time.Second)
+		return func() {
+			if time.Now().After(end) {
+				t.Fatalf("%s: a held request was never flushed", what)
+			}
+			runtime.Gosched()
+		}
+	}
+	start := func(t *testing.T) (*Client, chan struct{}, [2]*Ticket) {
+		release := make(chan struct{})
+		cl, err := DialOptions(stallServer(t, release), Options{Window: window, MaxAttempts: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		var ts [2]*Ticket
+		for i := range ts {
+			if ts[i], err = cl.SubmitPut(context.Background(), uint64(i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if held := cl.held.Load(); held != 1 {
+			t.Fatalf("%d frames held after two submits with the first unanswered, want 1", held)
+		}
+		return cl, release, ts
+	}
+
+	t.Run("done", func(t *testing.T) {
+		_, release, ts := start(t)
+		close(release)
+		tick := deadline(t, "spinning on Done")
+		for !ts[0].Done() || !ts[1].Done() {
+			tick()
+		}
+	})
+
+	t.Run("poll", func(t *testing.T) {
+		cl, release, _ := start(t)
+		close(release)
+		tick := deadline(t, "calling Poll")
+		for reaped := 0; reaped < 2; reaped += len(cl.Poll(0)) {
+			tick()
+		}
+	})
+
+	t.Run("wait", func(t *testing.T) {
+		// Wait flushes the held frame itself: the server has both requests
+		// before it answers either.
+		cl, release, ts := start(t)
+		errc := make(chan error, 1)
+		go func() { errc <- ts[1].Wait(context.Background()) }()
+		tick := deadline(t, "calling Wait")
+		for cl.held.Load() != 0 {
+			tick()
+		}
+		close(release)
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if err := ts[0].Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("large", func(t *testing.T) {
+		// A frame larger than holdMax is not held: it goes at once and
+		// carries the held one with it.
+		cl, release, _ := start(t)
+		defer close(release)
+		if _, err := cl.SubmitPut(context.Background(), 2, make([]byte, holdMax)); err != nil {
+			t.Fatal(err)
+		}
+		if held := cl.held.Load(); held != 0 {
+			t.Fatalf("%d frames held after a %d-byte value, want 0", held, holdMax)
+		}
+	})
+
+	t.Run("busy-resend", func(t *testing.T) {
+		// The server sheds request 1, takes request 2 and answers nothing
+		// until request 1 comes back. Request 3, submitted behind the
+		// unanswered 2, is held, and the resend of 1 carries it: the server
+		// reads 3 before the resent 1. Seed 1 puts the resend ≈150 ms out.
+		addr, order := shedFirstServer(t)
+		cl, err := DialOptions(addr, Options{Window: window, Seed: 1,
+			BackoffBase: 200 * time.Millisecond, BackoffMax: 200 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		ctx := context.Background()
+		submit := func(key uint64) *Ticket {
+			tk, err := cl.SubmitPut(ctx, key, []byte("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tk
+		}
+		t1 := submit(1)
+		tick := deadline(t, "waiting for the shed")
+		for cl.onWire.Load() != 0 { // the Busy answer is in
+			tick()
+		}
+		t2, t3 := submit(2), submit(3)
+		if held := cl.held.Load(); held != 1 {
+			t.Fatalf("%d frames held behind the unanswered request 2, want 1", held)
+		}
+		tick = deadline(t, "spinning on Done")
+		for !t1.Done() || !t2.Done() || !t3.Done() {
+			tick()
+		}
+		for _, tk := range []*Ticket{t1, t2, t3} {
+			if err := tk.Err(); err != nil {
+				t.Fatalf("put %d: %v", tk.Key(), err)
+			}
+		}
+		if got, want := order(), []uint64{1, 2, 3, 1}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("server read request ids %v, want %v", got, want)
+		}
+	})
+}
+
+// shedFirstServer handshakes, answers the first request it reads with
+// statusBusy, and withholds every later answer until that request comes
+// back; then it acks everything it has seen and everything after at once.
+// order returns the request ids in the order the server read them.
+func shedFirstServer(t *testing.T) (addr string, order func() []uint64) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	var mu sync.Mutex
+	var ids []uint64
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+		var hs []byte
+		hs = binary.LittleEndian.AppendUint64(hs, wireMagic)
+		hs = binary.LittleEndian.AppendUint32(hs, 1)
+		hs = binary.LittleEndian.AppendUint64(hs, 0xFAFE) // server identity
+		if writeFrame(bw, hs) != nil || bw.Flush() != nil {
+			return
+		}
+		if _, err := readFrame(br); err != nil { // hello
+			return
+		}
+		var shed uint64   // the request answered Busy
+		var held []uint64 // withheld answers
+		for {
+			payload, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			q, err := decodeRequest(payload)
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			ids = append(ids, q.id)
+			mu.Unlock()
+			if shed == 0 {
+				shed = q.id
+				if writeFrame(bw, encodeResponse(response{id: q.id, status: statusBusy})) != nil || bw.Flush() != nil {
+					return
+				}
+				continue
+			}
+			held = append(held, q.id)
+			if q.id == shed {
+				shed = ^uint64(0) // back: answer from now on
+			}
+			if shed != ^uint64(0) {
+				continue
+			}
+			for _, id := range held {
+				if writeFrame(bw, encodeResponse(response{id: id, status: statusOK})) != nil {
+					return
+				}
+			}
+			held = held[:0]
+			if bw.Flush() != nil {
+				return
+			}
+		}
+	}()
+	return lis.Addr().String(), func() []uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]uint64(nil), ids...)
+	}
+}
+
 // TestClientPathBudget is the hot-path gate as a plain test. Requests in
 // flight cost no goroutines: the count with a full window outstanding is
-// the count with one. And an op allocates its ticket, the ticket's
-// completion signal and the response frame — the budget leaves the slack
-// the old per-attempt scaffolding used to fill, and not a goroutine's or a
-// timer's worth more. A 16-pair Scan measures 12 (its budget is short of
-// one allocation per pair more).
+// the count with one. And an op allocates its ticket; a completion
+// channel only when a Wait on it has to block; and a response frame only
+// when the answer carries a value or pairs, a bare answer being read into
+// the reader's scratch. A sync Put measures 2 and a sync Get 3, and their
+// budget leaves the slack the old per-attempt scaffolding used to fill,
+// and not a goroutine's or a timer's worth more. A pipelined Put reaped by
+// Poll measures 1.03 (the Poll batches' slices are the fraction), so its
+// budget fails a per-ticket channel and a per-answer frame alike. A
+// 16-pair Scan measures 12 (its budget is short of one allocation per
+// pair more).
 func TestClientPathBudget(t *testing.T) {
 	const window, budget, scanBudget = 32, 6, 16
+	pipeBudget := 1.5
+	if raceDetector {
+		pipeBudget = 2.5 // more Polls find one ticket: 1.8 measured
+	}
 	ctx := context.Background()
 
 	t.Run("goroutines", func(t *testing.T) {
@@ -206,7 +470,7 @@ func TestClientPathBudget(t *testing.T) {
 				}
 			}
 		}
-		if n := testing.AllocsPerRun(50, func() {
+		n := testing.AllocsPerRun(50, func() {
 			for i := 0; i < window; i++ {
 				key++
 				if _, err := cl.SubmitPut(ctx, key%128, value); err != nil {
@@ -218,8 +482,9 @@ func TestClientPathBudget(t *testing.T) {
 				runtime.Gosched()
 			}
 			reap()
-		}); n > budget*window {
-			t.Errorf("pipelined Put at window %d: %.1f allocs/op, budget %d", window, n/window, budget)
+		})
+		if n > pipeBudget*window {
+			t.Errorf("pipelined Put at window %d: %.2f allocs/op, budget %.1f", window, n/window, pipeBudget)
 		}
 	})
 }

@@ -20,8 +20,21 @@ package tcp
 // the connection's reader completes it, and the retry step re-sends it
 // under the same id if the connection dies first. A sync call is that
 // path at depth one — post a ticket, Wait — and a multi-op call is N
-// tickets posted as one frame; neither starts a goroutine, a timer or a
-// channel of its own beyond the ticket's completion signal.
+// tickets posted as one frame; neither starts a goroutine or a timer, and
+// a ticket gets a channel only when a Wait on it has to block.
+//
+// The flush rule is Nagle's algorithm over the pending table: a request
+// frame may wait in the connection's bufio.Writer only while an earlier
+// request is on the wire and unanswered — the server is busy, and its
+// answer will come. A windowed submit flushes at once when nothing flushed
+// is unanswered, when its ticket fills the window, or when its frame is
+// larger than holdMax; anything else is held
+// until one of four points flushes it: a Submit that blocks on a full
+// window, a Wait on an unfinished ticket, a Poll that reaps nothing while
+// nothing flushed is unanswered, and the connection's reader answering the
+// last flushed request. Every other write (sync calls, multi-op frames,
+// Busy resends, replays) flushes at once, held frames included, so a
+// burst of submissions costs one write syscall instead of one each.
 
 import (
 	"context"
@@ -55,29 +68,25 @@ type Ticket struct {
 	sent     time.Time // when it last went on the wire; zero while it waits out a Busy backoff
 	lastErr  error     // why the last attempt did not end it
 
-	done   chan struct{} // closed on completion, after the fields below are set
-	rs     response      // the server's terminal answer; zero when the transport gave up
-	ok     bool          // Get: found; Delete: existed
-	err    error
-	reaped atomic.Bool
+	// Written under Client.compMu.
+	fin    atomic.Bool   // completed: set after the result fields below
+	done   chan struct{} // made by a Wait that has to block; closed on completion
+	reaped atomic.Bool   // delivered by Wait or Poll
+
+	rs  response // the server's terminal answer; zero when the transport gave up
+	ok  bool     // Get: found; Delete: existed
+	err error
 }
 
 func (c *Client) newTicket(ctx context.Context, q request) *Ticket {
-	return &Ticket{c: c, ctx: ctx, q: q, done: make(chan struct{})}
+	return &Ticket{c: c, ctx: ctx, q: q}
 }
 
 // Key returns the key the submission targets.
 func (t *Ticket) Key() uint64 { return t.q.key }
 
 // Done reports completion without reaping the ticket.
-func (t *Ticket) Done() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
-}
+func (t *Ticket) Done() bool { return t.fin.Load() }
 
 // Err returns the submission's outcome, or ErrInFlight before
 // completion. nil means the op succeeded (for Get/Delete, "key absent"
@@ -118,17 +127,32 @@ func (t *Ticket) reap() {
 
 // Wait blocks until the ticket completes (reaping it) or ctx fires, and
 // returns the submission's outcome. Waiting again on a reaped ticket
-// just returns the recorded outcome.
+// just returns the recorded outcome. A Wait that has to block first
+// flushes the frames held in the writer — its own request may be one —
+// and makes the ticket's channel under compMu, which complete takes to
+// close it.
 func (t *Ticket) Wait(ctx context.Context) error {
-	select {
-	case <-t.done:
-		t.c.compMu.Lock()
-		t.reap()
-		t.c.compMu.Unlock()
-		return t.err
-	case <-ctx.Done():
-		return ctx.Err()
+	c := t.c
+	if !t.Done() && c.held.Load() > 0 {
+		c.flushHeld()
 	}
+	c.compMu.Lock()
+	if !t.Done() {
+		if t.done == nil {
+			t.done = make(chan struct{})
+		}
+		done := t.done
+		c.compMu.Unlock()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		c.compMu.Lock()
+	}
+	t.reap()
+	c.compMu.Unlock()
+	return t.err
 }
 
 // Poll reaps up to max completed tickets (max <= 0: every one that is
@@ -139,6 +163,8 @@ func (t *Ticket) Wait(ctx context.Context) error {
 // gives the goroutines it is waiting on a turn (the connection's reader;
 // in a one-process test or benchmark the server too, whose idle naps only
 // end on a scheduler pass) instead of spinning through its time slice.
+// When nothing flushed is unanswered it first flushes whatever is held:
+// no response is coming whose arrival would.
 func (c *Client) Poll(max int) []*Ticket {
 	c.compMu.Lock()
 	n := len(c.comp)
@@ -155,6 +181,9 @@ func (c *Client) Poll(max int) []*Ticket {
 	}
 	c.compMu.Unlock()
 	if len(out) == 0 {
+		if c.stranded() {
+			c.flushHeld()
+		}
 		runtime.Gosched()
 	}
 	return out
@@ -194,6 +223,9 @@ func (c *Client) submit(ctx context.Context, q request) (*Ticket, error) {
 	select {
 	case c.win <- struct{}{}: // window has room
 	default:
+		if c.held.Load() > 0 {
+			c.flushHeld() // the completions this submit waits for may be held
+		}
 		select { // full: block until a completion, cancellation, or close
 		case c.win <- struct{}{}:
 		case <-ctx.Done():
@@ -213,13 +245,16 @@ func (c *Client) submit(ctx context.Context, q request) (*Ticket, error) {
 
 // post enters ts into the pending table and puts them on the wire as one
 // frame. Ids are assigned and the frame is written under wmu, so wire
-// order is id order is the order post was called in.
+// order is id order is the order post was called in. A windowed ticket's
+// frame may be held (see the flush rule); having released wmu, post
+// flushes it if the reader answered the last flushed request meanwhile,
+// since the reader only tries wmu and leaves the flush to its holder.
 func (c *Client) post(ts ...*Ticket) error {
 	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	c.mu.Lock()
 	if c.life.Err() != nil {
 		c.mu.Unlock()
+		c.wmu.Unlock()
 		return ErrClosed
 	}
 	for _, t := range ts {
@@ -228,8 +263,52 @@ func (c *Client) post(ts ...*Ticket) error {
 		c.pend[t.q.id] = t
 	}
 	c.mu.Unlock()
-	c.send(ts, true)
+	c.send(ts, true, len(ts) == 1 && ts[0].windowed)
+	c.wmu.Unlock()
+	for c.stranded() {
+		c.flushHeld()
+	}
 	return nil
+}
+
+// holdMax is the largest request frame the flush rule holds. As in
+// Nagle's algorithm, where a full segment goes without waiting, a larger
+// one goes at once and carries the held frames with it: it saves a
+// syscall like any other, but a request that size — a value past the
+// inline limit, an out-of-place record write — keeps the server busy, and
+// a server left idle while it waits costs more than the syscall.
+const holdMax = 512
+
+// stranded reports frames held in the writer while nothing flushed is
+// unanswered: no response is coming whose arrival would flush them.
+func (c *Client) stranded() bool { return c.held.Load() > 0 && c.onWire.Load() == 0 }
+
+// flushHeld puts the held frames on the wire.
+func (c *Client) flushHeld() {
+	c.wmu.Lock()
+	c.flush()
+	c.wmu.Unlock()
+}
+
+// flush puts the held frames on the wire. The caller holds wmu. Frames
+// held when the connection died are dropped with it: they are in the
+// pending table, which the retry step replays.
+func (c *Client) flush() {
+	n := c.held.Swap(0)
+	if n == 0 {
+		return
+	}
+	c.mu.Lock()
+	cc := c.conn
+	c.mu.Unlock()
+	if cc == nil {
+		return
+	}
+	c.onWire.Add(n)
+	c.flushes.Add(1)
+	if err := cc.bw.Flush(); err != nil {
+		cc.fail(fmt.Errorf("tcp: write: %w", err))
+	}
 }
 
 // resend puts a Busy-shed ticket back on the wire once its backoff has
@@ -242,19 +321,21 @@ func (c *Client) resend(t *Ticket) {
 	waiting := c.pend[t.q.id] == t && t.sent.IsZero()
 	c.mu.Unlock()
 	if waiting {
-		c.send([]*Ticket{t}, false)
+		c.send([]*Ticket{t}, false, false)
 	}
 }
 
 // send is the connection's one writer: it charges each ticket an attempt,
 // routes it to a core under the current handshake, and writes the
 // requests — as one multi-op frame when oneFrame is set and there are
-// several, else a frame each — with one flush. The caller holds wmu.
-// While the client is disconnected nothing is written: the tickets are in
-// the pending table, and the retry step (woken here if it sits idle) will
-// send them. A write error fails the connection, which hands everything
-// unanswered to the retry step.
-func (c *Client) send(ts []*Ticket, oneFrame bool) {
+// several, else a frame each — with one flush that also carries the
+// frames held before them. When mayHold is set (one windowed request) the
+// frame is held instead if the flush rule allows it. The caller holds
+// wmu. While the client is disconnected nothing is written: the tickets
+// are in the pending table, and the retry step (woken here if it sits
+// idle) will send them. A write error fails the connection, which hands
+// everything unanswered to the retry step.
+func (c *Client) send(ts []*Ticket, oneFrame, mayHold bool) {
 	c.mu.Lock()
 	cc := c.conn
 	if cc == nil {
@@ -274,6 +355,23 @@ func (c *Client) send(ts []*Ticket, oneFrame bool) {
 
 	// Encode into the client's scratch: writeFrame copies the payload
 	// into the bufio.Writer, so the scratch is free again on return.
+	//
+	// Hold the frame while an earlier request is unanswered, unless it
+	// fills the window (its submitter blocks next), is large, or would not
+	// fit beside the held frames (bufio would write them out uncounted).
+	if mayHold && c.onWire.Load() > 0 && len(c.win) < cap(c.win) {
+		c.enc = appendRequest(c.enc[:0], c.reqs[0])
+		if n := len(c.enc) + 8; n <= holdMax && n <= cc.bw.Available() { // + length prefix and checksum
+			if err := writeFrame(cc.bw, c.enc); err != nil {
+				cc.fail(fmt.Errorf("tcp: write: %w", err))
+			}
+			c.held.Add(1)
+			return
+		}
+	}
+	// onWire counts what this flush carries before any of it is written:
+	// no response may arrive for a request it does not count.
+	c.onWire.Add(c.held.Swap(0) + int32(len(c.reqs)))
 	var err error
 	if oneFrame && len(c.reqs) > 1 {
 		c.enc = appendBatchFrame(c.enc[:0], c.reqs)
@@ -285,6 +383,7 @@ func (c *Client) send(ts []*Ticket, oneFrame bool) {
 		}
 	}
 	if err == nil {
+		c.flushes.Add(1)
 		err = cc.bw.Flush()
 	}
 	if err != nil {
@@ -311,17 +410,19 @@ func (c *Client) complete(t *Ticket, rs response, err error) {
 			t.err = fmt.Errorf("tcp: %s failed (status %d)", opNames[t.q.op], rs.status)
 		}
 	}
-	if !t.windowed {
-		close(t.done)
-		return
+	if t.windowed {
+		<-c.win // completion frees the window slot; a blocked Submit may proceed
 	}
-	<-c.win // completion frees the window slot; a blocked Submit may proceed
-	close(t.done)
-	// Publish for Poll only after done is closed, so a polled ticket's
-	// accessors always see a completed state. Skip if a racing Wait
-	// already reaped it (the shared compMu makes this atomic with reap).
+	// Mark the ticket done, wake a blocked Wait, and publish it for Poll
+	// unless a racing Wait already reaped it — all under compMu, which
+	// Wait and Poll take too, so a polled ticket's accessors always see a
+	// completed state.
 	c.compMu.Lock()
-	if !t.reaped.Load() {
+	t.fin.Store(true)
+	if t.done != nil {
+		close(t.done)
+	}
+	if t.windowed && !t.reaped.Load() {
 		c.comp[t] = struct{}{}
 	}
 	c.compMu.Unlock()

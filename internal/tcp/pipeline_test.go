@@ -80,7 +80,8 @@ func TestPipelineSubmitWaitPoll(t *testing.T) {
 }
 
 // stallServer handshakes, reads requests without answering until
-// release is closed, then acks everything it has seen (statusOK).
+// release is closed, then acks everything it has seen (statusOK) and
+// every request after it at once.
 func stallServer(t *testing.T, release chan struct{}) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -108,16 +109,22 @@ func stallServer(t *testing.T, release chan struct{}) string {
 		}
 		var mu sync.Mutex
 		var ids []uint64
-		go func() {
-			<-release
-			mu.Lock()
-			defer mu.Unlock()
+		released := false
+		ack := func() {
 			for _, id := range ids {
 				if writeFrame(bw, encodeResponse(response{id: id, status: statusOK})) != nil {
 					return
 				}
 			}
+			ids = ids[:0]
 			bw.Flush()
+		}
+		go func() {
+			<-release
+			mu.Lock()
+			defer mu.Unlock()
+			released = true
+			ack()
 		}()
 		for {
 			payload, err := readFrame(br)
@@ -130,6 +137,9 @@ func stallServer(t *testing.T, release chan struct{}) string {
 			}
 			mu.Lock()
 			ids = append(ids, q.id)
+			if released {
+				ack()
+			}
 			mu.Unlock()
 		}
 	}()

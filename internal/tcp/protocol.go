@@ -151,6 +151,12 @@ func readLen(r *bufio.Reader) (uint32, error) {
 }
 
 func readFrame(r *bufio.Reader) ([]byte, error) {
+	return readFrameInto(r, nil)
+}
+
+// readFrameInto is readFrame into buf when the frame and its checksum fit
+// buf's capacity, and into a buffer of its own when they do not.
+func readFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 	n, err := readLen(r)
 	if err != nil {
 		return nil, err
@@ -158,7 +164,10 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("tcp: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n+4)
+	if int(n)+4 > cap(buf) {
+		buf = make([]byte, n+4)
+	}
+	buf = buf[:n+4]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
@@ -320,7 +329,7 @@ func decodeBatchInto(dst []request, b []byte) ([]request, error) {
 }
 
 func encodeResponse(rs response) []byte {
-	n := 17 + len(rs.value) + 4
+	n := bareResponse + len(rs.value) + 4
 	for _, p := range rs.pairs {
 		n += 12 + len(p.value)
 	}
@@ -364,9 +373,13 @@ func appendEngineResponse(buf []byte, r *rpc.Response) []byte {
 // the decode hot path does not allocate an error per frame).
 var errBadResponse = errors.New("tcp: corrupt response frame")
 
+// bareResponse is the length of a response payload with no value and no
+// pairs — a Put's answer: id, status, and the two counts, zero.
+const bareResponse = 17
+
 func decodeResponse(b []byte) (response, error) {
 	bad := errBadResponse
-	if len(b) < 17 {
+	if len(b) < bareResponse {
 		return response{}, bad
 	}
 	rs := response{

@@ -201,6 +201,10 @@ func (c *Client) resume(cc *clientConn) {
 		ts = append(ts, t)
 	}
 	c.mu.Unlock()
+	// Frames held for the dead connection died with it; the replay
+	// carries them.
+	c.held.Store(0)
+	c.onWire.Store(0)
 	sort.Slice(ts, func(i, j int) bool { return ts[i].q.id < ts[j].q.id })
-	c.send(ts, false)
+	c.send(ts, false, false)
 }
