@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -38,88 +39,106 @@ type replFlags struct {
 	syncTimeout   time.Duration
 }
 
+// config is the whole command line, as parseFlags fills it.
+type config struct {
+	addr      string
+	data      string // arena image file ("": volatile)
+	cores     int
+	chunks    int
+	ordered   bool
+	gc        bool
+	ckptEvery time.Duration
+	scrub     time.Duration
+	slowOp    time.Duration
+	salvage   bool
+	pprof     string
+	tier      core.TierConfig
+	server    tcp.ServerOptions
+	repl      replFlags
+	gate      *cluster.Gate // nil: unsharded
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7399", "listen address")
-	data := flag.String("data", "", "arena image file (empty: volatile)")
-	cores := flag.Int("cores", 4, "server cores")
-	chunks := flag.Int("chunks", 64, "arena size in 4MB chunks (new stores)")
-	ordered := flag.Bool("ordered", false, "FlatStore-M: ordered index with scans")
-	gc := flag.Bool("gc", true, "run the log cleaners")
-	ckptEvery := flag.Duration("checkpoint", 0, "periodic runtime checkpoint interval (0: off)")
-	connInflight := flag.Int("conn-inflight", 0, "per-connection in-flight cap before shedding (0: default, <0: off)")
-	maxInflight := flag.Int("max-inflight", 0, "global in-flight cap before shedding (0: default, <0: off)")
-	writeTimeout := flag.Duration("write-timeout", 0, "slow-client write deadline (0: default, <0: off)")
-	scrubEvery := flag.Duration("scrub-interval", 0, "online scrubber interval: verify log and record checksums in the background (0: off)")
-	salvage := flag.Bool("salvage", false, "repair media corruption on recovery (truncate + quarantine) instead of refusing to start")
-	tierDir := flag.String("tier-dir", "", "cold-tier segment directory: GC demotes cold records to log-structured files here when the arena runs low (empty: tiering off)")
-	tierThreshold := flag.Int("tier-threshold", 0, "free-chunk watermark that triggers demotion to the cold tier (0: default 3; needs -tier-dir)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof plus /metrics and /metrics.json on this address, e.g. 127.0.0.1:6060 (empty: off)")
-	slowOp := flag.Duration("slow-op", 0, "trace requests at/above this latency into the slow-op ring (0: off)")
-	role := flag.String("role", "solo", "replication role: solo, primary, or follower")
-	replAddr := flag.String("repl-addr", "", "replication listener address (primary and follower)")
-	primary := flag.String("primary", "", "the primary's replication address (follower)")
-	advertise := flag.String("advertise", "", "client-facing address advertised to peers and in redirects (default: -addr)")
-	syncFollowers := flag.Int("sync-followers", 0, "follower acks required before a write is acknowledged (0: async replication)")
-	syncTimeout := flag.Duration("sync-timeout", 0, "semi-sync ack wait bound before degrading to async (0: default 2s)")
-	shardID := flag.Int("shard-id", -1, "this node's shard ID in a sharded cluster (-1: unsharded)")
-	shardCount := flag.Int("shard-count", 0, "total shard count (with -shard-id; ignored when -cluster is set)")
-	clusterSpec := flag.String("cluster", "", "full cluster spec: ';'-separated shard groups, each a comma-separated address list (richer WrongShard hints than -shard-count)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0: default; all parties must agree)")
-	mapVersion := flag.Uint64("shard-map-version", 1, "shard-map membership version advertised in WrongShard hints")
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		// The default mux already carries the /debug/pprof handlers via
-		// the blank import; profiles of the serving hot path come from
-		// e.g.: go tool pprof http://127.0.0.1:6060/debug/pprof/profile
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pprof:", err)
-			}
-		}()
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-
-	sopts := tcp.ServerOptions{
-		MaxConnInFlight: *connInflight,
-		MaxInFlight:     *maxInflight,
-		WriteTimeout:    *writeTimeout,
-	}
-	rf := replFlags{
-		role: *role, listenAddr: *replAddr, primaryAddr: *primary,
-		advertiseAddr: *advertise, syncFollowers: *syncFollowers,
-		syncTimeout: *syncTimeout,
-	}
-	if rf.advertiseAddr == "" {
-		rf.advertiseAddr = *addr
-	}
-	switch rf.role {
-	case "solo", "primary", "follower":
-	default:
-		fmt.Fprintf(os.Stderr, "flatstore-server: unknown -role %q (want solo, primary, or follower)\n", rf.role)
-		os.Exit(2)
-	}
-	if rf.role != "solo" && rf.listenAddr == "" {
-		fmt.Fprintln(os.Stderr, "flatstore-server: -role", rf.role, "needs -repl-addr")
-		os.Exit(2)
-	}
-	if rf.role == "follower" && rf.primaryAddr == "" {
-		fmt.Fprintln(os.Stderr, "flatstore-server: -role follower needs -primary")
-		os.Exit(2)
-	}
-	gate, err := shardGate(*shardID, *shardCount, *clusterSpec, *vnodes, *mapVersion)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flatstore-server:", err)
 		os.Exit(2)
 	}
-	if *tierThreshold != 0 && *tierDir == "" {
-		fmt.Fprintln(os.Stderr, "flatstore-server: -tier-threshold needs -tier-dir")
-		os.Exit(2)
+	if cfg.pprof != "" {
+		// The default mux already carries the /debug/pprof handlers via
+		// the blank import; profiles of the serving hot path come from
+		// e.g.: go tool pprof http://127.0.0.1:6060/debug/pprof/profile
+		go func() {
+			if err := http.ListenAndServe(cfg.pprof, nil); err != nil {
+				fmt.Fprintln(os.Stderr, "pprof:", err)
+			}
+		}()
 	}
-	tc := core.TierConfig{Dir: *tierDir, DemoteFreeChunks: *tierThreshold}
-	if err := run(*addr, *data, *cores, *chunks, *ordered, *gc, *ckptEvery, *scrubEvery, *slowOp, *salvage, tc, sopts, rf, gate); err != nil {
+	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "flatstore-server:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags parses and checks the command line.
+func parseFlags(args []string) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("flatstore-server", flag.ContinueOnError)
+	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:7399", "listen address")
+	fs.StringVar(&cfg.data, "data", "", "arena image file (empty: volatile)")
+	fs.IntVar(&cfg.cores, "cores", 4, "server cores")
+	fs.IntVar(&cfg.chunks, "chunks", 64, "arena size in 4MB chunks (new stores)")
+	fs.BoolVar(&cfg.ordered, "ordered", false, "FlatStore-M: ordered index with scans")
+	fs.BoolVar(&cfg.gc, "gc", true, "run the log cleaners")
+	fs.DurationVar(&cfg.ckptEvery, "checkpoint", 0, "periodic runtime checkpoint interval (0: off)")
+	fs.IntVar(&cfg.server.MaxConnInFlight, "conn-inflight", 0, "per-connection in-flight cap before shedding (0: default, <0: off)")
+	fs.IntVar(&cfg.server.MaxInFlight, "max-inflight", 0, "global in-flight cap before shedding (0: default, <0: off)")
+	fs.DurationVar(&cfg.server.WriteTimeout, "write-timeout", 0, "slow-client write deadline (0: default, <0: off)")
+	fs.DurationVar(&cfg.scrub, "scrub-interval", 0, "online scrubber interval: verify log and record checksums in the background (0: off)")
+	fs.BoolVar(&cfg.salvage, "salvage", false, "repair media corruption on recovery (truncate + quarantine) instead of refusing to start")
+	fs.StringVar(&cfg.tier.Dir, "tier-dir", "", "cold-tier segment directory: GC demotes cold records to log-structured files here when the arena runs low (empty: tiering off)")
+	fs.IntVar(&cfg.tier.DemoteFreeChunks, "tier-threshold", 0, "free-chunk watermark that triggers demotion to the cold tier (0: default 3; needs -tier-dir)")
+	fs.StringVar(&cfg.pprof, "pprof", "", "serve net/http/pprof plus /metrics and /metrics.json on this address, e.g. 127.0.0.1:6060 (empty: off)")
+	fs.DurationVar(&cfg.slowOp, "slow-op", 0, "trace requests at/above this latency into the slow-op ring (0: off)")
+	fs.StringVar(&cfg.repl.role, "role", "solo", "replication role: solo, primary, or follower")
+	fs.StringVar(&cfg.repl.listenAddr, "repl-addr", "", "replication listener address (primary and follower)")
+	fs.StringVar(&cfg.repl.primaryAddr, "primary", "", "the primary's replication address (follower)")
+	fs.StringVar(&cfg.repl.advertiseAddr, "advertise", "", "client-facing address advertised to peers and in redirects (default: -addr)")
+	fs.IntVar(&cfg.repl.syncFollowers, "sync-followers", 0, "follower acks required before a write is acknowledged (0: async replication)")
+	fs.DurationVar(&cfg.repl.syncTimeout, "sync-timeout", 0, "semi-sync ack wait bound before degrading to async (0: default 2s)")
+	shardID := fs.Int("shard-id", -1, "this node's shard ID in a sharded cluster (-1: unsharded)")
+	shardCount := fs.Int("shard-count", 0, "total shard count (with -shard-id; ignored when -cluster is set)")
+	clusterSpec := fs.String("cluster", "", "full cluster spec: ';'-separated shard groups, each a comma-separated address list (richer WrongShard hints than -shard-count)")
+	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0: default; all parties must agree)")
+	mapVersion := fs.Uint64("shard-map-version", 1, "shard-map membership version advertised in WrongShard hints")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+
+	rf := &cfg.repl
+	if rf.advertiseAddr == "" {
+		rf.advertiseAddr = cfg.addr
+	}
+	switch rf.role {
+	case "solo", "primary", "follower":
+	default:
+		return cfg, fmt.Errorf("unknown -role %q (want solo, primary, or follower)", rf.role)
+	}
+	if rf.role != "solo" && rf.listenAddr == "" {
+		return cfg, fmt.Errorf("-role %s needs -repl-addr", rf.role)
+	}
+	if rf.role == "follower" && rf.primaryAddr == "" {
+		return cfg, errors.New("-role follower needs -primary")
+	}
+	if cfg.tier.DemoteFreeChunks != 0 && cfg.tier.Dir == "" {
+		return cfg, errors.New("-tier-threshold needs -tier-dir")
+	}
+	var err error
+	cfg.gate, err = shardGate(*shardID, *shardCount, *clusterSpec, *vnodes, *mapVersion)
+	return cfg, err
 }
 
 // shardGate resolves the sharding flags into the gate the TCP server
@@ -151,35 +170,35 @@ func shardGate(id, count int, spec string, vnodes int, version uint64) (*cluster
 	return cluster.NewGate(m, id)
 }
 
-func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scrubEvery, slowOp time.Duration, salvage bool, tc core.TierConfig, sopts tcp.ServerOptions, rf replFlags, gate *cluster.Gate) error {
+func run(c config) error {
 	idx := core.IndexHash
-	if ordered {
+	if c.ordered {
 		idx = core.IndexMasstree
 	}
 	cfg := core.Config{
-		Cores: cores, Mode: batch.ModePipelinedHB, Index: idx,
-		ArenaChunks: chunks, GC: core.GCConfig{Enabled: gc}, Tier: tc,
-		Salvage: salvage, ScrubEvery: scrubEvery, SlowOpThreshold: slowOp,
+		Cores: c.cores, Mode: batch.ModePipelinedHB, Index: idx,
+		ArenaChunks: c.chunks, GC: core.GCConfig{Enabled: c.gc}, Tier: c.tier,
+		Salvage: c.salvage, ScrubEvery: c.scrub, SlowOpThreshold: c.slowOp,
 	}
 
 	var st *core.Store
-	if data != "" {
-		if fh, err := os.Open(data); err == nil {
+	if c.data != "" {
+		if fh, err := os.Open(c.data); err == nil {
 			arena, rerr := pmem.ReadArena(fh)
 			fh.Close()
 			if rerr != nil {
-				return fmt.Errorf("loading %s: %w", data, rerr)
+				return fmt.Errorf("loading %s: %w", c.data, rerr)
 			}
 			start := time.Now()
 			st, rerr = core.Open(core.Config{Mode: cfg.Mode, Index: idx,
-				GC: cfg.GC, Arena: arena, Tier: tc,
-				Salvage: salvage, ScrubEvery: scrubEvery,
-				SlowOpThreshold: slowOp})
+				GC: cfg.GC, Arena: arena, Tier: c.tier,
+				Salvage: c.salvage, ScrubEvery: c.scrub,
+				SlowOpThreshold: c.slowOp})
 			if rerr != nil {
-				return fmt.Errorf("recovering %s: %w (rerun with -salvage to repair)", data, rerr)
+				return fmt.Errorf("recovering %s: %w (rerun with -salvage to repair)", c.data, rerr)
 			}
 			fmt.Printf("recovered %d keys from %s in %v\n",
-				st.Len(), data, time.Since(start).Round(time.Millisecond))
+				st.Len(), c.data, time.Since(start).Round(time.Millisecond))
 			for _, lt := range st.LogTails() {
 				fmt.Println(" ", lt)
 			}
@@ -195,7 +214,7 @@ func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scru
 			return err
 		}
 		fmt.Printf("created new store (%d cores, %d MB arena, %s)\n",
-			cores, chunks*4, idx)
+			c.cores, c.chunks*4, idx)
 	}
 	if t := st.Tier(); t != nil {
 		ts := t.Stats()
@@ -205,17 +224,17 @@ func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scru
 	// The replication node must exist before Run (the seal hook installs
 	// into the not-yet-serving store) and start after it.
 	var node *repl.Node
-	if rf.role != "solo" {
+	if c.repl.role != "solo" {
 		rcfg := repl.Config{
 			Store:         st,
-			ListenAddr:    rf.listenAddr,
-			ServeAddr:     rf.advertiseAddr,
-			PrimaryAddr:   rf.primaryAddr,
-			SyncFollowers: rf.syncFollowers,
-			SyncTimeout:   rf.syncTimeout,
+			ListenAddr:    c.repl.listenAddr,
+			ServeAddr:     c.repl.advertiseAddr,
+			PrimaryAddr:   c.repl.primaryAddr,
+			SyncFollowers: c.repl.syncFollowers,
+			SyncTimeout:   c.repl.syncTimeout,
 		}
 		var err error
-		if rf.role == "primary" {
+		if c.repl.role == "primary" {
 			node, err = repl.NewPrimary(rcfg)
 		} else {
 			node, err = repl.NewFollower(rcfg)
@@ -230,21 +249,21 @@ func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scru
 			st.Stop()
 			return err
 		}
-		fmt.Printf("replication: %s, repl listener %s\n", rf.role, node.ListenAddr())
+		fmt.Printf("replication: %s, repl listener %s\n", c.repl.role, node.ListenAddr())
 	}
 
-	lis, err := net.Listen("tcp", addr)
+	lis, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		return err
 	}
-	srv := tcp.NewServerOptions(st, sopts)
+	srv := tcp.NewServerOptions(st, c.server)
 	if node != nil {
 		srv.SetRepl(node)
 	}
-	if gate != nil {
-		srv.SetShard(gate)
+	if c.gate != nil {
+		srv.SetShard(c.gate)
 		fmt.Printf("sharding: shard %d of %d (map v%d)\n",
-			gate.ShardID(), gate.NumShards(), gate.MapVersion())
+			c.gate.ShardID(), c.gate.NumShards(), c.gate.MapVersion())
 	}
 	// Observability endpoints ride the pprof mux (-pprof): Prometheus
 	// text at /metrics, the full snapshot as JSON at /metrics.json.
@@ -252,22 +271,13 @@ func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scru
 	http.Handle("/metrics.json", obs.JSONHandler(srv.Metrics))
 	fmt.Printf("serving on %s\n", lis.Addr())
 
-	stopCkpt := make(chan struct{})
-	if ckptEvery > 0 {
-		go func() {
-			tick := time.NewTicker(ckptEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopCkpt:
-					return
-				case <-tick.C:
-					if err := st.Checkpoint(); err != nil {
-						fmt.Fprintln(os.Stderr, "checkpoint:", err)
-					}
-				}
+	ckpt := core.NewRunner()
+	if c.ckptEvery > 0 {
+		ckpt.Every(c.ckptEvery, func() {
+			if err := st.Checkpoint(); err != nil {
+				fmt.Fprintln(os.Stderr, "checkpoint:", err)
 			}
-		}()
+		})
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -299,7 +309,7 @@ func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scru
 			return err
 		}
 	}
-	close(stopCkpt)
+	ckpt.Stop()
 	if node != nil {
 		node.Close() // before the store stops: releases semi-sync waiters
 	}
@@ -308,8 +318,8 @@ func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scru
 	if err := st.Close(); err != nil {
 		return fmt.Errorf("clean shutdown: %w", err)
 	}
-	if data != "" {
-		tmp := data + ".tmp"
+	if c.data != "" {
+		tmp := c.data + ".tmp"
 		fh, err := os.Create(tmp)
 		if err != nil {
 			return err
@@ -321,10 +331,10 @@ func run(addr, data string, cores, chunks int, ordered, gc bool, ckptEvery, scru
 		if err := fh.Close(); err != nil {
 			return err
 		}
-		if err := os.Rename(tmp, data); err != nil {
+		if err := os.Rename(tmp, c.data); err != nil {
 			return err
 		}
-		fmt.Printf("image saved to %s\n", data)
+		fmt.Printf("image saved to %s\n", c.data)
 	}
 	return nil
 }

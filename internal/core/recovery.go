@@ -44,7 +44,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	st := &Store{cfg: cfg, arena: arena, super: arena.NewFlusher(), stop: make(chan struct{})}
+	st := &Store{cfg: cfg, arena: arena, super: arena.NewFlusher()}
 	st.repl.f = arena.NewFlusher()
 	if err := st.resetVolatile(); err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,8 +68,7 @@ type Store struct {
 	// front end stops the store from a signal handler while monitoring
 	// goroutines may still be starting or probing it.
 	lifeMu  sync.Mutex
-	stop    chan struct{}
-	stopped sync.WaitGroup
+	run     *Runner // the participants of the current Run
 	running bool
 }
 
@@ -84,7 +82,7 @@ func New(cfg Config) (*Store, error) {
 	if arena == nil {
 		arena = pmem.New(cfg.ArenaChunks * pmem.ChunkSize)
 	}
-	st := &Store{cfg: cfg, arena: arena, super: arena.NewFlusher(), stop: make(chan struct{})}
+	st := &Store{cfg: cfg, arena: arena, super: arena.NewFlusher()}
 	st.repl.f = arena.NewFlusher()
 	st.super.PersistUint64(offMagic, superMagic)
 	st.super.PersistUint64(offFlag, flagDirty)
@@ -261,23 +259,9 @@ func (st *Store) Connect() *Client {
 	return &Client{st: st, c: st.rpc.Connect()}
 }
 
-// Idle backoff for the polling loops. A core that found no work spins
-// idleSpins iterations (yielding the processor each time, so an active
-// peer keeps the latency of a pure polling handoff) and then naps. The
-// nap is what keeps TCP latency sane on hosts with fewer processors than
-// goroutines: a runnable spinning goroutine starves the Go netpoller,
-// which is only consulted when the scheduler runs out of runnable work —
-// with every core busy-yielding, socket readiness is discovered on the
-// ~10ms sysmon tick instead of immediately. Sleeping cores unblock the
-// netpoller, so an incoming frame is picked up within idleNap instead.
-// Under load a core always finds work and never naps.
-const (
-	idleSpins = 128
-	idleNap   = 20 * time.Microsecond
-)
-
-// Run starts the server-core goroutines and, if configured, the per-group
-// cleaners. It returns immediately; Close stops everything. Safe to call
+// Run starts the store's participants on its runner: the server cores
+// and, if configured, the per-group cleaners, the tier compactor and the
+// scrubber. It returns immediately; Stop ends them. Safe to call
 // concurrently with Stop and Stats.
 func (st *Store) Run() {
 	st.lifeMu.Lock()
@@ -286,92 +270,28 @@ func (st *Store) Run() {
 		return
 	}
 	st.running = true
+	st.run = NewRunner()
 	for _, c := range st.cores {
-		st.stopped.Add(1)
-		go func(c *Core) {
-			defer st.stopped.Done()
-			idle := 0
-			for {
-				select {
-				case <-st.stop:
-					return
-				default:
-				}
-				if c.Step() {
-					idle = 0
-					continue
-				}
-				if idle++; idle < idleSpins {
-					runtime.Gosched()
-					continue
-				}
-				// Going idle: fold the PM events of the work just done into
-				// the arena totals, where a metrics scrape reads them
-				// (Snapshot.PM). A core that never idles folds at Stop.
-				if c.f.PendingEvents() != (pmem.Events{}) {
-					c.f.FlushEvents()
-				}
-				time.Sleep(idleNap)
+		// Going idle, a core folds the PM events of the work just done into
+		// the arena totals, where a metrics scrape reads them (Snapshot.PM).
+		// A core that never idles folds at Stop.
+		st.run.Poll(Participant{Step: c.Step, Idle: func() {
+			if c.f.PendingEvents() != (pmem.Events{}) {
+				c.f.FlushEvents()
 			}
-		}(c)
+		}})
 	}
 	if st.cfg.GC.Enabled {
 		for g := range st.groups {
-			st.stopped.Add(1)
-			go func(g int) {
-				defer st.stopped.Done()
-				cl := st.newCleaner(g)
-				idle := 0
-				for {
-					select {
-					case <-st.stop:
-						return
-					default:
-					}
-					if cl.CleanOnce() > 0 {
-						idle = 0
-						continue
-					}
-					if idle++; idle < idleSpins {
-						runtime.Gosched()
-					} else {
-						time.Sleep(idleNap)
-					}
-				}
-			}(g)
+			cl := st.newCleaner(g)
+			st.run.Poll(Participant{Step: func() bool { return cl.CleanOnce() > 0 }})
 		}
 	}
 	if st.tier != nil && st.cfg.GC.Enabled {
-		st.stopped.Add(1)
-		go func() {
-			defer st.stopped.Done()
-			t := time.NewTicker(10 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-st.stop:
-					return
-				case <-t.C:
-					st.TierCompactOnce()
-				}
-			}
-		}()
+		st.run.Every(10*time.Millisecond, func() { st.TierCompactOnce() })
 	}
 	if st.cfg.ScrubEvery > 0 {
-		st.stopped.Add(1)
-		go func() {
-			defer st.stopped.Done()
-			t := time.NewTicker(st.cfg.ScrubEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-st.stop:
-					return
-				case <-t.C:
-					st.ScrubOnce()
-				}
-			}
-		}()
+		st.run.Every(st.cfg.ScrubEvery, func() { st.ScrubOnce() })
 	}
 }
 
@@ -388,8 +308,7 @@ func (st *Store) Stop() {
 	// the shutdown: a core mid-Step cannot reach its stop check while
 	// wedged behind the full ring of a client that stopped polling.
 	st.rpc.SetDraining(true)
-	close(st.stop)
-	st.stopped.Wait()
+	st.run.Stop()
 	st.rpc.SetDraining(false)
 	// The cores are parked: witness everything they appended, so an image
 	// taken from here on reports rot in any batch instead of reading the
@@ -399,7 +318,6 @@ func (st *Store) Stop() {
 		c.f.FlushEvents()
 	}
 	st.running = false
-	st.stop = make(chan struct{})
 }
 
 // Metrics assembles the full observability snapshot: the per-core

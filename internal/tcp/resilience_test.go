@@ -357,3 +357,51 @@ func TestHandshakeCRCIsChecked(t *testing.T) {
 		t.Fatal("client accepted a handshake with a bad checksum")
 	}
 }
+
+// TestWriterDrainsAfterReaderDies pins the writer's stop condition:
+// "reader gone and every accepted request answered", not "reader gone".
+// The engine is stopped while a connection submits puts, the connection
+// dies and its reader returns with every put still queued, and only then
+// does the engine run again. The writer must stay to reap every answer:
+// the in-flight gauge returns to zero and each put's outcome reaches the
+// session's dedup table, so a replay on a new connection is answered from
+// it.
+func TestWriterDrainsAfterReaderDies(t *testing.T) {
+	st, srv, addr := startServerOpts(t, core.Config{Cores: 2, Mode: batch.ModePipelinedHB}, ServerOptions{})
+	const session, n = 0xD2A1, 8
+	route := func(key uint64) uint32 { return uint32(core.RouteKey(key, st.Cores())) }
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	st.Stop()
+	c1 := dialRaw(t, addr, session)
+	for id := uint64(1); id <= n; id++ {
+		c1.send(request{op: opPut, core: route(id), id: id, key: id, value: []byte("v")})
+	}
+	waitFor("every put accepted", func() bool { return srv.Stats().InFlight == n })
+	c1.c.Close()
+	waitFor("the reader to return", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns) == 0
+	})
+	st.Run()
+	waitFor("every put answered", func() bool { return srv.Stats().InFlight == 0 })
+
+	c2 := dialRaw(t, addr, session)
+	for id := uint64(1); id <= n; id++ {
+		c2.send(request{op: opPut, core: route(id), id: id, key: id, value: []byte("v")})
+		if rs := c2.recv(); rs.id != id || rs.status != statusOK {
+			t.Fatalf("replayed put %d: %+v", id, rs)
+		}
+	}
+	if hits := srv.Stats().DedupHits; hits != n {
+		t.Fatalf("%d of %d replays answered from the dedup table", hits, n)
+	}
+}

@@ -17,14 +17,7 @@ import (
 	"flatstore/internal/rpc"
 )
 
-// Writer idle backoff, mirroring the engine cores' (see core/store.go):
-// spin briefly with Gosched for latency, then nap so the runtime can
-// actually block on the netpoller instead of discovering socket
-// readiness on the ~10ms sysmon tick.
 const (
-	writerIdleSpins = 128
-	writerIdleNap   = 20 * time.Microsecond
-
 	// writerMaxDrain bounds how many responses one write cycle encodes
 	// before it must flush, so response coalescing cannot add unbounded
 	// latency under sustained load.
@@ -146,11 +139,12 @@ type Server struct {
 	respWritten     atomic.Uint64
 	inflightPeak    atomic.Int64
 
-	mu     sync.Mutex
-	lis    net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	lis     net.Listener
+	conns   map[net.Conn]struct{}
+	closed  bool
+	wg      sync.WaitGroup // connection handlers (the readers)
+	writers *core.Runner   // connection writers, which outlive their readers
 }
 
 // NewServer creates a TCP front end for a store (which must be Run) with
@@ -163,11 +157,12 @@ func NewServer(st *core.Store) *Server {
 func NewServerOptions(st *core.Store, o ServerOptions) *Server {
 	o = o.withDefaults()
 	return &Server{
-		st:    st,
-		opts:  o,
-		id:    mintServerID(),
-		dedup: newDedupTable(o.MaxSessions, o.DedupWindow),
-		conns: map[net.Conn]struct{}{},
+		st:      st,
+		opts:    o,
+		id:      mintServerID(),
+		dedup:   newDedupTable(o.MaxSessions, o.DedupWindow),
+		conns:   map[net.Conn]struct{}{},
+		writers: core.NewRunner(),
 	}
 }
 
@@ -311,7 +306,7 @@ func (s *Server) Serve(lis net.Listener) error {
 }
 
 // Close stops accepting, closes every connection, and waits for the
-// handlers to drain.
+// handlers to return and the writers to drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -324,6 +319,7 @@ func (s *Server) Close() error {
 		lis.Close()
 	}
 	s.wg.Wait()
+	s.writers.Stop()
 	return nil
 }
 
@@ -362,7 +358,8 @@ func (l *localQueue) empty() bool {
 }
 
 // handle runs one connection: a reader loop feeding the in-process RPC
-// client, and a writer loop draining its completions back to the socket.
+// client, and a writer participant draining its completions back to the
+// socket.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -403,7 +400,7 @@ func (s *Server) handle(conn net.Conn) {
 	sess := s.dedup.session(session)
 
 	cl := s.st.Connect().Raw()
-	done := make(chan struct{})
+	var readerGone atomic.Bool
 	var outstanding atomic.Int64 // unanswered engine requests on this conn
 	var lq localQueue            // reader-generated responses (shed/dedup)
 
@@ -416,122 +413,108 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 
-	// Writer: poll the in-process client and push frames out. It must
-	// keep polling until every outstanding request has completed, even
-	// after the socket dies — otherwise the engine's agent core would
-	// spin forever trying to deliver into a full response ring. Once
-	// drained it detaches the RPC client, so the connection's message
+	// Writer: a participant that polls the in-process client and pushes
+	// frames out. It stops once the reader is gone and every accepted
+	// request is answered: polling on after the socket dies keeps the
+	// engine's agent core from spinning forever on a full response ring.
+	// Then it detaches the RPC client, so the connection's message
 	// buffers stop costing every server core a poll probe.
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cl.Close()
-		discard := false
-		fail := func() {
-			discard = true
-			conn.Close() // unblock the reader too: the conn is dead
-		}
-		// Per-connection reuse: responses poll into respBuf, localQueue
-		// alternates between two buffers via take(spare), and every frame
-		// is encoded into the enc scratch (writeFrame copies it into the
-		// bufio.Writer, so it is reusable immediately).
-		var (
-			respBuf  []rpc.Response
-			locSpare []response
-			enc      []byte
-			idle     int
-		)
+	//
+	// Per-connection reuse: responses poll into respBuf, localQueue
+	// alternates between two buffers via take(spare), and every frame is
+	// encoded into the enc scratch (writeFrame copies it into the
+	// bufio.Writer, so it is reusable immediately).
+	var (
+		respBuf  []rpc.Response
+		locSpare []response
+		enc      []byte
+		discard  bool
+	)
+	fail := func() {
+		discard = true
+		conn.Close() // unblock the reader too: the conn is dead
+	}
+	write := func() bool {
+		loc := lq.take(locSpare)
+		wrote := 0
+		armed := false
+		// Drain every completion that is already ready before the single
+		// Flush below (bounded, so one cycle cannot starve the socket
+		// forever): completions landing while earlier ones are being
+		// encoded ride the same flush, which is what amortizes the syscall
+		// across a pipelined window.
 		for {
-			loc := lq.take(locSpare)
-			wrote := 0
-			armed := false
-			// Drain every completion that is already ready before the
-			// single Flush below (bounded, so one cycle cannot starve
-			// the socket forever): completions landing while earlier
-			// ones are being encoded ride the same flush, which is what
-			// amortizes the syscall across a pipelined window.
-			for {
-				rs := cl.PollInto(respBuf[:0], 64)
-				respBuf = rs
-				if len(rs) == 0 {
-					break
-				}
-				if !armed {
-					armWrite()
-					armed = true
-				}
-				for i := range rs {
-					r := &rs[i]
-					outstanding.Add(-1)
-					s.inflight.Add(-1)
-					// Record write outcomes even when the socket is gone:
-					// the client will replay on a new connection and must
-					// be answered from the table, not re-applied.
-					sess.complete(r.ID, r.Status)
-					if !discard {
-						enc = appendEngineResponse(enc[:0], r)
-						if err := writeFrame(bw, enc); err != nil {
-							fail()
-						}
-					}
-					// The engine materializes every response value (Get value,
-					// scan pair values) as a fresh bufpool copy owned by this
-					// poller; once encoded (or discarded) they are dead.
-					bufpool.Put(r.Value)
-					for j := range r.Pairs {
-						bufpool.Put(r.Pairs[j].Value)
-					}
-					*r = rpc.Response{}
-				}
-				wrote += len(rs)
-				if len(rs) < 64 || wrote >= writerMaxDrain {
-					break
-				}
+			rs := cl.PollInto(respBuf[:0], 64)
+			respBuf = rs
+			if len(rs) == 0 {
+				break
 			}
-			if len(loc) == 0 && wrote == 0 {
-				select {
-				case <-done:
-					if outstanding.Load() == 0 && lq.empty() {
-						return
-					}
-				default:
-				}
-				if idle++; idle < writerIdleSpins {
-					runtime.Gosched()
-				} else {
-					time.Sleep(writerIdleNap)
-				}
-				// Recycle even the empty take: locSpare must always be
-				// the buffer that is NOT installed in lq, or the next
-				// take would hand back the very slice the reader is
-				// appending into.
-				locSpare = loc
-				continue
-			}
-			idle = 0
 			if !armed {
 				armWrite()
+				armed = true
 			}
-			for i := range loc {
+			for i := range rs {
+				r := &rs[i]
+				outstanding.Add(-1)
+				s.inflight.Add(-1)
+				// Record write outcomes even when the socket is gone: the
+				// client will replay on a new connection and must be
+				// answered from the table, not re-applied.
+				sess.complete(r.ID, r.Status)
 				if !discard {
-					enc = appendResponse(enc[:0], loc[i])
+					enc = appendEngineResponse(enc[:0], r)
 					if err := writeFrame(bw, enc); err != nil {
 						fail()
 					}
 				}
-				loc[i] = response{}
-			}
-			locSpare = loc
-			if !discard {
-				if err := bw.Flush(); err != nil {
-					fail()
+				// The engine materializes every response value (Get value,
+				// scan pair values) as a fresh bufpool copy owned by this
+				// poller; once encoded (or discarded) they are dead.
+				bufpool.Put(r.Value)
+				for j := range r.Pairs {
+					bufpool.Put(r.Pairs[j].Value)
 				}
-				s.respFlushes.Add(1)
-				s.respWritten.Add(uint64(wrote + len(loc)))
+				*r = rpc.Response{}
+			}
+			wrote += len(rs)
+			if len(rs) < 64 || wrote >= writerMaxDrain {
+				break
 			}
 		}
-	}()
-	defer close(done)
+		// Recycle even an empty take: locSpare must always be the buffer
+		// that is NOT installed in lq, or the next take would hand back
+		// the very slice the reader is appending into.
+		locSpare = loc
+		if len(loc) == 0 && wrote == 0 {
+			return false
+		}
+		if !armed {
+			armWrite()
+		}
+		for i := range loc {
+			if !discard {
+				enc = appendResponse(enc[:0], loc[i])
+				if err := writeFrame(bw, enc); err != nil {
+					fail()
+				}
+			}
+			loc[i] = response{}
+		}
+		if !discard {
+			if err := bw.Flush(); err != nil {
+				fail()
+			}
+			s.respFlushes.Add(1)
+			s.respWritten.Add(uint64(wrote + len(loc)))
+		}
+		return true
+	}
+	s.writers.Poll(core.Participant{
+		Step: write,
+		Stop: func() bool { return readerGone.Load() && outstanding.Load() == 0 && lq.empty() },
+		Exit: cl.Close,
+	})
+	defer readerGone.Store(true)
 
 	// prep applies the reader-side duties for one decoded request —
 	// server-local ops, write-replay dedup, overload shedding — and
