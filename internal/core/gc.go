@@ -31,13 +31,13 @@ type Cleaner struct {
 	demoted   uint64 // live entries moved to the cold tier
 
 	// Scratch, kept across passes. The picker runs on every idle poll of
-	// the cleaner loop (≈20 k/s) and must allocate nothing; a pass touches
-	// tens of thousands of entries and must not allocate per entry.
+	// the cleaner loop (≈20 k/s) and must allocate nothing; a pass scans
+	// up to a million entries and keeps only the live ones, at most one
+	// survivor's worth, and allocates nothing per entry.
 	tails      []int64        // tail chunk of each group core's log
 	cands      []candidate    // the picker's candidates; a pass's victims are a prefix
-	entries    []scanned      // every victim's entries, victim after victim
+	entries    []scanned      // every victim's live entries, victim after victim
 	live       []*oplog.Entry // the survivor's entries; they point into entries
-	liveIdx    []int          // live[i] is entries[liveIdx[i]].e
 	demoteIdx  []int
 	demoteRecs []tier.Rec
 }
@@ -76,7 +76,7 @@ type candidate struct {
 	owner int   // core whose log holds it
 	total int64 // entry bytes ever appended
 	live  int64 // of those, bytes a recovery still needs
-	// entries[lo:hi] are the chunk's entries (set by the pass).
+	// entries[lo:hi] are the chunk's live entries (set by the pass).
 	lo, hi int
 }
 
@@ -146,9 +146,9 @@ func (cl *Cleaner) pickVictims() (victims []candidate, demote bool) {
 	return cands[:passSize(cands, int64((1-st.cfg.GC.DeadRatio)*oplog.SurvivorCapacity), lowSpace)], false
 }
 
-// maxPassBytes bounds the entry bytes one pass scans, and with them the
-// cleaner's scratch: four full chunks, what it takes to fill a survivor
-// from victims a quarter live.
+// maxPassBytes bounds the entry bytes one pass scans: four full chunks,
+// what it takes to fill a survivor from victims a quarter live. The
+// cleaner's scratch keeps only live entries, so one survivor bounds it.
 const maxPassBytes = 4 * oplog.SurvivorCapacity
 
 // passSize decides how many of cands — sorted emptiest first — one pass
@@ -184,14 +184,13 @@ func passSize(cands []candidate, stay int64, lowSpace bool) int {
 	return dead
 }
 
-// scanned is one victim entry with its verdict. A live Put may
-// additionally be demoted: its value moved to the cold tier, the index
-// repointed at the segment, and the PM entry (plus its out-of-place
-// record) reclaimed with the victim instead of being relocated.
+// scanned is one live victim entry. A live Put may additionally be
+// demoted: its value moved to the cold tier, the index repointed at the
+// segment, and the PM entry (plus its out-of-place record) reclaimed with
+// the victim instead of being relocated.
 type scanned struct {
 	off     int64
 	e       oplog.Entry
-	live    bool
 	demote  bool // a cold copy was written; the entry is not relocated
 	demoted bool // ... and the index now names the cold copy
 }
@@ -219,30 +218,52 @@ func (cl *Cleaner) CleanOnce() int {
 	// GC counters, so progress is published via atomic adds at the exit.
 	c0, r0, d0 := cl.cleaned, cl.relocated, cl.dropped
 
-	// 1. Scan the victims and classify every entry under the owning
-	// core's index lock (read-only: registry effects apply in step 5).
-	// The table's live bytes can lag the truth by an entry or two, so the
-	// pass is cut where the classified live bytes stop fitting a chunk.
+	// 1. Scan the victims, classify each entry under the owning core's
+	// index lock as the scan delivers it (read-only: registry effects apply
+	// in step 5) and keep only the live ones, so the scratch holds at most
+	// one survivor's worth. The table's live bytes can lag the truth by an
+	// entry or two, so the pass is cut where the classified live bytes stop
+	// fitting a chunk.
 	entries := cl.entries[:0]
 	var liveBytes int64
-	nv := 0
+	nv, scannedN := 0, 0
 	for _, v := range victims {
 		v.lo = len(entries)
+		n, bytes := 0, int64(0)
 		err := oplog.ScanChunk(st.arena, v.chunk, st.cores[v.owner].log.Tail(), func(off int64, e oplog.Entry) bool {
-			entries = append(entries, scanned{off: off, e: e})
-			return true
+			n++
+			oc := st.cores[st.CoreOf(e.Key)]
+			oc.idxMu.Lock()
+			var live bool
+			switch e.Op {
+			case oplog.OpPut:
+				ref, _, ok := oc.idx.Get(e.Key)
+				live = ok && ref == off
+			case oplog.OpDelete:
+				// A tombstone stays live while it guards something. Its
+				// stale Puts may sit in another victim of this very pass:
+				// it is still relocated then, and dies one pass later.
+				m := oc.reg[e.Key]
+				live = m != nil && m.deleted && m.lastVer == e.Version && st.guarded(e.Key, m)
+			}
+			oc.idxMu.Unlock()
+			if live {
+				entries = append(entries, scanned{off: off, e: e})
+				bytes += int64(e.EncodedSize())
+			}
+			return liveBytes+bytes <= oplog.SurvivorCapacity
 		})
 		if err != nil {
 			entries = entries[:v.lo] // unreadable: the scrubber's business
 			continue
 		}
-		v.hi = len(entries)
-		bytes := cl.classify(entries[v.lo:])
 		if liveBytes+bytes > oplog.SurvivorCapacity {
 			entries = entries[:v.lo]
 			break
 		}
+		v.hi = len(entries)
 		liveBytes += bytes
+		scannedN += n
 		victims[nv] = v
 		nv++
 	}
@@ -264,7 +285,7 @@ func (cl *Cleaner) CleanOnce() int {
 	if demote {
 		for i := range entries {
 			s := &entries[i]
-			if !s.live || s.e.Op != oplog.OpPut {
+			if s.e.Op != oplog.OpPut {
 				continue
 			}
 			v, err := st.EntryValue(&s.e)
@@ -293,16 +314,15 @@ func (cl *Cleaner) CleanOnce() int {
 
 	// 2b. Copy the remaining live entries of every victim into one
 	// survivor chunk, linked into the first victim's log, and persist it.
-	live, liveIdx := cl.live[:0], cl.liveIdx[:0]
+	live := cl.live[:0]
 	var survBytes int
 	for i := range entries {
-		if s := &entries[i]; s.live && !s.demote {
+		if s := &entries[i]; !s.demote {
 			live = append(live, &s.e)
-			liveIdx = append(liveIdx, i)
 			survBytes += s.e.EncodedSize()
 		}
 	}
-	cl.live, cl.liveIdx = live, liveIdx
+	cl.live = live
 	if len(live) > 0 {
 		log := st.cores[victims[0].owner].log
 		surv, offs, err := log.WriteSurvivorChunk(cl.f, live)
@@ -325,8 +345,12 @@ func (cl *Cleaner) CleanOnce() int {
 		// first: a write that supersedes a repointed key marks it dead in
 		// the survivor at once.
 		st.usage.account(surv, victims[0].owner, survBytes)
-		for i, idx := range liveIdx {
+		i := 0
+		for idx := range entries {
 			s := &entries[idx]
+			if s.demote {
+				continue
+			}
 			oc := st.cores[st.CoreOf(s.e.Key)]
 			oc.idxMu.Lock()
 			moved := false
@@ -339,6 +363,7 @@ func (cl *Cleaner) CleanOnce() int {
 			if !moved {
 				st.usage.markDead(surv, s.e.EncodedSize())
 			}
+			i++
 		}
 		cl.relocated += uint64(len(live))
 	}
@@ -359,8 +384,8 @@ func (cl *Cleaner) CleanOnce() int {
 		if oc.idx.CompareAndSwapRef(s.e.Key, s.off, tref) {
 			s.demoted = true
 			// The victim's PM entry is now stale (no longer the index
-			// target); the guard count is released in applyDropped
-			// once the victim is unlinked, exactly like any stale Put.
+			// target); the guard count is released in step 5 once
+			// the victim is unlinked, exactly like any stale Put.
 			m := oc.reg[s.e.Key]
 			if m == nil {
 				m = &keyMeta{lastVer: s.e.Version}
@@ -374,8 +399,7 @@ func (cl *Cleaner) CleanOnce() int {
 				st.al.FreeRemote(s.e.Ptr, record.Size(len(demoteRecs[j].Val)), cl.f)
 			}
 		} else {
-			st.tier.MarkDead(tref)
-			s.live = false
+			st.tier.MarkDead(tref) // the entry drops as a stale Put
 		}
 		oc.idxMu.Unlock()
 	}
@@ -384,7 +408,10 @@ func (cl *Cleaner) CleanOnce() int {
 	// registry effects of its dropped entries — only now have they left
 	// the log for good — and free it. A crash between two victims leaves
 	// the later ones in their chains beside the survivor: equal-version
-	// copies of one write, which replay resolves to either.
+	// copies of one write, which replay resolves to either. The dropped
+	// entries are the ones step 1 did not keep, plus the demoted: a second
+	// walk over the victim, whose bytes stay intact until it is freed,
+	// meets them in the offset order the kept ones are in.
 	for i := range victims {
 		v := &victims[i]
 		if err := st.cores[v.owner].log.Unlink(cl.f, v.chunk); err != nil {
@@ -392,7 +419,31 @@ func (cl *Cleaner) CleanOnce() int {
 			// their stale Puts with them, so the guard counts still hold).
 			break
 		}
-		cl.applyDropped(entries[v.lo:v.hi])
+		// The bytes passed step 1's scan unchanged, so the walk cannot
+		// fail; one cut short would leave guard counts high, which only
+		// keeps tombstones longer.
+		kept, demoted := entries[v.lo:v.hi], 0
+		_ = oplog.ScanChunk(st.arena, v.chunk, st.cores[v.owner].log.Tail(), func(off int64, e oplog.Entry) bool {
+			if len(kept) > 0 && kept[0].off == off {
+				k := &kept[0]
+				kept = kept[1:]
+				if !k.demote {
+					return true // relocated: the survivor holds it now
+				}
+				if k.demoted {
+					demoted++
+					cl.drop(off, &e)
+					return true
+				}
+			}
+			cl.dropped++
+			cl.drop(off, &e)
+			return true
+		})
+		if demoted > 0 {
+			cl.demoted += uint64(demoted)
+			st.tier.NoteDemoted(demoted)
+		}
 		// The slot goes before the chunk: once the chunk is in the pool
 		// its next owner may account into it.
 		st.usage.drop(v.chunk)
@@ -413,89 +464,41 @@ func (cl *Cleaner) CleanOnce() int {
 		cl.passes++
 	}
 	st.obs.NoteGC(cl.cleaned-c0, cl.relocated-r0, cl.dropped-d0)
-	return len(entries)
+	return scannedN
 }
 
-// classify sets the verdict of one victim's entries and returns the bytes
-// of the live ones.
-func (cl *Cleaner) classify(entries []scanned) (liveBytes int64) {
+// drop applies the registry effects of an entry that left the log with its
+// victim: a stale Put decrements the tombstone-guard count, and a fully
+// superseded tombstone releases its registry slot. A demoted Put is a stale
+// Put whose current copy lives in the cold tier — it releases the guard
+// count taken at the demote CAS. Conditions are rechecked under the lock —
+// the request path may have moved a key on since classification.
+func (cl *Cleaner) drop(off int64, e *oplog.Entry) {
 	st := cl.st
-	for i := range entries {
-		s := &entries[i]
-		oc := st.cores[st.CoreOf(s.e.Key)]
-		oc.idxMu.Lock()
-		switch s.e.Op {
-		case oplog.OpPut:
-			ref, _, ok := oc.idx.Get(s.e.Key)
-			s.live = ok && ref == s.off
-		case oplog.OpDelete:
-			// A tombstone stays live while it guards something. Its stale
-			// Puts may sit in another victim of this very pass: it is
-			// still relocated then, and dies one pass later.
-			m := oc.reg[s.e.Key]
-			s.live = m != nil && m.deleted && m.lastVer == s.e.Version && st.guarded(s.e.Key, m)
-		}
-		oc.idxMu.Unlock()
-		if s.live {
-			liveBytes += int64(s.e.EncodedSize())
-		}
-	}
-	return liveBytes
-}
-
-// applyDropped applies the registry effects of the entries that left the
-// log: a stale Put decrements the tombstone-guard count, and a fully
-// superseded tombstone releases its registry slot. A demoted Put is a
-// stale Put whose current copy lives in the cold tier — it releases the
-// guard count taken at the demote CAS. Conditions are rechecked under
-// the lock — the request path may have moved a key on since
-// classification.
-func (cl *Cleaner) applyDropped(entries []scanned) {
-	st := cl.st
-	for i := range entries {
-		s := &entries[i]
-		if s.live && !s.demoted {
-			continue
-		}
-		if s.demoted {
-			cl.demoted++
+	oc := st.cores[st.CoreOf(e.Key)]
+	oc.idxMu.Lock()
+	m := oc.reg[e.Key]
+	switch {
+	case m == nil:
+	case e.Op == oplog.OpPut:
+		m.stale--
+		if m.stale <= 0 && !m.deleted {
+			delete(oc.reg, e.Key)
 		} else {
-			cl.dropped++
+			// The last stale Put of a deleted key: its tombstone,
+			// wherever it sits, has nothing left to guard.
+			st.settleTombstone(e.Key, m)
 		}
-		oc := st.cores[st.CoreOf(s.e.Key)]
-		oc.idxMu.Lock()
-		m := oc.reg[s.e.Key]
-		switch {
-		case m == nil:
-		case s.e.Op == oplog.OpPut:
-			m.stale--
-			if m.stale <= 0 && !m.deleted {
-				delete(oc.reg, s.e.Key)
-			} else {
-				// The last stale Put of a deleted key: its tombstone,
-				// wherever it sits, has nothing left to guard.
-				st.settleTombstone(s.e.Key, m)
-			}
-		case s.e.Op == oplog.OpDelete:
-			if m.tombOff == s.off {
-				m.tombOff = 0 // it left the log with the victim
-			}
-			// The guard is rechecked, the tier's too: releasing the slot
-			// while a segment bloom still admits the key would let
-			// recovery resurrect an older cold record.
-			if m.deleted && m.lastVer == s.e.Version && !st.guarded(s.e.Key, m) {
-				delete(oc.reg, s.e.Key)
-			}
+	case e.Op == oplog.OpDelete:
+		if m.tombOff == off {
+			m.tombOff = 0 // it left the log with the victim
 		}
-		oc.idxMu.Unlock()
-	}
-	n := 0
-	for i := range entries {
-		if entries[i].demoted {
-			n++
+		// The guard is rechecked, the tier's too: releasing the slot
+		// while a segment bloom still admits the key would let recovery
+		// resurrect an older cold record.
+		if m.deleted && m.lastVer == e.Version && !st.guarded(e.Key, m) {
+			delete(oc.reg, e.Key)
 		}
 	}
-	if n > 0 {
-		st.tier.NoteDemoted(n)
-	}
+	oc.idxMu.Unlock()
 }

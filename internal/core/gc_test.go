@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -389,6 +390,58 @@ func TestCleanerAllocations(t *testing.T) {
 	})
 	if idle != 0 {
 		t.Errorf("an idle CleanOnce allocated %.0f objects", idle)
+	}
+}
+
+// TestCleanerMemoryFollowsRelocated pins what a pass holds: the entries it
+// relocates, not the entries it scans. Four closed chunks about 94 % dead
+// make one pass that scans some 78 000 entries and relocates a sixteenth of
+// them; the fresh cleaner's first pass grows its scratch from nothing, and
+// what it allocates stays within twice the relocated entries' bytes plus a
+// constant. A pass that decoded every scanned entry into its scratch
+// allocated more than ten times that.
+func TestCleanerMemoryFollowsRelocated(t *testing.T) {
+	cfg := core.Config{Cores: 1, Mode: batch.ModePipelinedHB, ArenaChunks: 16,
+		GC: core.GCConfig{DeadRatio: 0.5}}
+	st, cl := newRunning(t, cfg)
+	// One never-overwritten key in every sixteen puts; the rest overwrite
+	// a hot set whose last copies sit in the tail chunk.
+	val := make([]byte, 200)
+	reqs := make([]rpc.Request, 256)
+	unique := uint64(1 << 32)
+	for len(st.Core(0).Log().Chunks()) < 5 {
+		for i := range reqs {
+			key := uint64(i)
+			if i%16 == 0 {
+				key, unique = unique, unique+1
+			}
+			reqs[i] = rpc.Request{Op: rpc.OpPut, Key: key, Value: val}
+		}
+		for _, r := range cl.Batch(reqs) {
+			if r.Status != rpc.StatusOK {
+				t.Fatal("fill put refused")
+			}
+		}
+	}
+	st.Stop()
+
+	cleaner := st.NewCleaner(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scanned := cleaner.CleanOnce()
+	runtime.ReadMemStats(&after)
+	s := cleaner.Stats()
+	if s.Passes != 1 || s.Cleaned != 4 || uint64(scanned) != s.Relocated+s.Dropped {
+		t.Fatalf("one pass over four closed chunks: %+v, %d entries scanned", s, scanned)
+	}
+	if s.Relocated*10 > uint64(scanned) {
+		t.Fatalf("the victims were %d of %d entries live, want at most 10 %%", s.Relocated, scanned)
+	}
+	entry := oplog.Entry{Op: oplog.OpPut, Inline: true, Value: val}
+	relocatedBytes := s.Relocated * uint64(entry.EncodedSize())
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*relocatedBytes+256<<10 {
+		t.Errorf("a pass that scanned %d entries and relocated %d (%d B) allocated %d B",
+			scanned, s.Relocated, relocatedBytes, grew)
 	}
 }
 

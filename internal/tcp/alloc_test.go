@@ -50,6 +50,18 @@ func TestAllocBudgetResponseCodec(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("decodeResponse: %v allocs/op, want 0", n)
 	}
+	pairs := make([]pair, 16)
+	for i := range pairs {
+		pairs[i] = pair{key: uint64(i), value: r.Value}
+	}
+	scan := encodeResponse(response{id: 7, pairs: pairs})
+	if n := testing.AllocsPerRun(500, func() {
+		if _, err := decodeResponse(scan); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("decodeResponse of a 16-pair scan answer: %v allocs/op, want 1", n)
+	}
 }
 
 func TestAllocBudgetFrameIO(t *testing.T) {

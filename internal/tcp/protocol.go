@@ -400,8 +400,13 @@ func decodeResponse(b []byte) (response, error) {
 	}
 	npairs := int(binary.LittleEndian.Uint32(b[pos:]))
 	pos += 4
-	if npairs > maxFrame/12 {
+	// Every pair takes at least 12 bytes, so a count the bytes left cannot
+	// hold is a lie, refused before it sizes anything.
+	if npairs > (len(b)-pos)/12 {
 		return response{}, bad
+	}
+	if npairs > 0 {
+		rs.pairs = make([]pair, 0, npairs)
 	}
 	for i := 0; i < npairs; i++ {
 		if pos+12 > len(b) {

@@ -74,20 +74,18 @@ func recordSize(vlen int) int { return recHeaderSize + pad8(vlen) }
 // appendRecord encodes one record at the end of b and returns the
 // record's offset and the extended buffer.
 func appendRecord(b []byte, key uint64, ver uint32, val []byte) (uint32, []byte) {
-	off := uint32(len(b))
-	var h [recHeaderSize]byte
-	binary.LittleEndian.PutUint64(h[0:], key)
-	binary.LittleEndian.PutUint32(h[8:], ver)
-	binary.LittleEndian.PutUint32(h[12:], uint32(len(val)))
-	crc := crc32.Update(0, castagnoli, h[0:16])
+	off := len(b)
+	b = binary.LittleEndian.AppendUint64(b, key)
+	b = binary.LittleEndian.AppendUint32(b, ver)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(val)))
+	crc := crc32.Update(0, castagnoli, b[off:])
 	crc = crc32.Update(crc, castagnoli, val)
-	binary.LittleEndian.PutUint32(h[16:], crc)
-	b = append(b, h[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(crc)) // crc 4 | pad 4
 	b = append(b, val...)
 	for i := len(val); i < pad8(len(val)); i++ {
 		b = append(b, 0)
 	}
-	return off, b
+	return uint32(off), b
 }
 
 // verifyRecord decodes and checksums the record at buf[0:], which must
@@ -173,11 +171,11 @@ func buildSegment(id uint32, recs []Rec) ([]byte, []TableRec, []uint64) {
 	for i := range recs {
 		size += recordSize(len(recs[i].Val))
 	}
-	b := make([]byte, segHeaderSize, size+len(recs)*tableRecSize+trailerSize+64)
-	binary.LittleEndian.PutUint64(b[0:], segMagic)
-	binary.LittleEndian.PutUint64(b[8:], uint64(id))
 	table := make([]TableRec, len(recs))
 	bloom := make([]uint64, bloomWordsFor(len(recs)))
+	b := make([]byte, segHeaderSize, size+len(recs)*tableRecSize+len(bloom)*8+trailerSize)
+	binary.LittleEndian.PutUint64(b[0:], segMagic)
+	binary.LittleEndian.PutUint64(b[8:], uint64(id))
 	for i := range recs {
 		var off uint32
 		off, b = appendRecord(b, recs[i].Key, recs[i].Ver, recs[i].Val)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"flatstore/internal/index"
@@ -372,5 +373,33 @@ func TestBloomFalseNegativeFreeHistories(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// TestBuildSegmentCopiesOnce pins what a segment build allocates: its
+// image, table and bloom filter, each once, so the image is sized for
+// everything appended to it and never regrown. A buffer sized without the
+// bloom words reallocated and copied the whole image on every segment of
+// more than 51 records, and a record header that escaped cost one
+// allocation per record. Bytes, not objects, are counted: a race build
+// adds small objects of its own.
+func TestBuildSegmentCopiesOnce(t *testing.T) {
+	recs := make([]Rec, 10_000)
+	val := make([]byte, 100)
+	for i := range recs {
+		recs[i] = Rec{Key: uint64(i), Ver: 1, Val: val}
+	}
+	img, table, bloom := buildSegment(1, recs)
+	want := uint64(cap(img) + len(table)*tableRecSize + len(bloom)*8)
+	const builds = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range builds {
+		img, _, _ = buildSegment(1, recs)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / builds; got > want+64<<10 || len(img) != cap(img) {
+		t.Fatalf("a %d-record build allocated %d B for %d B of buffers; image %d B of %d B capacity",
+			len(recs), got, want, len(img), cap(img))
 	}
 }
