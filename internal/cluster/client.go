@@ -73,9 +73,11 @@ type Client struct {
 	reroutes, mapSwaps       atomic.Uint64
 	inflight                 atomic.Int64
 
-	// Pipelined-submission completion set (see routed.go).
+	// Pipelined-submission completion set (see routed.go), and the slice
+	// the last Poll returned.
 	compMu sync.Mutex
 	comp   map[*Ticket]struct{}
+	polled []*Ticket
 }
 
 // Dial builds a cluster client over a ParseSpec cluster spec

@@ -103,14 +103,17 @@ func (t *Ticket) Wait(ctx context.Context) error {
 // Poll reaps up to max completed tickets (max <= 0: every one that is
 // ready) without blocking; like the tcp client's, a Poll that finds
 // nothing yields the processor once, so a polling loop does not starve
-// what it waits on.
+// what it waits on. Like the tcp client's too, the result is the client's
+// one reap slice, valid until the next Poll: one goroutine at a time
+// reaps with Poll.
 func (c *Client) Poll(max int) []*Ticket {
 	c.compMu.Lock()
 	n := len(c.comp)
 	if max > 0 && max < n {
 		n = max
 	}
-	out := make([]*Ticket, 0, n)
+	prev := len(c.polled)
+	out := c.polled[:0]
 	for t := range c.comp {
 		if len(out) == n {
 			break
@@ -118,6 +121,10 @@ func (c *Client) Poll(max int) []*Ticket {
 		t.reap()
 		out = append(out, t)
 	}
+	if len(out) < prev {
+		clear(c.polled[len(out):prev]) // the earlier Poll's tickets are the caller's
+	}
+	c.polled = out
 	c.compMu.Unlock()
 	if len(out) == 0 {
 		runtime.Gosched()

@@ -43,7 +43,7 @@ func (c *Core) lastVersion(key uint64) (ver uint32, present bool) {
 		return v, true
 	}
 	ver, present = c.quar[key]
-	if m := c.reg[key]; m != nil && m.lastVer > ver {
+	if m := c.reg[key]; m.lastVer > ver {
 		ver = m.lastVer
 	}
 	return ver, present
@@ -93,7 +93,7 @@ func (c *Core) supersede(f *pmem.Flusher, key uint64, off int64, ver uint32, del
 	var old located
 	if stalePM {
 		st.reclaimMu.RLock()
-		old = st.deref(key, oldRef)
+		old = st.deref(key, oldRef, nil)
 		st.reclaimMu.RUnlock()
 	}
 	if del {
@@ -101,12 +101,7 @@ func (c *Core) supersede(f *pmem.Flusher, key uint64, off int64, ver uint32, del
 	} else {
 		c.idx.Put(key, off, ver)
 	}
-	m := c.reg[key]
-	if m == nil && (del || stalePM) {
-		m = &keyMeta{}
-		c.reg[key] = m
-	}
-	if m != nil {
+	if m, ok := c.reg[key]; ok || del || stalePM {
 		if stalePM {
 			m.stale++
 		}
@@ -118,8 +113,9 @@ func (c *Core) supersede(f *pmem.Flusher, key uint64, off int64, ver uint32, del
 		m.lastVer, m.deleted = ver, del
 		if del {
 			m.tombOff = off
-			st.settleTombstone(key, m)
+			st.settleTombstone(key, &m)
 		}
+		c.reg[key] = m
 	}
 	_, cleared := c.quar[key]
 	if cleared {
@@ -179,7 +175,8 @@ type located struct {
 	// size is what the entry occupies in its log chunk (0 for a cold one).
 	size int
 	// val is the value: a view of the arena for a PM reference, stable
-	// while the caller holds reclaimMu.R; a fresh copy for a cold one.
+	// while the caller holds reclaimMu.R; for a cold one, a view of the
+	// buffer deref read the record into.
 	val []byte
 }
 
@@ -189,8 +186,9 @@ type located struct {
 // recovery, alone with the arena). The stored key is cross-checked on both
 // tiers, and the segment's bloom is asked before a cold read, so a stale
 // cold reference (segment compacted away underneath a scan) costs no disk
-// read.
-func (st *Store) deref(key uint64, ref int64) located {
+// read. A cold record is read into *buf (tier.Store.GetInto); nil reads
+// it into a fresh buffer.
+func (st *Store) deref(key uint64, ref int64, buf *[]byte) located {
 	if index.Cold(ref) {
 		t := st.tier
 		if t == nil {
@@ -200,7 +198,7 @@ func (st *Store) deref(key uint64, ref int64) located {
 		if !t.SegmentMayContain(ref, key) {
 			return located{state: refGone}
 		}
-		k, ver, v, err := t.Get(ref)
+		k, ver, v, err := t.GetInto(ref, buf)
 		if err != nil || k != key {
 			return located{state: refRotted}
 		}
@@ -240,10 +238,6 @@ func (st *Store) deref(key uint64, ref int64) located {
 // tombstone guard relies on. Called by one goroutine per owning core.
 func (c *Core) replay(r keyRef, seeded bool) {
 	m := c.reg[r.key]
-	if m == nil {
-		m = &keyMeta{}
-		c.reg[r.key] = m
-	}
 	cold := index.Cold(r.ref)
 	if !r.del && !cold {
 		m.stale++
@@ -266,6 +260,7 @@ func (c *Core) replay(r keyRef, seeded bool) {
 			// the first one replayed. A seeded entry names none yet.
 			m.tombOff = r.ref
 		}
+		c.reg[r.key] = m
 		return
 	}
 	m.lastVer, m.deleted, m.tombOff = r.ver, r.del, 0
@@ -275,4 +270,5 @@ func (c *Core) replay(r keyRef, seeded bool) {
 	} else {
 		c.idx.Put(r.key, r.ref, r.ver)
 	}
+	c.reg[r.key] = m
 }

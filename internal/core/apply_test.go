@@ -80,8 +80,7 @@ func TestReplayRule(t *testing.T) {
 				c.idx.Put(key, row.seedIdx.ref, row.seedIdx.ver)
 			}
 			if row.seedReg != nil {
-				m := *row.seedReg
-				c.reg[key] = &m
+				c.reg[key] = *row.seedReg
 			}
 			for _, r := range row.recs {
 				c.replay(r, seeded)
@@ -94,12 +93,12 @@ func TestReplayRule(t *testing.T) {
 			} else if !ok || ref != row.wantRef || ver != row.wantVer {
 				t.Fatalf("index holds (ref %#x, v%d, present %v), want (ref %#x, v%d)", ref, ver, ok, row.wantRef, row.wantVer)
 			}
-			m := c.reg[key]
-			if m == nil {
+			m, ok := c.reg[key]
+			if !ok {
 				t.Fatal("replay left no registry entry")
 			}
 			if m.lastVer != row.wantVer || m.deleted != row.wantDel || m.stale != row.puts {
-				t.Fatalf("registry = %+v, want lastVer %d deleted %v and %d log Puts counted", *m, row.wantVer, row.wantDel, row.puts)
+				t.Fatalf("registry = %+v, want lastVer %d deleted %v and %d log Puts counted", m, row.wantVer, row.wantDel, row.puts)
 			}
 		})
 	}
@@ -313,7 +312,7 @@ func TestReplApplyBatch(t *testing.T) {
 		if !ok || got != ver {
 			t.Fatalf("key %d is at version %d (present %v), want %d", key, got, ok, ver)
 		}
-		if d := st.deref(key, ref); d.state != refOK || !bytes.Equal(d.val, val) {
+		if d := st.deref(key, ref, nil); d.state != refOK || !bytes.Equal(d.val, val) {
 			t.Fatalf("key %d v%d does not carry its value (state %d, %d bytes)", key, ver, d.state, len(d.val))
 		}
 	}

@@ -42,9 +42,15 @@ type Core struct {
 	// busy is the conflict queue (§3.3 Discussion): keys with in-flight
 	// modifications, and the requests deferred behind them.
 	busy map[uint64]*inflight
+	// coldBuf is readEntry's scratch: a cold Get or Scan reads each
+	// record into it and copies the value out.
+	coldBuf []byte
 	// reg tracks per-key version continuity and stale-entry counts for
-	// tombstone reclamation (rebuilt on recovery).
-	reg map[uint64]*keyMeta
+	// tombstone reclamation (rebuilt on recovery). It holds its values:
+	// a key's first overwrite costs no heap object, and the collector
+	// has no pointers to scan in it. A writer reads a value, changes
+	// the copy and stores it back.
+	reg map[uint64]keyMeta
 	// quar maps quarantined keys — media corruption destroyed (or cast
 	// doubt on) their last acknowledged value — to the highest version
 	// that value may have carried. Guarded by idxMu. Reads answer
@@ -124,6 +130,9 @@ func (c *Core) putInflight(fl *inflight) {
 	c.flFree = append(c.flFree, fl)
 }
 
+// coldScratchMax is the largest cold scratch a core keeps between reads.
+const coldScratchMax = 64 << 10
+
 // keyMeta is the per-key GC bookkeeping: the highest version ever issued
 // (so versions keep increasing across deletes) and the number of stale
 // Put entries still sitting in un-cleaned chunks (a tombstone may only be
@@ -145,17 +154,18 @@ type keyMeta struct {
 // a crash could replay, or — with a cold tier — a segment whose bloom still
 // admits the key and may hold an older cold record, which the tombstone
 // must outlive.
-func (st *Store) guarded(key uint64, m *keyMeta) bool {
+func (st *Store) guarded(key uint64, m keyMeta) bool {
 	return m.stale > 0 || (st.tier != nil && st.tier.MayContain(key))
 }
 
 // settleTombstone counts key's tombstone dead in the usage table once it
 // guards nothing any more. Liveness itself is the cleaner's call when it
 // scans the entry; this only keeps the table's "live" honest, so a chunk
-// holding nothing but released tombstones reads as empty. Caller holds the
-// owning core's idxMu.
+// holding nothing but released tombstones reads as empty. m is the
+// caller's copy of key's registry value, which it stores back. Caller
+// holds the owning core's idxMu.
 func (st *Store) settleTombstone(key uint64, m *keyMeta) {
-	if m.deleted && m.tombOff != 0 && !st.guarded(key, m) {
+	if m.deleted && m.tombOff != 0 && !st.guarded(key, *m) {
 		st.usage.markDead(chunkOf(m.tombOff), oplog.HeaderSize)
 		m.tombOff = 0
 	}
@@ -382,21 +392,26 @@ func (c *Core) noteDone(kind int, key uint64, status uint8, t0, seal, flush, idx
 }
 
 // readEntry copies out the value behind ref, which the caller resolved
-// from key. corrupt reports bytes that failed their CRC (either tier): the
-// caller must not treat the key as merely absent.
+// from key, into a pooled buffer: from the arena, or from the core's cold
+// scratch, which a cold record is read into. corrupt reports bytes that
+// failed their CRC (either tier): the caller must not treat the key as
+// merely absent. Called on the core's goroutine, the scratch's one user.
 func (c *Core) readEntry(key uint64, ref int64) (val []byte, ok, corrupt bool) {
 	pm := !index.Cold(ref)
 	if pm {
 		c.st.reclaimMu.RLock()
 	}
-	d := c.st.deref(key, ref)
+	d := c.st.deref(key, ref, &c.coldBuf)
 	if d.state == refOK {
-		// A PM view is stable only under the lock: copy before releasing.
+		// A PM view is stable only under the lock, the scratch only until
+		// the next cold read: copy before releasing.
 		val = bufpool.Get(len(d.val))
 		copy(val, d.val)
 	}
 	if pm {
 		c.st.reclaimMu.RUnlock()
+	} else if cap(c.coldBuf) > coldScratchMax {
+		c.coldBuf = nil // one large record does not pin its buffer
 	}
 	if pm && d.state != refGone {
 		c.reads++
@@ -528,12 +543,12 @@ func (c *Core) promote(key uint64, ver uint32, val []byte) bool {
 		// PM entry is not the index target, i.e. a stale log copy the
 		// registry must account for (recovery recomputes stale as
 		// put-entries-minus-index-target).
-		m := c.reg[key]
-		if m == nil {
-			m = &keyMeta{lastVer: ver}
-			c.reg[key] = m
+		m, ok := c.reg[key]
+		if !ok {
+			m.lastVer = ver
 		}
 		m.stale++
+		c.reg[key] = m
 	}
 	c.idxMu.Unlock()
 	if promoted {

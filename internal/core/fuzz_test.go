@@ -25,9 +25,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// A populated, well-formed blob as the seed the fuzzer mutates.
 	st.cores[0].idx.Put(1, 4096, 3)
 	st.cores[1].idx.Put(2, 8192, 1)
-	st.cores[0].reg[1] = &keyMeta{lastVer: 3}
-	st.cores[1].reg[2] = &keyMeta{lastVer: 1, stale: 2}
-	st.cores[0].reg[9] = &keyMeta{lastVer: 7, deleted: true}
+	st.cores[0].reg[1] = keyMeta{lastVer: 3}
+	st.cores[1].reg[2] = keyMeta{lastVer: 1, stale: 2}
+	st.cores[0].reg[9] = keyMeta{lastVer: 7, deleted: true}
 	valid := st.buildCheckpoint()
 
 	f.Add(valid)

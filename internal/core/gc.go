@@ -244,7 +244,7 @@ func (cl *Cleaner) CleanOnce() int {
 				// stale Puts may sit in another victim of this very pass:
 				// it is still relocated then, and dies one pass later.
 				m := oc.reg[e.Key]
-				live = m != nil && m.deleted && m.lastVer == e.Version && st.guarded(e.Key, m)
+				live = m.deleted && m.lastVer == e.Version && st.guarded(e.Key, m)
 			}
 			oc.idxMu.Unlock()
 			if live {
@@ -356,8 +356,9 @@ func (cl *Cleaner) CleanOnce() int {
 			moved := false
 			if s.e.Op == oplog.OpPut {
 				moved = oc.idx.CompareAndSwapRef(s.e.Key, s.off, offs[i])
-			} else if m := oc.reg[s.e.Key]; m != nil && m.tombOff == s.off {
+			} else if m, ok := oc.reg[s.e.Key]; ok && m.tombOff == s.off {
 				m.tombOff, moved = offs[i], true
+				oc.reg[s.e.Key] = m
 			}
 			oc.idxMu.Unlock()
 			if !moved {
@@ -386,12 +387,12 @@ func (cl *Cleaner) CleanOnce() int {
 			// The victim's PM entry is now stale (no longer the index
 			// target); the guard count is released in step 5 once
 			// the victim is unlinked, exactly like any stale Put.
-			m := oc.reg[s.e.Key]
-			if m == nil {
-				m = &keyMeta{lastVer: s.e.Version}
-				oc.reg[s.e.Key] = m
+			m, ok := oc.reg[s.e.Key]
+			if !ok {
+				m.lastVer = s.e.Version
 			}
 			m.stale++
+			oc.reg[s.e.Key] = m
 			if !s.e.Inline {
 				// The out-of-place record is only reachable through
 				// the victim entry now; hand the free to the core that
@@ -477,9 +478,9 @@ func (cl *Cleaner) drop(off int64, e *oplog.Entry) {
 	st := cl.st
 	oc := st.cores[st.CoreOf(e.Key)]
 	oc.idxMu.Lock()
-	m := oc.reg[e.Key]
+	m, ok := oc.reg[e.Key]
 	switch {
-	case m == nil:
+	case !ok:
 	case e.Op == oplog.OpPut:
 		m.stale--
 		if m.stale <= 0 && !m.deleted {
@@ -487,7 +488,8 @@ func (cl *Cleaner) drop(off int64, e *oplog.Entry) {
 		} else {
 			// The last stale Put of a deleted key: its tombstone,
 			// wherever it sits, has nothing left to guard.
-			st.settleTombstone(e.Key, m)
+			st.settleTombstone(e.Key, &m)
+			oc.reg[e.Key] = m
 		}
 	case e.Op == oplog.OpDelete:
 		if m.tombOff == off {
@@ -498,6 +500,8 @@ func (cl *Cleaner) drop(off int64, e *oplog.Entry) {
 		// resurrect an older cold record.
 		if m.deleted && m.lastVer == e.Version && !st.guarded(e.Key, m) {
 			delete(oc.reg, e.Key)
+		} else {
+			oc.reg[e.Key] = m
 		}
 	}
 	oc.idxMu.Unlock()

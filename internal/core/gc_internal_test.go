@@ -16,7 +16,7 @@ func regSnapshot(st *Store) map[uint64]keyMeta {
 	for _, c := range st.cores {
 		c.idxMu.Lock()
 		for k, m := range c.reg {
-			out[k] = *m
+			out[k] = m
 		}
 		c.idxMu.Unlock()
 	}

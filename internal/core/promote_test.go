@@ -266,7 +266,7 @@ func TestPromoteFollowsMovedColdRef(t *testing.T) {
 		if index.Cold(ref) || ver != l.ver {
 			t.Fatalf("key %d: index names %#x v%d after promotion, want a PM entry at v%d", l.key, ref, ver, l.ver)
 		}
-		if d := h.st.deref(l.key, ref); d.state != refOK || !bytes.Equal(d.val, l.val) {
+		if d := h.st.deref(l.key, ref, nil); d.state != refOK || !bytes.Equal(d.val, l.val) {
 			t.Fatalf("key %d: promoted entry does not carry the value (state %d)", l.key, d.state)
 		}
 		// The copy compaction wrote is the one that died.
@@ -282,7 +282,7 @@ func TestPromoteFollowsMovedColdRef(t *testing.T) {
 	if got := used(); got != blocks {
 		t.Fatalf("%d record blocks in use after overwriting the promoted key, want %d: the promotion's block leaked", got, blocks)
 	}
-	if m := h.c.reg[inlineKey]; m != nil && m.stale != 0 {
+	if m := h.c.reg[inlineKey]; m.stale != 0 {
 		t.Fatalf("promoted key counts %d stale log entries, want none", m.stale)
 	}
 }

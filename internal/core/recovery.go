@@ -521,7 +521,7 @@ func (st *Store) openCrash() error {
 		// copy. The index repoint is deferred — mutating during Range
 		// is not safe.
 		if a, ok := coldBest[key]; ok && a.ver == ver {
-			if d := st.deref(key, a.ref); d.state == refOK && d.ver == ver {
+			if d := st.deref(key, a.ref, nil); d.state == refOK && d.ver == ver {
 				rescues = append(rescues, a)
 				return
 			}
@@ -529,7 +529,7 @@ func (st *Store) openCrash() error {
 		badRefs = append(badRefs, keyRef{key: key, ver: ver})
 	}
 	st.rangeIndex(func(key uint64, ref int64, ver uint32) {
-		d := st.deref(key, ref)
+		d := st.deref(key, ref, nil)
 		switch {
 		case index.Cold(ref):
 			// Tier-resident entries verify through the tier's own
@@ -568,7 +568,9 @@ func (st *Store) openCrash() error {
 			}
 			if m.stale <= 0 && !m.deleted {
 				delete(c.reg, key)
-			} else if m.tombOff != 0 {
+				continue
+			}
+			if m.tombOff != 0 {
 				// A tombstone is live while it guards something.
 				if st.guarded(key, m) {
 					liveBytes[chunkOf(m.tombOff)] += oplog.HeaderSize
@@ -576,6 +578,7 @@ func (st *Store) openCrash() error {
 					m.tombOff = 0
 				}
 			}
+			c.reg[key] = m
 		}
 	}
 	for i := range st.usage {
@@ -630,12 +633,9 @@ func (st *Store) openCrash() error {
 			c.accountAppend(off, e.EncodedSize())
 			c.quar[key] = ver
 			m := c.reg[key]
-			if m == nil {
-				m = &keyMeta{}
-				c.reg[key] = m
-			}
 			m.lastVer, m.deleted, m.tombOff = ver, true, off
-			st.settleTombstone(key, m)
+			st.settleTombstone(key, &m)
+			c.reg[key] = m
 		}
 		c.f.FlushEvents()
 	}
@@ -865,7 +865,7 @@ func (st *Store) loadCheckpoint(blob []byte, seed bool) error {
 			if !ok || tomb >= uint64(st.arena.Size()) {
 				return bad
 			}
-			m := &keyMeta{lastVer: uint32(v), deleted: v>>32&1 == 1}
+			m := keyMeta{lastVer: uint32(v), deleted: v>>32&1 == 1}
 			if !seed {
 				m.stale, m.tombOff = int32(v>>33), int64(tomb)
 			}

@@ -209,7 +209,7 @@ func (st *Store) CaptureReplSnapshot(emit func(key uint64, ver uint32, val []byt
 		c := st.cores[st.CoreOf(k.key)]
 		for attempt := 0; attempt < 3; attempt++ {
 			st.reclaimMu.RLock()
-			d := st.deref(k.key, k.ref)
+			d := st.deref(k.key, k.ref, nil)
 			var err error
 			if d.state == refOK {
 				err = emit(k.key, k.ver, d.val)

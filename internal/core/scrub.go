@@ -137,7 +137,7 @@ func (st *Store) ScrubOnce() ScrubResult {
 			if !current(lr) {
 				continue
 			}
-			d := st.deref(lr.key, lr.ref)
+			d := st.deref(lr.key, lr.ref, nil)
 			switch {
 			case d.state == refGone:
 				bad = append(bad, lr) // the entry itself no longer decodes
@@ -163,7 +163,7 @@ func (st *Store) ScrubOnce() ScrubResult {
 	// read path. No index lock is held across the disk pread; the verdict
 	// only sticks if the ref is still current when re-checked.
 	for _, lr := range coldRefs {
-		d := st.deref(lr.key, lr.ref)
+		d := st.deref(lr.key, lr.ref, nil)
 		res.TierRecords++
 		if d.state == refOK && d.ver == lr.ver {
 			continue

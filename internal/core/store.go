@@ -188,7 +188,7 @@ func (st *Store) newCore(i int) (*Core, error) {
 		group:  st.groups[i/st.cfg.GroupSize],
 		member: i % st.cfg.GroupSize,
 		busy:   map[uint64]*inflight{},
-		reg:    map[uint64]*keyMeta{},
+		reg:    map[uint64]keyMeta{},
 		quar:   map[uint64]uint32{},
 	}
 	if st.cfg.Index == IndexMasstree {

@@ -146,6 +146,15 @@ func TestTieredCapacityE2E(t *testing.T) {
 	if !crashed {
 		t.Fatal("60k more puts never triggered a demotion")
 	}
+	// A store's tier counters start at zero when it opens: the run's
+	// totals are summed over its incarnations, each read before its crash.
+	var demoted, compactions uint64
+	tally := func(s *core.Store) {
+		ts := s.Tier().Stats()
+		demoted += ts.Demoted
+		compactions += ts.Compactions
+	}
+	tally(st)
 	st.Tier().Close() // power cut: only disk files and the media view survive
 
 	cfg2 := cfg
@@ -179,6 +188,7 @@ func TestTieredCapacityE2E(t *testing.T) {
 	}
 
 	// Final power cut + audit of every write ever acknowledged.
+	tally(re)
 	re.Tier().Close()
 	cfg3 := cfg
 	cfg3.Arena = re.Arena().Crash()
@@ -191,9 +201,13 @@ func TestTieredCapacityE2E(t *testing.T) {
 		t.Fatalf("final invariants: %v", err)
 	}
 	cold, keys = coldKeys(re2)
+	tally(re2)
 	ts := re2.Tier().Stats()
-	t.Logf("final: %d keys (%d cold), %d MiB acked (%.1f× arena), tier: %d segs, %d records, demoted %d, compactions %d",
-		keys, cold, e.bytes>>20, float64(e.bytes)/float64(arenaSize), ts.Segments, ts.Records, ts.Demoted, ts.Compactions)
+	t.Logf("final: %d keys (%d cold), %d MiB acked (%.1f× arena), tier: %d segs, %d records; over the run: demoted %d, compactions %d",
+		keys, cold, e.bytes>>20, float64(e.bytes)/float64(arenaSize), ts.Segments, ts.Records, demoted, compactions)
+	if demoted == 0 {
+		t.Fatal("no record was demoted over the whole run")
+	}
 	if cold < keys/2 {
 		t.Fatalf("only %d of %d keys cold — tiering did not absorb the overflow", cold, keys)
 	}

@@ -85,10 +85,13 @@ type Client struct {
 
 	// Pipelined-submission state (see pipeline.go): win holds one token
 	// per in-flight Submit ticket (capacity Options.Window), comp the
-	// completed ones not yet reaped by Wait/Poll.
+	// completed ones not yet reaped by Wait/Poll, polled the slice the
+	// last Poll returned. spare holds sync tickets for reuse.
 	win    chan struct{}
 	compMu sync.Mutex
 	comp   map[*Ticket]struct{}
+	polled []*Ticket
+	spare  chan *Ticket
 }
 
 // clientConn is one live connection. Its writer side (bw) is guarded by
@@ -138,6 +141,7 @@ func DialContext(ctx context.Context, addr string, o Options) (*Client, error) {
 		sessions: map[uint64]uint64{},
 		pend:     map[uint64]*Ticket{},
 		comp:     map[*Ticket]struct{}{},
+		spare:    make(chan *Ticket, spareTickets),
 	}
 	c.work.L = &c.mu
 	c.life, c.stop = context.WithCancel(context.Background())
@@ -487,15 +491,27 @@ type WrongShardError struct{ Hint []byte }
 
 func (e *WrongShardError) Error() string { return "tcp: key belongs to another shard" }
 
-// do runs one request to completion beside the window: post its ticket
-// and wait for it. The ticket is returned completed, or with the error
-// that says why not.
-func (c *Client) do(ctx context.Context, q request) (*Ticket, error) {
-	t := c.newTicket(ctx, q)
+// do runs one request to completion beside the window: post a sync
+// ticket, wait for it, and hand it completed to read (if not nil); then
+// the ticket goes back to the client for reuse. It returns the error that
+// says why the request did not succeed, and then calls no read.
+func (c *Client) do(ctx context.Context, q request, read func(*Ticket)) error {
+	t := c.syncTicket(ctx, q)
 	if err := c.post(t); err != nil {
-		return nil, err
+		c.release(t)
+		return err
 	}
-	return t, t.Wait(ctx)
+	if err := t.Wait(ctx); err != nil {
+		if t.reaped.Load() { // completed; a Wait that gave up left it pending
+			c.release(t)
+		}
+		return err
+	}
+	if read != nil {
+		read(t)
+	}
+	c.release(t)
+	return nil
 }
 
 // Put stores a key-value pair; it returns after the server made it
@@ -506,8 +522,7 @@ func (c *Client) Put(key uint64, value []byte) error {
 
 // PutCtx is Put bounded by ctx (on top of the connection's deadline).
 func (c *Client) PutCtx(ctx context.Context, key uint64, value []byte) error {
-	_, err := c.do(ctx, request{op: opPut, key: key, value: value})
-	return err
+	return c.do(ctx, request{op: opPut, key: key, value: value}, nil)
 }
 
 // Get fetches a value.
@@ -517,11 +532,8 @@ func (c *Client) Get(key uint64) (value []byte, ok bool, err error) {
 
 // GetCtx is Get bounded by ctx.
 func (c *Client) GetCtx(ctx context.Context, key uint64) (value []byte, ok bool, err error) {
-	t, err := c.do(ctx, request{op: opGet, key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	return t.rs.value, t.ok, nil
+	err = c.do(ctx, request{op: opGet, key: key}, func(t *Ticket) { value, ok = t.rs.value, t.ok })
+	return value, ok, err
 }
 
 // Delete removes a key.
@@ -531,11 +543,8 @@ func (c *Client) Delete(key uint64) (ok bool, err error) {
 
 // DeleteCtx is Delete bounded by ctx.
 func (c *Client) DeleteCtx(ctx context.Context, key uint64) (ok bool, err error) {
-	t, err := c.do(ctx, request{op: opDelete, key: key})
-	if err != nil {
-		return false, err
-	}
-	return t.ok, nil
+	err = c.do(ctx, request{op: opDelete, key: key}, func(t *Ticket) { ok = t.ok })
+	return ok, err
 }
 
 // Integrity fetches the server's storage-integrity counters (scrubber
@@ -564,11 +573,11 @@ func (c *Client) Stats() (*obs.Snapshot, error) {
 
 // StatsCtx is Stats bounded by ctx.
 func (c *Client) StatsCtx(ctx context.Context) (*obs.Snapshot, error) {
-	t, err := c.do(ctx, request{op: opStats})
-	if err != nil {
+	var blob []byte
+	if err := c.do(ctx, request{op: opStats}, func(t *Ticket) { blob = t.rs.value }); err != nil {
 		return nil, err
 	}
-	return obs.UnmarshalSnapshot(t.rs.value)
+	return obs.UnmarshalSnapshot(blob)
 }
 
 // Pair is one scan result.
@@ -584,13 +593,12 @@ func (c *Client) Scan(lo, hi uint64, limit int) ([]Pair, error) {
 
 // ScanCtx is Scan bounded by ctx.
 func (c *Client) ScanCtx(ctx context.Context, lo, hi uint64, limit int) ([]Pair, error) {
-	t, err := c.do(ctx, request{op: opScan, key: lo, scanHi: hi, limit: uint32(limit)})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Pair, len(t.rs.pairs))
-	for i, p := range t.rs.pairs {
-		out[i] = Pair{Key: p.key, Value: p.value}
-	}
-	return out, nil
+	var out []Pair
+	err := c.do(ctx, request{op: opScan, key: lo, scanHi: hi, limit: uint32(limit)}, func(t *Ticket) {
+		out = make([]Pair, len(t.rs.pairs))
+		for i, p := range t.rs.pairs {
+			out[i] = Pair{Key: p.key, Value: p.value}
+		}
+	})
+	return out, err
 }

@@ -20,8 +20,10 @@ package tcp
 // the connection's reader completes it, and the retry step re-sends it
 // under the same id if the connection dies first. A sync call is that
 // path at depth one — post a ticket, Wait — and a multi-op call is N
-// tickets posted as one frame; neither starts a goroutine or a timer, and
-// a ticket gets a channel only when a Wait on it has to block.
+// tickets posted as one frame; neither starts a goroutine or a timer. A
+// sync call's ticket is the client's to reuse once the caller has read
+// its result, wake channel and all; any other ticket gets a channel only
+// when a Wait on it has to block.
 //
 // The flush rule is Nagle's algorithm over the pending table: a request
 // frame may wait in the connection's bufio.Writer only while an earlier
@@ -70,8 +72,13 @@ type Ticket struct {
 
 	// Written under Client.compMu.
 	fin    atomic.Bool   // completed: set after the result fields below
-	done   chan struct{} // made by a Wait that has to block; closed on completion
+	done   chan struct{} // a sync ticket's is made with it (see reuse); else by a Wait that has to block
 	reaped atomic.Bool   // delivered by Wait or Poll
+
+	// reuse marks a sync call's ticket (syncTicket): its done channel has
+	// capacity 1 and is signalled, not closed, so one channel serves every
+	// call the ticket carries.
+	reuse bool
 
 	rs  response // the server's terminal answer; zero when the transport gave up
 	ok  bool     // Get: found; Delete: existed
@@ -80,6 +87,48 @@ type Ticket struct {
 
 func (c *Client) newTicket(ctx context.Context, q request) *Ticket {
 	return &Ticket{c: c, ctx: ctx, q: q}
+}
+
+// spareTickets bounds the sync tickets a client keeps for reuse: one per
+// goroutine making sync calls on it at once, up to that many.
+const spareTickets = 16
+
+// syncTicket returns a ticket for a sync call: a spare one if the client
+// has one, else a new one with its wake channel.
+func (c *Client) syncTicket(ctx context.Context, q request) *Ticket {
+	var t *Ticket
+	select {
+	case t = <-c.spare:
+	default:
+		t = &Ticket{c: c, done: make(chan struct{}, 1), reuse: true}
+	}
+	t.ctx, t.q = ctx, q
+	return t
+}
+
+// release hands a sync call's ticket back for reuse once its caller has
+// read the result. The ticket must be one no part of the client can still
+// reach: never posted, or reaped by its Wait, i.e. completed and out of
+// the pending table. A Wait that gave up on its ctx leaves the ticket
+// pending, so its caller does not release it. Nor is a ticket released
+// that an attempt failed (a lost connection, a failed dial, a Busy shed):
+// it may have been sent again, and a resend timer may still hold it.
+func (c *Client) release(t *Ticket) {
+	if t.lastErr != nil {
+		return
+	}
+	select {
+	case <-t.done: // the signal of a Wait that did not have to block
+	default:
+	}
+	t.ctx, t.q, t.attempts, t.sent = nil, request{}, 0, time.Time{}
+	t.rs, t.ok, t.err = response{}, false, nil
+	t.fin.Store(false)
+	t.reaped.Store(false)
+	select {
+	case c.spare <- t:
+	default:
+	}
 }
 
 // Key returns the key the submission targets.
@@ -129,8 +178,8 @@ func (t *Ticket) reap() {
 // returns the submission's outcome. Waiting again on a reaped ticket
 // just returns the recorded outcome. A Wait that has to block first
 // flushes the frames held in the writer — its own request may be one —
-// and makes the ticket's channel under compMu, which complete takes to
-// close it.
+// and makes the ticket's channel under compMu (a sync ticket has its
+// own), which complete takes to signal it.
 func (t *Ticket) Wait(ctx context.Context) error {
 	c := t.c
 	if !t.Done() && c.held.Load() > 0 {
@@ -165,13 +214,17 @@ func (t *Ticket) Wait(ctx context.Context) error {
 // end on a scheduler pass) instead of spinning through its time slice.
 // When nothing flushed is unanswered it first flushes whatever is held:
 // no response is coming whose arrival would.
+//
+// The result is the client's one reap slice: it is valid until the next
+// Poll, which overwrites it. One goroutine at a time reaps with Poll.
 func (c *Client) Poll(max int) []*Ticket {
 	c.compMu.Lock()
 	n := len(c.comp)
 	if max > 0 && max < n {
 		n = max
 	}
-	out := make([]*Ticket, 0, n)
+	prev := len(c.polled)
+	out := c.polled[:0]
 	for t := range c.comp {
 		if len(out) == n {
 			break
@@ -179,6 +232,10 @@ func (c *Client) Poll(max int) []*Ticket {
 		t.reap()
 		out = append(out, t)
 	}
+	if len(out) < prev {
+		clear(c.polled[len(out):prev]) // the earlier Poll's tickets are the caller's
+	}
+	c.polled = out
 	c.compMu.Unlock()
 	if len(out) == 0 {
 		if c.stranded() {
@@ -419,7 +476,13 @@ func (c *Client) complete(t *Ticket, rs response, err error) {
 	// completed state.
 	c.compMu.Lock()
 	t.fin.Store(true)
-	if t.done != nil {
+	switch {
+	case t.reuse:
+		select {
+		case t.done <- struct{}{}:
+		default:
+		}
+	case t.done != nil:
 		close(t.done)
 	}
 	if t.windowed && !t.reaped.Load() {

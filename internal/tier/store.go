@@ -312,6 +312,14 @@ func (s *Store) Write(recs []Rec) ([]int64, error) {
 // ref) and a fresh value copy. Any validation failure, an offset the table
 // does not list included, is ErrCorrupt: Get fails closed.
 func (s *Store) Get(ref int64) (key uint64, ver uint32, val []byte, err error) {
+	return s.GetInto(ref, nil)
+}
+
+// GetInto is Get reading into the caller's buffer: the record lands in
+// *buf, grown first if it is too small, and val aliases it. A buf of nil
+// reads into a fresh buffer, as Get does. A core passes its own scratch,
+// so its cold reads allocate nothing once the scratch fits the records.
+func (s *Store) GetInto(ref int64, buf *[]byte) (key uint64, ver uint32, val []byte, err error) {
 	segID, off := index.ColdParts(ref)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -326,12 +334,21 @@ func (s *Store) Get(ref int64) (key uint64, ver uint32, val []byte, err error) {
 		s.corruptReads.Add(1)
 		return 0, 0, nil, fmt.Errorf("%w: no record at offset %d of segment %d", ErrCorrupt, off, segID)
 	}
-	buf := make([]byte, end-int64(off))
-	if _, err := seg.f.ReadAt(buf, int64(off)); err != nil {
+	n := int(end - int64(off))
+	var rec []byte
+	if buf == nil {
+		rec = make([]byte, n)
+	} else {
+		if cap(*buf) < n {
+			*buf = make([]byte, n)
+		}
+		rec = (*buf)[:n]
+	}
+	if _, err := seg.f.ReadAt(rec, int64(off)); err != nil {
 		s.corruptReads.Add(1)
 		return 0, 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	key, ver, val, err = verifyRecord(buf)
+	key, ver, val, err = verifyRecord(rec)
 	if err != nil {
 		s.corruptReads.Add(1)
 		return 0, 0, nil, err

@@ -32,6 +32,34 @@ func val(key uint64, n int) []byte {
 	return b
 }
 
+// A cold read into a buffer that fits the record allocates nothing: the
+// record lands in the buffer and the value aliases it. A core reads its
+// cold Gets into its own scratch this way. A buffer too small is grown
+// once, and the grown one is reused.
+func TestGetIntoAllocFree(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	recs := []Rec{{Key: 7, Ver: 3, Val: val(7, 100)}, {Key: 8, Ver: 1, Val: val(8, 1000)}}
+	refs, err := s.Write(recs)
+	if err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	var buf []byte
+	for i, ref := range refs {
+		n := testing.AllocsPerRun(100, func() {
+			k, v, b, err := s.GetInto(ref, &buf)
+			if err != nil || k != recs[i].Key || v != recs[i].Ver || !bytes.Equal(b, recs[i].Val) {
+				t.Fatalf("GetInto(%d): key %d ver %d len %d err %v", i, k, v, len(b), err)
+			}
+		})
+		if n != 0 {
+			t.Fatalf("GetInto of a %d B value into a buffer that fits it: %v allocs/op, want 0", len(recs[i].Val), n)
+		}
+	}
+	if cap(buf) < len(recs[1].Val) {
+		t.Fatalf("scratch of %d B after reading a %d B value: not grown", cap(buf), len(recs[1].Val))
+	}
+}
+
 func TestWriteGetRoundTrip(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	var recs []Rec
