@@ -22,7 +22,7 @@ func TestRuntimeCheckpointSeedsCrashRecovery(t *testing.T) {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if !st.HasCheckpoint() {
+	if ptr, n := st.CheckpointDesc(); ptr == 0 || n == 0 {
 		t.Fatal("checkpoint descriptor missing")
 	}
 	// Writes after the checkpoint must win the replay.
