@@ -23,7 +23,7 @@ import (
 type e2eBoom struct{}
 
 // e2e drives one store: put-with-GC-retry, every attempt recorded in the
-// trial's history, and byte accounting of everything acknowledged.
+// trial's history, and byte accounting of the distinct keys acknowledged.
 type e2e struct {
 	t     *testing.T
 	tr    *trial
@@ -51,7 +51,6 @@ func (e *e2e) put(key uint64, val []byte) {
 		}
 		if resp.Status == rpc.StatusOK {
 			o.Ack()
-			e.bytes += int64(len(val)) + 16
 			return
 		}
 		o.Fail()
@@ -73,6 +72,7 @@ func (e *e2e) fill(lo, hi uint64) {
 			size = 400
 		}
 		e.put(k, mval(k, 0, size))
+		e.bytes += int64(size) + 16
 		if k%1000 == 0 && len(e.tr.st.Allocator().FreeList()) < 2 {
 			e.gc()
 		}
@@ -93,9 +93,10 @@ func coldKeys(st *core.Store) (cold, all int) {
 // TestTieredCapacityE2E is the acceptance battery: fill past arena
 // capacity (demotion is the only way forward), crash mid-demotion at
 // the moment the segment is durable but the index still points at PM,
-// recover, audit everything, then keep filling to ≥ 4× capacity, crash
-// once more (a plain power cut), recover and audit again — finishing
-// with the full invariant check.
+// recover, audit everything, then keep filling to ≥ 4× capacity while
+// overwriting cold keys until segments compact, crash once more (a plain
+// power cut), recover and audit again — finishing with the full invariant
+// check.
 func TestTieredCapacityE2E(t *testing.T) {
 	dir := t.TempDir()
 	cfg := core.Config{
@@ -175,9 +176,16 @@ func TestTieredCapacityE2E(t *testing.T) {
 	}
 
 	// Phase C: keep going on the recovered store until the acknowledged
-	// dataset exceeds 4× the arena, with a compaction pass mixed in.
+	// dataset exceeds 4× the arena, with a compaction pass mixed in. Each
+	// round first overwrites the next band of the earliest keys, long since
+	// demoted: their records die in the oldest segments, which pass
+	// CompactRatio, so the final crash recovers over compacted segments.
 	e.tr = newTrialOn(re, e.tr.h)
+	band := uint64(1)
 	for k := uint64(batch1 + 60_000); e.bytes < 4*arenaSize; k += 10_000 {
+		for end := band + 2_500; band < end; band++ {
+			e.put(band, mval(band, 1, 250))
+		}
 		e.fill(k, k+10_000)
 		if _, err := re.TierCompactOnce(); err != nil {
 			t.Fatalf("compaction under load: %v", err)
@@ -207,6 +215,9 @@ func TestTieredCapacityE2E(t *testing.T) {
 		keys, cold, e.bytes>>20, float64(e.bytes)/float64(arenaSize), ts.Segments, ts.Records, demoted, compactions)
 	if demoted == 0 {
 		t.Fatal("no record was demoted over the whole run")
+	}
+	if compactions == 0 {
+		t.Fatal("no segment was compacted over the whole run")
 	}
 	if cold < keys/2 {
 		t.Fatalf("only %d of %d keys cold — tiering did not absorb the overflow", cold, keys)
