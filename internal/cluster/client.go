@@ -7,8 +7,9 @@ package cluster
 // shard and issues the per-shard sub-batches concurrently. NotPrimary
 // redirects are absorbed inside each group's tcp.Client (the group is
 // one replication cluster); WrongShard redirects are absorbed here, by
-// adopting the newer map from the server's hint and re-routing — in
-// chase for single ops (routed.go) and in fanOut for multi-op calls.
+// adopting the newer map from the server's hint and re-routing — for
+// single ops in routed or the reaper of a pipelined ticket (routed.go),
+// and in fanOut for multi-op calls.
 
 import (
 	"context"
@@ -71,29 +72,21 @@ type Client struct {
 	ops, batches, subBatches atomic.Uint64
 	scans, scanChunks        atomic.Uint64
 	reroutes, mapSwaps       atomic.Uint64
-	inflight                 atomic.Int64
 
-	// Pipelined-submission completion set (see routed.go), and the slice
-	// the last Poll returned.
-	compMu sync.Mutex
-	comp   map[*Ticket]struct{}
-	polled []*Ticket
+	// The pipelined submissions not yet final (see routed.go).
+	pmu  sync.Mutex
+	pend []*Ticket
 }
 
 // Dial builds a cluster client over a ParseSpec cluster spec
 // (";"-separated shard groups, each a comma-separated address list) and
 // eagerly connects to every group.
 func Dial(spec string, o ClientOptions) (*Client, error) {
-	return DialContext(context.Background(), spec, o)
-}
-
-// DialContext is Dial bounded by ctx.
-func DialContext(ctx context.Context, spec string, o ClientOptions) (*Client, error) {
 	m, err := ParseSpec(spec, 1, o.Vnodes)
 	if err != nil {
 		return nil, err
 	}
-	return DialMap(ctx, m, o)
+	return DialMap(context.Background(), m, o)
 }
 
 // DialMap builds a cluster client over an existing shard map and
@@ -103,7 +96,6 @@ func DialMap(ctx context.Context, m *Map, o ClientOptions) (*Client, error) {
 		opts:   o,
 		m:      m,
 		groups: map[int]*group{},
-		comp:   map[*Ticket]struct{}{},
 	}
 	for _, s := range m.Shards() {
 		if _, err := c.group(ctx, s.ID); err != nil {
@@ -200,9 +192,14 @@ func (c *Client) group(ctx context.Context, shardID int) (*group, error) {
 	return g, nil
 }
 
-// groupForKey routes a key under the current map to the owning group.
-func (c *Client) groupForKey(ctx context.Context, key uint64) (*group, error) {
-	return c.group(ctx, c.Map().ShardOf(key))
+// owner routes key under the current map to the owning group, counting
+// the op about to be sent there.
+func (c *Client) owner(ctx context.Context, key uint64) (*group, error) {
+	g, err := c.group(ctx, c.Map().ShardOf(key))
+	if err == nil {
+		g.ops.Add(1)
+	}
+	return g, err
 }
 
 // adoptHint decodes a WrongShard map hint, swapping it in if it is
@@ -232,8 +229,8 @@ func (c *Client) adoptHint(hint []byte) bool {
 // forever). Replaying a write against the new owner is safe — each
 // group's tcp.Client keeps its own dedup sessions, so the replay is a
 // fresh (session, id) there and the rejected attempt applied nothing on
-// the wrong server. chase asks it per send of a single op; fanOut asks it
-// per op, the round being the attempt.
+// the wrong server. routed and reap ask it per send of a single op;
+// fanOut asks it per op, the round being the attempt.
 func (c *Client) shouldReroute(err error, attempt int) bool {
 	var ws *tcp.WrongShardError
 	if !errors.As(err, &ws) || attempt >= maxReroutes {
@@ -374,20 +371,4 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []tcp.BatchOp) ([]tcp.Ba
 // failed.
 func (c *Client) MultiPut(pairs []tcp.Pair) error {
 	return tcp.PutAll(context.Background(), c, pairs)
-}
-
-// MultiPutCtx is MultiPut bounded by ctx.
-func (c *Client) MultiPutCtx(ctx context.Context, pairs []tcp.Pair) error {
-	return tcp.PutAll(ctx, c, pairs)
-}
-
-// MultiDelete removes many keys across the cluster, reporting which
-// existed.
-func (c *Client) MultiDelete(keys []uint64) ([]bool, error) {
-	return tcp.DeleteAll(context.Background(), c, keys)
-}
-
-// MultiDeleteCtx is MultiDelete bounded by ctx.
-func (c *Client) MultiDeleteCtx(ctx context.Context, keys []uint64) ([]bool, error) {
-	return tcp.DeleteAll(ctx, c, keys)
 }

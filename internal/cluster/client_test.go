@@ -30,13 +30,23 @@ type testShard struct {
 // cleanup. Each is a full store behind a real TCP listener.
 func startShards(t *testing.T, n int, cfg core.Config) []*testShard {
 	t.Helper()
+	out := stalledShards(t, n, cfg)
+	for _, s := range out {
+		s.st.Run()
+	}
+	return out
+}
+
+// stalledShards is startShards with the stores not yet running: the
+// servers handshake and take requests, and answer none until st.Run.
+func stalledShards(t *testing.T, n int, cfg core.Config) []*testShard {
+	t.Helper()
 	out := make([]*testShard, n)
 	for i := 0; i < n; i++ {
 		st, err := core.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Run()
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			st.Stop()
@@ -78,6 +88,21 @@ func gateAll(t *testing.T, servers []*testShard, version uint64) *Map {
 			t.Fatal(err)
 		}
 		s.srv.SetShard(g)
+	}
+	return m
+}
+
+// staleMap is a version-1 map that knows only the first two of the
+// servers: against servers gated on a newer map over all of them, a
+// client routing on it is redirected for every key the newer map moved.
+func staleMap(t *testing.T, servers []*testShard) *Map {
+	t.Helper()
+	m, err := NewMap(1, []Shard{
+		{ID: 0, Addrs: []string{servers[0].addr}},
+		{ID: 1, Addrs: []string{servers[1].addr}},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return m
 }
@@ -281,14 +306,7 @@ func TestClusterWrongShardSelfHeal(t *testing.T) {
 	servers := startShards(t, 3, smallStore())
 	newMap := gateAll(t, servers, 2) // servers route on v2, all 3 shards
 
-	// The stale v1 map only knows the first two shards.
-	stale, err := NewMap(1, []Shard{
-		{ID: 0, Addrs: []string{servers[0].addr}},
-		{ID: 1, Addrs: []string{servers[1].addr}},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := staleMap(t, servers)
 	cl := dialCluster(t, stale, ClientOptions{})
 
 	const n = 400
@@ -332,13 +350,7 @@ func TestClusterWrongShardSelfHeal(t *testing.T) {
 func TestClusterMultiOpSelfHeal(t *testing.T) {
 	servers := startShards(t, 3, smallStore())
 	gateAll(t, servers, 2)
-	stale, err := NewMap(1, []Shard{
-		{ID: 0, Addrs: []string{servers[0].addr}},
-		{ID: 1, Addrs: []string{servers[1].addr}},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := staleMap(t, servers)
 	cl := dialCluster(t, stale, ClientOptions{})
 
 	const n = 200
@@ -369,37 +381,33 @@ func TestClusterMultiOpSelfHeal(t *testing.T) {
 
 // TestClusterAsyncSubmit: the pipelined Submit/Poll path completes every
 // ticket with the right outcome, including across WrongShard redirects
-// absorbed inside the follow goroutine.
+// chased by the reaper.
 func TestClusterAsyncSubmit(t *testing.T) {
 	servers := startShards(t, 3, smallStore())
 	gateAll(t, servers, 2)
-	stale, err := NewMap(1, []Shard{
-		{ID: 0, Addrs: []string{servers[0].addr}},
-		{ID: 1, Addrs: []string{servers[1].addr}},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stale := staleMap(t, servers)
 	cl := dialCluster(t, stale, ClientOptions{TCP: tcp.Options{Window: 8}})
 
 	ctx := context.Background()
 	const n = 300
 	done := 0
-	reap := func(block bool) {
-		if block {
-			deadline := time.Now().Add(10 * time.Second)
-			for cl.InFlight() > 0 {
-				if time.Now().After(deadline) {
-					t.Fatalf("in-flight stuck at %d", cl.InFlight())
+	// A redirect is chased by whoever reaps it, so draining means polling
+	// until nothing is in flight, not waiting for InFlight to fall.
+	reap := func(drain bool) {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			for _, tk := range cl.Poll(0) {
+				if err := tk.Err(); err != nil {
+					t.Fatalf("ticket key %d: %v", tk.Key(), err)
 				}
-				time.Sleep(time.Millisecond)
+				done++
 			}
-		}
-		for _, tk := range cl.Poll(0) {
-			if err := tk.Err(); err != nil {
-				t.Fatalf("ticket key %d: %v", tk.Key(), err)
+			if !drain || cl.InFlight() == 0 {
+				return
 			}
-			done++
+			if time.Now().After(deadline) {
+				t.Fatalf("in-flight stuck at %d", cl.InFlight())
+			}
 		}
 	}
 	for k := uint64(0); k < n; k++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"flatstore/internal/alloc"
@@ -657,13 +658,19 @@ func (r *recovery) finish() error {
 	// A tombstone for every quarantined key: the evidence of a loss lives
 	// only in this process, so without one the next crash would replay the
 	// kept older entries and resurrect state the client saw superseded. Its
-	// version sits above the quarantine high-water mark.
+	// version sits above the quarantine high-water mark. They go in key
+	// order, so two salvage opens of one image write the same log.
 	for _, c := range st.cores {
 		if rep == nil {
 			break
 		}
-		for key, qv := range c.quar {
-			ver := min(qv+1, oplog.VersionMask)
+		keys := make([]uint64, 0, len(c.quar))
+		for key := range c.quar {
+			keys = append(keys, key)
+		}
+		slices.Sort(keys)
+		for _, key := range keys {
+			ver := min(c.quar[key]+1, oplog.VersionMask)
 			e := &oplog.Entry{Op: oplog.OpDelete, Key: key, Version: ver}
 			off, err := c.log.Append(c.f, e)
 			if err != nil {

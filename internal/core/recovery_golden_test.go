@@ -300,14 +300,7 @@ func recoverDigest(st *Store) string {
 	})
 	for _, c := range st.cores {
 		for key, m := range c.reg {
-			tomb := fmt.Sprintf("%#x", m.tombOff)
-			if _, ok := c.quar[key]; ok && m.tombOff != 0 {
-				// Salvage appends the quarantine tombstones in map order:
-				// which key lands at which offset is not fixed (the trace
-				// pins the offsets written).
-				tomb = "quarantine"
-			}
-			add("reg %d %#x ver=%d stale=%d deleted=%v tomb=%s", c.id, key, m.lastVer, m.stale, m.deleted, tomb)
+			add("reg %d %#x ver=%d stale=%d deleted=%v tomb=%#x", c.id, key, m.lastVer, m.stale, m.deleted, m.tombOff)
 		}
 		for key, ver := range c.quar {
 			add("quar %d %#x %d", c.id, key, ver)

@@ -16,18 +16,6 @@ type Events struct {
 	SameLineRepeats uint64 // flushes hitting a recently-flushed line
 }
 
-// Add accumulates o into e.
-func (e *Events) Add(o Events) {
-	e.Flushes += o.Flushes
-	e.Fences += o.Fences
-	e.Lines += o.Lines
-	e.CombinedLines += o.CombinedLines
-	e.SeqBlocks += o.SeqBlocks
-	e.RndBlocks += o.RndBlocks
-	e.MediaBytes += o.MediaBytes
-	e.SameLineRepeats += o.SameLineRepeats
-}
-
 // Blocks returns the total number of 256 B block activations.
 func (e Events) Blocks() uint64 { return e.SeqBlocks + e.RndBlocks }
 

@@ -258,9 +258,6 @@ func NewServer(ncores, agent int) *Server {
 	return s
 }
 
-// Cores returns the number of server cores.
-func (s *Server) Cores() int { return s.ncores }
-
 // Client is one connected client: one QP to the agent, a request ring per
 // server core, one response ring.
 type Client struct {

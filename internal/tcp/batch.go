@@ -108,9 +108,9 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []BatchOp) ([]BatchRes, 
 	return out, nil
 }
 
-// BatchWriter is what MultiPut and MultiDelete are written over: anything
-// that applies a WriteBatch — a Client, or the cluster client, which
-// splits the batch across many.
+// BatchWriter is what MultiPut is written over: anything that applies a
+// WriteBatch — a Client, or the cluster client, which splits the batch
+// across many.
 type BatchWriter interface {
 	WriteBatchCtx(ctx context.Context, ops []BatchOp) ([]BatchRes, error)
 }
@@ -134,14 +134,20 @@ func PutAll(ctx context.Context, w BatchWriter, pairs []Pair) error {
 	return nil
 }
 
-// DeleteAll removes keys through w as one write batch, reporting which
+// MultiPut stores many pairs through one wire frame, failing if any put
+// failed.
+func (c *Client) MultiPut(pairs []Pair) error {
+	return PutAll(context.Background(), c, pairs)
+}
+
+// MultiDelete removes many keys through one wire frame, reporting which
 // existed.
-func DeleteAll(ctx context.Context, w BatchWriter, keys []uint64) ([]bool, error) {
+func (c *Client) MultiDelete(keys []uint64) ([]bool, error) {
 	ops := make([]BatchOp, len(keys))
 	for i, k := range keys {
 		ops[i] = BatchOp{Key: k, Delete: true}
 	}
-	res, err := w.WriteBatchCtx(ctx, ops)
+	res, err := c.WriteBatch(ops)
 	if err != nil {
 		return nil, err
 	}
@@ -153,26 +159,4 @@ func DeleteAll(ctx context.Context, w BatchWriter, keys []uint64) ([]bool, error
 		out[i] = res[i].Existed
 	}
 	return out, nil
-}
-
-// MultiPut stores many pairs through one wire frame, failing if any put
-// failed.
-func (c *Client) MultiPut(pairs []Pair) error {
-	return PutAll(context.Background(), c, pairs)
-}
-
-// MultiPutCtx is MultiPut bounded by ctx.
-func (c *Client) MultiPutCtx(ctx context.Context, pairs []Pair) error {
-	return PutAll(ctx, c, pairs)
-}
-
-// MultiDelete removes many keys through one wire frame, reporting which
-// existed.
-func (c *Client) MultiDelete(keys []uint64) ([]bool, error) {
-	return DeleteAll(context.Background(), c, keys)
-}
-
-// MultiDeleteCtx is MultiDelete bounded by ctx.
-func (c *Client) MultiDeleteCtx(ctx context.Context, keys []uint64) ([]bool, error) {
-	return DeleteAll(ctx, c, keys)
 }

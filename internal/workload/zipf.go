@@ -70,6 +70,3 @@ func (z *Zipf) Next(u float64) uint64 {
 	}
 	return r
 }
-
-// N returns the range size.
-func (z *Zipf) N() uint64 { return z.n }
