@@ -16,23 +16,33 @@ import (
 )
 
 // doAll runs qs to completion as one multi-op frame, beside the window:
-// post a ticket per request, wait for them all. Per-op failures the
-// server answered with stay on their tickets; a request the transport
-// gave up on fails the call.
-func (c *Client) doAll(ctx context.Context, qs []request) ([]*Ticket, error) {
+// post a ticket per request, wait for them all, and hand each to read
+// with its index; then the tickets go back to the client for reuse.
+// Per-op failures the server answered with stay on their tickets; a
+// request the transport gave up on fails the call, which then calls no
+// read.
+func (c *Client) doAll(ctx context.Context, qs []request, read func(int, *Ticket)) error {
 	ts := make([]*Ticket, len(qs))
 	for i := range qs {
-		ts[i] = c.newTicket(ctx, qs[i])
+		ts[i] = c.ticket(ctx, qs[i], false)
 	}
+	defer func() {
+		for _, t := range ts {
+			c.recycle(t)
+		}
+	}()
 	if err := c.post(ts...); err != nil {
-		return nil, err
+		return err
 	}
 	for _, t := range ts {
 		if err := t.Wait(ctx); err != nil && !t.answered() {
-			return nil, err
+			return err
 		}
 	}
-	return ts, nil
+	for i, t := range ts {
+		read(i, t)
+	}
+	return nil
 }
 
 // MultiRes is one MultiGet result.
@@ -53,14 +63,12 @@ func (c *Client) MultiGetCtx(ctx context.Context, keys []uint64) ([]MultiRes, er
 	for i, k := range keys {
 		qs[i] = request{op: opGet, key: k}
 	}
-	ts, err := c.doAll(ctx, qs)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]MultiRes, len(keys))
-	for i, t := range ts {
+	if err := c.doAll(ctx, qs, func(i int, t *Ticket) {
 		out[i].Value, out[i].OK = t.Value()
 		out[i].Err = t.err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -97,13 +105,9 @@ func (c *Client) WriteBatchCtx(ctx context.Context, ops []BatchOp) ([]BatchRes, 
 			qs[i] = request{op: opPut, key: ops[i].Key, value: ops[i].Value}
 		}
 	}
-	ts, err := c.doAll(ctx, qs)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]BatchRes, len(ops))
-	for i, t := range ts {
-		out[i] = BatchRes{Existed: t.ok, Err: t.err}
+	if err := c.doAll(ctx, qs, func(i int, t *Ticket) { out[i] = BatchRes{Existed: t.ok, Err: t.err} }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

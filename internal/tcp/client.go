@@ -86,7 +86,8 @@ type Client struct {
 	// Pipelined-submission state (see pipeline.go): win holds one token
 	// per in-flight Submit ticket (capacity Options.Window), comp the
 	// completed ones not yet reaped by Wait/Poll, polled the slice the
-	// last Poll returned. spare holds sync tickets for reuse.
+	// last Poll returned. spare holds tickets for reuse: a window's worth
+	// and one per concurrent sync caller.
 	win    chan struct{}
 	compMu sync.Mutex
 	comp   map[*Ticket]struct{}
@@ -141,11 +142,11 @@ func DialContext(ctx context.Context, addr string, o Options) (*Client, error) {
 		sessions: map[uint64]uint64{},
 		pend:     map[uint64]*Ticket{},
 		comp:     map[*Ticket]struct{}{},
-		spare:    make(chan *Ticket, spareTickets),
 	}
 	c.work.L = &c.mu
 	c.life, c.stop = context.WithCancel(context.Background())
 	c.win = make(chan struct{}, c.opts.Window)
+	c.spare = make(chan *Ticket, c.opts.Window+syncCallers)
 	seed := o.Seed
 	if seed == 0 {
 		seed = int64(mintSession())
@@ -491,26 +492,22 @@ type WrongShardError struct{ Hint []byte }
 
 func (e *WrongShardError) Error() string { return "tcp: key belongs to another shard" }
 
-// do runs one request to completion beside the window: post a sync
-// ticket, wait for it, and hand it completed to read (if not nil); then
-// the ticket goes back to the client for reuse. It returns the error that
+// do runs one request to completion beside the window: post a ticket,
+// wait for it, and hand it completed to read (if not nil); then the
+// ticket goes back to the client for reuse. It returns the error that
 // says why the request did not succeed, and then calls no read.
 func (c *Client) do(ctx context.Context, q request, read func(*Ticket)) error {
-	t := c.syncTicket(ctx, q)
+	t := c.ticket(ctx, q, false)
+	defer c.recycle(t)
 	if err := c.post(t); err != nil {
-		c.release(t)
 		return err
 	}
 	if err := t.Wait(ctx); err != nil {
-		if t.reaped.Load() { // completed; a Wait that gave up left it pending
-			c.release(t)
-		}
 		return err
 	}
 	if read != nil {
 		read(t)
 	}
-	c.release(t)
 	return nil
 }
 

@@ -52,11 +52,12 @@ func TestPipelinedChaosExactlyOnce(t *testing.T) {
 	ctx := context.Background()
 
 	// Phase 1: pipelined puts of unique keys through the faulty link,
-	// with a concurrent Poll reaper. Count every delivery per ticket:
-	// a replayed frame must never surface as a second completion.
+	// reaped by a concurrent Poll. Count every delivery per key (Poll
+	// hands its tickets back for reuse): a replayed frame must never
+	// surface as a second completion.
 	const nPuts = 400
 	var mu sync.Mutex
-	polled := make(map[*Ticket]int)
+	polled, reaped := make([]int, nPuts), 0
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -65,7 +66,8 @@ func TestPipelinedChaosExactlyOnce(t *testing.T) {
 		for {
 			for _, tk := range cl.Poll(0) {
 				mu.Lock()
-				polled[tk]++
+				polled[tk.Key()]++
+				reaped++
 				mu.Unlock()
 				if tk.Err() != nil {
 					t.Errorf("put %d failed under chaos: %v", tk.Key(), tk.Err())
@@ -79,31 +81,32 @@ func TestPipelinedChaosExactlyOnce(t *testing.T) {
 			}
 		}
 	}()
-	tickets := make([]*Ticket, 0, nPuts)
 	for i := 0; i < nPuts; i++ {
-		tk, err := cl.SubmitPut(ctx, uint64(i), []byte(fmt.Sprintf("chaos%d", i)))
-		if err != nil {
+		if _, err := cl.SubmitPut(ctx, uint64(i), []byte(fmt.Sprintf("chaos%d", i))); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		tickets = append(tickets, tk)
 		if i%97 == 0 {
 			in.Force(netfault.KindReset) // guarantee kills land inside busy windows
 		}
 	}
-	for _, tk := range tickets {
-		if err := tk.Wait(ctx); err != nil {
-			t.Fatalf("put %d: %v", tk.Key(), err)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := reaped
+		mu.Unlock()
+		if n >= nPuts {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d puts reaped", n, nPuts)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	mu.Lock()
-	for tk, n := range polled {
+	for key, n := range polled {
 		if n != 1 {
-			t.Fatalf("ticket %d delivered %d times", tk.Key(), n)
+			t.Fatalf("put %d delivered %d times", key, n)
 		}
 	}
-	mu.Unlock()
 
 	// Phase 2: multi-op frames through resets. A batch frame that dies
 	// mid-flight is replayed whole; the dedup table must hand back the

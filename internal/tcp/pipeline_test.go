@@ -15,8 +15,8 @@ import (
 )
 
 // TestPipelineSubmitWaitPoll drives the async API end to end over a real
-// store: puts, gets, and deletes submitted ahead of their completions,
-// reaped through both Wait and Poll.
+// store: puts submitted ahead of their completions and reaped by Poll,
+// then a get and deletes reaped by Wait.
 func TestPipelineSubmitWaitPoll(t *testing.T) {
 	_, _, addr := startServerOpts(t, core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 16}, ServerOptions{})
 	cl, err := DialOptions(addr, Options{Window: 4})
@@ -27,25 +27,24 @@ func TestPipelineSubmitWaitPoll(t *testing.T) {
 	ctx := context.Background()
 
 	const n = 32
-	values := make(map[uint64][]byte, n)
-	tickets := make([]*Ticket, 0, n)
-	for i := uint64(0); i < n; i++ {
-		values[i] = []byte(fmt.Sprintf("v%d", i))
-		tk, err := cl.SubmitPut(ctx, i, values[i])
-		if err != nil {
-			t.Fatalf("submit put %d: %v", i, err)
-		}
-		tickets = append(tickets, tk)
-		// Drain opportunistically so the window (4) never blocks forever.
+	reaped := 0
+	reap := func() {
 		for _, done := range cl.Poll(0) {
 			if done.Err() != nil {
 				t.Fatalf("put %d failed: %v", done.Key(), done.Err())
 			}
+			reaped++
 		}
 	}
-	for _, tk := range tickets {
-		if err := tk.Wait(ctx); err != nil {
-			t.Fatalf("put %d: %v", tk.Key(), err)
+	for i := uint64(0); i < n; i++ {
+		if _, err := cl.SubmitPut(ctx, i, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatalf("submit put %d: %v", i, err)
+		}
+		reap() // opportunistically, as a closed loop does
+	}
+	for deadline := time.Now().Add(10 * time.Second); reaped < n; reap() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d puts reaped", reaped, n)
 		}
 	}
 	if got := cl.InFlight(); got != 0 {
@@ -261,31 +260,77 @@ func TestMultiOpsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPollDeliversExactlyOnce hammers Wait and Poll concurrently over
-// one window and counts deliveries per ticket: the reap CAS must hand
-// each completion to exactly one reaper.
+// TestPollDeliversExactlyOnce races blocked Waits against a spinning
+// Poll over one window and counts deliveries per key: each completion
+// goes to exactly one reaper. A stall server holds every answer until a
+// Wait is blocked on every third ticket; then the answers come at once.
+// Each blocked Wait must deliver its own ticket and Poll every other one:
+// a ticket published to Poll under a blocked Wait would be delivered
+// twice, and handed back for reuse at the next Poll under its waiter.
+// Keys, not tickets, are counted, because Poll hands tickets back.
 func TestPollDeliversExactlyOnce(t *testing.T) {
-	_, _, addr := startServerOpts(t, core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 16}, ServerOptions{})
-	cl, err := DialOptions(addr, Options{Window: 8})
+	const n = 192
+	release := make(chan struct{})
+	cl, err := DialOptions(stallServer(t, release), Options{Window: n, MaxAttempts: 1, RequestTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	ctx := context.Background()
 
-	const n = 200
 	var mu sync.Mutex
-	delivered := make(map[*Ticket]int, n)
-	var wg sync.WaitGroup
+	delivered := make([]int, n)
+	deliver := func(tk *Ticket) {
+		if err := tk.Err(); err != nil {
+			t.Errorf("put %d: %v", tk.Key(), err)
+		}
+		mu.Lock()
+		delivered[tk.Key()]++
+		mu.Unlock()
+	}
+	var waited []*Ticket
+	for i := 0; i < n; i++ {
+		tk, err := cl.SubmitPut(ctx, uint64(i), []byte("x"))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if i%3 == 0 {
+			waited = append(waited, tk)
+		}
+	}
+	var waiters sync.WaitGroup
+	for _, tk := range waited {
+		waiters.Add(1)
+		go func() {
+			defer waiters.Done()
+			tk.Wait(ctx)
+			deliver(tk)
+		}()
+	}
+	blocked := func() bool {
+		cl.compMu.Lock()
+		defer cl.compMu.Unlock()
+		for _, tk := range waited {
+			if tk.waiters == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !blocked(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiters never blocked")
+		}
+	}
+
 	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // concurrent poller
-		defer wg.Done()
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
 		for {
 			for _, tk := range cl.Poll(0) {
-				mu.Lock()
-				delivered[tk]++
-				mu.Unlock()
+				deliver(tk)
 			}
 			select {
 			case <-stop:
@@ -294,50 +339,21 @@ func TestPollDeliversExactlyOnce(t *testing.T) {
 			}
 		}
 	}()
-
-	submitted := make([]*Ticket, 0, n)
-	for i := 0; i < n; i++ {
-		tk, err := cl.SubmitPut(ctx, uint64(i), []byte("x"))
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		submitted = append(submitted, tk)
-		if i%3 == 0 { // racing waiter: a Wait reap counts as its delivery
-			if err := tk.Wait(ctx); err != nil {
-				t.Fatalf("wait %d: %v", i, err)
-			}
-		}
-	}
-	// Drain the wire, stop the poller, then sweep: Wait reaps anything
-	// the poller didn't get to (returning the recorded outcome if it did).
-	deadline := time.Now().Add(10 * time.Second)
-	for cl.InFlight() > 0 {
+	close(release)
+	waiters.Wait()
+	for deadline := time.Now().Add(10 * time.Second); cl.InFlight() > 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("window never drained: %d in flight", cl.InFlight())
 		}
-		time.Sleep(time.Millisecond)
 	}
 	close(stop)
-	wg.Wait()
-	for _, tk := range submitted {
-		if err := tk.Wait(ctx); err != nil {
-			t.Fatalf("final wait %d: %v", tk.Key(), err)
-		}
+	poller.Wait()
+	for _, tk := range cl.Poll(0) { // what completed after the poller's last Poll
+		deliver(tk)
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	for tk, cnt := range delivered {
+	for key, cnt := range delivered {
 		if cnt != 1 {
-			t.Fatalf("ticket %d delivered %d times by Poll", tk.Key(), cnt)
-		}
-	}
-	for _, tk := range submitted {
-		if !tk.reaped.Load() {
-			t.Fatalf("ticket %d never reaped", tk.Key())
-		}
-		if tk.Err() != nil {
-			t.Fatalf("ticket %d failed: %v", tk.Key(), tk.Err())
+			t.Errorf("put %d delivered %d times", key, cnt)
 		}
 	}
 }
