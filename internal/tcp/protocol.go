@@ -232,8 +232,12 @@ func decodeHello(b []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[8:]), nil
 }
 
+// requestHeader is a request's encoded size without its value, and
+// batchHeader a multi-op frame's without its requests.
+const requestHeader, batchHeader = 37, 5
+
 func encodeRequest(q request) []byte {
-	return appendRequest(make([]byte, 0, 37+len(q.value)), q)
+	return appendRequest(make([]byte, 0, requestHeader+len(q.value)), q)
 }
 
 // appendRequest encodes q onto buf (the client reuses a per-connection
@@ -250,7 +254,7 @@ func appendRequest(buf []byte, q request) []byte {
 }
 
 func decodeRequest(b []byte) (request, error) {
-	if len(b) < 37 {
+	if len(b) < requestHeader {
 		return request{}, fmt.Errorf("tcp: short request frame (%d bytes)", len(b))
 	}
 	q := request{
@@ -262,10 +266,10 @@ func decodeRequest(b []byte) (request, error) {
 		limit:  binary.LittleEndian.Uint32(b[29:]),
 	}
 	vlen := binary.LittleEndian.Uint32(b[33:])
-	if int(vlen) != len(b)-37 {
+	if int(vlen) != len(b)-requestHeader {
 		return request{}, fmt.Errorf("tcp: request value length mismatch")
 	}
-	q.value = b[37:]
+	q.value = b[requestHeader:]
 	return q, nil
 }
 
@@ -299,9 +303,9 @@ func decodeBatchInto(dst []request, b []byte) ([]request, error) {
 	if count > maxBatchOps {
 		return dst, errBadBatch
 	}
-	pos := 5
+	pos := batchHeader
 	for i := 0; i < count; i++ {
-		if len(b)-pos < 37 {
+		if len(b)-pos < requestHeader {
 			return dst, errBadBatch
 		}
 		h := b[pos:]
@@ -314,7 +318,7 @@ func decodeBatchInto(dst []request, b []byte) ([]request, error) {
 			limit:  binary.LittleEndian.Uint32(h[29:]),
 		}
 		vlen := int(binary.LittleEndian.Uint32(h[33:]))
-		pos += 37
+		pos += requestHeader
 		if vlen > len(b)-pos {
 			return dst, errBadBatch
 		}

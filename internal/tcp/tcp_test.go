@@ -2,9 +2,12 @@ package tcp
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,6 +77,68 @@ func TestLargeValuesOverTCP(t *testing.T) {
 	got, ok, _ := cl.Get(1)
 	if !ok || !bytes.Equal(got, val) {
 		t.Fatal("2 MB value corrupted over the wire")
+	}
+}
+
+// acceptCounter counts the connections a listener accepts.
+type acceptCounter struct {
+	net.Listener
+	n atomic.Int32
+}
+
+func (l *acceptCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
+}
+
+// TestOversizeRequestRefused: a request, or a multi-op call, whose frame
+// the server would refuse fails at once with ErrTooLarge, sync, windowed
+// or batched, before anything is written: the connection is not dropped
+// and redialled for it, and it takes no window slot.
+func TestOversizeRequestRefused(t *testing.T) {
+	st, err := core.New(core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Run()
+	srv := NewServer(st)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := &acceptCounter{Listener: lis}
+	go srv.Serve(accepted)
+	t.Cleanup(func() {
+		srv.Close()
+		st.Stop()
+	})
+	cl, err := DialOptions(lis.Addr().String(), Options{BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if err := cl.Put(1, make([]byte, maxFrame+1)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("put of a %d-byte value: %v, want ErrTooLarge", maxFrame+1, err)
+	}
+	if _, err := cl.SubmitPut(context.Background(), 2, make([]byte, maxFrame+1)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("submitted put of a %d-byte value: %v, want ErrTooLarge", maxFrame+1, err)
+	}
+	third := make([]byte, maxFrame/3)
+	if err := cl.MultiPut([]Pair{{3, third}, {4, third}, {5, third}}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("multi-put of three %d-byte values: %v, want ErrTooLarge", len(third), err)
+	}
+	if n := cl.InFlight(); n != 0 {
+		t.Errorf("%d window slots held after the refusals", n)
+	}
+	if err := cl.Put(6, third); err != nil {
+		t.Fatal(err)
+	}
+	if n := accepted.n.Load(); n != 1 {
+		t.Errorf("the server accepted %d connections, want 1: an oversize request went on the wire", n)
 	}
 }
 
