@@ -8,6 +8,7 @@ import (
 	"flatstore/internal/histcheck"
 	"flatstore/internal/index"
 	"flatstore/internal/oplog"
+	"flatstore/internal/pmem"
 	"flatstore/internal/record"
 )
 
@@ -27,7 +28,9 @@ import (
 //     partly free chunk listed with the core its header names);
 //  4. the log chains are duplicate-free, disjoint from the free pool,
 //     and account for every raw chunk (the GC link/unlink protocol never
-//     double-links or leaks a chunk);
+//     double-links or leaks a chunk), and every hot index ref lies in a
+//     chunk some log chain holds (recovery never indexes a chunk it
+//     frees, which reads intact until the chunk is reused);
 //  5. every cleaner journal slot is clear.
 func Check(st *core.Store, h *histcheck.History) error {
 	if _, err := audit(st, h); err != nil {
@@ -100,6 +103,15 @@ func Check(st *core.Store, h *histcheck.History) error {
 	for _, off := range st.Allocator().FreeList() {
 		if _, ok := chainOwner[off]; ok {
 			return fmt.Errorf("fault: chunk %#x is both in a log chain and the free pool", off)
+		}
+	}
+	for k, ref := range recovered {
+		if index.Cold(ref) {
+			continue
+		}
+		ch := ref &^ (pmem.ChunkSize - 1)
+		if _, ok := chainOwner[ch]; !ok {
+			return fmt.Errorf("fault: key %#x: index ref %#x lies in chunk %#x, which no log chain holds", k, ref, ch)
 		}
 	}
 
