@@ -46,7 +46,6 @@ type config struct {
 	cores     int
 	chunks    int
 	ordered   bool
-	gc        bool
 	ckptEvery time.Duration
 	scrub     time.Duration
 	slowOp    time.Duration
@@ -92,7 +91,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.cores, "cores", 4, "server cores")
 	fs.IntVar(&cfg.chunks, "chunks", 64, "arena size in 4MB chunks (new stores)")
 	fs.BoolVar(&cfg.ordered, "ordered", false, "FlatStore-M: ordered index with scans")
-	fs.BoolVar(&cfg.gc, "gc", true, "run the log cleaners")
 	fs.DurationVar(&cfg.ckptEvery, "checkpoint", 0, "periodic runtime checkpoint interval (0: off)")
 	fs.IntVar(&cfg.server.MaxConnInFlight, "conn-inflight", 0, "per-connection in-flight cap before shedding (0: default, <0: off)")
 	fs.IntVar(&cfg.server.MaxInFlight, "max-inflight", 0, "global in-flight cap before shedding (0: default, <0: off)")
@@ -112,7 +110,6 @@ func parseFlags(args []string) (config, error) {
 	shardID := fs.Int("shard-id", -1, "this node's shard ID in a sharded cluster (-1: unsharded)")
 	shardCount := fs.Int("shard-count", 0, "total shard count (with -shard-id; ignored when -cluster is set)")
 	clusterSpec := fs.String("cluster", "", "full cluster spec: ';'-separated shard groups, each a comma-separated address list (richer WrongShard hints than -shard-count)")
-	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard on the hash ring (0: default; all parties must agree)")
 	mapVersion := fs.Uint64("shard-map-version", 1, "shard-map membership version advertised in WrongShard hints")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
@@ -137,7 +134,7 @@ func parseFlags(args []string) (config, error) {
 		return cfg, errors.New("-tier-threshold needs -tier-dir")
 	}
 	var err error
-	cfg.gate, err = shardGate(*shardID, *shardCount, *clusterSpec, *vnodes, *mapVersion)
+	cfg.gate, err = shardGate(*shardID, *shardCount, *clusterSpec, *mapVersion)
 	return cfg, err
 }
 
@@ -147,7 +144,7 @@ func parseFlags(args []string) (config, error) {
 // identically to any client's full map over the same IDs — and its
 // WrongShard hints carry no addresses; -cluster supplies the full spec
 // so hints can re-point clients.
-func shardGate(id, count int, spec string, vnodes int, version uint64) (*cluster.Gate, error) {
+func shardGate(id, count int, spec string, version uint64) (*cluster.Gate, error) {
 	if id < 0 {
 		if count > 0 || spec != "" {
 			return nil, fmt.Errorf("-shard-count/-cluster need -shard-id")
@@ -157,12 +154,12 @@ func shardGate(id, count int, spec string, vnodes int, version uint64) (*cluster
 	var m *cluster.Map
 	var err error
 	if spec != "" {
-		m, err = cluster.ParseSpec(spec, version, vnodes)
+		m, err = cluster.ParseSpec(spec, version, cluster.DefaultVnodes)
 	} else {
 		if count <= 0 {
 			return nil, fmt.Errorf("-shard-id needs -shard-count or -cluster")
 		}
-		m, err = cluster.UniformMap(version, count, vnodes)
+		m, err = cluster.UniformMap(version, count, cluster.DefaultVnodes)
 	}
 	if err != nil {
 		return nil, err
@@ -177,7 +174,7 @@ func run(c config) error {
 	}
 	cfg := core.Config{
 		Cores: c.cores, Mode: batch.ModePipelinedHB, Index: idx,
-		ArenaChunks: c.chunks, GC: core.GCConfig{Enabled: c.gc}, Tier: c.tier,
+		ArenaChunks: c.chunks, GC: core.GCConfig{Enabled: true}, Tier: c.tier,
 		Salvage: c.salvage, ScrubEvery: c.scrub, SlowOpThreshold: c.slowOp,
 	}
 

@@ -18,7 +18,6 @@ func TestParseFlagsDefaults(t *testing.T) {
 		addr:   "127.0.0.1:7399",
 		cores:  4,
 		chunks: 64,
-		gc:     true,
 		tier:   core.TierConfig{},
 		server: tcp.ServerOptions{},
 		repl:   replFlags{role: "solo", advertiseAddr: "127.0.0.1:7399"},
