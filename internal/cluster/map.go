@@ -1,4 +1,4 @@
-// Package cluster is the sharding half of ROADMAP item 1: a
+// Package cluster is the sharding layer over replication groups: a
 // consistent-hash shard map over the uint64 key space and a
 // cluster-aware client that routes single operations to the owning
 // shard group, splits multi-op frames by shard and issues the sub-

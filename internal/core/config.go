@@ -55,8 +55,7 @@ type GCConfig struct {
 
 // TierConfig wires the cold disk tier (internal/tier): a log-structured
 // file store GC demotes cold records into when the PM arena runs low,
-// turning the arena into the hot tier of a two-tier system (ROADMAP
-// item 2).
+// turning the arena into the hot tier of a two-tier system.
 type TierConfig struct {
 	// Dir roots the segment files. Empty disables tiering entirely —
 	// every other field is then ignored and the engine behaves exactly

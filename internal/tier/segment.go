@@ -1,6 +1,6 @@
 // Package tier is the file-backed cold store: a log-structured second
 // tier that GC demotes cold records into, in the style of an LSM level
-// (ROADMAP item 2; Mishra's LSM survey motivates the flat-file shape).
+// (Mishra's LSM survey motivates the flat-file shape).
 //
 // Data lives in immutable segment files. A segment is written once —
 // build in memory, write to a .tmp file, fsync, rename into place,
