@@ -153,7 +153,7 @@ func (t *Ticket) reap() bool {
 			return false
 		}
 	} else {
-		t.val, t.ok = in.Value()
+		t.val, t.ok = in.Value() // a ticket Wait reaped keeps its value for good
 	}
 	c := t.c
 	c.pmu.Lock()

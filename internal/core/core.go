@@ -45,6 +45,14 @@ type Core struct {
 	// coldBuf is readEntry's scratch: a cold Get or Scan reads each
 	// record into it and copies the value out.
 	coldBuf []byte
+	// scan is the result respondScan's index walk fills, and scanFn the
+	// walk's callback (scanPair), bound once: a closure made per scan
+	// escapes through the index interface, with the result it captures.
+	scan struct {
+		pairs []rpc.Pair
+		limit int
+	}
+	scanFn func(key uint64, ref int64, ver uint32) bool
 	// reg tracks per-key version continuity and stale-entry counts for
 	// tombstone reclamation (rebuilt on recovery). It holds its values:
 	// a key's first overwrite costs no heap object, and the collector
@@ -570,42 +578,46 @@ func (c *Core) respondScan(req rpc.Request, client int, t0 int64) {
 	if limit <= 0 || limit > maxScanLimit {
 		limit = maxScanLimit
 	}
-	// Pre-size from the client's limit, capped so a huge (or defaulted)
-	// limit cannot commit a huge buffer up front.
-	presize := limit
-	if presize > scanPresize {
-		presize = scanPresize
+	pairs := rpc.GetPairs() // the tcp writer hands it back once encoded
+	if cap(pairs) == 0 {
+		// Pre-size from the client's limit, capped so a huge (or
+		// defaulted) limit cannot commit a huge buffer up front.
+		pairs = make([]rpc.Pair, 0, min(limit, scanPresize))
 	}
-	pairs := make([]rpc.Pair, 0, presize)
-	// Quarantined keys are absent from the index and therefore silently
-	// skipped by scans; corrupt records discovered mid-scan are skipped
-	// too (the scrubber or a direct Get quarantines them).
+	c.scan.pairs, c.scan.limit = pairs, limit
 	// The index orders keys across both tiers, so a single index walk
-	// yields a globally ordered, duplicate-free merge: readEntry resolves
-	// each ref to PM bytes or a cold segment read as the tier bit says.
-	ordered.Scan(req.Key, req.ScanHi, func(k uint64, ref int64, _ uint32) bool {
-		v, vok, _ := c.readEntry(k, ref)
-		for attempt := 0; !vok && attempt < 3; attempt++ {
-			// The record may have moved mid-scan (GC relocation,
-			// demotion, tier compaction): re-resolve under the owning
-			// core's index lock and retry before skipping the key.
-			oc := c.st.cores[c.st.CoreOf(k)]
-			oc.idxMu.Lock()
-			ref2, _, ok2 := oc.idx.Get(k)
-			oc.idxMu.Unlock()
-			if !ok2 || ref2 == ref {
-				break
-			}
-			ref = ref2
-			v, vok, _ = c.readEntry(k, ref)
-		}
-		if vok {
-			pairs = append(pairs, rpc.Pair{Key: k, Value: v})
-		}
-		return len(pairs) < limit
-	})
+	// yields a globally ordered, duplicate-free merge.
+	ordered.Scan(req.Key, req.ScanHi, c.scanFn)
+	pairs, c.scan.pairs = c.scan.pairs, nil
 	c.noteDone(obs.KindScan, req.Key, rpc.StatusOK, t0, 0, 0, 0)
 	c.outbox = append(c.outbox, Outgoing{client, rpc.Response{ID: req.ID, Status: rpc.StatusOK, Pairs: pairs}})
+}
+
+// scanPair adds one key of respondScan's walk to its result, and reports
+// whether the walk goes on. readEntry resolves the ref to PM bytes or a
+// cold segment read as the tier bit says. Quarantined keys are absent from
+// the index and therefore silently skipped; corrupt records discovered
+// mid-scan are skipped too (the scrubber or a direct Get quarantines them).
+func (c *Core) scanPair(k uint64, ref int64, _ uint32) bool {
+	v, vok, _ := c.readEntry(k, ref)
+	for attempt := 0; !vok && attempt < 3; attempt++ {
+		// The record may have moved mid-scan (GC relocation, demotion,
+		// tier compaction): re-resolve under the owning core's index lock
+		// and retry before skipping the key.
+		oc := c.st.cores[c.st.CoreOf(k)]
+		oc.idxMu.Lock()
+		ref2, _, ok2 := oc.idx.Get(k)
+		oc.idxMu.Unlock()
+		if !ok2 || ref2 == ref {
+			break
+		}
+		ref = ref2
+		v, vok, _ = c.readEntry(k, ref)
+	}
+	if vok {
+		c.scan.pairs = append(c.scan.pairs, rpc.Pair{Key: k, Value: v})
+	}
+	return len(c.scan.pairs) < c.scan.limit
 }
 
 // startModify runs the l-persist phase of a Put/Delete and publishes the

@@ -191,6 +191,7 @@ func (st *Store) newCore(i int) (*Core, error) {
 		reg:    map[uint64]keyMeta{},
 		quar:   map[uint64]uint32{},
 	}
+	c.scanFn = c.scanPair
 	if st.cfg.Index == IndexMasstree {
 		c.idx = st.tree
 	} else {

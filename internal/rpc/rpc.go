@@ -86,7 +86,8 @@ type Pair struct {
 	Value []byte
 }
 
-// Response is one server reply.
+// Response is one server reply. A scan's Pairs come from GetPairs: the
+// consumer may hand them back with PutPairs once they are dead.
 type Response struct {
 	ID     uint64
 	Status uint8

@@ -41,8 +41,8 @@ func TestAllocBudgetResponseCodec(t *testing.T) {
 		t.Fatalf("appendEngineResponse: %v allocs/op, want 0", n)
 	}
 	frame := appendEngineResponse(nil, r)
-	// A pairless response decodes without allocating (the value aliases
-	// the frame; scans pay one slice per response for the pair list).
+	// A response decodes without allocating: its value and its pairs alias
+	// the frame until the reader copies them into their ticket's buffer.
 	if n := testing.AllocsPerRun(500, func() {
 		if _, err := decodeResponse(frame); err != nil {
 			t.Fatal(err)
@@ -50,17 +50,30 @@ func TestAllocBudgetResponseCodec(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("decodeResponse: %v allocs/op, want 0", n)
 	}
-	pairs := make([]pair, 16)
+	pairs := make([]rpc.Pair, 16)
 	for i := range pairs {
-		pairs[i] = pair{key: uint64(i), value: r.Value}
+		pairs[i] = rpc.Pair{Key: uint64(i), Value: r.Value}
 	}
-	scan := encodeResponse(response{id: 7, pairs: pairs})
+	scan := appendEngineResponse(nil, &rpc.Response{ID: 7, Pairs: pairs})
+	var rs response
 	if n := testing.AllocsPerRun(500, func() {
-		if _, err := decodeResponse(scan); err != nil {
+		var err error
+		if rs, err = decodeResponse(scan); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 1 {
-		t.Fatalf("decodeResponse of a 16-pair scan answer: %v allocs/op, want 1", n)
+	}); n != 0 {
+		t.Fatalf("decodeResponse of a 16-pair scan answer: %v allocs/op, want 0", n)
+	}
+	// The caller's pairs cost two allocations, the slice and one buffer
+	// for every value.
+	if n := testing.AllocsPerRun(500, func() { rs.decodePairs() }); n != 2 {
+		t.Fatalf("decodePairs of a 16-pair scan answer: %v allocs/op, want 2", n)
+	}
+	got := rs.decodePairs()
+	for i := range pairs {
+		if got[i].Key != pairs[i].Key || !bytes.Equal(got[i].Value, pairs[i].Value) {
+			t.Fatalf("pair %d decoded as (%d, %q), want (%d, %q)", i, got[i].Key, got[i].Value, pairs[i].Key, pairs[i].Value)
+		}
 	}
 }
 

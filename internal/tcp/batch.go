@@ -11,13 +11,15 @@ package tcp
 // acknowledged from the dedup table.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 )
 
 // doAll runs qs to completion as one multi-op frame, beside the window:
 // post a ticket per request, wait for them all, and hand each to read
-// with its index; then the tickets go back to the client for reuse.
+// with its index; then the tickets go back to the client for reuse, with
+// the buffers their answers' bytes are in, so read copies what it keeps.
 // Per-op failures the server answered with stay on their tickets; a
 // request the transport gave up on fails the call, which then calls no
 // read.
@@ -65,8 +67,8 @@ func (c *Client) MultiGetCtx(ctx context.Context, keys []uint64) ([]MultiRes, er
 	}
 	out := make([]MultiRes, len(keys))
 	if err := c.doAll(ctx, qs, func(i int, t *Ticket) {
-		out[i].Value, out[i].OK = t.Value()
-		out[i].Err = t.err
+		v, ok := t.Value()
+		out[i] = MultiRes{Value: bytes.Clone(v), OK: ok, Err: t.err}
 	}); err != nil {
 		return nil, err
 	}

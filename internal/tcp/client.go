@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
@@ -397,14 +398,17 @@ func (c *Client) readLoop(cc *clientConn, br *bufio.Reader) {
 // stopped. A terminal answer completes the ticket; the two answers that
 // mean "not applied, send it again" keep it pending.
 func (c *Client) read(br *bufio.Reader) error {
-	// A bare answer — every Put's — is read into scratch and keeps
-	// nothing of it; a longer frame gets a buffer of its own, which its
-	// value or pairs keep.
-	var scratch [bareResponse + 4]byte // + checksum
+	// Every frame is read into buf, and the next one over it: a value or
+	// pairs that outlive their frame are copied into their ticket's own
+	// buffer (keepIn) before the next read.
+	var buf []byte
 	for {
-		payload, err := readFrameInto(br, scratch[:])
+		payload, err := readFrameInto(br, buf)
 		if err != nil {
 			return fmt.Errorf("tcp: connection lost: %w", err)
+		}
+		if buf = payload; cap(buf) > keepMax {
+			buf = nil // one large answer does not pin its buffer
 		}
 		rs, err := decodeResponse(payload)
 		if err != nil {
@@ -447,6 +451,7 @@ func (c *Client) read(br *bufio.Reader) error {
 		}
 		delete(c.pend, t.q.id)
 		c.mu.Unlock()
+		rs.keepIn(&t.buf)
 		c.complete(t, rs, err)
 	}
 }
@@ -494,8 +499,9 @@ func (e *WrongShardError) Error() string { return "tcp: key belongs to another s
 
 // do runs one request to completion beside the window: post a ticket,
 // wait for it, and hand it completed to read (if not nil); then the
-// ticket goes back to the client for reuse. It returns the error that
-// says why the request did not succeed, and then calls no read.
+// ticket goes back to the client for reuse, the buffer its answer's bytes
+// are in included, so read copies what it keeps. It returns the error
+// that says why the request did not succeed, and then calls no read.
 func (c *Client) do(ctx context.Context, q request, read func(*Ticket)) error {
 	t := c.ticket(ctx, q, false)
 	defer c.recycle(t)
@@ -529,7 +535,7 @@ func (c *Client) Get(key uint64) (value []byte, ok bool, err error) {
 
 // GetCtx is Get bounded by ctx.
 func (c *Client) GetCtx(ctx context.Context, key uint64) (value []byte, ok bool, err error) {
-	err = c.do(ctx, request{op: opGet, key: key}, func(t *Ticket) { value, ok = t.rs.value, t.ok })
+	err = c.do(ctx, request{op: opGet, key: key}, func(t *Ticket) { value, ok = bytes.Clone(t.rs.value), t.ok })
 	return value, ok, err
 }
 
@@ -569,12 +575,11 @@ func (c *Client) Stats() (*obs.Snapshot, error) {
 }
 
 // StatsCtx is Stats bounded by ctx.
-func (c *Client) StatsCtx(ctx context.Context) (*obs.Snapshot, error) {
-	var blob []byte
-	if err := c.do(ctx, request{op: opStats}, func(t *Ticket) { blob = t.rs.value }); err != nil {
+func (c *Client) StatsCtx(ctx context.Context) (snap *obs.Snapshot, err error) {
+	if err := c.do(ctx, request{op: opStats}, func(t *Ticket) { snap, err = obs.UnmarshalSnapshot(t.rs.value) }); err != nil {
 		return nil, err
 	}
-	return obs.UnmarshalSnapshot(blob)
+	return snap, err
 }
 
 // Pair is one scan result.
@@ -591,11 +596,6 @@ func (c *Client) Scan(lo, hi uint64, limit int) ([]Pair, error) {
 // ScanCtx is Scan bounded by ctx.
 func (c *Client) ScanCtx(ctx context.Context, lo, hi uint64, limit int) ([]Pair, error) {
 	var out []Pair
-	err := c.do(ctx, request{op: opScan, key: lo, scanHi: hi, limit: uint32(limit)}, func(t *Ticket) {
-		out = make([]Pair, len(t.rs.pairs))
-		for i, p := range t.rs.pairs {
-			out[i] = Pair{Key: p.key, Value: p.value}
-		}
-	})
+	err := c.do(ctx, request{op: opScan, key: lo, scanHi: hi, limit: uint32(limit)}, func(t *Ticket) { out = t.rs.decodePairs() })
 	return out, err
 }

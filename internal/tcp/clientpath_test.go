@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -112,23 +113,17 @@ func TestPipelinedFlushCoalescing(t *testing.T) {
 	defer cl.Close()
 	ctx := context.Background()
 	value := make([]byte, 32)
-	reap := func() {
-		for _, tk := range cl.Poll(0) {
-			if err := tk.Err(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	var out inFlight
 	flushes, coalesced := cl.flushes.Load(), srv.Stats().FramesCoalesced
 	for i := 0; i < n; i++ {
-		if _, err := cl.SubmitPut(ctx, uint64(i%512), value); err != nil {
+		tk, err := cl.SubmitPut(ctx, uint64(i%512), value)
+		if err != nil {
 			t.Fatal(err)
 		}
-		reap()
+		out = append(out, tk)
+		out.reap(t, cl, nil)
 	}
-	for cl.InFlight() > 0 {
-		reap()
-	}
+	out.drain(t)
 	flushes = cl.flushes.Load() - flushes
 	coalesced = srv.Stats().FramesCoalesced - coalesced
 	wakeups := n - coalesced // each wakeup reads one frame, then the coalesced ones
@@ -139,6 +134,40 @@ func TestPipelinedFlushCoalescing(t *testing.T) {
 	if coalesced < wakeups {
 		t.Errorf("%d frames coalesced over %d reader wakeups: fewer than one per wakeup", coalesced, wakeups)
 	}
+}
+
+// inFlight is a closed loop's record of its tickets not yet reaped: a
+// ticket joins at Submit and leaves when Poll delivers it, and what is
+// left is reaped with Wait, which blocks, rather than by polling until
+// nothing is in flight.
+type inFlight []*Ticket
+
+// reap takes what Poll delivers, failing on an error and handing each
+// ticket to check (if not nil) before the next Poll recycles it.
+func (o *inFlight) reap(t *testing.T, cl *Client, check func(*Ticket)) {
+	t.Helper()
+	for _, tk := range cl.Poll(0) {
+		if err := tk.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if check != nil {
+			check(tk)
+		}
+		i := slices.Index(*o, tk)
+		*o = slices.Delete(*o, i, i+1)
+	}
+}
+
+// drain Waits for every ticket still out. Those tickets stay the caller's:
+// unlike a polled one, none goes back to the client for reuse.
+func (o *inFlight) drain(t *testing.T) {
+	t.Helper()
+	for _, tk := range *o {
+		if err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	*o = (*o)[:0]
 }
 
 // TestPipelinedNoStrandedRequest: a frame held in the writer must reach
@@ -272,6 +301,112 @@ func TestPipelinedNoStrandedRequest(t *testing.T) {
 	})
 }
 
+// TestRecycleSkipsFailedAttempt: a ticket an attempt failed on does not go
+// back to the client for reuse, since a resend timer may still name it.
+// The server sheds the first request Busy and hangs up; the redial's
+// replay completes the ticket while the Busy backoff's timer still runs
+// (seed 412 draws 944 ms for the backoff, then 0.8 ms for the redial). The
+// test reaps the ticket with Poll, polls again — the Poll that hands a
+// ticket back — and lets the timer fire: under -race its read of the
+// ticket must not meet a reset of it, and the next Submit must get a
+// ticket of its own, not one a timer names.
+func TestRecycleSkipsFailedAttempt(t *testing.T) {
+	addr := shedOnceServer(t)
+	cl, err := DialOptions(addr, Options{Window: 4, Seed: 412, BackoffBase: time.Second, BackoffMax: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	start := time.Now()
+	tk, err := cl.SubmitGet(ctx, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []*Ticket
+	for len(got) == 0 {
+		if time.Since(start) > 800*time.Millisecond {
+			t.Fatal("the replay did not complete the ticket well before its Busy resend")
+		}
+		if got = cl.Poll(0); len(got) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if v, ok := got[0].Value(); got[0] != tk || !ok || binary.LittleEndian.Uint64(v) != 7 {
+		t.Fatalf("Poll delivered %d tickets, the first for key %d (value %x): want the Get of key 7", len(got), got[0].Key(), v)
+	}
+	cl.Poll(0)                                                 // hands back what the last Poll delivered, if it may
+	time.Sleep(time.Until(start.Add(1200 * time.Millisecond))) // the resend timer fires
+	tk2, err := cl.SubmitGet(ctx, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tk2 == tk {
+		t.Fatal("the ticket a Busy answer left a resend timer on was handed to a new request")
+	}
+	if err := tk2.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := tk2.Value(); !ok || binary.LittleEndian.Uint64(v) != 8 {
+		t.Fatalf("Get of key 8: %x, found=%v", v, ok)
+	}
+}
+
+// shedOnceServer sheds the first request it reads with statusBusy and
+// hangs up; on every later connection it answers each Get with the key
+// as its 8-byte value.
+func shedOnceServer(t *testing.T) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		for first := true; ; first = false {
+			c, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn, first bool) {
+				defer c.Close()
+				br, bw, ok := fakeHandshake(c)
+				for ok {
+					payload, err := readFrame(br)
+					if err != nil {
+						return
+					}
+					q, err := decodeRequest(payload)
+					if err != nil {
+						return
+					}
+					rs := response{id: q.id, status: statusOK, value: binary.LittleEndian.AppendUint64(nil, q.key)}
+					if first {
+						rs = response{id: q.id, status: statusBusy}
+					}
+					ok = writeFrame(bw, encodeResponse(rs)) == nil && bw.Flush() == nil && !first
+				}
+			}(c, first)
+		}
+	}()
+	return lis.Addr().String()
+}
+
+// fakeHandshake plays a server's side of the handshake on c: the
+// handshake frame out, the hello in.
+func fakeHandshake(c net.Conn) (*bufio.Reader, *bufio.Writer, bool) {
+	br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+	var hs []byte
+	hs = binary.LittleEndian.AppendUint64(hs, wireMagic)
+	hs = binary.LittleEndian.AppendUint32(hs, 1)
+	hs = binary.LittleEndian.AppendUint64(hs, 0xFAFE) // server identity
+	if writeFrame(bw, hs) != nil || bw.Flush() != nil {
+		return nil, nil, false
+	}
+	_, err := readFrame(br) // hello
+	return br, bw, err == nil
+}
+
 // shedFirstServer handshakes, answers the first request it reads with
 // statusBusy, and withholds every later answer until that request comes
 // back; then it acks everything it has seen and everything after at once.
@@ -291,15 +426,8 @@ func shedFirstServer(t *testing.T) (addr string, order func() []uint64) {
 			return
 		}
 		defer c.Close()
-		br, bw := bufio.NewReader(c), bufio.NewWriter(c)
-		var hs []byte
-		hs = binary.LittleEndian.AppendUint64(hs, wireMagic)
-		hs = binary.LittleEndian.AppendUint32(hs, 1)
-		hs = binary.LittleEndian.AppendUint64(hs, 0xFAFE) // server identity
-		if writeFrame(bw, hs) != nil || bw.Flush() != nil {
-			return
-		}
-		if _, err := readFrame(br); err != nil { // hello
+		br, bw, ok := fakeHandshake(c)
+		if !ok {
 			return
 		}
 		var shed uint64   // the request answered Busy
@@ -350,23 +478,27 @@ func shedFirstServer(t *testing.T) (addr string, order func() []uint64) {
 
 // TestClientPathBudget is the hot-path gate as a plain test. Requests in
 // flight cost no goroutines: the count with a full window outstanding is
-// the count with one. And a response frame is allocated only when the
-// answer carries a value or pairs, a bare answer being read into the
-// reader's scratch. Every ticket is reused, wake channel and all, once
-// its reaper is done with it, so a sync Put allocates nothing and a sync
-// Get only the frame its value rides in: budgets 0 and 1 (AllocsPerRun
+// the count with one. And an answer costs the client nothing of its own:
+// the reader reads every frame into one buffer it keeps, and copies a
+// value or pairs into the ticket's buffer, which the ticket keeps across
+// reuse. Every ticket is reused, wake channel and all, once its reaper is
+// done with it. So a sync Put allocates nothing and a sync Get only the
+// copy of the value it hands its caller: budgets 0 and 1 (AllocsPerRun
 // rounds down), where a ticket per call measured 2 and 3. A pipelined Put
-// reaped by Poll measures 0, its ticket going back at the next Poll and
-// Poll reusing its result slice; a ticket per Submit measured 1.0, which
-// its budget fails. A 16-pair Scan measures 12 (its budget is short of one
-// allocation per pair more).
+// or Get reaped by Poll measures 0, its ticket going back at the next Poll
+// and Poll reusing its result slice; a ticket per Submit measured 1.0, and
+// a frame per Get answer 1.0, which their budgets fail. A 16-pair Scan
+// measures 2, the caller's pairs and one buffer for their values; a frame,
+// a decoded pair list and its copy, and a pair slice and walk closure per
+// scan on the server measured 6.
 func TestClientPathBudget(t *testing.T) {
-	const window, putBudget, scanBudget = 32, 0, 16
-	getBudget, pipeBudget := 1.0, 0.25
+	const window, putBudget, scanBudget = 32, 0, 2
+	getBudget, pipePutBudget, pipeGetBudget := 1.0, 0.25, 0.25
 	if raceDetector {
 		// sync.Pool drops buffers, the server's included: a Get measures
-		// 2, a pipelined Put 0.72–0.81.
-		getBudget, pipeBudget = 2, 1
+		// 2, a pipelined Put 0.72–0.81 (one pooled buffer on the server)
+		// and a pipelined Get 1.44 (two).
+		getBudget, pipePutBudget, pipeGetBudget = 2, 1, 2
 	}
 	ctx := context.Background()
 
@@ -423,25 +555,27 @@ func TestClientPathBudget(t *testing.T) {
 		defer cl.Close()
 		value := make([]byte, 64)
 		var key uint64
-		if n := testing.AllocsPerRun(300, func() {
+		check := func(what string, n, budget float64) {
+			t.Logf("%s: %.3f allocs/op", what, n)
+			if n > budget {
+				t.Errorf("%s: %.3f allocs/op, budget %v", what, n, budget)
+			}
+		}
+		check("sync Put", testing.AllocsPerRun(300, func() {
 			key++
 			if err := cl.Put(key%128, value); err != nil {
 				t.Fatal(err)
 			}
-		}); n > putBudget {
-			t.Errorf("sync Put: %v allocs/op, budget %d", n, putBudget)
-		}
-		if n := testing.AllocsPerRun(300, func() {
+		}), putBudget)
+		check("sync Get", testing.AllocsPerRun(300, func() {
 			key++
 			if _, _, err := cl.Get(key % 128); err != nil {
 				t.Fatal(err)
 			}
-		}); n > getBudget {
-			t.Errorf("sync Get: %v allocs/op, budget %v", n, getBudget)
-		}
+		}), getBudget)
 		// A Scan needs an ordered index, so it has a server of its own. Its
-		// reply carries 16 pairs: the ticket and frames of a Get, plus the
-		// pair slices the server, the decoder and the caller each build.
+		// reply carries 16 pairs, which the caller gets in a slice of its
+		// own over one buffer of its own; the server's pair slice is pooled.
 		_, _, ordered := startServerOpts(t, core.Config{Cores: 2, Mode: batch.ModePipelinedHB, ArenaChunks: 32,
 			Index: core.IndexMasstree}, ServerOptions{})
 		sc, err := DialOptions(ordered, Options{Window: window})
@@ -454,39 +588,50 @@ func TestClientPathBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := testing.AllocsPerRun(300, func() {
+		n := testing.AllocsPerRun(300, func() {
 			key++
 			lo := key % 112
 			if pairs, err := sc.Scan(lo, lo+15, 16); err != nil || len(pairs) != 16 {
 				t.Fatalf("scan from %d: %d pairs, err=%v", lo, len(pairs), err)
 			}
-		}); n > scanBudget && !raceDetector { // 24 under -race: see raceDetector
-			t.Errorf("sync Scan of 16 pairs: %v allocs/op, budget %d", n, scanBudget)
-		}
-		// One run is a full window through Submit and Poll, the way a
-		// closed-loop load generator drives it.
-		reap := func() {
-			for _, tk := range cl.Poll(0) {
-				if err := tk.Err(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		n := testing.AllocsPerRun(50, func() {
-			for i := 0; i < window; i++ {
-				key++
-				if _, err := cl.SubmitPut(ctx, key%128, value); err != nil {
-					t.Fatal(err)
-				}
-				reap()
-			}
-			for cl.InFlight() > 0 {
-				runtime.Gosched()
-			}
-			reap()
 		})
-		if n > pipeBudget*window {
-			t.Errorf("pipelined Put at window %d: %.2f allocs/op, budget %v", window, n/window, pipeBudget)
+		if !raceDetector { // one pooled buffer per pair: see raceDetector
+			check("sync Scan of 16 pairs", n, scanBudget)
 		}
+		// A closed loop through Submit and Poll, the way a load generator
+		// drives the client: a run submits a full window and reaps what is
+		// done, and what it leaves in flight the next run reaps. Each row
+		// has a client of its own, whose spare tickets only Poll refills.
+		pipelined := func(what string, budget float64, submit func(*Client, uint64) (*Ticket, error), read func(*Ticket)) {
+			pc, err := DialOptions(addr, Options{Window: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pc.Close()
+			out := make(inFlight, 0, window)
+			run := func() {
+				for i := 0; i < window; i++ {
+					key++
+					tk, err := submit(pc, key%128)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, tk)
+					out.reap(t, pc, read)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				run() // a fresh client's tables, and its session's on the server, grow to size
+			}
+			n := testing.AllocsPerRun(50, run)
+			out.drain(t)
+			check("pipelined "+what+" reaped by Poll", n/window, budget)
+		}
+		pipelined("Put", pipePutBudget, func(pc *Client, k uint64) (*Ticket, error) { return pc.SubmitPut(ctx, k, value) }, nil)
+		pipelined("Get", pipeGetBudget, func(pc *Client, k uint64) (*Ticket, error) { return pc.SubmitGet(ctx, k) }, func(tk *Ticket) {
+			if v, ok := tk.Value(); !ok || len(v) != len(value) {
+				t.Fatalf("pipelined Get of key %d: %d bytes, found=%v", tk.Key(), len(v), ok)
+			}
+		})
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
+
+	"flatstore/internal/rpc"
 )
 
 // FuzzDecodeRequest hardens the server's request decoder against
@@ -73,7 +75,7 @@ func FuzzReadFrame(f *testing.F) {
 func FuzzDecodeResponse(f *testing.F) {
 	f.Add(encodeResponse(response{id: 1, status: 0, value: []byte("ok")}))
 	f.Add(encodeResponse(response{id: 2, status: 1}))
-	f.Add(encodeResponse(response{id: 3, pairs: []pair{{key: 9, value: []byte("p")}}}))
+	f.Add(appendEngineResponse(nil, &rpc.Response{ID: 3, Pairs: []rpc.Pair{{Key: 9, Value: []byte("p")}}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0x01}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -86,9 +88,12 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded response rejected: %v", err)
 		}
-		if rs2.id != rs.id || rs2.status != rs.status ||
-			!bytes.Equal(rs2.value, rs.value) || len(rs2.pairs) != len(rs.pairs) {
+		if rs2.id != rs.id || rs2.status != rs.status || !bytes.Equal(rs2.value, rs.value) ||
+			rs2.npairs != rs.npairs || !bytes.Equal(rs2.pairs, rs.pairs) {
 			t.Fatalf("response idempotence broken")
+		}
+		if ps := rs.decodePairs(); len(ps) != rs.npairs {
+			t.Fatalf("%d pairs decoded of %d", len(ps), rs.npairs)
 		}
 	})
 }

@@ -25,7 +25,11 @@ package tcp
 // Every ticket comes from the client's spare list, wake channel and all,
 // and goes back once the reaper that took it is done with it: a sync or
 // multi-op call's when the call returns, a Poll's at the next Poll. A
-// ticket its caller reaped with Wait stays the caller's.
+// ticket its caller reaped with Wait stays the caller's. An answer's value
+// or pairs land in the ticket's own buffer, which the ticket keeps across
+// reuse, so a pipelined Get reaped by Poll allocates nothing: its Value is
+// valid until the next Poll, like the ticket. What a sync or multi-op call
+// returns (Get, MultiGet, Scan, Stats) is copied out and is the caller's.
 //
 // The flush rule is Nagle's algorithm over the pending table: a request
 // frame may wait in the connection's bufio.Writer only while an earlier
@@ -41,6 +45,7 @@ package tcp
 // burst of submissions costs one write syscall instead of one each.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -88,7 +93,17 @@ type Ticket struct {
 	rs  response // the server's terminal answer; zero when the transport gave up
 	ok  bool     // Get: found; Delete: existed
 	err error
+
+	// buf is the ticket's own copy of its answer's value or pairs (rs
+	// points into it), kept across reuse. Only the reader writes it, as it
+	// completes the ticket: no reaper holds the ticket then.
+	buf []byte
 }
+
+// keepMax is the largest buffer the client keeps once it is done with it:
+// the reader's frame buffer after a frame, a ticket's on its way back to
+// the spare list. One large answer does not pin its buffer.
+const keepMax = 64 << 10
 
 // syncCallers is how many goroutines making sync calls on one client at
 // once its spare list serves, beside a full window of Submit tickets.
@@ -121,7 +136,11 @@ func (c *Client) recycle(t *Ticket) {
 	case <-t.done: // the signal no Wait took
 	default:
 	}
-	*t = Ticket{c: c, done: t.done}
+	buf := t.buf[:0]
+	if cap(buf) > keepMax {
+		buf = nil
+	}
+	*t = Ticket{c: c, done: t.done, buf: buf}
 	select {
 	case c.spare <- t:
 	default:
@@ -146,6 +165,9 @@ func (t *Ticket) Err() error {
 
 // Value returns a completed Get's result; ok is false while in flight,
 // on error, or when the key was absent (Err distinguishes the latter).
+// The value is in the ticket's own buffer: a ticket reaped by Wait keeps
+// it for good, one reaped by Poll until the next Poll, which hands the
+// ticket and its buffer back for reuse by a later Submit.
 func (t *Ticket) Value() (value []byte, ok bool) {
 	if !t.Done() || t.err != nil {
 		return nil, false
@@ -173,10 +195,11 @@ func (t *Ticket) reap() {
 // Wait blocks until the ticket completes (reaping it) or ctx fires, and
 // returns the submission's outcome. Waiting again on a reaped ticket
 // just returns the recorded outcome. A ticket reaped by Wait stays the
-// caller's; one reaped by Poll is valid until the next Poll. A Wait that
-// has to block first flushes the frames held in the writer — its own
-// request may be one — and counts itself a waiter under compMu, so
-// complete leaves the ticket to it rather than publish it for Poll.
+// caller's, its Value too; one reaped by Poll is valid until the next
+// Poll. A Wait that has to block first flushes the frames held in the
+// writer — its own request may be one — and counts itself a waiter under
+// compMu, so complete leaves the ticket to it rather than publish it for
+// Poll.
 func (t *Ticket) Wait(ctx context.Context) error {
 	c := t.c
 	if !t.Done() && c.held.Load() > 0 {
@@ -206,19 +229,22 @@ func (t *Ticket) Wait(ctx context.Context) error {
 // Poll reaps up to max completed tickets (max <= 0: every one that is
 // ready) without blocking. Each completion is delivered exactly once
 // across all Poll and Wait calls. A Poll that finds nothing yields the
-// processor once before it returns: a caller that polls while it waits —
-// the closed loop above, or `for cl.InFlight() > 0 { cl.Poll(0) }` — then
-// gives the goroutines it is waiting on a turn (the connection's reader;
-// in a one-process test or benchmark the server too, whose idle naps only
-// end on a scheduler pass) instead of spinning through its time slice.
-// When nothing flushed is unanswered it first flushes whatever is held:
-// no response is coming whose arrival would.
+// processor once before it returns, so the closed loop above gives the
+// goroutines it waits on a turn (the connection's reader; in a one-process
+// test or benchmark the server too, whose idle naps only end on a
+// scheduler pass). When nothing flushed is unanswered it first flushes
+// whatever is held: no response is coming whose arrival would.
+//
+// Poll is not a way to wait: to drain the window, Wait on the tickets
+// still out. A loop of empty Polls keeps the run queue busy, and on one
+// CPU (GOMAXPROCS=1) the netpoller then sees the socket only at the
+// runtime's sysmon tick.
 //
 // The result is the client's one reap slice, and its tickets are valid
-// until the next Poll: that Poll overwrites the slice and hands the
-// tickets back to the client for reuse, so read each one before polling
-// again, and keep what you need of it, not the ticket. One goroutine at a
-// time reaps with Poll.
+// until the next Poll, a Get's Value with them: that Poll overwrites the
+// slice and hands the tickets, and the buffers their values are in, back
+// to the client for reuse, so read each one before polling again, and
+// copy what you keep of it. One goroutine at a time reaps with Poll.
 func (c *Client) Poll(max int) []*Ticket {
 	c.compMu.Lock()
 	for _, t := range c.polled {
@@ -475,7 +501,7 @@ func (c *Client) complete(t *Ticket, rs response, err error) {
 		case rs.status == statusNotFound && (t.q.op == opGet || t.q.op == opDelete):
 			// Absent key: a normal outcome, not an error.
 		case rs.status == statusWrongShard:
-			t.err = &WrongShardError{Hint: rs.value}
+			t.err = &WrongShardError{Hint: bytes.Clone(rs.value)} // rs.value is the ticket's buffer
 		default:
 			t.err = fmt.Errorf("tcp: %s failed (status %d)", opNames[t.q.op], rs.status)
 		}

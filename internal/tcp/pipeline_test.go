@@ -1,9 +1,7 @@
 package tcp
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -94,16 +92,8 @@ func stallServer(t *testing.T, release chan struct{}) string {
 			return
 		}
 		defer c.Close()
-		br := bufio.NewReader(c)
-		bw := bufio.NewWriter(c)
-		var hs []byte
-		hs = binary.LittleEndian.AppendUint64(hs, wireMagic)
-		hs = binary.LittleEndian.AppendUint32(hs, 1)
-		hs = binary.LittleEndian.AppendUint64(hs, 0xFAFE) // server identity
-		if writeFrame(bw, hs) != nil || bw.Flush() != nil {
-			return
-		}
-		if _, err := readFrame(br); err != nil { // hello
+		br, bw, ok := fakeHandshake(c)
+		if !ok {
 			return
 		}
 		var mu sync.Mutex

@@ -102,18 +102,17 @@ type request struct {
 	value  []byte
 }
 
-// pair mirrors rpc.Pair on the wire.
-type pair struct {
-	key   uint64
-	value []byte
-}
-
-// response is the decoded wire response.
+// response is the decoded wire response. A scan's pairs stay in their
+// wire encoding — npairs × (u64 key, u32 vlen, vlen bytes), checked by
+// decodeResponse — until decodePairs turns them into the caller's Pairs.
+// value and pairs alias the frame they were decoded from until keepIn
+// moves them into a buffer of the caller's.
 type response struct {
 	id     uint64
 	status uint8
 	value  []byte
-	pairs  []pair
+	npairs int
+	pairs  []byte
 }
 
 // writeU32 emits v little-endian via WriteByte, which (unlike passing a
@@ -194,8 +193,8 @@ func ReadFrame(r *bufio.Reader) ([]byte, error) {
 // backed by bufpool and the caller owns it — it must go back via
 // bufpool.Put (directly, or through the engine's rpc.Request.Buf
 // ownership transfer) once the decoded fields are dead. The server's
-// reader uses this; the client keeps plain readFrame because response
-// values escape to the API caller.
+// reader uses this; the client's reader reads every frame into one
+// buffer it keeps (readFrameInto) and copies out what outlives the frame.
 func readFrameBuf(r *bufio.Reader) ([]byte, error) {
 	n, err := readLen(r)
 	if err != nil {
@@ -333,11 +332,7 @@ func decodeBatchInto(dst []request, b []byte) ([]request, error) {
 }
 
 func encodeResponse(rs response) []byte {
-	n := bareResponse + len(rs.value) + 4
-	for _, p := range rs.pairs {
-		n += 12 + len(p.value)
-	}
-	return appendResponse(make([]byte, 0, n), rs)
+	return appendResponse(make([]byte, 0, bareResponse+len(rs.value)+len(rs.pairs)), rs)
 }
 
 // appendResponse encodes rs onto buf.
@@ -346,13 +341,8 @@ func appendResponse(buf []byte, rs response) []byte {
 	buf = append(buf, rs.status)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rs.value)))
 	buf = append(buf, rs.value...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rs.pairs)))
-	for _, p := range rs.pairs {
-		buf = binary.LittleEndian.AppendUint64(buf, p.key)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.value)))
-		buf = append(buf, p.value...)
-	}
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(rs.npairs))
+	return append(buf, rs.pairs...)
 }
 
 // appendEngineResponse encodes an engine rpc.Response directly onto buf,
@@ -405,25 +395,57 @@ func decodeResponse(b []byte) (response, error) {
 	npairs := int(binary.LittleEndian.Uint32(b[pos:]))
 	pos += 4
 	// Every pair takes at least 12 bytes, so a count the bytes left cannot
-	// hold is a lie, refused before it sizes anything.
+	// hold is a lie, refused before the walk.
 	if npairs > (len(b)-pos)/12 {
 		return response{}, bad
 	}
-	if npairs > 0 {
-		rs.pairs = make([]pair, 0, npairs)
-	}
+	start := pos
 	for i := 0; i < npairs; i++ {
 		if pos+12 > len(b) {
 			return response{}, bad
 		}
-		key := binary.LittleEndian.Uint64(b[pos:])
 		pl := int(binary.LittleEndian.Uint32(b[pos+8:]))
 		pos += 12
-		if pos+pl > len(b) {
+		if pl > len(b)-pos {
 			return response{}, bad
 		}
-		rs.pairs = append(rs.pairs, pair{key: key, value: b[pos : pos+pl]})
 		pos += pl
 	}
+	if npairs > 0 {
+		rs.npairs, rs.pairs = npairs, b[start:pos]
+	}
 	return rs, nil
+}
+
+// keepIn copies rs's value and pairs into *buf, reusing its capacity, and
+// points rs at the copy: the client's reader reads the next frame over the
+// one rs was decoded from.
+func (rs *response) keepIn(buf *[]byte) {
+	nv := len(rs.value)
+	if nv+len(rs.pairs) == 0 {
+		return
+	}
+	b := append(append((*buf)[:0], rs.value...), rs.pairs...)
+	if nv > 0 {
+		rs.value = b[:nv:nv]
+	}
+	if len(rs.pairs) > 0 {
+		rs.pairs = b[nv:]
+	}
+	*buf = b
+}
+
+// decodePairs decodes rs's pairs into a new slice whose values share one
+// new buffer: two allocations, both the caller's to keep.
+func (rs *response) decodePairs() []Pair {
+	out := make([]Pair, rs.npairs)
+	vals := make([]byte, len(rs.pairs)-12*rs.npairs)
+	b := rs.pairs
+	for i := range out {
+		pl := int(binary.LittleEndian.Uint32(b[8:]))
+		copy(vals, b[12:12+pl])
+		out[i] = Pair{Key: binary.LittleEndian.Uint64(b), Value: vals[:pl:pl]}
+		vals, b = vals[pl:], b[12+pl:]
+	}
+	return out
 }

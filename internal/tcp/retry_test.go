@@ -7,9 +7,7 @@ package tcp
 // matchably.
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -38,16 +36,8 @@ func busyServer(t *testing.T) string {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				br := bufio.NewReader(c)
-				bw := bufio.NewWriter(c)
-				var hs []byte
-				hs = binary.LittleEndian.AppendUint64(hs, wireMagic)
-				hs = binary.LittleEndian.AppendUint32(hs, 1)
-				hs = binary.LittleEndian.AppendUint64(hs, 0xFAFE) // server identity
-				if writeFrame(bw, hs) != nil || bw.Flush() != nil {
-					return
-				}
-				if _, err := readFrame(br); err != nil { // hello
+				br, bw, ok := fakeHandshake(c)
+				if !ok {
 					return
 				}
 				var scratch []request

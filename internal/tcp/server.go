@@ -469,11 +469,13 @@ func (s *Server) handle(conn net.Conn) {
 				}
 				// The engine materializes every response value (Get value,
 				// scan pair values) as a fresh bufpool copy owned by this
-				// poller; once encoded (or discarded) they are dead.
+				// poller, in a pooled pair slice for a scan; once encoded
+				// (or discarded) they are dead.
 				bufpool.Put(r.Value)
 				for j := range r.Pairs {
 					bufpool.Put(r.Pairs[j].Value)
 				}
+				rpc.PutPairs(r.Pairs)
 				*r = rpc.Response{}
 			}
 			wrote += len(rs)

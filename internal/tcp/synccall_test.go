@@ -1,7 +1,9 @@
 package tcp
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -112,10 +114,14 @@ func TestSyncCallHammer(t *testing.T) {
 // returned goes back to the client at the next Poll, and the next Submit,
 // on any goroutine, takes it; so a ticket handed back before its reaper
 // read it, or while the client can still reach it, shows up here as a
-// race, or as a Get that observed another op's answer or none. Each key
-// has one op in flight at a time, which the reaper finds by the ticket's
-// key. Every op is recorded, and the history and the final state are
-// audited.
+// race, or as a Get that observed another op's answer or none. A polled
+// Get's value lives in its ticket's buffer until that next Poll, and every
+// value names its key and stamp (hammerValue, of a length that varies with
+// the stamp): the reaper checks each one as Poll delivers it and again,
+// byte for byte, just before the next Poll, so a buffer overwritten under
+// a live value fails the run. Each key has one op in flight at a time,
+// which the reaper finds by the ticket's key. Every op is recorded, and
+// the history and the final state are audited.
 func TestWindowedHammer(t *testing.T) {
 	const (
 		submitters = 4
@@ -179,7 +185,7 @@ func TestWindowedHammer(t *testing.T) {
 					return
 				}
 				read := i/keys%2 == 1 // a Get reads the key's Put before it
-				v := []byte(fmt.Sprintf("w%d-i%d", w, i))
+				v := hammerValue(key, uint64(i))
 				mu.Lock()
 				if read {
 					op[key] = h.Read(key)
@@ -212,7 +218,21 @@ func TestWindowedHammer(t *testing.T) {
 
 	reaped := 0
 	seen := map[*Ticket]bool{} // the distinct tickets Poll delivered
+	type liveValue struct {
+		key       uint64
+		val, want []byte
+	}
+	var live []liveValue // the last Poll's Get values, with copies taken then
 	for done := false; ; {
+		if len(live) > 0 {
+			time.Sleep(100 * time.Microsecond) // the reader lands other answers meanwhile
+		}
+		for _, lv := range live {
+			if !bytes.Equal(lv.val, lv.want) {
+				t.Fatalf("key %d: a polled Get's value changed before the next Poll: %x, was %x", lv.key, lv.val, lv.want)
+			}
+		}
+		live = live[:0]
 		batch := cl.Poll(0)
 		if len(batch) == 0 {
 			// A reaper that only yields keeps a one-CPU run queue busy, and
@@ -230,7 +250,14 @@ func TestWindowedHammer(t *testing.T) {
 			}
 			switch err := tk.Err(); {
 			case read && err == nil:
-				o.Saw(tk.Value())
+				v, ok := tk.Value()
+				if ok {
+					if err := checkHammerValue(key, v); err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, liveValue{key, v, bytes.Clone(v)})
+				}
+				o.Saw(v, ok)
 			case read:
 				failed.Store(key, "get")
 			case o.End(err) != nil:
@@ -279,4 +306,28 @@ func TestWindowedHammer(t *testing.T) {
 	if len(seen)*2 > reaped {
 		t.Fatalf("%d ops over %d distinct tickets: too few were reused to test reuse", reaped, len(seen))
 	}
+}
+
+// hammerValue is the value of the Put with the given stamp to key: the
+// pair (key, stamp), 16 bytes, repeated 1 to 8 times as the stamp says,
+// so that answers of every length pass through one ticket's buffer.
+func hammerValue(key, stamp uint64) []byte {
+	var v []byte
+	for n := stamp%8 + 1; n > 0; n-- {
+		v = binary.LittleEndian.AppendUint64(v, key)
+		v = binary.LittleEndian.AppendUint64(v, stamp)
+	}
+	return v
+}
+
+// checkHammerValue reports a Get's value of key that no Put wrote:
+// hammerValue of key and some stamp, whole.
+func checkHammerValue(key uint64, v []byte) error {
+	if len(v) < 16 {
+		return fmt.Errorf("key %d: value of %d bytes, no Put wrote it: %x", key, len(v), v)
+	}
+	if stamp := binary.LittleEndian.Uint64(v[8:]); !bytes.Equal(v, hammerValue(key, stamp)) {
+		return fmt.Errorf("key %d: value %x is not the Put of stamp %d", key, v, stamp)
+	}
+	return nil
 }
