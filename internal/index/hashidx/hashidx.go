@@ -8,9 +8,12 @@ package hashidx
 import "flatstore/internal/index"
 
 const (
-	// SlotsPerBucket matches CCEH's 4 slots per 64 B bucket.
+	// SlotsPerBucket matches CCEH's 4 slots per bucket. A slot here is
+	// 24 B (CCEH's is 16 B), so a bucket is 96 B, not one 64 B line.
 	SlotsPerBucket = 4
-	// bucketsPerSegment is 256 buckets → 16 KB segments, as in CCEH.
+	// bucketsPerSegment is CCEH's 256 buckets. With 96 B buckets a segment
+	// is 24 584 B, which the Go allocator rounds up to its 27 264 B size
+	// class (CCEH's segment is 16 KB).
 	bucketsPerSegment = 256
 	// probeDistance is CCEH's linear-probing range: a key may land in
 	// its home bucket or the next one.

@@ -4,7 +4,25 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestLayoutSizes pins the sizes the SlotsPerBucket and
+// bucketsPerSegment comments state.
+func TestLayoutSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"slot", unsafe.Sizeof(slot{}), 24},
+		{"bucket", unsafe.Sizeof(bucket{}), 96},
+		{"segment", unsafe.Sizeof(segment{}), 24_584},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d B, want %d", c.name, c.got, c.want)
+		}
+	}
+}
 
 func TestPutGet(t *testing.T) {
 	h := New()

@@ -3,15 +3,31 @@
 // trie of B+-trees over variable-length keys; with FlatStore's fixed
 // 8-byte keys the trie collapses to a single layer, so what remains — and
 // what this package implements — is a concurrent B+-tree shared by all
-// server cores: fine-grained per-node read/write locks, top-down
-// preemptive splitting (at most two nodes locked at any moment),
-// hand-over-hand leaf-chain traversal for range scans, and values stored
-// at the leaves as (ref, version) pairs pointing into the OpLog.
+// server cores.
+//
+// Layout: a leaf holds sorted keys, their refs and versions (separate
+// arrays, so a value pays no padding) and the next-leaf link; an inner
+// node holds separator keys and children. Both embed a common header, and
+// a child pointer is a *header that is cast to its node kind.
+//
+// Locking: every node has a read/write lock. Get, Scan, an update, a CAS,
+// a Delete and an insert into a leaf with room descend with read locks
+// hand over hand and lock only the leaf — for writing if they change it —
+// so writers to different leaves run in parallel. Only an insert into a
+// full leaf takes the exclusive top-down path, which write-locks each
+// node it passes (at most two at a time) and splits every full one.
+// Scans walk the leaf chain hand over hand.
+//
+// Splits: a split whose inserting key lies past the full node's last key
+// (an ascending insert) keeps the left node full — an inner one gives up
+// only its last separator and child — so ascending loads leave nodes
+// full; every other split is at the middle. Leaves are never merged.
 package masstree
 
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"flatstore/internal/index"
 )
@@ -20,31 +36,44 @@ import (
 // inner node near two cachelines, the sweet spot Masstree also targets.
 const maxKeys = 15
 
-type value struct {
-	ref     index.Ref
-	version uint32
+// header begins every node; keys[:n] are sorted. isLeaf never changes,
+// so it may be read without the lock.
+type header struct {
+	mu     sync.RWMutex
+	n      int
+	isLeaf bool
+	keys   [maxKeys]uint64
 }
 
-// node is a B+-tree node; the isLeaf flag selects which arrays are live.
-type node struct {
-	mu     sync.RWMutex
-	isLeaf bool
-	n      int
-	keys   [maxKeys]uint64
-	// Leaf fields.
-	vals [maxKeys]value
-	next *node
-	// Inner fields.
-	children [maxKeys + 1]*node
+// leaf maps keys[i] to (refs[i], versions[i]); next is the leaf to its
+// right.
+type leaf struct {
+	header
+	refs     [maxKeys]index.Ref
+	versions [maxKeys]uint32
+	next     *leaf
 }
+
+// newLeaf returns an empty, unlinked leaf.
+func newLeaf() *leaf { return &leaf{header: header{isLeaf: true}} }
+
+// inner routes keys below keys[i] (and at least keys[i-1]) to children[i].
+type inner struct {
+	header
+	children [maxKeys + 1]*header
+}
+
+// leaf and inner name the node that embeds h, as isLeaf says.
+func (h *header) leaf() *leaf   { return (*leaf)(unsafe.Pointer(h)) }
+func (h *header) inner() *inner { return (*inner)(unsafe.Pointer(h)) }
 
 // upperBound returns the number of keys ≤ key — the child index to
 // descend into.
-func (nd *node) upperBound(key uint64) int {
-	lo, hi := 0, nd.n
+func (h *header) upperBound(key uint64) int {
+	lo, hi := 0, h.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if nd.keys[mid] <= key {
+		if h.keys[mid] <= key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -53,19 +82,10 @@ func (nd *node) upperBound(key uint64) int {
 	return lo
 }
 
-// find returns the position of key in a leaf, or -1.
-func (nd *node) find(key uint64) int {
-	lo, hi := 0, nd.n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case nd.keys[mid] == key:
-			return mid
-		case nd.keys[mid] < key:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
+// find returns the position of key, or -1.
+func (h *header) find(key uint64) int {
+	if i := h.upperBound(key); i > 0 && h.keys[i-1] == key {
+		return i - 1
 	}
 	return -1
 }
@@ -74,68 +94,87 @@ func (nd *node) find(key uint64) int {
 // New.
 type Tree struct {
 	mu    sync.RWMutex // guards the root pointer
-	root  *node
+	root  *header
 	count atomic.Int64
 }
 
 // New returns an empty tree.
 func New() *Tree {
-	return &Tree{root: &node{isLeaf: true}}
+	return &Tree{root: &newLeaf().header}
 }
 
 // Len returns the number of live keys.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 
-// lockLeafRead descends to the leaf that may hold key, returning it
-// read-locked.
-func (t *Tree) lockLeafRead(key uint64) *node {
+// lockLeaf descends with read locks, hand over hand, to the leaf that may
+// hold key and returns it read-locked, or write-locked if write.
+func (t *Tree) lockLeaf(key uint64, write bool) *leaf {
 	t.mu.RLock()
 	nd := t.root
-	nd.mu.RLock()
+	lock(nd, write)
 	t.mu.RUnlock()
 	for !nd.isLeaf {
-		c := nd.children[nd.upperBound(key)]
-		c.mu.RLock()
+		c := nd.inner().children[nd.upperBound(key)]
+		lock(c, write)
 		nd.mu.RUnlock()
 		nd = c
 	}
-	return nd
+	return nd.leaf()
+}
+
+// lock takes h's lock: for writing if h is a leaf and write is set.
+func lock(h *header, write bool) {
+	if write && h.isLeaf {
+		h.mu.Lock()
+	} else {
+		h.mu.RLock()
+	}
 }
 
 // Get looks up key.
 func (t *Tree) Get(key uint64) (index.Ref, uint32, bool) {
-	nd := t.lockLeafRead(key)
-	defer nd.mu.RUnlock()
-	if i := nd.find(key); i >= 0 {
-		v := nd.vals[i]
-		return v.ref, v.version, true
+	lf := t.lockLeaf(key, false)
+	defer lf.mu.RUnlock()
+	if i := lf.find(key); i >= 0 {
+		return lf.refs[i], lf.versions[i], true
 	}
 	return 0, 0, false
 }
 
-// splitChild splits the full child at position i of parent (both must be
-// write-locked; parent must not be full). Returns the new right sibling.
-func splitChild(parent *node, i int) *node {
+// splitChild splits the full child at position i of parent (both
+// write-locked; parent not full) on behalf of an insert of key, and
+// returns the new right sibling.
+func splitChild(parent *inner, i int, key uint64) *header {
 	child := parent.children[i]
 	mid := maxKeys / 2
-	sib := &node{isLeaf: child.isLeaf}
+	if key > child.keys[maxKeys-1] {
+		mid = maxKeys // append: the left node stays full
+	}
 	var sep uint64
+	var sib *header
 	if child.isLeaf {
-		// Right half moves; the separator is the sibling's first key.
-		copy(sib.keys[:], child.keys[mid:child.n])
-		copy(sib.vals[:], child.vals[mid:child.n])
-		sib.n = child.n - mid
-		child.n = mid
-		sep = sib.keys[0]
-		sib.next = child.next
-		child.next = sib
+		// Keys from mid on move right; the separator is the sibling's
+		// first key, or key itself when the sibling starts empty.
+		l, s := child.leaf(), newLeaf()
+		copy(s.keys[:], l.keys[mid:l.n])
+		copy(s.refs[:], l.refs[mid:l.n])
+		copy(s.versions[:], l.versions[mid:l.n])
+		s.n, l.n = l.n-mid, mid
+		sep = key
+		if s.n > 0 {
+			sep = s.keys[0]
+		}
+		s.next, l.next = l.next, s
+		sib = &s.header
 	} else {
-		// The middle key moves up.
-		sep = child.keys[mid]
-		copy(sib.keys[:], child.keys[mid+1:child.n])
-		copy(sib.children[:], child.children[mid+1:child.n+1])
-		sib.n = child.n - mid - 1
-		child.n = mid
+		// The key at mid moves up (for an append, the last one).
+		mid = min(mid, maxKeys-1)
+		in, s := child.inner(), &inner{}
+		sep = in.keys[mid]
+		copy(s.keys[:], in.keys[mid+1:in.n])
+		copy(s.children[:], in.children[mid+1:in.n+1])
+		s.n, in.n = in.n-mid-1, mid
+		sib = &s.header
 	}
 	// Insert sep and sib into parent after position i.
 	copy(parent.keys[i+1:parent.n+1], parent.keys[i:parent.n])
@@ -146,30 +185,32 @@ func splitChild(parent *node, i int) *node {
 	return sib
 }
 
-// lockLeafWrite descends with preemptive splitting, returning the target
-// leaf write-locked and guaranteed non-full.
-func (t *Tree) lockLeafWrite(key uint64) *node {
+// lockLeafSplitting is the exclusive top-down path for an insert of key:
+// it write-locks each node it passes, splitting every full one, and
+// returns the target leaf write-locked and guaranteed non-full.
+func (t *Tree) lockLeafSplitting(key uint64) *leaf {
 	t.mu.Lock()
 	nd := t.root
 	nd.mu.Lock()
 	if nd.n == maxKeys {
 		// Grow the tree: a fresh root with the old one as only child.
-		nr := &node{}
+		nr := &inner{}
 		nr.children[0] = nd
-		splitChild(nr, 0)
+		splitChild(nr, 0, key)
 		nr.mu.Lock()
-		t.root = nr
+		t.root = &nr.header
 		nd.mu.Unlock()
-		nd = nr
+		nd = &nr.header
 	}
 	t.mu.Unlock()
 	for !nd.isLeaf {
-		i := nd.upperBound(key)
-		c := nd.children[i]
+		in := nd.inner()
+		i := in.upperBound(key)
+		c := in.children[i]
 		c.mu.Lock()
 		if c.n == maxKeys {
-			sib := splitChild(nd, i)
-			if key >= nd.keys[i] {
+			sib := splitChild(in, i, key)
+			if key >= in.keys[i] {
 				// The key belongs in the new right sibling.
 				sib.mu.Lock()
 				c.mu.Unlock()
@@ -179,36 +220,43 @@ func (t *Tree) lockLeafWrite(key uint64) *node {
 		nd.mu.Unlock()
 		nd = c
 	}
-	return nd
+	return nd.leaf()
 }
 
-// Put inserts or updates key.
+// Put inserts or updates key. Only an insert into a full leaf leaves the
+// read-locked descent for the exclusive, splitting one.
 func (t *Tree) Put(key uint64, ref index.Ref, version uint32) {
-	nd := t.lockLeafWrite(key)
-	defer nd.mu.Unlock()
-	if i := nd.find(key); i >= 0 {
-		nd.vals[i] = value{ref, version}
+	lf := t.lockLeaf(key, true)
+	i := lf.find(key)
+	if i < 0 && lf.n == maxKeys {
+		lf.mu.Unlock()
+		lf = t.lockLeafSplitting(key)
+		i = lf.find(key)
+	}
+	defer lf.mu.Unlock()
+	if i >= 0 {
+		lf.refs[i], lf.versions[i] = ref, version
 		return
 	}
-	i := nd.upperBound(key)
-	copy(nd.keys[i+1:nd.n+1], nd.keys[i:nd.n])
-	copy(nd.vals[i+1:nd.n+1], nd.vals[i:nd.n])
-	nd.keys[i] = key
-	nd.vals[i] = value{ref, version}
-	nd.n++
+	i = lf.upperBound(key)
+	copy(lf.keys[i+1:lf.n+1], lf.keys[i:lf.n])
+	copy(lf.refs[i+1:lf.n+1], lf.refs[i:lf.n])
+	copy(lf.versions[i+1:lf.n+1], lf.versions[i:lf.n])
+	lf.keys[i], lf.refs[i], lf.versions[i] = key, ref, version
+	lf.n++
 	t.count.Add(1)
 }
 
 // CompareAndSwapRef repoints key from old to new without changing the
 // version (the log cleaner's relocation CAS, §3.4).
 func (t *Tree) CompareAndSwapRef(key uint64, old, new index.Ref) bool {
-	nd := t.lockLeafWrite(key)
-	defer nd.mu.Unlock()
-	i := nd.find(key)
-	if i < 0 || nd.vals[i].ref != old {
+	lf := t.lockLeaf(key, true)
+	defer lf.mu.Unlock()
+	i := lf.find(key)
+	if i < 0 || lf.refs[i] != old {
 		return false
 	}
-	nd.vals[i].ref = new
+	lf.refs[i] = new
 	return true
 }
 
@@ -216,15 +264,16 @@ func (t *Tree) CompareAndSwapRef(key uint64, old, new index.Ref) bool {
 // structure maintenance): separators remain valid bounds, and empty
 // leaves are reclaimed only if the tree is rebuilt.
 func (t *Tree) Delete(key uint64) bool {
-	nd := t.lockLeafWrite(key)
-	defer nd.mu.Unlock()
-	i := nd.find(key)
+	lf := t.lockLeaf(key, true)
+	defer lf.mu.Unlock()
+	i := lf.find(key)
 	if i < 0 {
 		return false
 	}
-	copy(nd.keys[i:nd.n-1], nd.keys[i+1:nd.n])
-	copy(nd.vals[i:nd.n-1], nd.vals[i+1:nd.n])
-	nd.n--
+	copy(lf.keys[i:lf.n-1], lf.keys[i+1:lf.n])
+	copy(lf.refs[i:lf.n-1], lf.refs[i+1:lf.n])
+	copy(lf.versions[i:lf.n-1], lf.versions[i+1:lf.n])
+	lf.n--
 	t.count.Add(-1)
 	return true
 }
@@ -232,31 +281,26 @@ func (t *Tree) Delete(key uint64) bool {
 // Scan visits keys in [lo, hi] ascending, walking the leaf chain
 // hand-over-hand so concurrent splits cannot be missed.
 func (t *Tree) Scan(lo, hi uint64, fn func(key uint64, ref index.Ref, version uint32) bool) {
-	nd := t.lockLeafRead(lo)
+	lf := t.lockLeaf(lo, false)
 	for {
-		for i := 0; i < nd.n; i++ {
-			k := nd.keys[i]
+		for i := 0; i < lf.n; i++ {
+			k := lf.keys[i]
 			if k < lo {
 				continue
 			}
-			if k > hi {
-				nd.mu.RUnlock()
-				return
-			}
-			v := nd.vals[i]
-			if !fn(k, v.ref, v.version) {
-				nd.mu.RUnlock()
+			if k > hi || !fn(k, lf.refs[i], lf.versions[i]) {
+				lf.mu.RUnlock()
 				return
 			}
 		}
-		next := nd.next
+		next := lf.next
 		if next == nil {
-			nd.mu.RUnlock()
+			lf.mu.RUnlock()
 			return
 		}
 		next.mu.RLock()
-		nd.mu.RUnlock()
-		nd = next
+		lf.mu.RUnlock()
+		lf = next
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -263,4 +264,197 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Get(uint64(i) & (1<<20 - 1))
 	}
+}
+
+// shape counts the tree's leaf and inner nodes. Not safe against
+// concurrent writers.
+func shape(tr *Tree) (leaves, inners int) {
+	var walk func(h *header)
+	walk = func(h *header) {
+		if h.isLeaf {
+			leaves++
+			return
+		}
+		inners++
+		in := h.inner()
+		for _, c := range in.children[:in.n+1] {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	return leaves, inners
+}
+
+// Ascending inserts split at the append point, so every leaf but the last
+// stays full instead of half full.
+func TestAscendingInsertsFillLeaves(t *testing.T) {
+	tr := New()
+	const n = 100_000
+	for i := uint64(0); i < n; i++ {
+		tr.Put(i, int64(i), 1)
+	}
+	leaves, inners := shape(tr)
+	if limit := (n+maxKeys-2)/(maxKeys-1) + 1; leaves > limit {
+		t.Fatalf("%d ascending keys made %d leaves (%d inner), want at most %d", n, leaves, inners, limit)
+	}
+	var next uint64
+	tr.Range(func(k uint64, ref int64, ver uint32) bool {
+		if k != next || ref != int64(k) {
+			t.Fatalf("Range: key %d ref %d, want key %d", k, ref, next)
+		}
+		next++
+		return true
+	})
+	if next != n {
+		t.Fatalf("Range visited %d keys", next)
+	}
+}
+
+// An update, a CAS or a Delete locks only the leaf, so a full leaf is not
+// split by any of them; only an insert that does not fit splits.
+func TestLeafWritesDoNotSplit(t *testing.T) {
+	tr := New()
+	for i := uint64(0); i < maxKeys; i++ {
+		tr.Put(i*10, int64(i), 1)
+	}
+	nodes := func() int { l, in := shape(tr); return l + in }
+	if got := nodes(); got != 1 {
+		t.Fatalf("%d keys fill %d nodes, want one full leaf", maxKeys, got)
+	}
+	steps := []struct {
+		name string
+		do   func() bool
+	}{
+		{"update", func() bool { tr.Put(70, 700, 2); return true }},
+		{"CAS", func() bool { return tr.CompareAndSwapRef(70, 700, 701) }},
+		{"Delete", func() bool { return tr.Delete(70) }},
+	}
+	for _, s := range steps {
+		if !s.do() {
+			t.Fatalf("%s failed", s.name)
+		}
+		if got := nodes(); got != 1 {
+			t.Fatalf("%s of a key in a full leaf left %d nodes, want 1", s.name, got)
+		}
+	}
+	tr.Put(70, 702, 3)
+	tr.Put(75, 750, 1)
+	if got := nodes(); got != 3 {
+		t.Fatalf("insert into a full leaf left %d nodes, want a root and two leaves", got)
+	}
+}
+
+// Concurrent ascending appends, random inserts, updates, CASes, deletes,
+// Gets and Scans. Each goroutine owns the keys ≡ g (mod goroutines), so it
+// can check its own Gets and CASes exactly against its model; Scans must
+// come back ascending; at the end every key must match the models.
+func TestRaceHammer(t *testing.T) {
+	const (
+		goroutines = 4
+		ops        = 20_000
+		randSpace  = 1 << 16 // random keys lie below the appended ones
+	)
+	tr := New()
+	models := make([]map[uint64]int64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		models[g] = map[uint64]int64{}
+		wg.Add(1)
+		go func(g int, model map[uint64]int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			own := func(k uint64) uint64 { return k - k%goroutines + uint64(g) }
+			next := uint64(randSpace)
+			for i := 0; i < ops; i++ {
+				k := own(uint64(rng.Intn(randSpace)))
+				v := rng.Int63()
+				switch op := rng.Intn(16); {
+				case op < 4: // ascending append
+					k, next = own(next), next+goroutines
+					tr.Put(k, v, 1)
+					model[k] = v
+				case op < 7: // random insert or update
+					tr.Put(k, v, 1)
+					model[k] = v
+				case op < 9:
+					old, ok := model[k]
+					if tr.CompareAndSwapRef(k, old, v) != ok {
+						t.Errorf("CAS(%d) = %v, want %v", k, !ok, ok)
+						return
+					}
+					if ok {
+						model[k] = v
+					}
+				case op < 11:
+					_, ok := model[k]
+					if tr.Delete(k) != ok {
+						t.Errorf("Delete(%d) = %v, want %v", k, !ok, ok)
+						return
+					}
+					delete(model, k)
+				case op < 15:
+					ref, _, ok := tr.Get(k)
+					if want, wok := model[k]; ok != wok || ref != want {
+						t.Errorf("Get(%d) = %d,%v, want %d,%v", k, ref, ok, want, wok)
+						return
+					}
+				default:
+					lo := uint64(rng.Intn(randSpace + ops))
+					last, seen := lo, false
+					tr.Scan(lo, lo+256, func(k uint64, ref int64, ver uint32) bool {
+						if k < lo || k > lo+256 || (seen && k <= last) {
+							t.Errorf("Scan[%d,%d]: %d after %d", lo, lo+256, k, last)
+							return false
+						}
+						last, seen = k, true
+						return true
+					})
+				}
+			}
+		}(g, models[g])
+	}
+	wg.Wait()
+	total := 0
+	for g, model := range models {
+		total += len(model)
+		for k, v := range model {
+			if ref, _, ok := tr.Get(k); !ok || ref != v {
+				t.Fatalf("goroutine %d key %d: got %d,%v, want %d", g, k, ref, ok, v)
+			}
+		}
+	}
+	n := 0
+	tr.Range(func(k uint64, ref int64, ver uint32) bool {
+		if v, ok := models[k%goroutines][k]; !ok || v != ref {
+			t.Fatalf("Range: stray key %d ref %d", k, ref)
+		}
+		n++
+		return true
+	})
+	if n != total || tr.Len() != total {
+		t.Fatalf("Range visited %d, Len %d, models hold %d", n, tr.Len(), total)
+	}
+}
+
+// BenchmarkMixedParallel runs 90 % Gets and 10 % updates over 400 k keys
+// from every parallel goroutine.
+func BenchmarkMixedParallel(b *testing.B) {
+	const n = 400_000
+	tr := New()
+	for i := 0; i < n; i++ {
+		tr.Put(uint64(i), int64(i), 1)
+	}
+	var seed atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		for pb.Next() {
+			k := uint64(rng.Intn(n))
+			if rng.Intn(10) == 0 {
+				tr.Put(k, int64(k), 2)
+			} else {
+				tr.Get(k)
+			}
+		}
+	})
 }
